@@ -13,6 +13,7 @@ from .coding import (
     load_taxonomy,
     pronoun_orientation,
     rollup,
+    surface_counts,
 )
 from .config import Config, load_config, make_config
 from .corpus import Corpus, Document, LoadReport, load_corpus, parse_window
@@ -86,6 +87,7 @@ __all__ = [
     "run_pipeline",
     "score_text",
     "share_over_time",
+    "surface_counts",
     "tokenize",
     "top_k",
 ]

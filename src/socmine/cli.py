@@ -20,6 +20,7 @@ from .coding import (
     load_taxonomy,
     pronoun_orientation,
     rollup,
+    surface_counts,
     write_coding_csv,
     write_pronouns_csv,
 )
@@ -155,7 +156,7 @@ def cmd_code(args: argparse.Namespace) -> int:
     corpus = _load(args)
     taxonomy = load_taxonomy(args.taxonomy or resources.default_data_path(resources.TAXONOMY))
     result = code_vocabulary(
-        corpus,
+        surface_counts(corpus),
         taxonomy,
         _stops(args.stopwords),
         min_freq=args.min_freq,
@@ -170,7 +171,7 @@ def cmd_pronouns(args: argparse.Namespace) -> int:
     groups = load_pronoun_groups(
         args.groups or resources.default_data_path(resources.PRONOUNS)
     )
-    write_pronouns_csv(pronoun_orientation(corpus, groups), sys.stdout)
+    write_pronouns_csv(pronoun_orientation(surface_counts(corpus), groups), sys.stdout)
     return 0
 
 

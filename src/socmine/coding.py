@@ -14,9 +14,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
-from .corpus import Corpus
+from .corpus import Document
 from .errors import DataError
 from .text import KeywordFamily, StopwordList, tokenize
 
@@ -149,8 +149,20 @@ class CodingResult:
             raise ValueError("vocabulary is not conserved across categories")
 
 
+def surface_counts(documents: Iterable[Document]) -> Counter:
+    """Occurrences of every token surface across the documents' texts.
+
+    The one tokenizing pass that vocabulary coding and pronoun counting
+    share; stopwords are kept, so each analysis filters for itself.
+    """
+    freq: Counter = Counter()
+    for doc in documents:
+        freq.update(tokenize(doc.text))
+    return freq
+
+
 def code_vocabulary(
-    corpus: Corpus,
+    freq: Mapping[str, int],
     taxonomy: Taxonomy,
     stops: StopwordList,
     min_freq: int = 1,
@@ -158,15 +170,13 @@ def code_vocabulary(
 ) -> CodingResult:
     """Assign the corpus vocabulary to taxonomy categories.
 
-    Vocabulary = distinct non-stopword surfaces with corpus frequency
-    >= min_freq. Each surface goes to the first category (in taxonomy
-    order) whose family matches it.
+    freq maps each surface to its corpus frequency (see surface_counts).
+    Vocabulary = distinct non-stopword surfaces with frequency >= min_freq.
+    Each surface goes to the first category (in taxonomy order) whose
+    family matches it.
     """
     if min_freq < 1:
         raise ValueError(f"min_freq must be >= 1, got {min_freq}")
-    freq: Counter = Counter()
-    for doc in corpus:
-        freq.update(t.surface for t in tokenize(doc.text))
     vocabulary = sorted(s for s, n in freq.items() if n >= min_freq and s not in stops)
 
     assigned: dict[str, set[str]] = {c.id: set() for c in taxonomy.categories}
@@ -278,16 +288,13 @@ class PronounReport:
     ratio: float  # math.inf when the us-group total is zero
 
 
-def pronoun_orientation(corpus: Corpus, groups: PronounGroups) -> PronounReport:
-    """Raw occurrence counts of every listed surface across the tokenized corpus.
+def pronoun_orientation(freq: Mapping[str, int], groups: PronounGroups) -> PronounReport:
+    """Raw occurrence counts of every listed surface, read from the corpus
+    surface frequencies (see surface_counts).
 
     Stopword lists are deliberately not applied here: the surfaces of
     interest are exactly the function words a stoplist would remove.
     """
-    freq: Counter = Counter()
-    for doc in corpus:
-        freq.update(t.surface for t in tokenize(doc.text))
-
     rows: list[PronounRow] = []
     totals = {"them": 0, "us": 0}
     for group_name, entries in (("them", groups.them_group), ("us", groups.us_group)):

@@ -1,15 +1,16 @@
 """Tag frequencies, hashtag pair co-occurrence, and token 2-gram counting.
 
-Counting can shard over documents; shard tables are merged by plain
-addition, so results are identical for every shard layout.
+Counting runs in one thread. The counters accept `jobs` but do not use it:
+a thread pool only added overhead, because the interpreter lock lets one
+thread at a time run the Python that does the counting.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
@@ -71,37 +72,23 @@ def merge_tables(tables: Iterable[CountTable]) -> CountTable:
     return CountTable(dict(merged))
 
 
-def _count_sharded(
-    items: Sequence,
+def _count(
+    items: Iterable,
     keys_of: Callable[[object], Iterable[Key]],
     jobs: int,
 ) -> CountTable:
-    """Count keys over items, optionally on `jobs` contiguous shards."""
+    """Count the keys of every item; `jobs` is checked but changes nothing."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-    def count_shard(shard: Sequence) -> Counter:
-        counts: Counter = Counter()
-        for item in shard:
-            counts.update(keys_of(item))
-        return counts
-
-    if jobs == 1 or len(items) <= 1:
-        return CountTable(dict(count_shard(items)))
-
-    size = (len(items) + jobs - 1) // jobs
-    shards = [items[i : i + size] for i in range(0, len(items), size)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        partials = list(pool.map(count_shard, shards))
-    merged: Counter = Counter()
-    for partial in partials:
-        merged.update(partial)
-    return CountTable(dict(merged))
+    counts: Counter = Counter()
+    for item in items:
+        counts.update(keys_of(item))
+    return CountTable(dict(counts))
 
 
 def count_tags(corpus: Corpus, jobs: int = 1) -> CountTable:
     """Per-document distinct hashtag counts: each tag counts once per document."""
-    return _count_sharded(corpus.documents, lambda d: set(d.hashtags), jobs)
+    return _count(corpus.documents, lambda d: set(d.hashtags), jobs)
 
 
 def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> CountTable:
@@ -115,7 +102,7 @@ def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> CountTable:
         distinct = sorted(set(doc.hashtags))
         return [TagPair(a, b) for a, b in combinations(distinct, 2)]
 
-    return _count_sharded(corpus.documents, pairs_of, jobs)
+    return _count(corpus.documents, pairs_of, jobs)
 
 
 def count_token_2grams(
@@ -132,25 +119,23 @@ def count_token_2grams(
 
     def grams_of(doc: Document) -> Iterable[tuple[str, str]]:
         tokens = remove_stopwords(tokenize(doc.text), stops)
-        grams = []
-        for first, second in zip(tokens, tokens[1:]):
-            gram = (first.surface, second.surface)
-            if filter_term is not None and not (
-                filter_term.matches(gram[0]) or filter_term.matches(gram[1])
-            ):
-                continue
-            grams.append(gram)
-        return grams
+        grams = zip(tokens, tokens[1:])
+        if filter_term is None:
+            return grams
+        return [
+            gram for gram in grams
+            if filter_term.matches(gram[0]) or filter_term.matches(gram[1])
+        ]
 
-    return _count_sharded(documents, grams_of, jobs)
+    return _count(documents, grams_of, jobs)
 
 
 def top_k(table: CountTable, k: int) -> list[tuple[Key, int]]:
     """Top-k entries: descending count, ties ascending lexicographically."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    ordered = sorted(table.entries.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ordered[:k]
+    # nsmallest keeps a k-sized heap, and sorts in full when k >= len(table).
+    return heapq.nsmallest(k, table.entries.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def write_counts_csv(table: CountTable, handle: io.TextIOBase) -> None:

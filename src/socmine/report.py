@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import shutil
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -27,6 +28,7 @@ from .coding import (
     load_taxonomy,
     pronoun_orientation,
     rollup,
+    surface_counts,
     write_coding_csv,
     write_pronouns_csv,
 )
@@ -188,6 +190,11 @@ def run_pipeline(config: Config) -> RunManifest:
             cache["pair_table"] = count_tag_pairs(get_corpus()[0], jobs=jobs)
         return cache["pair_table"]
 
+    def get_surface_counts() -> Counter:
+        if "surface_counts" not in cache:
+            cache["surface_counts"] = surface_counts(get_corpus()[0])
+        return cache["surface_counts"]
+
     def stage_ingest() -> tuple[list[str], dict[str, Any]]:
         corpus, load_report = get_corpus()
         write_corpus(corpus, run_dir / "corpus.jsonl", fmt="jsonl")
@@ -287,9 +294,8 @@ def run_pipeline(config: Config) -> RunManifest:
             resources.TAXONOMY
         )
         taxonomy = load_taxonomy(taxonomy_path)
-        corpus, _ = get_corpus()
         result = code_vocabulary(
-            corpus,
+            get_surface_counts(),
             taxonomy,
             get_stops(),
             min_freq=coding_cfg["min_freq"],
@@ -312,8 +318,7 @@ def run_pipeline(config: Config) -> RunManifest:
             resources.PRONOUNS
         )
         groups = load_pronoun_groups(groups_path)
-        corpus, _ = get_corpus()
-        report = pronoun_orientation(corpus, groups)
+        report = pronoun_orientation(get_surface_counts(), groups)
         buffer = io.StringIO()
         write_pronouns_csv(report, buffer)
         artifact = _write_text(run_dir, "pronouns.csv", buffer.getvalue())

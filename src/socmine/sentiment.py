@@ -7,16 +7,18 @@ among matched negative words (-1 when none match). Their sum is the
 strength, so a text with no matches scores 0 and a lone negative word
 with boost b scores -b.
 
-The power of a counted n-gram is its frequency times its strength.
+The power of a counted n-gram is its frequency times its strength. An
+n-gram is scored from its own surfaces, which are never re-tokenized.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import DataError
 from .ngrams import CountTable
@@ -98,20 +100,29 @@ def load_lexicon(path: str | Path) -> SentimentLexicon:
         raise DataError(f"invalid lexicon {path}: {exc}") from exc
 
 
-def score_text(text: str, lexicon: SentimentLexicon) -> int:
-    pos_boost: int | None = None
-    neg_boost: int | None = None
-    for token in tokenize(text):
-        for entry in lexicon.entries:
-            if not entry.matches(token.surface):
-                continue
+def _halves(surface: str, lexicon: SentimentLexicon) -> tuple[int, int]:
+    """The (positive, negative) halves of one surface: (1, -1) when no entry matches."""
+    pos_boost = neg_boost = 0
+    for entry in lexicon.entries:
+        if entry.matches(surface):
             if entry.polarity == "positive":
-                pos_boost = entry.boost if pos_boost is None else max(pos_boost, entry.boost)
+                pos_boost = max(pos_boost, entry.boost)
             else:
-                neg_boost = entry.boost if neg_boost is None else max(neg_boost, entry.boost)
-    positive = 1 + pos_boost if pos_boost is not None else 1
-    negative = -1 - neg_boost if neg_boost is not None else -1
+                neg_boost = max(neg_boost, entry.boost)
+    return 1 + pos_boost, -1 - neg_boost
+
+
+def _strength(halves: Iterable[tuple[int, int]]) -> int:
+    """Strongest positive half plus strongest negative half over the surfaces."""
+    positive, negative = 1, -1
+    for pos, neg in halves:
+        positive = max(positive, pos)
+        negative = min(negative, neg)
     return positive + negative
+
+
+def score_text(text: str, lexicon: SentimentLexicon) -> int:
+    return _strength(_halves(surface, lexicon) for surface in tokenize(text))
 
 
 class ScoredNGram(NamedTuple):
@@ -152,9 +163,12 @@ def power_report(
         if count >= min_freq
     ]
     kept.sort(key=lambda item: (-item[1], item[0]))
+    # Distinct surfaces are far fewer than n-gram slots: scan the lexicon once
+    # per surface, for this call only.
+    halves_of = functools.cache(functools.partial(_halves, lexicon=lexicon))
     rows = []
     for ngram, freq in kept:
-        strength = score_text(" ".join(ngram), lexicon)
+        strength = _strength(halves_of(surface) for surface in ngram)
         rows.append(ScoredNGram(ngram=ngram, freq=freq, strength=strength, power=freq * strength))
     return PowerReport(rows=tuple(rows))
 

@@ -1,7 +1,7 @@
 """Tokenization, stopword filtering, and keyword-family matching.
 
-All functions here are pure; tokens and word lists are immutable, so
-every downstream analysis can share them freely.
+All functions here are pure. Tokens are plain lowercase strings and word
+lists are immutable, so every downstream analysis can share them freely.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # Shortest stem a prefix family may use; shorter stems degenerate into
 # matching half the vocabulary of languages with short function words.
 MIN_PREFIX_STEM = 3
-
-
-@dataclass(frozen=True)
-class Token:
-    """One lowercased word with its 0-based position in the token sequence."""
-
-    surface: str
-    position: int
 
 
 @dataclass(frozen=True)
@@ -70,19 +62,20 @@ class KeywordFamily:
         return surface.startswith(self.stem)
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split on Unicode word boundaries, lowercase, keep diacritics intact."""
-    return [Token(m.group().lower(), i) for i, m in enumerate(_WORD_RE.finditer(text))]
+def tokenize(text: str) -> list[str]:
+    """Split on Unicode word boundaries, lowercase, keep diacritics intact.
+
+    Each word is lowercased after the split, never the whole text: a case
+    mapping can add a non-word mark ("İ" lowers to "i" + U+0307), which
+    would split the word if it were applied first.
+    """
+    return [word.lower() for word in _WORD_RE.findall(text)]
 
 
-def remove_stopwords(tokens: list[Token], stops: StopwordList) -> list[Token]:
-    """Drop stopword tokens and re-index the survivors from 0."""
-    kept = [t.surface for t in tokens if t.surface not in stops]
-    return [Token(surface, i) for i, surface in enumerate(kept)]
-
-
-def match_family(token: Token, family: KeywordFamily) -> bool:
-    return family.matches(token.surface)
+def remove_stopwords(tokens: list[str], stops: StopwordList) -> list[str]:
+    """Drop stopword tokens, keeping the order of the survivors."""
+    words = stops.words
+    return [token for token in tokens if token not in words]
 
 
 def load_stopwords(path: str | Path, language: str = "") -> StopwordList:

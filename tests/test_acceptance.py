@@ -22,6 +22,7 @@ from socmine.coding import (
     load_taxonomy,
     pronoun_orientation,
     rollup,
+    surface_counts,
 )
 from socmine.config import make_config
 from socmine.corpus import Corpus, load_corpus, parse_window
@@ -242,7 +243,7 @@ def test_criterion_4_timeline_endpoints_and_shapes(twitter):
 
 def test_criterion_5_pronoun_orientation_replay(forum):
     groups = load_pronoun_groups(default_data_path("pronouns.tsv"))
-    report = pronoun_orientation(forum, groups)
+    report = pronoun_orientation(surface_counts(forum), groups)
     counts = {row.surface: row.count for row in report.rows}
     assert counts == {"im": 79, "oni": 53, "nich": 38, "nam": 4, "nas": 13, "my": 1}
     assert report.them_total == 170
@@ -260,7 +261,7 @@ def test_criterion_6_coding_conservation_and_rollup(forum, stops):
     assert len(taxonomy.top_level()) == 10
     assert len(taxonomy.subcategories()) == 14
 
-    result = code_vocabulary(forum, taxonomy, stops)
+    result = code_vocabulary(surface_counts(forum), taxonomy, stops)
     assigned = sum(len(c.unique_words) for c in result.per_category.values())
     assert assigned + len(result.uncategorized) == result.vocabulary_size
 
@@ -270,7 +271,9 @@ def test_criterion_6_coding_conservation_and_rollup(forum, stops):
         "police bullets law riots fires"
     )
     twenty = Corpus.from_documents([make_doc("w1", text=text20)])
-    coded = code_vocabulary(twenty, taxonomy, StopwordList(frozenset(), "none"))
+    coded = code_vocabulary(
+        surface_counts(twenty), taxonomy, StopwordList(frozenset(), "none")
+    )
     rolled = rollup(coded, taxonomy)
     hand_summed = {
         "1": 4, "2": 1, "3": 1, "4": 1, "5": 1,

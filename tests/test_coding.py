@@ -15,6 +15,7 @@ from socmine.coding import (
     load_taxonomy,
     pronoun_orientation,
     rollup,
+    surface_counts,
     write_coding_csv,
     write_pronouns_csv,
 )
@@ -106,7 +107,7 @@ def test_code_vocabulary_first_match_and_conservation():
         ("a", 0, (), "policja gazu policja riots okna"),
         ("b", 1, (), "policji bić riots"),
     )
-    result = code_vocabulary(corpus, _small_taxonomy(), NO_STOPS)
+    result = code_vocabulary(surface_counts(corpus), _small_taxonomy(), NO_STOPS)
     assert result.per_category["1"].unique_words == frozenset({"policja", "policji"})
     assert result.per_category["1.1"].unique_words == frozenset({"gazu", "bić"})
     assert result.per_category["2"].unique_words == frozenset({"riots"})
@@ -123,7 +124,7 @@ def test_code_vocabulary_multi_match_reports_all_hits():
         )
     )
     corpus = make_corpus(("a", 0, (), "policja"))
-    result = code_vocabulary(corpus, taxonomy, NO_STOPS)
+    result = code_vocabulary(surface_counts(corpus), taxonomy, NO_STOPS)
     assert result.per_category["1"].unique_words == frozenset({"policja"})
     assert result.per_category["2"].count == 0
     assert result.multi_matched == {"policja": ("1", "2")}
@@ -131,21 +132,22 @@ def test_code_vocabulary_multi_match_reports_all_hits():
 
 def test_code_vocabulary_min_freq_and_occurrences():
     corpus = make_corpus(("a", 0, (), "policja policja riots"))
-    result = code_vocabulary(corpus, _small_taxonomy(), NO_STOPS, min_freq=2)
+    freq = surface_counts(corpus)
+    result = code_vocabulary(freq, _small_taxonomy(), NO_STOPS, min_freq=2)
     assert result.vocabulary_size == 1
     assert result.per_category["1"].count == 1
     by_occurrence = code_vocabulary(
-        corpus, _small_taxonomy(), NO_STOPS, min_freq=2, count_occurrences=True
+        freq, _small_taxonomy(), NO_STOPS, min_freq=2, count_occurrences=True
     )
     assert by_occurrence.per_category["1"].count == 2
     with pytest.raises(ValueError):
-        code_vocabulary(corpus, _small_taxonomy(), NO_STOPS, min_freq=0)
+        code_vocabulary(freq, _small_taxonomy(), NO_STOPS, min_freq=0)
 
 
 def test_code_vocabulary_applies_stopwords():
     corpus = make_corpus(("a", 0, (), "policja i riots"))
     stops = StopwordList(frozenset({"i"}), "test")
-    result = code_vocabulary(corpus, _small_taxonomy(), stops)
+    result = code_vocabulary(surface_counts(corpus), _small_taxonomy(), stops)
     assert result.vocabulary_size == 2
     assert "i" not in result.uncategorized
 
@@ -155,7 +157,7 @@ def test_code_vocabulary_applies_stopwords():
 ), min_size=1, max_size=30))
 def test_conservation_property(words):
     corpus = make_corpus(("a", 0, (), " ".join(words)))
-    result = code_vocabulary(corpus, _small_taxonomy(), NO_STOPS)
+    result = code_vocabulary(surface_counts(corpus), _small_taxonomy(), NO_STOPS)
     assigned = sum(len(c.unique_words) for c in result.per_category.values())
     assert assigned + len(result.uncategorized) == result.vocabulary_size
 
@@ -163,7 +165,7 @@ def test_conservation_property(words):
 def test_rollup_sums_children_into_parents():
     corpus = make_corpus(("a", 0, (), "policja gazu bić riots okna"))
     taxonomy = _small_taxonomy()
-    result = code_vocabulary(corpus, taxonomy, NO_STOPS)
+    result = code_vocabulary(surface_counts(corpus), taxonomy, NO_STOPS)
     rolled = rollup(result, taxonomy)
     assert set(rolled) == {"1", "1.1", "2"}
     assert rolled["1.1"] == 2
@@ -179,7 +181,7 @@ def test_coding_csv_golden():
     )
     corpus = make_corpus(("w1", 12, (), text20))
     taxonomy = load_taxonomy(default_data_path("taxonomy.tsv"))
-    result = code_vocabulary(corpus, taxonomy, NO_STOPS)
+    result = code_vocabulary(surface_counts(corpus), taxonomy, NO_STOPS)
     rolled = rollup(result, taxonomy)
     buffer = io.StringIO()
     write_coding_csv(result, rolled, taxonomy, buffer)
@@ -219,7 +221,7 @@ def test_pronoun_orientation_counts_ignore_stoplists():
         ("a", 0, (), "oni rzucali kamieniami a my patrzymy na nich"),
         ("b", 1, (), "im nie wolno oni wiedzą"),
     )
-    report = pronoun_orientation(corpus, groups)
+    report = pronoun_orientation(surface_counts(corpus), groups)
     counts = {(r.surface): r.count for r in report.rows}
     assert counts["oni"] == 2
     assert counts["nich"] == 1
@@ -233,7 +235,7 @@ def test_pronoun_orientation_counts_ignore_stoplists():
 def test_pronoun_ratio_inf_when_us_absent():
     groups = load_pronoun_groups(default_data_path("pronouns.tsv"))
     corpus = make_corpus(("a", 0, (), "oni oni oni"))
-    report = pronoun_orientation(corpus, groups)
+    report = pronoun_orientation(surface_counts(corpus), groups)
     assert report.us_total == 0
     assert math.isinf(report.ratio)
     assert format_ratio(report.ratio) == "inf"
@@ -244,7 +246,7 @@ def test_pronouns_csv_footer():
     groups = load_pronoun_groups(default_data_path("pronouns.tsv"))
     corpus = make_corpus(("a", 0, (), "oni i my"))
     buffer = io.StringIO()
-    write_pronouns_csv(pronoun_orientation(corpus, groups), buffer)
+    write_pronouns_csv(pronoun_orientation(surface_counts(corpus), groups), buffer)
     text = buffer.getvalue()
     assert text.startswith("label,group,surface,count\n")
     assert "# them_total,1\n" in text

@@ -143,6 +143,16 @@ def test_top_k_tie_break_is_lexicographic():
         top_k(table, 0)
 
 
+@given(
+    st.dictionaries(st.text("abc", max_size=3), st.integers(1, 4), max_size=30),
+    st.integers(1, 35),
+)
+def test_top_k_equals_full_sort_prefix(entries, k):
+    # Counts drawn from 1..4 force many ties, which the key order must break.
+    full = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert top_k(CountTable(entries), k) == full[:k]
+
+
 def test_counts_to_csv_scalar_and_pair_keys():
     assert counts_to_csv(CountTable({"svpol": 2, "husby": 1})) == (
         "key,count\nsvpol,2\nhusby,1\n"

@@ -91,6 +91,32 @@ def test_stage_subset_and_summaries(workspace):
     assert names == {"tags.csv", "pairs.csv", MANIFEST_NAME}
 
 
+def test_text_stages_tokenize_each_document_twice(workspace, monkeypatch):
+    import socmine.coding
+    import socmine.ngrams
+    import socmine.sentiment
+
+    calls = {"tokenize": 0, "score_text": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (socmine.coding, socmine.ngrams, socmine.sentiment):
+        monkeypatch.setattr(module, "tokenize", counting("tokenize", module.tokenize))
+    monkeypatch.setattr(
+        socmine.sentiment, "score_text", counting("score_text", socmine.sentiment.score_text)
+    )
+    stages = ["ingest", "coding", "pronouns", "sentiment"]
+    manifest = run_pipeline(_config(workspace, run={"stages": stages}))
+    documents = manifest.stages[0].summary["documents"]
+    assert documents == 4
+    # One surface pass shared by coding and pronouns, one 2-gram pass.
+    assert calls == {"tokenize": 2 * documents, "score_text": 0}
+
+
 def test_pipeline_requires_corpus_and_stages(workspace):
     with pytest.raises(UsageError, match="corpus.path"):
         run_pipeline(make_config({}, base_dir=workspace))

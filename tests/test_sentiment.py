@@ -133,6 +133,15 @@ def test_power_report_ordering_and_min_freq():
         power_report(table, LEXICON, min_freq=0)
 
 
+def test_power_report_scores_the_ngram_own_surfaces():
+    # "i̇stanbul" carries U+0307, a non-word mark: re-tokenizing the joined
+    # 2-gram would split off "stanbul", which the prefix stem "stan" matches.
+    lexicon = SentimentLexicon(entries=(LexiconEntry("stan", "positive", 2),))
+    table = CountTable({("i\u0307stanbul", "policja"): 1, ("stanowczo", "policja"): 1})
+    strengths = {row.ngram: row.strength for row in power_report(table, lexicon).rows}
+    assert strengths == {("i\u0307stanbul", "policja"): 0, ("stanowczo", "policja"): 2}
+
+
 def test_power_csv_golden():
     lexicon = SentimentLexicon(
         entries=(

@@ -25,6 +25,7 @@ from .ngrams import (
     count_tag_pairs,
     count_tags,
     count_token_2grams,
+    ranked,
     top_k,
 )
 from .report import RunManifest, run_pipeline
@@ -83,6 +84,7 @@ __all__ = [
     "parse_window",
     "power_report",
     "pronoun_orientation",
+    "ranked",
     "rollup",
     "run_pipeline",
     "score_text",

@@ -8,7 +8,6 @@ pipeline. Exit codes: 0 success, 1 bad usage, 2 bad data or values,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -29,10 +28,10 @@ from .corpus import Corpus, filter_multi_tag, load_corpus, parse_window, write_c
 from .errors import DataError, UsageError
 from .graph import build_graph, export_graph
 from .ngrams import (
-    CountTable,
     count_tag_pairs,
     count_tags,
     count_token_2grams,
+    ranked,
     top_k,
     write_counts_csv,
 )
@@ -76,14 +75,6 @@ def _stops(path: str):
     return load_stopwords(resources.default_data_path(resources.STOPWORDS), language="pl")
 
 
-def _trimmed(table: CountTable, k: int) -> CountTable:
-    if not len(table):
-        return table
-    if k < 1:
-        k = len(table)
-    return CountTable(dict(top_k(table, k)))
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     window = parse_window(args.window) if args.window else None
     corpus, report = load_corpus(args.corpus, fmt=args.format, window=window)
@@ -101,13 +92,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_tags(args: argparse.Namespace) -> int:
     table = count_tags(_load(args), jobs=args.jobs)
-    write_counts_csv(_trimmed(table, args.top), sys.stdout)
+    # --top 0 (or below) prints every row.
+    write_counts_csv(top_k(table, args.top) if args.top >= 1 else ranked(table), sys.stdout)
     return 0
 
 
 def cmd_pairs(args: argparse.Namespace) -> int:
     table = count_tag_pairs(_load(args), jobs=args.jobs)
-    write_counts_csv(_trimmed(table, args.top), sys.stdout)
+    # --top 0 (or below) prints every row.
+    write_counts_csv(top_k(table, args.top) if args.top >= 1 else ranked(table), sys.stdout)
     return 0
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -30,11 +31,17 @@ def normalize_tag(raw: str, aliases: Mapping[str, str] | None = None) -> str:
     return tag
 
 
+# '#', whitespace (regex \s is exactly str.isspace), and what XML 1.0 cannot
+# carry: C0 controls, lone surrogates, U+FFFE and U+FFFF.
+_BAD_TAG_CHAR = re.compile(r"[#\s\x00-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _check_tag(tag: str) -> None:
     if not tag:
         raise ValueError("hashtag is empty after normalization")
-    if "#" in tag or any(c.isspace() for c in tag):
-        raise ValueError(f"hashtag contains '#' or whitespace: {tag!r}")
+    bad = _BAD_TAG_CHAR.search(tag)
+    if bad:
+        raise ValueError(f"hashtag contains the forbidden character {bad.group()!r}: {tag!r}")
     if tag != tag.lower():
         raise ValueError(f"hashtag is not lowercase: {tag!r}")
 
@@ -194,12 +201,7 @@ def _record_to_document(
     for item in tags_raw:
         if not isinstance(item, str):
             raise fail("tags", f"tag {item!r} is not a string")
-        tag = normalize_tag(item, aliases)
-        try:
-            _check_tag(tag)
-        except ValueError as exc:
-            raise fail("tags", str(exc)) from exc
-        tags.append(tag)
+        tags.append(normalize_tag(item, aliases))
 
     lang = record.get("lang") or None
     if lang is not None and not isinstance(lang, str):
@@ -209,14 +211,19 @@ def _record_to_document(
     if source not in SOURCES:
         raise fail("source", f"must be one of {SOURCES}, got {source!r}")
 
-    return Document(
-        id=doc_id,
-        timestamp=timestamp,
-        text=text,
-        hashtags=tuple(tags),
-        lang=lang,
-        source=str(source),
-    )
+    # Document checks the tags; id, timestamp and source are valid by now,
+    # so any ValueError it raises is about a tag.
+    try:
+        return Document(
+            id=doc_id,
+            timestamp=timestamp,
+            text=text,
+            hashtags=tuple(tags),
+            lang=lang,
+            source=str(source),
+        )
+    except ValueError as exc:
+        raise fail("tags", str(exc)) from exc
 
 
 def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, object]]]:

@@ -1,19 +1,14 @@
 """Thresholded weighted tag co-occurrence network: build, cluster, export.
 
-Exports are byte-deterministic (nodes and edges emitted in sorted order)
-and round-trip through parse_graph.
+Exports are byte-deterministic: nodes and edges are emitted in sorted order.
 """
 
 from __future__ import annotations
 
-import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
-from xml.sax.saxutils import escape, quoteattr
 
-from .errors import DataError
-from .ngrams import CountTable, TagPair
+from .ngrams import CountTable, TagPair, _rank_key
 
 FORMATS = ("dot", "graphml")
 
@@ -60,13 +55,12 @@ def build_graph(
     whitelist = set(node_whitelist) if node_whitelist is not None else None
 
     edges: dict[TagPair, int] = {}
-    for key, count in pairs.entries.items():
-        pair = key if isinstance(key, TagPair) else TagPair.of(*key)
+    for (a, b), count in pairs.entries.items():
         if count < threshold:
             continue
-        if whitelist is not None and (pair.a not in whitelist or pair.b not in whitelist):
+        if whitelist is not None and (a not in whitelist or b not in whitelist):
             continue
-        edges[pair] = count
+        edges[TagPair.of(a, b)] = count
 
     nodes: set[str] = set()
     for pair in edges:
@@ -108,7 +102,7 @@ def dyad_report(graph: CooccurrenceGraph, k: int) -> list[DyadRow]:
         raise ValueError(f"k must be >= 1, got {k}")
     if not graph.edges:
         return []
-    ordered = sorted(graph.edges.items(), key=lambda kv: (-kv[1], kv[0]))
+    ordered = sorted(graph.edges.items(), key=_rank_key)
     max_weight = ordered[0][1]
     return [DyadRow(pair, weight, weight / max_weight) for pair, weight in ordered[:k]]
 
@@ -139,22 +133,39 @@ def export_graph(
     raise ValueError(f"unsupported graph format: {fmt!r}")
 
 
+def _sorted_edges(graph: CooccurrenceGraph) -> list[tuple[str, str, int]]:
+    # Flat (a, b, weight) tuples sort on list.sort's fast path; pairs are
+    # distinct, so the weight never decides the order.
+    return sorted((pair.a, pair.b, weight) for pair, weight in graph.edges.items())
+
+
 def _export_dot(graph: CooccurrenceGraph, cap: int | None) -> str:
+    quoted = {node: _dot_quote(node) for node in graph.nodes}
     lines = ["graph cooccurrence {", f"  graph [threshold={graph.threshold}];"]
     for node in sorted(graph.nodes):
-        lines.append(f"  {_dot_quote(node)};")
-    for pair in sorted(graph.edges):
-        weight = graph.edges[pair]
+        lines.append(f"  {quoted[node]};")
+    for a, b, weight in _sorted_edges(graph):
         width = _render_width(weight, cap)
         lines.append(
-            f"  {_dot_quote(pair.a)} -- {_dot_quote(pair.b)} "
-            f"[weight={weight}, penwidth={width}];"
+            f"  {quoted[a]} -- {quoted[b]} [weight={weight}, penwidth={width}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
+def _quoteattr(value: str) -> str:
+    """The bytes of xml.sax.saxutils.quoteattr, which imports urllib and http."""
+    value = value.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    value = value.replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"' + value.replace('"', "&quot;") + '"'
+
+
 def _export_graphml(graph: CooccurrenceGraph, cap: int | None) -> str:
+    quoted = {node: _quoteattr(node) for node in graph.nodes}
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -165,81 +176,13 @@ def _export_graphml(graph: CooccurrenceGraph, cap: int | None) -> str:
         f'    <data key="threshold">{graph.threshold}</data>',
     ]
     for node in sorted(graph.nodes):
-        lines.append(f"    <node id={quoteattr(node)}/>")
-    for pair in sorted(graph.edges):
-        weight = graph.edges[pair]
+        lines.append(f"    <node id={quoted[node]}/>")
+    for a, b, weight in _sorted_edges(graph):
         width = _render_width(weight, cap)
-        lines.append(f"    <edge source={quoteattr(pair.a)} target={quoteattr(pair.b)}>")
+        lines.append(f"    <edge source={quoted[a]} target={quoted[b]}>")
         lines.append(f'      <data key="weight">{weight}</data>')
         lines.append(f'      <data key="render_width">{width}</data>')
         lines.append("    </edge>")
     lines.append("  </graph>")
     lines.append("</graphml>")
     return "\n".join(lines) + "\n"
-
-
-_DOT_GRAPH_RE = re.compile(r"graph \[threshold=(\d+)\];")
-_DOT_NODE_RE = re.compile(r'^"((?:[^"\\]|\\.)*)";$')
-_DOT_EDGE_RE = re.compile(
-    r'^"((?:[^"\\]|\\.)*)" -- "((?:[^"\\]|\\.)*)" \[weight=(\d+), penwidth=(\d+)\];$'
-)
-
-
-def _dot_unquote(inner: str) -> str:
-    return inner.replace('\\"', '"').replace("\\\\", "\\")
-
-
-def parse_graph(text: str, fmt: str = "dot") -> CooccurrenceGraph:
-    """Parse a graph previously produced by export_graph."""
-    if fmt == "dot":
-        return _parse_dot(text)
-    if fmt == "graphml":
-        return _parse_graphml(text)
-    raise ValueError(f"unsupported graph format: {fmt!r}")
-
-
-def _parse_dot(text: str) -> CooccurrenceGraph:
-    threshold = 1
-    nodes: set[str] = set()
-    edges: dict[TagPair, int] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        match = _DOT_GRAPH_RE.fullmatch(line)
-        if match:
-            threshold = int(match.group(1))
-            continue
-        match = _DOT_NODE_RE.fullmatch(line)
-        if match:
-            nodes.add(_dot_unquote(match.group(1)))
-            continue
-        match = _DOT_EDGE_RE.fullmatch(line)
-        if match:
-            pair = TagPair.of(_dot_unquote(match.group(1)), _dot_unquote(match.group(2)))
-            edges[pair] = int(match.group(3))
-    if not nodes and not edges and "graph cooccurrence {" not in text:
-        raise DataError("not a recognized DOT co-occurrence graph")
-    return CooccurrenceGraph(nodes=frozenset(nodes), edges=edges, threshold=threshold)
-
-
-def _parse_graphml(text: str) -> CooccurrenceGraph:
-    ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise DataError(f"invalid GraphML: {exc}") from exc
-    graph_el = root.find("g:graph", ns)
-    if graph_el is None:
-        raise DataError("GraphML file has no <graph> element")
-    threshold = 1
-    threshold_el = graph_el.find("g:data[@key='threshold']", ns)
-    if threshold_el is not None and threshold_el.text:
-        threshold = int(threshold_el.text)
-    nodes = {el.attrib["id"] for el in graph_el.findall("g:node", ns)}
-    edges: dict[TagPair, int] = {}
-    for el in graph_el.findall("g:edge", ns):
-        pair = TagPair.of(el.attrib["source"], el.attrib["target"])
-        weight_el = el.find("g:data[@key='weight']", ns)
-        if weight_el is None or weight_el.text is None:
-            raise DataError(f"edge {pair} is missing its weight attribute")
-        edges[pair] = int(weight_el.text)
-    return CooccurrenceGraph(nodes=frozenset(nodes), edges=edges, threshold=threshold)

@@ -95,14 +95,12 @@ def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> CountTable:
     """Unordered pairs of distinct tags co-occurring in one document.
 
     Each document contributes one count per distinct pair; documents with
-    fewer than two distinct tags contribute nothing.
+    fewer than two distinct tags contribute nothing. Keys are plain (a, b)
+    tuples with a < b, which hash and compare equal to the same TagPair.
     """
-
-    def pairs_of(doc: Document) -> Iterable[TagPair]:
-        distinct = sorted(set(doc.hashtags))
-        return [TagPair(a, b) for a, b in combinations(distinct, 2)]
-
-    return _count(corpus.documents, pairs_of, jobs)
+    return _count(
+        corpus.documents, lambda d: combinations(sorted(set(d.hashtags)), 2), jobs
+    )
 
 
 def count_token_2grams(
@@ -130,28 +128,46 @@ def count_token_2grams(
     return _count(documents, grams_of, jobs)
 
 
+# Per-item helpers stay private: a benchmark tracer wraps every public
+# function, and wrapping one called once per table entry slows its caller.
+def _rank_key(item: tuple[Key, int]) -> tuple:
+    """Descending count, ties ascending by key, as one flat tuple.
+
+    A flat (-count, a, b) sorts faster than (-count, TagPair): list.sort
+    compares exact tuples of str and int on its fast path, and a nested
+    tuple subclass takes the generic one. The order is the same.
+    """
+    key, count = item
+    if isinstance(key, tuple):
+        return (-count, *key)
+    return (-count, key)
+
+
+def ranked(table: CountTable) -> list[tuple[Key, int]]:
+    """Every entry: descending count, ties ascending lexicographically."""
+    return sorted(table.entries.items(), key=_rank_key)
+
+
 def top_k(table: CountTable, k: int) -> list[tuple[Key, int]]:
-    """Top-k entries: descending count, ties ascending lexicographically."""
+    """The first k entries of ranked(table), without sorting the whole table."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     # nsmallest keeps a k-sized heap, and sorts in full when k >= len(table).
-    return heapq.nsmallest(k, table.entries.items(), key=lambda kv: (-kv[1], kv[0]))
+    return heapq.nsmallest(k, table.entries.items(), key=_rank_key)
 
 
-def write_counts_csv(table: CountTable, handle: io.TextIOBase) -> None:
-    """Serialize a table to CSV in top_k order; pair keys become two columns."""
-    rows = top_k(table, max(len(table), 1)) if len(table) else []
+def write_counts_csv(rows: Sequence[tuple[Key, int]], handle: io.TextIOBase) -> None:
+    """Serialize ranked rows to CSV in their order; pair keys become two columns."""
     writer = csv.writer(handle, lineterminator="\n")
-    pair_keys = bool(rows) and isinstance(rows[0][0], tuple)
-    writer.writerow(["key", "key2", "count"] if pair_keys else ["key", "count"])
-    for key, count in rows:
-        if pair_keys:
-            writer.writerow([key[0], key[1], count])
-        else:
-            writer.writerow([key, count])
+    if rows and isinstance(rows[0][0], tuple):
+        writer.writerow(["key", "key2", "count"])
+        writer.writerows((a, b, count) for (a, b), count in rows)
+    else:
+        writer.writerow(["key", "count"])
+        writer.writerows(rows)
 
 
-def counts_to_csv(table: CountTable) -> str:
+def counts_to_csv(rows: Sequence[tuple[Key, int]]) -> str:
     buffer = io.StringIO()
-    write_counts_csv(table, buffer)
+    write_counts_csv(rows, buffer)
     return buffer.getvalue()

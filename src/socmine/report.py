@@ -11,6 +11,7 @@ console summary.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import shutil
@@ -49,7 +50,7 @@ from .ngrams import (
     count_tags,
     count_token_2grams,
     counts_to_csv,
-    top_k,
+    ranked,
 )
 from .sentiment import load_lexicon, power_report, write_power_csv
 from .text import KeywordFamily, StopwordList, load_stopwords
@@ -124,16 +125,14 @@ def _write_text(run_dir: Path, name: str, content: str) -> str:
     return name
 
 
-def _ranked_rows(table: CountTable, k: int) -> list[list[Any]]:
-    if not len(table) or k < 1:
+def _ranked_rows(rows: list[tuple[Any, int]], k: int) -> list[list[Any]]:
+    """The first k ranked rows, pair keys spread into two columns."""
+    if k < 1:
         return []
-    rows = []
-    for key, count in top_k(table, k):
-        if isinstance(key, tuple):
-            rows.append([*key, count])
-        else:
-            rows.append([key, count])
-    return rows
+    return [
+        [*key, count] if isinstance(key, tuple) else [key, count]
+        for key, count in rows[:k]
+    ]
 
 
 def run_pipeline(config: Config) -> RunManifest:
@@ -190,6 +189,17 @@ def run_pipeline(config: Config) -> RunManifest:
             cache["pair_table"] = count_tag_pairs(get_corpus()[0], jobs=jobs)
         return cache["pair_table"]
 
+    # Each table is sorted once; the CSVs, summaries and top-N slices share it.
+    def get_ranked_tags() -> list[tuple[str, int]]:
+        if "ranked_tags" not in cache:
+            cache["ranked_tags"] = ranked(get_tag_table())
+        return cache["ranked_tags"]
+
+    def get_ranked_pairs() -> list[tuple[tuple[str, str], int]]:
+        if "ranked_pairs" not in cache:
+            cache["ranked_pairs"] = ranked(get_pair_table())
+        return cache["ranked_pairs"]
+
     def get_surface_counts() -> Counter:
         if "surface_counts" not in cache:
             cache["surface_counts"] = surface_counts(get_corpus()[0])
@@ -209,22 +219,22 @@ def run_pipeline(config: Config) -> RunManifest:
         return ["corpus.jsonl"], summary
 
     def stage_tags() -> tuple[list[str], dict[str, Any]]:
-        table = get_tag_table()
-        artifact = _write_text(run_dir, "tags.csv", counts_to_csv(table))
+        table, rows = get_tag_table(), get_ranked_tags()
+        artifact = _write_text(run_dir, "tags.csv", counts_to_csv(rows))
         summary = {
             "distinct": len(table),
             "total": table.total,
-            "top": _ranked_rows(table, config["tags"]["top"]),
+            "top": _ranked_rows(rows, config["tags"]["top"]),
         }
         return [artifact], summary
 
     def stage_pairs() -> tuple[list[str], dict[str, Any]]:
-        table = get_pair_table()
-        artifact = _write_text(run_dir, "pairs.csv", counts_to_csv(table))
+        table, rows = get_pair_table(), get_ranked_pairs()
+        artifact = _write_text(run_dir, "pairs.csv", counts_to_csv(rows))
         summary = {
             "distinct": len(table),
             "total": table.total,
-            "top": _ranked_rows(table, config["pairs"]["top"]),
+            "top": _ranked_rows(rows, config["pairs"]["top"]),
         }
         return [artifact], summary
 
@@ -232,8 +242,8 @@ def run_pipeline(config: Config) -> RunManifest:
         graph_cfg = config["graph"]
         whitelist = None
         if graph_cfg["whitelist_top"]:
-            ranked = _ranked_rows(get_tag_table(), graph_cfg["whitelist_top"])
-            whitelist = {row[0] for row in ranked}
+            top = _ranked_rows(get_ranked_tags(), graph_cfg["whitelist_top"])
+            whitelist = {row[0] for row in top}
         graph = build_graph(
             get_pair_table(),
             threshold=graph_cfg["threshold"],
@@ -245,12 +255,14 @@ def run_pipeline(config: Config) -> RunManifest:
         artifacts = [
             _write_text(run_dir, f"graph.{fmt}", export_graph(graph, fmt, cap=cap))
         ]
-        dyad_lines = ["tag_a,tag_b,weight,ratio"]
-        for row in dyad_report(graph, max(1, len(graph.edges))):
-            dyad_lines.append(
-                f"{row.pair.a},{row.pair.b},{row.weight},{row.ratio:.4f}"
-            )
-        artifacts.append(_write_text(run_dir, "dyads.csv", "\n".join(dyad_lines) + "\n"))
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["tag_a", "tag_b", "weight", "ratio"])
+        writer.writerows(
+            (row.pair.a, row.pair.b, row.weight, f"{row.ratio:.4f}")
+            for row in dyad_report(graph, max(1, len(graph.edges)))
+        )
+        artifacts.append(_write_text(run_dir, "dyads.csv", buffer.getvalue()))
         summary = {
             "nodes": len(graph.nodes),
             "edges": len(graph.edges),
@@ -263,7 +275,7 @@ def run_pipeline(config: Config) -> RunManifest:
         timeline_cfg = config["timeline"]
         tags = list(timeline_cfg["tags"])
         if not tags:
-            tags = [row[0] for row in _ranked_rows(get_tag_table(), timeline_cfg["top"])]
+            tags = [row[0] for row in _ranked_rows(get_ranked_tags(), timeline_cfg["top"])]
         if not tags:
             raise DataError("timeline stage has no tags to plot")
         corpus, _ = get_corpus()

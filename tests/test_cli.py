@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +61,19 @@ def test_pairs_two_column_csv(corpus_file, capsys):
     assert out.splitlines()[0] == "key,key2,count"
     assert "police,riots,2" in out
     assert "husby,riots,1" in out
+
+
+@pytest.mark.parametrize("tag", ["a\\u0001b", "\\ud800"])
+def test_tags_rejects_unwritable_tag_before_any_output(tmp_path, capsys, tag):
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        CORPUS + '{"id": "d", "ts": "2013-05-23T10:00:00Z", "tags": ["%s"]}\n' % tag,
+        encoding="utf-8",
+    )
+    assert main(["tags", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 4: malformed field 'tags'" in captured.err
 
 
 def test_ingest_summary(corpus_file, capsys):
@@ -147,3 +164,16 @@ def test_version(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("socmine ")
+
+
+def test_cli_import_loads_no_xml_or_network_modules():
+    # xml.sax.saxutils alone pulls in urllib.request, http.client, email and ssl.
+    heavy = ("xml.sax", "urllib.request", "http.client", "xml.etree")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    probe = f"import sys, socmine.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -1,10 +1,13 @@
 import json
+import sys
 from datetime import datetime, timezone
 
 import pytest
 
-from helpers import BASE, UTC, make_doc
+import socmine.corpus
+from helpers import BASE, FIXTURES, UTC, make_doc
 from socmine.corpus import (
+    _BAD_TAG_CHAR,
     Corpus,
     Document,
     filter_multi_tag,
@@ -35,6 +38,15 @@ def test_document_validation():
         Document(id="a", timestamp=BASE, text="", hashtags=("UPPER",))
     with pytest.raises(ValueError):
         Document(id="a", timestamp=BASE, text="", source="blog")
+
+
+def test_tag_rule_adds_only_what_xml_cannot_carry():
+    # Every code point: the old rule ('#' or str.isspace) plus C0 controls,
+    # lone surrogates, U+FFFE and U+FFFF, which XML 1.0 cannot carry.
+    xml_forbidden = {chr(c) for c in [*range(0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF]}
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    expected = {c for c in every if c == "#" or c.isspace()} | xml_forbidden
+    assert set(_BAD_TAG_CHAR.findall(every)) == expected
 
 
 def test_corpus_sorting_and_window_inference():
@@ -138,6 +150,32 @@ def test_load_corpus_malformed_field_has_line_number(tmp_path):
     _write_jsonl(path, [{"id": "a", "ts": "not a time", "text": ""}])
     with pytest.raises(DataError, match="line 1: malformed field 'ts'"):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("tag", ["a\x01b", "\ud800", "a\uffffb", "a b", "x#y"])
+def test_load_corpus_rejects_forbidden_tag_characters(tmp_path, tag):
+    path = tmp_path / "c.jsonl"
+    # json.dumps escapes the lone surrogate, as a JSONL producer would.
+    path.write_text(
+        json.dumps({"id": "a", "ts": "2013-05-20T10:00:00Z", "tags": ["ok"]}) + "\n"
+        + json.dumps({"id": "b", "ts": "2013-05-21T10:00:00Z", "tags": ["ok", tag]}) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError, match="line 2: malformed field 'tags'"):
+        load_corpus(path)
+
+
+def test_load_corpus_checks_each_tag_once(monkeypatch):
+    checked = []
+    original = socmine.corpus._check_tag
+
+    def counting(tag):
+        checked.append(tag)
+        original(tag)
+
+    monkeypatch.setattr(socmine.corpus, "_check_tag", counting)
+    corpus, _ = load_corpus(FIXTURES / "twitter.jsonl")
+    assert sorted(checked) == sorted(t for doc in corpus for t in doc.hashtags)
 
 
 def test_load_corpus_invalid_json_and_missing_file(tmp_path):

@@ -1,5 +1,10 @@
-import pytest
+from xml.sax.saxutils import quoteattr
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from graph_parse import parse_graph
 from helpers import GOLDEN
 from socmine.errors import DataError
 from socmine.graph import (
@@ -8,7 +13,7 @@ from socmine.graph import (
     components,
     dyad_report,
     export_graph,
-    parse_graph,
+    _quoteattr,
 )
 from socmine.ngrams import CountTable, TagPair
 
@@ -129,3 +134,8 @@ def test_dot_quoting_survives_odd_names():
     parsed = parse_graph(export_graph(graph, fmt="dot"), fmt="dot")
     assert parsed.nodes == graph.nodes
     assert dict(parsed.edges) == dict(graph.edges)
+
+
+@given(st.text(alphabet=st.sampled_from("ab&<>\"'\n\r\t;#é") | st.characters(), max_size=12))
+def test_quoteattr_replica_matches_saxutils(value):
+    assert _quoteattr(value) == quoteattr(value)

@@ -12,6 +12,7 @@ from socmine.ngrams import (
     count_token_2grams,
     counts_to_csv,
     merge_tables,
+    ranked,
     top_k,
 )
 from socmine.text import KeywordFamily, StopwordList
@@ -153,10 +154,45 @@ def test_top_k_equals_full_sort_prefix(entries, k):
     assert top_k(CountTable(entries), k) == full[:k]
 
 
+def _reference_order(entries):
+    return sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+# Tags over a two-letter alphabet are often prefixes of one another (a, ab).
+TAGS = st.text("ab", min_size=1, max_size=4)
+
+
+@given(st.dictionaries(TAGS, st.integers(1, 4), max_size=30))
+def test_ranked_tag_keys_match_reference_order(entries):
+    assert ranked(CountTable(entries)) == _reference_order(entries)
+
+
+@given(
+    st.dictionaries(
+        st.tuples(TAGS, TAGS, st.booleans()).filter(lambda t: t[0] < t[1]),
+        st.integers(1, 4),
+        max_size=30,
+    )
+)
+def test_ranked_pair_keys_match_reference_order(drawn):
+    # The boolean picks a TagPair or a plain tuple key, so tables mix both.
+    entries = {(TagPair(a, b) if as_pair else (a, b)): n for (a, b, as_pair), n in drawn.items()}
+    assert ranked(CountTable(entries)) == _reference_order(entries)
+
+
+@given(
+    st.dictionaries(st.tuples(TAGS, TAGS), st.integers(1, 4), max_size=30),
+    st.integers(1, 35),
+)
+def test_top_k_equals_ranked_prefix(entries, k):
+    table = CountTable(entries)
+    assert top_k(table, k) == ranked(table)[:k]
+
+
 def test_counts_to_csv_scalar_and_pair_keys():
-    assert counts_to_csv(CountTable({"svpol": 2, "husby": 1})) == (
+    assert counts_to_csv(ranked(CountTable({"svpol": 2, "husby": 1}))) == (
         "key,count\nsvpol,2\nhusby,1\n"
     )
     pairs = CountTable({TagPair("a", "b"): 3, ("x", "y"): 1})
-    assert counts_to_csv(pairs) == "key,key2,count\na,b,3\nx,y,1\n"
-    assert counts_to_csv(CountTable()) == "key,count\n"
+    assert counts_to_csv(ranked(pairs)) == "key,key2,count\na,b,3\nx,y,1\n"
+    assert counts_to_csv(ranked(CountTable())) == "key,count\n"

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -115,6 +116,43 @@ def test_text_stages_tokenize_each_document_twice(workspace, monkeypatch):
     assert documents == 4
     # One surface pass shared by coding and pronouns, one 2-gram pass.
     assert calls == {"tokenize": 2 * documents, "score_text": 0}
+
+
+def test_pipeline_ranks_each_table_once(workspace, monkeypatch):
+    import socmine.report
+
+    ranked_sizes = []
+
+    def counting(table):
+        ranked_sizes.append(len(table))
+        return socmine.ngrams.ranked(table)
+
+    monkeypatch.setattr(socmine.report, "ranked", counting)
+    stages = ["ingest", "tags", "pairs", "graph", "timeline"]
+    config = _config(
+        workspace,
+        run={"stages": stages},
+        graph={"whitelist_top": 2},
+        timeline={"tags": [], "top": 2},
+    )
+    manifest = run_pipeline(config)
+    # One sort of the 3 tags feeds tags.csv, its summary, the whitelist and
+    # the timeline; one sort of the 2 pairs feeds pairs.csv and its summary.
+    assert ranked_sizes == [3, 2]
+    assert manifest.stages[4].summary["tags"] == ["husby", "riots"]
+
+
+def test_dyads_csv_quotes_tags_with_commas(workspace):
+    (workspace / "corpus.jsonl").write_text(
+        '{"id": "a", "ts": "2013-05-20T10:00:00Z", "tags": ["a,b", "c"]}\n'
+        '{"id": "b", "ts": "2013-05-21T10:00:00Z", "tags": ["c", "a,b"]}\n',
+        encoding="utf-8",
+    )
+    config = _config(workspace, run={"stages": ["graph"]}, graph={"threshold": 1})
+    run_dir = Path(run_pipeline(config).run_dir)
+    with (run_dir / "dyads.csv").open(encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows == [["tag_a", "tag_b", "weight", "ratio"], ["a,b", "c", "2", "1.0000"]]
 
 
 def test_pipeline_requires_corpus_and_stages(workspace):

@@ -35,10 +35,8 @@ from .timeline import (
     CumulativeSeries,
     ShapeVerdict,
     classify_shape,
-    cumulative_series,
     cumulative_series_bulk,
     export_timeline,
-    share_over_time,
 )
 
 __all__ = [
@@ -69,7 +67,6 @@ __all__ = [
     "count_tag_pairs",
     "count_tags",
     "count_token_2grams",
-    "cumulative_series",
     "cumulative_series_bulk",
     "dyad_report",
     "export_graph",
@@ -88,7 +85,6 @@ __all__ = [
     "rollup",
     "run_pipeline",
     "score_text",
-    "share_over_time",
     "surface_counts",
     "tokenize",
     "top_k",

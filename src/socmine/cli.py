@@ -1,8 +1,10 @@
 """Command-line front end.
 
 One subcommand per analysis step, plus `run` for the full configured
-pipeline. Exit codes: 0 success, 1 bad usage, 2 bad data or values,
-3 unexpected internal failure.
+pipeline. A subcommand prints one result of a report.Context built from
+its flags, so it computes exactly what the matching `run` stage does.
+Exit codes: 0 success, 1 bad usage, 2 bad data or values, 3 unexpected
+internal failure.
 """
 
 from __future__ import annotations
@@ -12,33 +14,16 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import __version__, resources
-from .coding import (
-    code_vocabulary,
-    load_pronoun_groups,
-    load_taxonomy,
-    pronoun_orientation,
-    rollup,
-    surface_counts,
-    write_coding_csv,
-    write_pronouns_csv,
-)
-from .config import load_config, make_config
-from .corpus import Corpus, filter_multi_tag, load_corpus, parse_window, write_corpus
+from . import __version__
+from .coding import write_coding_csv, write_pronouns_csv
+from .config import load_config, make_config, merge_config
+from .corpus import write_corpus
 from .errors import DataError, UsageError
-from .graph import build_graph, export_graph
-from .ngrams import (
-    count_tag_pairs,
-    count_tags,
-    count_token_2grams,
-    ranked,
-    top_k,
-    write_counts_csv,
-)
-from .report import run_pipeline
-from .sentiment import load_lexicon, power_report, write_power_csv
-from .text import KeywordFamily, load_stopwords
-from .timeline import classify_shape, cumulative_series_bulk, export_timeline
+from .graph import export_graph
+from .ngrams import top_k, write_counts_csv
+from .report import Context, run_pipeline
+from .sentiment import write_power_csv
+from .timeline import classify_shape, export_timeline
 
 
 class Parser(argparse.ArgumentParser):
@@ -61,25 +46,19 @@ def _corpus_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load(args: argparse.Namespace) -> Corpus:
-    window = parse_window(args.window) if args.window else None
-    corpus, _ = load_corpus(args.corpus, fmt=args.format, window=window)
-    if args.min_tags:
-        corpus = filter_multi_tag(corpus, args.min_tags)
-    return corpus
-
-
-def _stops(path: str):
-    if path:
-        return load_stopwords(path, language=Path(path).stem)
-    return load_stopwords(resources.default_data_path(resources.STOPWORDS), language="pl")
+def _context(args: argparse.Namespace, **sections: dict) -> Context:
+    """The flags as config sections over the defaults, checked like a config."""
+    corpus = {
+        "path": args.corpus,
+        "format": args.format,
+        "window": args.window,
+        "min_tags": args.min_tags,
+    }
+    return Context(merge_config({"corpus": corpus, **sections}))
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    window = parse_window(args.window) if args.window else None
-    corpus, report = load_corpus(args.corpus, fmt=args.format, window=window)
-    if args.min_tags:
-        corpus = filter_multi_tag(corpus, args.min_tags)
+    corpus, report = _context(args).loaded
     print(report.as_table())
     start, end = corpus.window
     print(f"documents: {len(corpus)}")
@@ -91,43 +70,37 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_tags(args: argparse.Namespace) -> int:
-    table = count_tags(_load(args), jobs=args.jobs)
+    ctx = _context(args, run={"jobs": args.jobs})
     # --top 0 (or below) prints every row.
-    write_counts_csv(top_k(table, args.top) if args.top >= 1 else ranked(table), sys.stdout)
+    rows = top_k(ctx.tag_table, args.top) if args.top >= 1 else ctx.ranked_tags
+    write_counts_csv(rows, sys.stdout)
     return 0
 
 
 def cmd_pairs(args: argparse.Namespace) -> int:
-    table = count_tag_pairs(_load(args), jobs=args.jobs)
+    ctx = _context(args, run={"jobs": args.jobs})
     # --top 0 (or below) prints every row.
-    write_counts_csv(top_k(table, args.top) if args.top >= 1 else ranked(table), sys.stdout)
+    rows = top_k(ctx.pair_table, args.top) if args.top >= 1 else ctx.ranked_pairs
+    write_counts_csv(rows, sys.stdout)
     return 0
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    pairs = count_tag_pairs(corpus, jobs=args.jobs)
-    whitelist = None
-    if args.whitelist_top:
-        tag_table = count_tags(corpus, jobs=args.jobs)
-        whitelist = {tag for tag, _ in top_k(tag_table, args.whitelist_top)}
-    graph = build_graph(
-        pairs,
-        threshold=args.threshold,
-        node_whitelist=whitelist,
-        retain_isolates=args.retain_isolates,
-    )
-    sys.stdout.write(export_graph(graph, fmt=args.graph_format, cap=args.cap or None))
+    graph = {
+        "threshold": args.threshold,
+        "whitelist_top": args.whitelist_top,
+        "retain_isolates": args.retain_isolates,
+    }
+    ctx = _context(args, run={"jobs": args.jobs}, graph=graph)
+    sys.stdout.write(export_graph(ctx.graph, fmt=args.graph_format, cap=args.cap or None))
     return 0
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
-    corpus = _load(args)
     tags = [t for t in args.tags.split(",") if t]
     if not tags:
         raise UsageError("--tags needs at least one tag")
-    series_by_tag = cumulative_series_bulk(corpus, tags)
-    series = [series_by_tag[tag] for tag in sorted(series_by_tag)]
+    series = _context(args, timeline={"tags": tags}).series
     if args.classify:
         for item in series:
             verdict = classify_shape(item)
@@ -146,38 +119,37 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def cmd_code(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    taxonomy = load_taxonomy(args.taxonomy or resources.default_data_path(resources.TAXONOMY))
-    result = code_vocabulary(
-        surface_counts(corpus),
-        taxonomy,
-        _stops(args.stopwords),
-        min_freq=args.min_freq,
-        count_occurrences=args.occurrences,
-    )
-    write_coding_csv(result, rollup(result, taxonomy), taxonomy, sys.stdout)
+    coding = {
+        "taxonomy": args.taxonomy,
+        "min_freq": args.min_freq,
+        "occurrences": args.occurrences,
+    }
+    ctx = _context(args, text={"stopwords": args.stopwords}, coding=coding)
+    taxonomy, result, rolled = ctx.coding
+    write_coding_csv(result, rolled, taxonomy, sys.stdout)
     return 0
 
 
 def cmd_pronouns(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    groups = load_pronoun_groups(
-        args.groups or resources.default_data_path(resources.PRONOUNS)
-    )
-    write_pronouns_csv(pronoun_orientation(surface_counts(corpus), groups), sys.stdout)
+    write_pronouns_csv(_context(args, pronouns={"groups": args.groups}).pronouns, sys.stdout)
     return 0
 
 
 def cmd_sentiment(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    lexicon = load_lexicon(args.lexicon or resources.default_data_path(resources.LEXICON))
-    filter_term = None
-    if args.filter_stem:
-        filter_term = KeywordFamily(stem=args.filter_stem, match_mode=args.filter_mode)
-    grams = count_token_2grams(
-        corpus.documents, _stops(args.stopwords), filter_term=filter_term, jobs=args.jobs
+    sentiment = {
+        "lexicon": args.lexicon,
+        "filter_stem": args.filter_stem,
+        "filter_mode": args.filter_mode,
+        "min_freq": args.min_freq,
+    }
+    ctx = _context(
+        args,
+        run={"jobs": args.jobs},
+        text={"stopwords": args.stopwords},
+        sentiment=sentiment,
     )
-    write_power_csv(power_report(grams, lexicon, min_freq=args.min_freq), sys.stdout)
+    _, report = ctx.power
+    write_power_csv(report, sys.stdout)
     return 0
 
 

@@ -59,15 +59,8 @@ class Taxonomy:
     def __len__(self) -> int:
         return len(self.categories)
 
-    @property
-    def by_id(self) -> dict[str, Category]:
-        return {c.id: c for c in self.categories}
-
     def top_level(self) -> list[Category]:
         return [c for c in self.categories if c.parent is None]
-
-    def subcategories(self) -> list[Category]:
-        return [c for c in self.categories if c.parent is not None]
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:

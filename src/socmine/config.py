@@ -133,7 +133,8 @@ def _merge_section(section: str, defaults: dict, overrides: Mapping) -> dict:
 
 
 def merge_config(overrides: Mapping[str, Any]) -> dict[str, Any]:
-    """Return DEFAULTS with overrides laid on top, rejecting unknown keys."""
+    """Return DEFAULTS with overrides laid on top, rejecting unknown keys and
+    invalid values; command-line flags go through here too."""
     merged: dict[str, Any] = {}
     for section, defaults in DEFAULTS.items():
         supplied = overrides.get(section, {})
@@ -143,6 +144,7 @@ def merge_config(overrides: Mapping[str, Any]) -> dict[str, Any]:
     for section in overrides:
         if section not in DEFAULTS:
             raise DataError(f"unknown config section {section!r}")
+    _validate(merged)
     return merged
 
 
@@ -155,8 +157,15 @@ def _validate(values: dict[str, Any]) -> None:
         raise DataError(f"unknown stages in run.stages: {unknown}")
     if values["corpus"]["format"] not in ("jsonl", "csv"):
         raise DataError("corpus.format must be 'jsonl' or 'csv'")
-    if values["corpus"]["min_tags"] < 0:
-        raise DataError("corpus.min_tags must be >= 0")
+    for section, key in (
+        ("corpus", "min_tags"),
+        ("tags", "top"),
+        ("pairs", "top"),
+        ("graph", "whitelist_top"),
+        ("timeline", "top"),
+    ):
+        if values[section][key] < 0:
+            raise DataError(f"{section}.{key} must be >= 0")
     if values["graph"]["threshold"] < 1:
         raise DataError("graph.threshold must be >= 1")
     if values["graph"]["format"] not in ("dot", "graphml"):
@@ -184,7 +193,6 @@ def _resolve_paths(values: dict[str, Any], base_dir: Path) -> dict[str, Any]:
 def make_config(overrides: Mapping[str, Any], base_dir: str | Path = ".") -> Config:
     base = Path(base_dir).resolve()
     raw = merge_config(overrides)
-    _validate(raw)
     return Config(values=_resolve_paths(raw, base), raw=raw, base_dir=base)
 
 

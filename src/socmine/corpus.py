@@ -19,8 +19,10 @@ from .errors import DataError
 
 SOURCES = ("tweet", "forum_post")
 
-# JSONL field names double as the CSV column header.
+# JSONL field names double as the CSV column header; a CSV file may omit
+# the last two.
 FIELDS = ("id", "ts", "text", "tags", "lang", "source")
+_CSV_REQUIRED = FIELDS[:4]
 
 
 def normalize_tag(raw: str, aliases: Mapping[str, str] | None = None) -> str:
@@ -34,6 +36,10 @@ def normalize_tag(raw: str, aliases: Mapping[str, str] | None = None) -> str:
 # '#', whitespace (regex \s is exactly str.isspace), and what XML 1.0 cannot
 # carry: C0 controls, lone surrogates, U+FFFE and U+FFFF.
 _BAD_TAG_CHAR = re.compile(r"[#\s\x00-\x1f\ud800-\udfff\ufffe\uffff]")
+
+# A JSON escape such as "\ud800" decodes to a lone surrogate, which no
+# UTF-8 writer can encode.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def _check_tag(tag: str) -> None:
@@ -176,21 +182,28 @@ def _record_to_document(
     def fail(fieldname: str, why: str) -> DataError:
         return DataError(f"line {line}: malformed field {fieldname!r}: {why}")
 
+    def check_str(fieldname: str, value: object) -> None:
+        if not isinstance(value, str):
+            raise fail(fieldname, "must be a string")
+        if _SURROGATE.search(value):
+            raise fail(fieldname, "contains a lone surrogate")
+
     doc_id = record.get("id")
-    if not isinstance(doc_id, str) or not doc_id:
+    check_str("id", doc_id)
+    if not doc_id:
         raise fail("id", "must be a non-empty string")
 
     ts_raw = record.get("ts")
-    if not isinstance(ts_raw, (str, int, float)) or ts_raw == "":
+    # bool is an int subclass, but `true` is no timestamp.
+    if isinstance(ts_raw, bool) or not isinstance(ts_raw, (str, int, float)) or ts_raw == "":
         raise fail("ts", "missing timestamp")
     try:
         timestamp = parse_timestamp(ts_raw)
-    except ValueError as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         raise fail("ts", str(exc)) from exc
 
     text = record.get("text", "")
-    if not isinstance(text, str):
-        raise fail("text", "must be a string")
+    check_str("text", text)
 
     tags_raw = record.get("tags", [])
     if isinstance(tags_raw, str):
@@ -204,8 +217,8 @@ def _record_to_document(
         tags.append(normalize_tag(item, aliases))
 
     lang = record.get("lang") or None
-    if lang is not None and not isinstance(lang, str):
-        raise fail("lang", "must be a string")
+    if lang is not None:
+        check_str("lang", lang)
 
     source = record.get("source") or "tweet"
     if source not in SOURCES:
@@ -244,7 +257,7 @@ def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, obje
             reader = csv.DictReader(handle)
             if reader.fieldnames is None:
                 return
-            missing = [f for f in FIELDS if f not in reader.fieldnames]
+            missing = [f for f in _CSV_REQUIRED if f not in reader.fieldnames]
             if missing:
                 raise DataError(f"line 1: CSV header missing columns {missing}")
             for record in reader:

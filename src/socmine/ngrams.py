@@ -58,19 +58,6 @@ class CountTable:
     def __contains__(self, key: Key) -> bool:
         return key in self.entries
 
-    def merge(self, other: "CountTable") -> "CountTable":
-        merged = Counter(self.entries)
-        merged.update(other.entries)
-        return CountTable(dict(merged))
-
-
-def merge_tables(tables: Iterable[CountTable]) -> CountTable:
-    """Order-independent sum of count tables."""
-    merged: Counter = Counter()
-    for table in tables:
-        merged.update(table.entries)
-    return CountTable(dict(merged))
-
 
 def _count(
     items: Iterable,

@@ -2,11 +2,15 @@
 every artifact plus a manifest into a run directory named by the config
 digest.
 
+Each analysis is one `Context` property, which the stages here and the
+analysis subcommands share.
+
 Reruns of the same config over the same inputs produce byte-identical
 artifacts and manifest, whatever run.jobs says: the manifest embeds the
 digest view of the config (no jobs, no out_dir) and carries no wall-clock
 timings. Timings live only on the in-memory StageResult objects and in the
-console summary.
+console summary. A run is built in a temporary directory and renamed into
+place after its manifest, so a failed run leaves an earlier one as it was.
 """
 
 from __future__ import annotations
@@ -15,14 +19,19 @@ import csv
 import io
 import json
 import shutil
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Mapping
 
 from . import resources
 from .coding import (
+    CodingResult,
+    PronounReport,
+    Taxonomy,
     code_vocabulary,
     format_ratio,
     load_pronoun_groups,
@@ -39,11 +48,12 @@ from .corpus import (
     LoadReport,
     filter_multi_tag,
     load_corpus,
+    normalize_tag,
     parse_window,
     write_corpus,
 )
 from .errors import DataError, UsageError
-from .graph import build_graph, components, dyad_report, export_graph
+from .graph import CooccurrenceGraph, build_graph, components, dyad_report, export_graph
 from .ngrams import (
     CountTable,
     count_tag_pairs,
@@ -52,9 +62,9 @@ from .ngrams import (
     counts_to_csv,
     ranked,
 )
-from .sentiment import load_lexicon, power_report, write_power_csv
+from .sentiment import PowerReport, load_lexicon, power_report, write_power_csv
 from .text import KeywordFamily, StopwordList, load_stopwords
-from .timeline import classify_shape, cumulative_series_bulk, export_timeline
+from .timeline import CumulativeSeries, classify_shape, cumulative_series_bulk, export_timeline
 
 MANIFEST_NAME = "manifest.json"
 
@@ -127,12 +137,264 @@ def _write_text(run_dir: Path, name: str, content: str) -> str:
 
 def _ranked_rows(rows: list[tuple[Any, int]], k: int) -> list[list[Any]]:
     """The first k ranked rows, pair keys spread into two columns."""
-    if k < 1:
-        return []
     return [
         [*key, count] if isinstance(key, tuple) else [key, count]
         for key, count in rows[:k]
     ]
+
+
+class Context:
+    """The shared intermediates and analysis results of one run, each
+    computed at most once, from merged config sections (see merge_config).
+
+    Each analysis reads the corpus before its data files, so a bad corpus
+    is the error reported first.
+    """
+
+    def __init__(self, sections: Mapping[str, Mapping[str, Any]]) -> None:
+        self.sections = sections
+        self.jobs = sections["run"]["jobs"]
+
+    @cached_property
+    def loaded(self) -> tuple[Corpus, LoadReport]:
+        cfg = self.sections["corpus"]
+        window = parse_window(cfg["window"]) if cfg["window"] else None
+        corpus, load_report = load_corpus(
+            cfg["path"], fmt=cfg["format"], window=window, aliases=cfg["aliases"] or None
+        )
+        if cfg["min_tags"]:
+            corpus = filter_multi_tag(corpus, cfg["min_tags"])
+        return corpus, load_report
+
+    @property
+    def corpus(self) -> Corpus:
+        return self.loaded[0]
+
+    @cached_property
+    def stops(self) -> StopwordList:
+        path = self.sections["text"]["stopwords"]
+        if path:
+            return load_stopwords(path, language=Path(path).stem)
+        return load_stopwords(resources.default_data_path(resources.STOPWORDS), language="pl")
+
+    @cached_property
+    def tag_table(self) -> CountTable:
+        return count_tags(self.corpus, jobs=self.jobs)
+
+    @cached_property
+    def pair_table(self) -> CountTable:
+        return count_tag_pairs(self.corpus, jobs=self.jobs)
+
+    # Each table is sorted once; the CSVs, summaries and top-N slices share it.
+    @cached_property
+    def ranked_tags(self) -> list[tuple[str, int]]:
+        return ranked(self.tag_table)
+
+    @cached_property
+    def ranked_pairs(self) -> list[tuple[tuple[str, str], int]]:
+        return ranked(self.pair_table)
+
+    @cached_property
+    def graph(self) -> CooccurrenceGraph:
+        cfg = self.sections["graph"]
+        whitelist = None
+        if cfg["whitelist_top"]:
+            whitelist = {tag for tag, _ in self.ranked_tags[: cfg["whitelist_top"]]}
+        return build_graph(
+            self.pair_table,
+            threshold=cfg["threshold"],
+            node_whitelist=whitelist,
+            retain_isolates=cfg["retain_isolates"],
+        )
+
+    @cached_property
+    def series(self) -> list[CumulativeSeries]:
+        """One series per requested tag, or per top tag, sorted by tag."""
+        cfg = self.sections["timeline"]
+        aliases = self.sections["corpus"]["aliases"]
+        # Requested tags are spelled as in the corpus file; ranked ones are
+        # normalized already.
+        tags = [normalize_tag(tag, aliases) for tag in cfg["tags"]]
+        if not tags:
+            tags = [tag for tag, _ in self.ranked_tags[: cfg["top"]]]
+        if not tags:
+            raise DataError("timeline stage has no tags to plot")
+        series_by_tag = cumulative_series_bulk(self.corpus, tags)
+        return [series_by_tag[tag] for tag in sorted(series_by_tag)]
+
+    @cached_property
+    def surface_counts(self) -> Counter:
+        return surface_counts(self.corpus)
+
+    @cached_property
+    def coding(self) -> tuple[Taxonomy, CodingResult, dict[str, int]]:
+        cfg = self.sections["coding"]
+        freq = self.surface_counts
+        taxonomy = load_taxonomy(cfg["taxonomy"] or resources.default_data_path(resources.TAXONOMY))
+        result = code_vocabulary(
+            freq,
+            taxonomy,
+            self.stops,
+            min_freq=cfg["min_freq"],
+            count_occurrences=cfg["occurrences"],
+        )
+        return taxonomy, result, rollup(result, taxonomy)
+
+    @cached_property
+    def pronouns(self) -> PronounReport:
+        freq = self.surface_counts
+        path = self.sections["pronouns"]["groups"]
+        groups = load_pronoun_groups(path or resources.default_data_path(resources.PRONOUNS))
+        return pronoun_orientation(freq, groups)
+
+    @cached_property
+    def power(self) -> tuple[CountTable, PowerReport]:
+        """The counted 2-grams and their power report."""
+        cfg = self.sections["sentiment"]
+        documents = self.corpus.documents
+        lexicon = load_lexicon(cfg["lexicon"] or resources.default_data_path(resources.LEXICON))
+        filter_term = None
+        if cfg["filter_stem"]:
+            filter_term = KeywordFamily(stem=cfg["filter_stem"], match_mode=cfg["filter_mode"])
+        grams = count_token_2grams(documents, self.stops, filter_term=filter_term, jobs=self.jobs)
+        return grams, power_report(grams, lexicon, min_freq=cfg["min_freq"])
+
+
+# Stage renderers: each writes its artifacts into run_dir and returns their
+# names and the stage summary.
+Rendered = tuple[list[str], dict[str, Any]]
+
+
+def _stage_ingest(ctx: Context, run_dir: Path) -> Rendered:
+    corpus, load_report = ctx.loaded
+    write_corpus(corpus, run_dir / "corpus.jsonl", fmt="jsonl")
+    start, end = corpus.window
+    summary = {
+        "records_read": load_report.records_read,
+        "records_kept": load_report.records_kept,
+        "dropped": dict(sorted(load_report.dropped.items())),
+        "documents": len(corpus),
+        "window": [_iso(start), _iso(end)],
+    }
+    return ["corpus.jsonl"], summary
+
+
+def _stage_tags(ctx: Context, run_dir: Path) -> Rendered:
+    table, rows = ctx.tag_table, ctx.ranked_tags
+    artifact = _write_text(run_dir, "tags.csv", counts_to_csv(rows))
+    summary = {
+        "distinct": len(table),
+        "total": table.total,
+        "top": _ranked_rows(rows, ctx.sections["tags"]["top"]),
+    }
+    return [artifact], summary
+
+
+def _stage_pairs(ctx: Context, run_dir: Path) -> Rendered:
+    table, rows = ctx.pair_table, ctx.ranked_pairs
+    artifact = _write_text(run_dir, "pairs.csv", counts_to_csv(rows))
+    summary = {
+        "distinct": len(table),
+        "total": table.total,
+        "top": _ranked_rows(rows, ctx.sections["pairs"]["top"]),
+    }
+    return [artifact], summary
+
+
+def _stage_graph(ctx: Context, run_dir: Path) -> Rendered:
+    cfg, graph = ctx.sections["graph"], ctx.graph
+    fmt = cfg["format"]
+    artifacts = [
+        _write_text(run_dir, f"graph.{fmt}", export_graph(graph, fmt, cap=cfg["cap"] or None))
+    ]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["tag_a", "tag_b", "weight", "ratio"])
+    writer.writerows(
+        (row.pair.a, row.pair.b, row.weight, f"{row.ratio:.4f}")
+        for row in dyad_report(graph, max(1, len(graph.edges)))
+    )
+    artifacts.append(_write_text(run_dir, "dyads.csv", buffer.getvalue()))
+    summary = {
+        "nodes": len(graph.nodes),
+        "edges": len(graph.edges),
+        "threshold": cfg["threshold"],
+        "components": len(components(graph)),
+    }
+    return artifacts, summary
+
+
+def _stage_timeline(ctx: Context, run_dir: Path) -> Rendered:
+    series = ctx.series
+    artifacts = [
+        _write_text(run_dir, f"timeline.{fmt}", export_timeline(series, fmt=fmt))
+        for fmt in ctx.sections["timeline"]["formats"]
+    ]
+    shapes = {}
+    for item in series:
+        verdict = classify_shape(item)
+        shapes[item.tag] = {
+            "shape": verdict.shape,
+            "r2": round(verdict.linearity_r2, 6),
+            "max_step": round(verdict.max_step_fraction, 6),
+            "burst_mass": round(verdict.burst_mass_fraction, 6),
+            "burst_window": [d.isoformat() for d in verdict.burst_window],
+            "reason": verdict.reason,
+        }
+    summary = {"tags": [s.tag for s in series], "shapes": shapes}
+    return artifacts, summary
+
+
+def _stage_coding(ctx: Context, run_dir: Path) -> Rendered:
+    taxonomy, result, rolled = ctx.coding
+    buffer = io.StringIO()
+    write_coding_csv(result, rolled, taxonomy, buffer)
+    artifact = _write_text(run_dir, "coding.csv", buffer.getvalue())
+    summary = {
+        "vocabulary_size": result.vocabulary_size,
+        "uncategorized": len(result.uncategorized),
+        "multi_matched": len(result.multi_matched),
+        "top_level": {c.id: rolled[c.id] for c in taxonomy.top_level()},
+    }
+    return [artifact], summary
+
+
+def _stage_pronouns(ctx: Context, run_dir: Path) -> Rendered:
+    report = ctx.pronouns
+    buffer = io.StringIO()
+    write_pronouns_csv(report, buffer)
+    artifact = _write_text(run_dir, "pronouns.csv", buffer.getvalue())
+    summary = {
+        "them_total": report.them_total,
+        "us_total": report.us_total,
+        "ratio": format_ratio(report.ratio),
+    }
+    return [artifact], summary
+
+
+def _stage_sentiment(ctx: Context, run_dir: Path) -> Rendered:
+    grams, report = ctx.power
+    buffer = io.StringIO()
+    write_power_csv(report, buffer)
+    artifact = _write_text(run_dir, "power.csv", buffer.getvalue())
+    summary = {
+        "rows": len(report.rows),
+        "distinct_2grams": len(grams),
+        "sum_power": report.sum_power,
+    }
+    return [artifact], summary
+
+
+_STAGES: dict[str, Callable[[Context, Path], Rendered]] = {
+    "ingest": _stage_ingest,
+    "tags": _stage_tags,
+    "pairs": _stage_pairs,
+    "graph": _stage_graph,
+    "timeline": _stage_timeline,
+    "coding": _stage_coding,
+    "pronouns": _stage_pronouns,
+    "sentiment": _stage_sentiment,
+}
 
 
 def run_pipeline(config: Config) -> RunManifest:
@@ -143,248 +405,24 @@ def run_pipeline(config: Config) -> RunManifest:
     enabled = [s for s in STAGES if s in run_cfg["stages"]]
     if not enabled:
         raise UsageError("run.stages selects no stages")
-    jobs = run_cfg["jobs"]
 
     run_id = config.digest
     out_dir = Path(run_cfg["out_dir"])
     run_dir = out_dir / run_id
-    created_now = not run_dir.exists()
-    run_dir.mkdir(parents=True, exist_ok=True)
-
-    # Lazy shared intermediates, computed at most once per run.
-    cache: dict[str, Any] = {}
-
-    def get_corpus() -> tuple[Corpus, LoadReport]:
-        if "corpus" not in cache:
-            window = parse_window(corpus_cfg["window"]) if corpus_cfg["window"] else None
-            corpus, load_report = load_corpus(
-                corpus_cfg["path"],
-                fmt=corpus_cfg["format"],
-                window=window,
-                aliases=corpus_cfg["aliases"] or None,
-            )
-            if corpus_cfg["min_tags"]:
-                corpus = filter_multi_tag(corpus, corpus_cfg["min_tags"])
-            cache["corpus"] = (corpus, load_report)
-        return cache["corpus"]
-
-    def get_stops() -> StopwordList:
-        if "stops" not in cache:
-            path = config["text"]["stopwords"]
-            if path:
-                cache["stops"] = load_stopwords(path, language=Path(path).stem)
-            else:
-                cache["stops"] = load_stopwords(
-                    resources.default_data_path(resources.STOPWORDS), language="pl"
-                )
-        return cache["stops"]
-
-    def get_tag_table() -> CountTable:
-        if "tag_table" not in cache:
-            cache["tag_table"] = count_tags(get_corpus()[0], jobs=jobs)
-        return cache["tag_table"]
-
-    def get_pair_table() -> CountTable:
-        if "pair_table" not in cache:
-            cache["pair_table"] = count_tag_pairs(get_corpus()[0], jobs=jobs)
-        return cache["pair_table"]
-
-    # Each table is sorted once; the CSVs, summaries and top-N slices share it.
-    def get_ranked_tags() -> list[tuple[str, int]]:
-        if "ranked_tags" not in cache:
-            cache["ranked_tags"] = ranked(get_tag_table())
-        return cache["ranked_tags"]
-
-    def get_ranked_pairs() -> list[tuple[tuple[str, str], int]]:
-        if "ranked_pairs" not in cache:
-            cache["ranked_pairs"] = ranked(get_pair_table())
-        return cache["ranked_pairs"]
-
-    def get_surface_counts() -> Counter:
-        if "surface_counts" not in cache:
-            cache["surface_counts"] = surface_counts(get_corpus()[0])
-        return cache["surface_counts"]
-
-    def stage_ingest() -> tuple[list[str], dict[str, Any]]:
-        corpus, load_report = get_corpus()
-        write_corpus(corpus, run_dir / "corpus.jsonl", fmt="jsonl")
-        start, end = corpus.window
-        summary = {
-            "records_read": load_report.records_read,
-            "records_kept": load_report.records_kept,
-            "dropped": dict(sorted(load_report.dropped.items())),
-            "documents": len(corpus),
-            "window": [_iso(start), _iso(end)],
-        }
-        return ["corpus.jsonl"], summary
-
-    def stage_tags() -> tuple[list[str], dict[str, Any]]:
-        table, rows = get_tag_table(), get_ranked_tags()
-        artifact = _write_text(run_dir, "tags.csv", counts_to_csv(rows))
-        summary = {
-            "distinct": len(table),
-            "total": table.total,
-            "top": _ranked_rows(rows, config["tags"]["top"]),
-        }
-        return [artifact], summary
-
-    def stage_pairs() -> tuple[list[str], dict[str, Any]]:
-        table, rows = get_pair_table(), get_ranked_pairs()
-        artifact = _write_text(run_dir, "pairs.csv", counts_to_csv(rows))
-        summary = {
-            "distinct": len(table),
-            "total": table.total,
-            "top": _ranked_rows(rows, config["pairs"]["top"]),
-        }
-        return [artifact], summary
-
-    def stage_graph() -> tuple[list[str], dict[str, Any]]:
-        graph_cfg = config["graph"]
-        whitelist = None
-        if graph_cfg["whitelist_top"]:
-            top = _ranked_rows(get_ranked_tags(), graph_cfg["whitelist_top"])
-            whitelist = {row[0] for row in top}
-        graph = build_graph(
-            get_pair_table(),
-            threshold=graph_cfg["threshold"],
-            node_whitelist=whitelist,
-            retain_isolates=graph_cfg["retain_isolates"],
-        )
-        fmt = graph_cfg["format"]
-        cap = graph_cfg["cap"] or None
-        artifacts = [
-            _write_text(run_dir, f"graph.{fmt}", export_graph(graph, fmt, cap=cap))
-        ]
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["tag_a", "tag_b", "weight", "ratio"])
-        writer.writerows(
-            (row.pair.a, row.pair.b, row.weight, f"{row.ratio:.4f}")
-            for row in dyad_report(graph, max(1, len(graph.edges)))
-        )
-        artifacts.append(_write_text(run_dir, "dyads.csv", buffer.getvalue()))
-        summary = {
-            "nodes": len(graph.nodes),
-            "edges": len(graph.edges),
-            "threshold": graph_cfg["threshold"],
-            "components": len(components(graph)),
-        }
-        return artifacts, summary
-
-    def stage_timeline() -> tuple[list[str], dict[str, Any]]:
-        timeline_cfg = config["timeline"]
-        tags = list(timeline_cfg["tags"])
-        if not tags:
-            tags = [row[0] for row in _ranked_rows(get_ranked_tags(), timeline_cfg["top"])]
-        if not tags:
-            raise DataError("timeline stage has no tags to plot")
-        corpus, _ = get_corpus()
-        series_by_tag = cumulative_series_bulk(corpus, tags)
-        series = [series_by_tag[tag] for tag in sorted(series_by_tag)]
-        artifacts = []
-        for fmt in timeline_cfg["formats"]:
-            artifacts.append(
-                _write_text(run_dir, f"timeline.{fmt}", export_timeline(series, fmt=fmt))
-            )
-        shapes = {}
-        for item in series:
-            verdict = classify_shape(item)
-            shapes[item.tag] = {
-                "shape": verdict.shape,
-                "r2": round(verdict.linearity_r2, 6),
-                "max_step": round(verdict.max_step_fraction, 6),
-                "burst_mass": round(verdict.burst_mass_fraction, 6),
-                "burst_window": [d.isoformat() for d in verdict.burst_window],
-                "reason": verdict.reason,
-            }
-        summary = {"tags": [s.tag for s in series], "shapes": shapes}
-        return artifacts, summary
-
-    def stage_coding() -> tuple[list[str], dict[str, Any]]:
-        coding_cfg = config["coding"]
-        taxonomy_path = coding_cfg["taxonomy"] or resources.default_data_path(
-            resources.TAXONOMY
-        )
-        taxonomy = load_taxonomy(taxonomy_path)
-        result = code_vocabulary(
-            get_surface_counts(),
-            taxonomy,
-            get_stops(),
-            min_freq=coding_cfg["min_freq"],
-            count_occurrences=coding_cfg["occurrences"],
-        )
-        rolled = rollup(result, taxonomy)
-        buffer = io.StringIO()
-        write_coding_csv(result, rolled, taxonomy, buffer)
-        artifact = _write_text(run_dir, "coding.csv", buffer.getvalue())
-        summary = {
-            "vocabulary_size": result.vocabulary_size,
-            "uncategorized": len(result.uncategorized),
-            "multi_matched": len(result.multi_matched),
-            "top_level": {c.id: rolled[c.id] for c in taxonomy.top_level()},
-        }
-        return [artifact], summary
-
-    def stage_pronouns() -> tuple[list[str], dict[str, Any]]:
-        groups_path = config["pronouns"]["groups"] or resources.default_data_path(
-            resources.PRONOUNS
-        )
-        groups = load_pronoun_groups(groups_path)
-        report = pronoun_orientation(get_surface_counts(), groups)
-        buffer = io.StringIO()
-        write_pronouns_csv(report, buffer)
-        artifact = _write_text(run_dir, "pronouns.csv", buffer.getvalue())
-        summary = {
-            "them_total": report.them_total,
-            "us_total": report.us_total,
-            "ratio": format_ratio(report.ratio),
-        }
-        return [artifact], summary
-
-    def stage_sentiment() -> tuple[list[str], dict[str, Any]]:
-        sent_cfg = config["sentiment"]
-        lexicon_path = sent_cfg["lexicon"] or resources.default_data_path(
-            resources.LEXICON
-        )
-        lexicon = load_lexicon(lexicon_path)
-        filter_term = None
-        if sent_cfg["filter_stem"]:
-            filter_term = KeywordFamily(
-                stem=sent_cfg["filter_stem"], match_mode=sent_cfg["filter_mode"]
-            )
-        corpus, _ = get_corpus()
-        grams = count_token_2grams(
-            corpus.documents, get_stops(), filter_term=filter_term, jobs=jobs
-        )
-        report = power_report(grams, lexicon, min_freq=sent_cfg["min_freq"])
-        buffer = io.StringIO()
-        write_power_csv(report, buffer)
-        artifact = _write_text(run_dir, "power.csv", buffer.getvalue())
-        summary = {
-            "rows": len(report.rows),
-            "distinct_2grams": len(grams),
-            "sum_power": report.sum_power,
-        }
-        return [artifact], summary
-
-    runners: dict[str, Callable[[], tuple[list[str], dict[str, Any]]]] = {
-        "ingest": stage_ingest,
-        "tags": stage_tags,
-        "pairs": stage_pairs,
-        "graph": stage_graph,
-        "timeline": stage_timeline,
-        "coding": stage_coding,
-        "pronouns": stage_pronouns,
-        "sentiment": stage_sentiment,
-    }
-
-    results: list[StageResult] = []
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # Stages write into staging/<run_id>, renamed to run_dir once the
+    # manifest is written; whatever is left in staging is deleted.
+    staging = Path(tempfile.mkdtemp(prefix=".building-", dir=out_dir))
     try:
+        build_dir = staging / run_id
+        build_dir.mkdir()
         corpus_digest = file_digest(corpus_cfg["path"])
+        ctx = Context(config.values)
+        results: list[StageResult] = []
         for name in enabled:
             start = perf_counter()
             try:
-                artifacts, summary = runners[name]()
+                artifacts, summary = _STAGES[name](ctx, build_dir)
             except DataError as exc:
                 raise DataError(f"stage {name}: {exc}") from exc
             except ValueError as exc:
@@ -404,9 +442,10 @@ def run_pipeline(config: Config) -> RunManifest:
             stages=tuple(results),
             run_dir=run_dir,
         )
-        (run_dir / MANIFEST_NAME).write_text(manifest.to_json(), encoding="utf-8")
+        (build_dir / MANIFEST_NAME).write_text(manifest.to_json(), encoding="utf-8")
+        if run_dir.exists():
+            run_dir.rename(staging / "previous")
+        build_dir.rename(run_dir)
         return manifest
-    except BaseException:
-        if created_now:
-            shutil.rmtree(run_dir, ignore_errors=True)
-        raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)

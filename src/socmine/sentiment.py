@@ -44,10 +44,8 @@ class LexiconEntry:
         if not isinstance(self.boost, int) or not 0 <= self.boost <= MAX_BOOST:
             raise ValueError(f"boost must be an integer in 0..{MAX_BOOST}, got {self.boost!r}")
 
-    def matches(self, surface: str) -> bool:
-        if self.match_mode == "exact":
-            return surface == self.stem
-        return surface.startswith(self.stem)
+    # Same fields, same rule.
+    matches = KeywordFamily.matches
 
 
 @dataclass(frozen=True)

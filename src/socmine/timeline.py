@@ -92,11 +92,6 @@ def cumulative_series_bulk(corpus: Corpus, tags: Iterable[str]) -> dict[str, Cum
     return result
 
 
-def cumulative_series(corpus: Corpus, tag: str) -> CumulativeSeries:
-    """Daily cumulative counts for one tag over the full corpus window."""
-    return cumulative_series_bulk(corpus, [tag])[tag]
-
-
 def _r_squared(values: Sequence[int]) -> float:
     """r^2 of the least-squares line through (index, cumulative value)."""
     n = len(values)
@@ -168,17 +163,6 @@ def classify_shape(
     return ShapeVerdict(shape, r2, max_step, burst_mass, burst_window)
 
 
-def share_over_time(corpus: Corpus, tag: str, min_tags: int = 2) -> float:
-    """Fraction of multi-tag documents carrying the tag over the window."""
-    if not corpus.documents:
-        raise ValueError("cannot compute a share on an empty corpus")
-    eligible = [d for d in corpus if len(d.hashtags) >= min_tags]
-    if not eligible:
-        raise ValueError(f"no documents with at least {min_tags} tags")
-    carrying = sum(1 for d in eligible if tag in d.hashtags)
-    return carrying / len(eligible)
-
-
 def _check_common_axis(series: Sequence[CumulativeSeries]) -> tuple[date, ...]:
     if not series:
         raise ValueError("no series to export")
@@ -216,6 +200,11 @@ _PALETTE = (
 
 _VIEW_W, _VIEW_H = 800, 400
 _PLOT = {"left": 55, "right": 640, "top": 20, "bottom": 360}
+
+
+def _escape(text: str) -> str:
+    """XML character data: a tag may hold '&', '<' or '>'."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _export_svg(series: Sequence[CumulativeSeries]) -> str:
@@ -260,7 +249,8 @@ def _export_svg(series: Sequence[CumulativeSeries]) -> str:
             f'y2="{legend_y}" stroke="{color}" stroke-width="1.5"/>'
         )
         lines.append(
-            f'<text x="{_PLOT["right"] + 42}" y="{legend_y + 4}" font-size="12">{s.tag}</text>'
+            f'<text x="{_PLOT["right"] + 42}" y="{legend_y + 4}" font-size="12">'
+            f"{_escape(s.tag)}</text>"
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

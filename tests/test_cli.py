@@ -102,6 +102,46 @@ def test_timeline_csv_and_classify(corpus_file, capsys):
     assert "(total 3 below minimum 10)" in line
 
 
+@pytest.mark.parametrize("spelling", ["RIOTS", "#riots", "##Riots"])
+def test_timeline_tags_are_normalized(corpus_file, capsys, spelling):
+    assert main(["timeline", str(corpus_file), "--tags", spelling]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "date,riots"
+    assert rows[-1].endswith(",3")
+
+
+@pytest.mark.parametrize(
+    "flags,key",
+    [
+        (["graph", "--whitelist-top", "-1"], "graph.whitelist_top must be >= 0"),
+        (["graph", "--threshold", "0"], "graph.threshold must be >= 1"),
+        (["code", "--min-freq", "0"], "coding.min_freq must be >= 1"),
+        (["sentiment", "--min-freq", "0"], "sentiment.min_freq must be >= 1"),
+        (["tags", "--jobs", "0"], "run.jobs must be >= 1"),
+        (["ingest", "--min-tags", "-1"], "corpus.min_tags must be >= 0"),
+    ],
+)
+def test_flag_errors_name_the_config_key(corpus_file, capsys, flags, key):
+    assert main([flags[0], str(corpus_file), *flags[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err
+
+
+def test_ingest_bad_values_exit_2_with_line_number(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        CORPUS + '{"id": "d", "ts": 1e20}\n', encoding="utf-8"
+    )
+    assert main(["ingest", str(path)]) == 2
+    assert "line 4: malformed field 'ts'" in capsys.readouterr().err
+    path.write_text(CORPUS + '{"id": "d", "ts": 0, "text": "\\ud800"}\n', encoding="utf-8")
+    assert main(["ingest", str(path), "--out", str(tmp_path / "out.jsonl")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 4: malformed field 'text'" in captured.err
+
+
 def test_timeline_requires_tags(corpus_file, capsys):
     assert main(["timeline", str(corpus_file), "--tags", ","]) == 1
     assert "at least one tag" in capsys.readouterr().err

@@ -60,11 +60,18 @@ def test_merge_rejects_unknowns_and_bad_types(overrides, message):
         ({"timeline": {"formats": ["pdf"]}}, "timeline.formats"),
         ({"sentiment": {"filter_mode": "suffix"}}, "filter_mode"),
         ({"sentiment": {"min_freq": 0}}, "sentiment.min_freq"),
+        ({"tags": {"top": -1}}, "tags.top must be >= 0"),
+        ({"pairs": {"top": -1}}, "pairs.top must be >= 0"),
+        ({"timeline": {"top": -1}}, "timeline.top must be >= 0"),
+        ({"graph": {"whitelist_top": -1}}, "graph.whitelist_top must be >= 0"),
     ],
 )
 def test_validation_errors(overrides, message):
     with pytest.raises(DataError, match=message):
         make_config(overrides)
+    # The same rules check command-line flags, which skip make_config.
+    with pytest.raises(DataError, match=message):
+        merge_config(overrides)
 
 
 def test_digest_ignores_jobs_and_out_dir():

@@ -3,6 +3,8 @@ import sys
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import socmine.corpus
 from helpers import BASE, FIXTURES, UTC, make_doc
@@ -152,6 +154,76 @@ def test_load_corpus_malformed_field_has_line_number(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("ts", 1e20),
+        ("ts", -1e20),
+        ("ts", 10**400),
+        ("ts", True),
+        ("ts", "9999-12-31T23:59:59-01:00"),
+        ("id", "a\ud800"),
+        ("text", "x \udfff y"),
+        ("lang", "\ud800"),
+    ],
+    ids=["ts-1e20", "ts--1e20", "ts-10**400", "ts-true", "ts-past-9999", "id", "text", "lang"],
+)
+def test_load_corpus_rejects_unloadable_values_with_line_number(tmp_path, field, value):
+    path = tmp_path / "c.jsonl"
+    record = {"id": "b", "ts": "2013-05-21T10:00:00Z", "text": "", field: value}
+    path.write_text(
+        json.dumps({"id": "a", "ts": "2013-05-20T10:00:00Z"}) + "\n" + json.dumps(record) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError, match=f"line 2: malformed field '{field}'"):
+        load_corpus(path)
+
+
+# Text that often holds a lone surrogate, a control or a non-character.
+_text = st.text(st.sampled_from("a#\x01 \ud800\udfff\uffff") | st.characters(blacklist_categories=()))
+# Any JSON value, with timestamps at and past the ends of the datetime range.
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(
+        [1e20, -1e20, 10**400, 1369000000, "9999-12-31T23:59:59-01:00", "tweet", "forum_post"]
+    )
+    | _text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {
+            "id": _text | _json_values,
+            "ts": st.datetimes().map(lambda d: d.isoformat()) | _json_values,
+        },
+        optional={
+            "text": _text | _json_values,
+            "tags": st.lists(_text, max_size=3) | _json_values,
+            "lang": _text | _json_values,
+            "source": _json_values,
+        },
+    )
+)
+def test_every_json_object_record_loads_or_names_its_line(tmp_path_factory, record):
+    directory = tmp_path_factory.mktemp("record")
+    path = directory / "c.jsonl"
+    # ensure_ascii (the default) writes lone surrogates as \uXXXX escapes.
+    path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+    try:
+        corpus, _ = load_corpus(path)
+    except DataError as exc:
+        assert str(exc).startswith("line 2: "), str(exc)
+        return
+    write_corpus(corpus, directory / "out.jsonl")
+
+
 @pytest.mark.parametrize("tag", ["a\x01b", "\ud800", "a\uffffb", "a b", "x#y"])
 def test_load_corpus_rejects_forbidden_tag_characters(tmp_path, tag):
     path = tmp_path / "c.jsonl"
@@ -206,6 +278,16 @@ def test_load_corpus_csv_with_pipe_tags(tmp_path):
     assert corpus.documents[0].hashtags == ("svpol", "husby")
     assert corpus.documents[0].text == "hej, hej"
     assert corpus.documents[1].hashtags == ()
+
+
+def test_load_corpus_csv_lang_and_source_are_optional(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text(
+        "id,ts,text,tags\na,2013-05-20T10:00:00Z,hej,svpol|husby\n", encoding="utf-8"
+    )
+    corpus, _ = load_corpus(path, fmt="csv")
+    (doc,) = corpus.documents
+    assert (doc.hashtags, doc.lang, doc.source) == (("svpol", "husby"), None, "tweet")
 
 
 def test_load_corpus_csv_missing_header(tmp_path):

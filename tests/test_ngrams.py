@@ -11,7 +11,6 @@ from socmine.ngrams import (
     count_tags,
     count_token_2grams,
     counts_to_csv,
-    merge_tables,
     ranked,
     top_k,
 )
@@ -33,15 +32,6 @@ def test_count_table_rejects_nonpositive():
         CountTable({"a": 0})
     with pytest.raises(ValueError):
         CountTable({"a": -3})
-
-
-def test_count_table_merge():
-    left = CountTable({"a": 1, "b": 2})
-    right = CountTable({"b": 5, "c": 1})
-    merged = left.merge(right)
-    assert merged.entries == {"a": 1, "b": 7, "c": 1}
-    assert merged.total == 9
-    assert merge_tables([left, right, CountTable()]).entries == merged.entries
 
 
 def test_count_tags_distinct_per_document():

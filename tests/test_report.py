@@ -185,6 +185,50 @@ def test_failed_rerun_keeps_existing_run_dir(workspace):
     assert (run_dir / MANIFEST_NAME).exists()
 
 
+def test_failed_rerun_leaves_every_file_untouched(workspace):
+    config = _config(
+        workspace, run={"stages": ["ingest", "tags", "timeline"]}, timeline={"tags": []}
+    )
+    run_dir = Path(run_pipeline(config).run_dir)
+    first = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    # Same config, so same run directory; no tags, so the timeline stage fails
+    # after ingest and tags have written their artifacts.
+    (workspace / "corpus.jsonl").write_text(
+        '{"id": "z", "ts": "2013-05-20T10:00:00Z", "text": "nic"}\n', encoding="utf-8"
+    )
+    with pytest.raises(DataError, match="stage timeline: .*no tags"):
+        run_pipeline(config)
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == first
+    assert [p.name for p in (workspace / "runs").iterdir()] == [run_dir.name]
+
+
+def test_successful_rerun_replaces_the_run_dir(workspace):
+    config = _config(workspace, run={"stages": ["tags"]})
+    run_dir = Path(run_pipeline(config).run_dir)
+    (run_dir / "stray.txt").write_text("left over", encoding="utf-8")
+    (workspace / "corpus.jsonl").write_text(
+        SMALL.replace('"husby"]', '"husby", "kista"]'), encoding="utf-8"
+    )
+    assert Path(run_pipeline(config).run_dir) == run_dir
+    assert sorted(p.name for p in run_dir.iterdir()) == [MANIFEST_NAME, "tags.csv"]
+    assert "kista,2" in (run_dir / "tags.csv").read_text(encoding="utf-8")
+    assert [p.name for p in (workspace / "runs").iterdir()] == [run_dir.name]
+
+
+def test_config_timeline_tags_are_normalized(workspace):
+    config = _config(
+        workspace,
+        corpus={"aliases": {"upplopp": "riots"}},
+        run={"stages": ["timeline"]},
+        timeline={"tags": ["#Upplopp", "POLICE"]},
+    )
+    manifest = run_pipeline(config)
+    assert manifest.stages[0].summary["tags"] == ["police", "riots"]
+    rows = (Path(manifest.run_dir) / "timeline.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "date,police,riots"
+    assert rows[-1].endswith(",2,3")
+
+
 def test_pipeline_on_bundled_fixture_corpus(tmp_path):
     config = make_config(
         {

@@ -9,10 +9,8 @@ from socmine.ngrams import count_tags
 from socmine.timeline import (
     CumulativeSeries,
     classify_shape,
-    cumulative_series,
     cumulative_series_bulk,
     export_timeline,
-    share_over_time,
 )
 
 D = date(2013, 5, 20)
@@ -44,11 +42,11 @@ def test_cumulative_series_covers_whole_window():
         ("b", 0, ("riots", "husby")),
         ("c", 3, ("riots",)),
     )
-    series = cumulative_series(corpus, "riots")
+    series = cumulative_series_bulk(corpus, ["riots"])["riots"]
     assert len(series.buckets) == 4
     assert [cum for _, cum in series.buckets] == [2, 2, 2, 3]
     # a tag absent from the corpus still gets a flat zero series
-    assert cumulative_series(corpus, "ghost").total == 0
+    assert cumulative_series_bulk(corpus, ["ghost"])["ghost"].total == 0
 
 
 def test_bulk_series_share_one_axis():
@@ -121,18 +119,6 @@ def test_stepwise_beats_burst_beats_linear():
     assert step.shape == "stepwise"
 
 
-def test_share_over_time():
-    corpus = make_corpus(
-        ("a", 0, ("riots", "husby")),
-        ("b", 1, ("riots", "police")),
-        ("c", 2, ("police", "husby")),
-        ("d", 3, ("riots",)),
-    )
-    assert share_over_time(corpus, "riots") == pytest.approx(2 / 3)
-    with pytest.raises(ValueError):
-        share_over_time(corpus, "riots", min_tags=5)
-
-
 def _golden_series():
     corpus = make_corpus(
         ("a1", 0, ("husby", "riots")),
@@ -154,6 +140,17 @@ def test_timeline_svg_golden():
     assert rendered == (GOLDEN / "timeline.svg").read_text(encoding="utf-8")
 
 
+def test_svg_legend_escapes_markup():
+    import xml.etree.ElementTree as ET
+
+    corpus = make_corpus(("a", 0, ("a&b", "<x>")), ("b", 1, ("a&b",)))
+    bulk = cumulative_series_bulk(corpus, ["a&b", "<x>"])
+    svg = export_timeline([bulk[tag] for tag in sorted(bulk)], fmt="svg")
+    root = ET.fromstring(svg)
+    legend = [el.text for el in root if el.tag.endswith("text") and el.get("font-size") == "12"]
+    assert legend == ["<x>", "a&b"]
+
+
 def test_export_rejects_mismatched_axes_and_bad_format():
     series = _golden_series()
     odd = _series("odd", [1, 2], start=date(2014, 1, 1))
@@ -173,4 +170,4 @@ def test_series_endpoint_matches_tag_count():
     )
     counts = count_tags(corpus)
     for tag in ("riots", "husby"):
-        assert cumulative_series(corpus, tag).total == counts[tag]
+        assert cumulative_series_bulk(corpus, [tag])[tag].total == counts[tag]

@@ -17,7 +17,7 @@ from typing import Sequence
 from . import __version__
 from .coding import write_coding_csv, write_pronouns_csv
 from .config import load_config, make_config, merge_config
-from .corpus import write_corpus
+from .corpus import _iso_utc, write_corpus
 from .errors import DataError, UsageError
 from .graph import export_graph
 from .ngrams import top_k, write_counts_csv
@@ -62,7 +62,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     print(report.as_table())
     start, end = corpus.window
     print(f"documents: {len(corpus)}")
-    print(f"window: {start:%Y-%m-%dT%H:%M:%SZ} .. {end:%Y-%m-%dT%H:%M:%SZ}")
+    print(f"window: {_iso_utc(start)} .. {_iso_utc(end)}")
     if args.out:
         write_corpus(corpus, args.out, fmt="jsonl")
         print(f"wrote {args.out}")
@@ -89,6 +89,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     graph = {
         "threshold": args.threshold,
         "whitelist_top": args.whitelist_top,
+        "cap": args.cap,
         "retain_isolates": args.retain_isolates,
     }
     ctx = _context(args, run={"jobs": args.jobs}, graph=graph)

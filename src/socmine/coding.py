@@ -18,7 +18,9 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .corpus import Document
 from .errors import DataError
-from .text import KeywordFamily, StopwordList, tokenize
+# tokenize is not called here (Document.tokens calls it) but stays bound:
+# the benchmark tracer's self-test reads coding.tokenize.
+from .text import KeywordFamily, StemIndex, StopwordList, tokenize  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -143,14 +145,14 @@ class CodingResult:
 
 
 def surface_counts(documents: Iterable[Document]) -> Counter:
-    """Occurrences of every token surface across the documents' texts.
+    """Occurrences of every token surface across the documents' tokens.
 
-    The one tokenizing pass that vocabulary coding and pronoun counting
-    share; stopwords are kept, so each analysis filters for itself.
+    Vocabulary coding and pronoun counting share this one count; stopwords
+    are kept, so each analysis filters for itself.
     """
     freq: Counter = Counter()
     for doc in documents:
-        freq.update(tokenize(doc.text))
+        freq.update(doc.tokens)
     return freq
 
 
@@ -172,15 +174,16 @@ def code_vocabulary(
         raise ValueError(f"min_freq must be >= 1, got {min_freq}")
     vocabulary = sorted(s for s, n in freq.items() if n >= min_freq and s not in stops)
 
+    index = StemIndex(
+        (family, category.id)
+        for category in taxonomy.categories
+        for family in category.families
+    )
     assigned: dict[str, set[str]] = {c.id: set() for c in taxonomy.categories}
     uncategorized: set[str] = set()
     multi: dict[str, tuple[str, ...]] = {}
     for surface in vocabulary:
-        hits: list[str] = []
-        for category in taxonomy.categories:
-            for family in category.families:
-                if family.matches(surface):
-                    hits.append(category.id)
+        hits = index.lookup(surface)
         if not hits:
             uncategorized.add(surface)
             continue

@@ -162,6 +162,7 @@ def _validate(values: dict[str, Any]) -> None:
         ("tags", "top"),
         ("pairs", "top"),
         ("graph", "whitelist_top"),
+        ("graph", "cap"),
         ("timeline", "top"),
     ):
         if values[section][key] < 0:

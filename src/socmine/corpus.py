@@ -12,10 +12,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DataError
+from .text import tokenize
 
 SOURCES = ("tweet", "forum_post")
 
@@ -72,6 +74,13 @@ class Document:
             _check_tag(tag)
         if self.source not in SOURCES:
             raise ValueError(f"unknown source: {self.source!r}")
+
+    # Not a field, so eq, hash, repr and asdict ignore it. Every text
+    # analysis reads this one list; none of them mutates it.
+    @cached_property
+    def tokens(self) -> list[str]:
+        """The tokens of the text, computed on first use."""
+        return tokenize(self.text)
 
 
 @dataclass(frozen=True)
@@ -143,6 +152,16 @@ class LoadReport:
         for reason in sorted(self.dropped):
             lines.append(f"  - {reason}: {self.dropped[reason]}")
         return "\n".join(lines)
+
+
+# Per-document helper: private, so a tracer wrapping public functions
+# leaves it alone.
+def _iso_utc(dt: datetime) -> str:
+    """A UTC time as YYYY-MM-DDTHH:MM:SSZ, the year always four digits.
+
+    strftime("%Y") writes year 5 as "5", which parse_timestamp rejects.
+    """
+    return dt.replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
 
 def parse_timestamp(value: str | int | float) -> datetime:
@@ -315,7 +334,7 @@ def write_corpus(corpus: Corpus, path: str | Path, fmt: str = "jsonl") -> None:
             for doc in corpus:
                 record = {
                     "id": doc.id,
-                    "ts": doc.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                    "ts": _iso_utc(doc.timestamp),
                     "text": doc.text,
                     "tags": list(doc.hashtags),
                     "lang": doc.lang,
@@ -330,7 +349,7 @@ def write_corpus(corpus: Corpus, path: str | Path, fmt: str = "jsonl") -> None:
                 writer.writerow(
                     [
                         doc.id,
-                        doc.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                        _iso_utc(doc.timestamp),
                         doc.text,
                         "|".join(doc.hashtags),
                         doc.lang or "",

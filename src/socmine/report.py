@@ -46,6 +46,7 @@ from .config import STAGES, Config, digest_view, file_digest
 from .corpus import (
     Corpus,
     LoadReport,
+    _iso_utc,
     filter_multi_tag,
     load_corpus,
     normalize_tag,
@@ -126,10 +127,6 @@ def _headline(stage: StageResult) -> str:
     return ""
 
 
-def _iso(dt) -> str:
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def _write_text(run_dir: Path, name: str, content: str) -> str:
     (run_dir / name).write_text(content, encoding="utf-8")
     return name
@@ -163,7 +160,11 @@ class Context:
             cfg["path"], fmt=cfg["format"], window=window, aliases=cfg["aliases"] or None
         )
         if cfg["min_tags"]:
-            corpus = filter_multi_tag(corpus, cfg["min_tags"])
+            kept = filter_multi_tag(corpus, cfg["min_tags"])
+            if len(kept) != len(corpus):
+                load_report.dropped["below_min_tags"] += len(corpus) - len(kept)
+                load_report.records_kept = len(kept)
+            corpus = kept
         return corpus, load_report
 
     @property
@@ -274,7 +275,7 @@ def _stage_ingest(ctx: Context, run_dir: Path) -> Rendered:
         "records_kept": load_report.records_kept,
         "dropped": dict(sorted(load_report.dropped.items())),
         "documents": len(corpus),
-        "window": [_iso(start), _iso(end)],
+        "window": [_iso_utc(start), _iso_utc(end)],
     }
     return ["corpus.jsonl"], summary
 

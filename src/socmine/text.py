@@ -7,8 +7,10 @@ lists are immutable, so every downstream analysis can share them freely.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Generic, Iterable, TypeVar
 
 from .errors import DataError
 
@@ -62,14 +64,47 @@ class KeywordFamily:
         return surface.startswith(self.stem)
 
 
+V = TypeVar("V")
+
+
+class StemIndex(Generic[V]):
+    """Finds every family a surface matches with dict probes, not a scan.
+
+    Built once from (family, value) pairs. A lookup probes the exact stems
+    once and the prefix stems once per distinct prefix-stem length that
+    fits the surface. It returns the values of the matching families in
+    the order they were given, the order a scan of KeywordFamily.matches
+    over the pairs gives.
+    """
+
+    def __init__(self, pairs: Iterable[tuple[KeywordFamily, V]]) -> None:
+        self._exact: dict[str, list[tuple[int, V]]] = {}
+        self._prefix: dict[str, list[tuple[int, V]]] = {}
+        for rank, (family, value) in enumerate(pairs):
+            stems = self._exact if family.match_mode == "exact" else self._prefix
+            stems.setdefault(family.stem, []).append((rank, value))
+        self._lengths = sorted({len(stem) for stem in self._prefix})
+
+    def lookup(self, surface: str) -> list[V]:
+        hits = list(self._exact.get(surface, ()))
+        for n in self._lengths:
+            if n > len(surface):
+                break
+            hits.extend(self._prefix.get(surface[:n], ()))
+        if len(hits) > 1:
+            hits.sort()  # ranks are distinct, so values are never compared
+        return [value for _, value in hits]
+
+
 def tokenize(text: str) -> list[str]:
     """Split on Unicode word boundaries, lowercase, keep diacritics intact.
 
     Each word is lowercased after the split, never the whole text: a case
     mapping can add a non-word mark ("İ" lowers to "i" + U+0307), which
-    would split the word if it were applied first.
+    would split the word if it were applied first. Tokens are interned, so
+    equal tokens kept by many documents are one string.
     """
-    return [word.lower() for word in _WORD_RE.findall(text)]
+    return list(map(sys.intern, map(str.lower, _WORD_RE.findall(text))))
 
 
 def remove_stopwords(tokens: list[str], stops: StopwordList) -> list[str]:

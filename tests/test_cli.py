@@ -84,6 +84,33 @@ def test_ingest_summary(corpus_file, capsys):
     assert "window: 2013-05-20T10:00:00Z .. 2013-05-22T10:00:00Z" in out
 
 
+def test_ingest_counts_min_tags_drops(tmp_path, capsys):
+    path = tmp_path / "m.jsonl"
+    path.write_text(
+        CORPUS + '{"id": "d", "ts": "2013-05-23T10:00:00Z", "tags": ["riots"]}\n',
+        encoding="utf-8",
+    )
+    assert main(["ingest", str(path), "--min-tags", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "read     4\nkept     3\ndropped  1\n  - below_min_tags: 1\n" in out
+    assert "documents: 3" in out
+
+
+def test_ingest_out_round_trips_early_years(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        '{"id": "a", "ts": "0005-01-01T00:00:00Z", "text": "x"}\n'
+        '{"id": "b", "ts": "0999-12-31T23:59:59Z", "text": "y"}\n',
+        encoding="utf-8",
+    )
+    out_path = tmp_path / "out.jsonl"
+    assert main(["ingest", str(path), "--out", str(out_path)]) == 0
+    first = capsys.readouterr().out
+    assert "window: 0005-01-01T00:00:00Z .. 0999-12-31T23:59:59Z" in first
+    assert main(["ingest", str(out_path)]) == 0
+    assert "window: 0005-01-01T00:00:00Z .. 0999-12-31T23:59:59Z" in capsys.readouterr().out
+
+
 def test_graph_dot_output(corpus_file, capsys):
     assert main(["graph", str(corpus_file), "--threshold", "2"]) == 0
     out = capsys.readouterr().out
@@ -119,6 +146,7 @@ def test_timeline_tags_are_normalized(corpus_file, capsys, spelling):
         (["sentiment", "--min-freq", "0"], "sentiment.min_freq must be >= 1"),
         (["tags", "--jobs", "0"], "run.jobs must be >= 1"),
         (["ingest", "--min-tags", "-1"], "corpus.min_tags must be >= 0"),
+        (["graph", "--cap", "-1"], "graph.cap must be >= 0"),
     ],
 )
 def test_flag_errors_name_the_config_key(corpus_file, capsys, flags, key):

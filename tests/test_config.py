@@ -64,6 +64,7 @@ def test_merge_rejects_unknowns_and_bad_types(overrides, message):
         ({"pairs": {"top": -1}}, "pairs.top must be >= 0"),
         ({"timeline": {"top": -1}}, "timeline.top must be >= 0"),
         ({"graph": {"whitelist_top": -1}}, "graph.whitelist_top must be >= 0"),
+        ({"graph": {"cap": -1}}, "graph.cap must be >= 0"),
     ],
 )
 def test_validation_errors(overrides, message):

@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 import pytest
@@ -318,6 +319,33 @@ def test_write_corpus_round_trip(tmp_path, fmt):
     write_corpus(corpus, path, fmt=fmt)
     loaded, _ = load_corpus(path, fmt=fmt, window=corpus.window)
     assert loaded == corpus
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@settings(max_examples=50)
+@given(
+    st.datetimes(
+        min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)
+    ).map(lambda dt: dt.replace(microsecond=0, tzinfo=UTC))
+)
+def test_write_corpus_round_trips_any_year(tmp_path_factory, fmt, when):
+    corpus = Corpus.from_documents([replace(make_doc("a", text="x"), timestamp=when)])
+    path = tmp_path_factory.mktemp("years") / f"out.{fmt}"
+    write_corpus(corpus, path, fmt=fmt)
+    loaded, _ = load_corpus(path, fmt=fmt, window=corpus.window)
+    assert loaded == corpus
+    # Years 1000 and later keep the bytes they always had.
+    if when.year >= 1000:
+        assert when.strftime("%Y-%m-%dT%H:%M:%SZ") in path.read_text(encoding="utf-8")
+
+
+def test_document_tokens_are_cached_and_not_a_field():
+    doc = make_doc("a", text="Policja, policja!")
+    twin = make_doc("a", text="Policja, policja!")
+    assert doc.tokens == ["policja", "policja"]
+    assert doc.tokens is doc.tokens
+    assert doc == twin and hash(doc) == hash(twin)
+    assert "tokens" not in asdict(doc) and "tokens" not in repr(doc)
 
 
 def test_filter_multi_tag():

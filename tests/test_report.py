@@ -92,8 +92,9 @@ def test_stage_subset_and_summaries(workspace):
     assert names == {"tags.csv", "pairs.csv", MANIFEST_NAME}
 
 
-def test_text_stages_tokenize_each_document_twice(workspace, monkeypatch):
+def test_text_stages_tokenize_each_document_once(workspace, monkeypatch):
     import socmine.coding
+    import socmine.corpus
     import socmine.ngrams
     import socmine.sentiment
 
@@ -105,7 +106,9 @@ def test_text_stages_tokenize_each_document_twice(workspace, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (socmine.coding, socmine.ngrams, socmine.sentiment):
+    # Document.tokens calls the corpus module's binding; the others must
+    # stay unused.
+    for module in (socmine.corpus, socmine.coding, socmine.ngrams, socmine.sentiment):
         monkeypatch.setattr(module, "tokenize", counting("tokenize", module.tokenize))
     monkeypatch.setattr(
         socmine.sentiment, "score_text", counting("score_text", socmine.sentiment.score_text)
@@ -114,8 +117,28 @@ def test_text_stages_tokenize_each_document_twice(workspace, monkeypatch):
     manifest = run_pipeline(_config(workspace, run={"stages": stages}))
     documents = manifest.stages[0].summary["documents"]
     assert documents == 4
-    # One surface pass shared by coding and pronouns, one 2-gram pass.
-    assert calls == {"tokenize": 2 * documents, "score_text": 0}
+    # Surface counts and 2-grams read the same cached tokens.
+    assert calls == {"tokenize": 1 * documents, "score_text": 0}
+
+
+def test_manifest_counts_min_tags_drops(workspace):
+    manifest = run_pipeline(_config(workspace, corpus={"min_tags": 2}, run={"stages": ["ingest"]}))
+    summary = manifest.stages[0].summary
+    assert summary["dropped"] == {"below_min_tags": 1}
+    assert summary["records_read"] == 4
+    assert summary["records_kept"] == summary["documents"] == 3
+
+
+def test_manifest_window_zero_pads_early_years(tmp_path):
+    (tmp_path / "corpus.jsonl").write_text(
+        '{"id": "a", "ts": "0005-01-01T00:00:00Z", "text": "x"}\n'
+        '{"id": "b", "ts": "0005-01-02T03:04:05Z", "text": "y"}\n',
+        encoding="utf-8",
+    )
+    manifest = run_pipeline(_config(tmp_path, run={"stages": ["ingest"]}))
+    assert manifest.stages[0].summary["window"] == [
+        "0005-01-01T00:00:00Z", "0005-01-02T03:04:05Z"
+    ]
 
 
 def test_pipeline_ranks_each_table_once(workspace, monkeypatch):

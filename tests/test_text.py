@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from socmine.errors import DataError
 from socmine.text import (
+    MIN_PREFIX_STEM,
     KeywordFamily,
+    StemIndex,
     StopwordList,
     load_stopwords,
     remove_stopwords,
@@ -45,6 +47,13 @@ def test_tokenize_lowercases_after_splitting():
     # "İ".lower() is "i" + U+0307, a combining mark outside [^\W_]; lowering
     # the whole text first would split the word in two.
     assert tokenize("İstanbul") == ["i\u0307stanbul"]
+
+
+def test_tokenize_interns_each_token():
+    # Equal tokens are one object, so documents that keep their tokens
+    # share the strings instead of holding a copy per occurrence.
+    first, second = tokenize("Policja policja")
+    assert first is second
 
 
 def test_tokenize_empty_and_punctuation_only():
@@ -111,3 +120,44 @@ def test_load_stopwords(tmp_path):
 def test_load_stopwords_missing_file(tmp_path):
     with pytest.raises(DataError):
         load_stopwords(tmp_path / "absent.txt")
+
+
+def test_stem_index_orders_hits_like_the_families():
+    families = [
+        KeywordFamily("polic", "prefix"),
+        KeywordFamily("police", "exact"),
+        KeywordFamily("pol", "prefix"),
+        KeywordFamily("police", "prefix"),
+    ]
+    index = StemIndex(zip(families, "abcd"))
+    assert index.lookup("police") == ["a", "b", "c", "d"]
+    assert index.lookup("policeman") == ["a", "c", "d"]
+    assert index.lookup("polityka") == ["c"]
+    assert index.lookup("po") == []
+    assert index.lookup("") == []
+
+
+# Lowercase letters, non-ASCII ones included, few enough that stems nest,
+# repeat and collide across modes.
+STEM_ALPHABET = "abłßż"
+FAMILIES = st.one_of(
+    st.builds(KeywordFamily, st.text(STEM_ALPHABET, min_size=1, max_size=5), st.just("exact")),
+    st.builds(
+        KeywordFamily,
+        st.text(STEM_ALPHABET, min_size=MIN_PREFIX_STEM, max_size=6),
+        st.just("prefix"),
+    ),
+)
+
+
+@given(st.lists(FAMILIES, max_size=12), st.lists(st.text(STEM_ALPHABET, max_size=8)))
+def test_stem_index_equals_linear_scan(families, extra_surfaces):
+    pairs = [(family, i) for i, family in enumerate(families)]
+    index = StemIndex(pairs)
+    # Each stem itself, one character short of it, and one longer.
+    surfaces = extra_surfaces + [
+        s for f in families for s in (f.stem, f.stem[:-1], f.stem + "a")
+    ]
+    for surface in surfaces:
+        expected = [value for family, value in pairs if family.matches(surface)]
+        assert index.lookup(surface) == expected

@@ -6,36 +6,28 @@ Exports are byte-deterministic: nodes and edges are emitted in sorted order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from itertools import islice
+from typing import Iterable, Mapping
 
-from .ngrams import CountTable, TagPair, _rank_key
+from .ngrams import CountTable, _rank_key
 
 FORMATS = ("dot", "graphml")
 
 
 @dataclass(frozen=True)
 class CooccurrenceGraph:
-    """Weighted undirected graph of tags; edge weight = co-occurrence count."""
+    """Weighted undirected graph of tags; edge weight = co-occurrence count.
+
+    Edges are keyed by plain (a, b) tuples with a < b and listed in rank
+    order: weight descending, ties ascending by (a, b).
+    """
 
     nodes: frozenset[str]
-    edges: Mapping[TagPair, int]
+    edges: Mapping[tuple[str, str], int]
     threshold: int
-
-    def __post_init__(self) -> None:
-        for pair, weight in self.edges.items():
-            if weight < self.threshold:
-                raise ValueError(f"edge {pair} weight {weight} below threshold")
-            if pair.a not in self.nodes or pair.b not in self.nodes:
-                raise ValueError(f"edge {pair} has an endpoint outside the node set")
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-
-class DyadRow(NamedTuple):
-    pair: TagPair
-    weight: int
-    ratio: float
 
 
 def build_graph(
@@ -44,28 +36,27 @@ def build_graph(
     node_whitelist: Iterable[str] | None = None,
     retain_isolates: bool = False,
 ) -> CooccurrenceGraph:
-    """Keep pairs with count >= threshold as edges.
+    """Keep pairs with count >= threshold as edges, in rank order.
 
-    With a whitelist, both endpoints must be whitelisted. Nodes are the
-    endpoints of surviving edges; whitelisted nodes without edges are
-    retained only when retain_isolates is set.
+    Pair keys are (a, b) with a < b, as count_tag_pairs writes them. With a
+    whitelist, both endpoints must be whitelisted. Nodes are the endpoints
+    of surviving edges; whitelisted nodes without edges are retained only
+    when retain_isolates is set.
     """
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     whitelist = set(node_whitelist) if node_whitelist is not None else None
 
-    edges: dict[TagPair, int] = {}
-    for (a, b), count in pairs.entries.items():
-        if count < threshold:
-            continue
-        if whitelist is not None and (a not in whitelist or b not in whitelist):
-            continue
-        edges[TagPair.of(a, b)] = count
+    kept = [
+        ((a, b), count)
+        for (a, b), count in pairs.entries.items()
+        if count >= threshold
+        and (whitelist is None or (a in whitelist and b in whitelist))
+    ]
+    kept.sort(key=_rank_key)
+    edges = dict(kept)
 
-    nodes: set[str] = set()
-    for pair in edges:
-        nodes.add(pair.a)
-        nodes.add(pair.b)
+    nodes = {tag for pair in edges for tag in pair}
     if retain_isolates and whitelist is not None:
         nodes |= whitelist
     return CooccurrenceGraph(nodes=frozenset(nodes), edges=edges, threshold=threshold)
@@ -74,9 +65,9 @@ def build_graph(
 def components(graph: CooccurrenceGraph) -> list[set[str]]:
     """Connected components, ordered by their lexicographically smallest member."""
     adjacency: dict[str, set[str]] = {node: set() for node in graph.nodes}
-    for pair in graph.edges:
-        adjacency[pair.a].add(pair.b)
-        adjacency[pair.b].add(pair.a)
+    for a, b in graph.edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
 
     seen: set[str] = set()
     result: list[set[str]] = []
@@ -96,15 +87,15 @@ def components(graph: CooccurrenceGraph) -> list[set[str]]:
     return result
 
 
-def dyad_report(graph: CooccurrenceGraph, k: int) -> list[DyadRow]:
-    """Top-k edges by weight with each edge's weight ratio to the maximum edge."""
+def dyad_report(graph: CooccurrenceGraph, k: int) -> list[tuple[str, str, int, float]]:
+    """The first k edges as (a, b, weight, ratio to the heaviest edge's weight)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not graph.edges:
+    top = list(islice(graph.edges.items(), k))
+    if not top:
         return []
-    ordered = sorted(graph.edges.items(), key=_rank_key)
-    max_weight = ordered[0][1]
-    return [DyadRow(pair, weight, weight / max_weight) for pair, weight in ordered[:k]]
+    max_weight = top[0][1]
+    return [(a, b, weight, weight / max_weight) for (a, b), weight in top]
 
 
 def _render_width(weight: int, cap: int | None) -> int:
@@ -136,7 +127,7 @@ def export_graph(
 def _sorted_edges(graph: CooccurrenceGraph) -> list[tuple[str, str, int]]:
     # Flat (a, b, weight) tuples sort on list.sort's fast path; pairs are
     # distinct, so the weight never decides the order.
-    return sorted((pair.a, pair.b, weight) for pair, weight in graph.edges.items())
+    return sorted((a, b, weight) for (a, b), weight in graph.edges.items())
 
 
 def _export_dot(graph: CooccurrenceGraph, cap: int | None) -> str:

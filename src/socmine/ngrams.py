@@ -1,8 +1,9 @@
 """Tag frequencies, hashtag pair co-occurrence, and token 2-gram counting.
 
-Counting runs in one thread. The counters accept `jobs` but do not use it:
-a thread pool only added overhead, because the interpreter lock lets one
-thread at a time run the Python that does the counting.
+Counting runs in one thread. The counters accept `jobs` and reject values
+below 1, but do not use it, and the run context never passes it: a thread
+pool only added overhead, because the interpreter lock lets one thread at a
+time run the Python that does the counting.
 """
 
 from __future__ import annotations
@@ -24,16 +25,10 @@ Key = Hashable
 
 
 class TagPair(NamedTuple):
-    """Canonical unordered pair of distinct tags: a < b lexicographically."""
+    """Named view of a pair key (a, b), a < b; equal to the plain tuple, same hash."""
 
     a: str
     b: str
-
-    @classmethod
-    def of(cls, x: str, y: str) -> "TagPair":
-        if x == y:
-            raise ValueError(f"degenerate tag pair: {x!r}")
-        return cls(x, y) if x < y else cls(y, x)
 
 
 @dataclass(frozen=True)

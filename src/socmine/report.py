@@ -150,7 +150,6 @@ class Context:
 
     def __init__(self, sections: Mapping[str, Mapping[str, Any]]) -> None:
         self.sections = sections
-        self.jobs = sections["run"]["jobs"]
 
     @cached_property
     def loaded(self) -> tuple[Corpus, LoadReport]:
@@ -161,6 +160,11 @@ class Context:
         )
         if cfg["min_tags"]:
             kept = filter_multi_tag(corpus, cfg["min_tags"])
+            if not kept.documents:
+                raise DataError(
+                    f"empty corpus after filtering: {cfg['path']} "
+                    f"(corpus.min_tags {cfg['min_tags']})"
+                )
             if len(kept) != len(corpus):
                 load_report.dropped["below_min_tags"] += len(corpus) - len(kept)
                 load_report.records_kept = len(kept)
@@ -180,11 +184,11 @@ class Context:
 
     @cached_property
     def tag_table(self) -> CountTable:
-        return count_tags(self.corpus, jobs=self.jobs)
+        return count_tags(self.corpus)
 
     @cached_property
     def pair_table(self) -> CountTable:
-        return count_tag_pairs(self.corpus, jobs=self.jobs)
+        return count_tag_pairs(self.corpus)
 
     # Each table is sorted once; the CSVs, summaries and top-N slices share it.
     @cached_property
@@ -257,7 +261,7 @@ class Context:
         filter_term = None
         if cfg["filter_stem"]:
             filter_term = KeywordFamily(stem=cfg["filter_stem"], match_mode=cfg["filter_mode"])
-        grams = count_token_2grams(documents, self.stops, filter_term=filter_term, jobs=self.jobs)
+        grams = count_token_2grams(documents, self.stops, filter_term=filter_term)
         return grams, power_report(grams, lexicon, min_freq=cfg["min_freq"])
 
 
@@ -312,8 +316,8 @@ def _stage_graph(ctx: Context, run_dir: Path) -> Rendered:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["tag_a", "tag_b", "weight", "ratio"])
     writer.writerows(
-        (row.pair.a, row.pair.b, row.weight, f"{row.ratio:.4f}")
-        for row in dyad_report(graph, max(1, len(graph.edges)))
+        (a, b, weight, f"{ratio:.4f}")
+        for a, b, weight, ratio in dyad_report(graph, max(1, len(graph.edges)))
     )
     artifacts.append(_write_text(run_dir, "dyads.csv", buffer.getvalue()))
     summary = {

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .errors import DataError
-from .ngrams import CountTable
+from .ngrams import CountTable, _rank_key
 from .text import KeywordFamily, tokenize
 
 POLARITIES = ("positive", "negative")
@@ -160,7 +160,7 @@ def power_report(
         for key, count in table.entries.items()
         if count >= min_freq
     ]
-    kept.sort(key=lambda item: (-item[1], item[0]))
+    kept.sort(key=_rank_key)
     # Distinct surfaces are far fewer than n-gram slots: scan the lexicon once
     # per surface, for this call only.
     halves_of = functools.cache(functools.partial(_halves, lexicon=lexicon))

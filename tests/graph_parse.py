@@ -1,7 +1,9 @@
 """Parse graphs written by socmine.graph.export_graph back into a graph.
 
 A test oracle for the exporters, not part of the package: DOT through
-regular expressions, GraphML through ElementTree.
+regular expressions, GraphML through ElementTree. A parsed file is checked
+for what build_graph makes true by construction: no self-loops, every edge
+endpoint a node, no weight below the threshold.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import xml.etree.ElementTree as ET
 
 from socmine.errors import DataError
 from socmine.graph import CooccurrenceGraph
-from socmine.ngrams import TagPair
+from socmine.ngrams import CountTable, ranked
 
 _DOT_GRAPH_RE = re.compile(r"graph \[threshold=(\d+)\];")
 _DOT_NODE_RE = re.compile(r'^"((?:[^"\\]|\\.)*)";$')
@@ -33,10 +35,29 @@ def parse_graph(text: str, fmt: str = "dot") -> CooccurrenceGraph:
     raise ValueError(f"unsupported graph format: {fmt!r}")
 
 
+def _checked_graph(
+    nodes: set[str], edges: list[tuple[str, str, int]], threshold: int
+) -> CooccurrenceGraph:
+    """The graph of the parsed edges, each put in (a, b) order, in rank order."""
+    checked: dict[tuple[str, str], int] = {}
+    for x, y, weight in edges:
+        if x == y:
+            raise DataError(f"edge {x!r} -- {y!r} is a self-loop")
+        a, b = sorted((x, y))
+        if a not in nodes or b not in nodes:
+            raise DataError(f"edge {a!r} -- {b!r} has an endpoint outside the node set")
+        if weight < threshold:
+            raise DataError(f"edge {a!r} -- {b!r} weight {weight} below threshold {threshold}")
+        checked[a, b] = weight
+    return CooccurrenceGraph(
+        nodes=frozenset(nodes), edges=dict(ranked(CountTable(checked))), threshold=threshold
+    )
+
+
 def _parse_dot(text: str) -> CooccurrenceGraph:
     threshold = 1
     nodes: set[str] = set()
-    edges: dict[TagPair, int] = {}
+    edges: list[tuple[str, str, int]] = []
     for raw in text.splitlines():
         line = raw.strip()
         match = _DOT_GRAPH_RE.fullmatch(line)
@@ -49,11 +70,11 @@ def _parse_dot(text: str) -> CooccurrenceGraph:
             continue
         match = _DOT_EDGE_RE.fullmatch(line)
         if match:
-            pair = TagPair.of(_dot_unquote(match.group(1)), _dot_unquote(match.group(2)))
-            edges[pair] = int(match.group(3))
+            a, b = _dot_unquote(match.group(1)), _dot_unquote(match.group(2))
+            edges.append((a, b, int(match.group(3))))
     if not nodes and not edges and "graph cooccurrence {" not in text:
         raise DataError("not a recognized DOT co-occurrence graph")
-    return CooccurrenceGraph(nodes=frozenset(nodes), edges=edges, threshold=threshold)
+    return _checked_graph(nodes, edges, threshold)
 
 
 def _parse_graphml(text: str) -> CooccurrenceGraph:
@@ -70,11 +91,11 @@ def _parse_graphml(text: str) -> CooccurrenceGraph:
     if threshold_el is not None and threshold_el.text:
         threshold = int(threshold_el.text)
     nodes = {el.attrib["id"] for el in graph_el.findall("g:node", ns)}
-    edges: dict[TagPair, int] = {}
+    edges: list[tuple[str, str, int]] = []
     for el in graph_el.findall("g:edge", ns):
-        pair = TagPair.of(el.attrib["source"], el.attrib["target"])
+        a, b = el.attrib["source"], el.attrib["target"]
         weight_el = el.find("g:data[@key='weight']", ns)
         if weight_el is None or weight_el.text is None:
-            raise DataError(f"edge {pair} is missing its weight attribute")
-        edges[pair] = int(weight_el.text)
-    return CooccurrenceGraph(nodes=frozenset(nodes), edges=edges, threshold=threshold)
+            raise DataError(f"edge {a!r} -- {b!r} is missing its weight attribute")
+        edges.append((a, b, int(weight_el.text)))
+    return _checked_graph(nodes, edges, threshold)

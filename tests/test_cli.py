@@ -96,6 +96,16 @@ def test_ingest_counts_min_tags_drops(tmp_path, capsys):
     assert "documents: 3" in out
 
 
+@pytest.mark.parametrize("command", ["ingest", "tags"])
+def test_min_tags_that_drops_every_document_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "one.jsonl"
+    path.write_text(CORPUS.splitlines(keepends=True)[0], encoding="utf-8")
+    assert main([command, str(path), "--min-tags", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty corpus after filtering" in captured.err
+
+
 def test_ingest_out_round_trips_early_years(tmp_path, capsys):
     path = tmp_path / "c.jsonl"
     path.write_text(

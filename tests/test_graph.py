@@ -15,7 +15,7 @@ from socmine.graph import (
     export_graph,
     _quoteattr,
 )
-from socmine.ngrams import CountTable, TagPair
+from socmine.ngrams import CountTable, TagPair, ranked
 
 PAIRS = CountTable(
     {
@@ -47,19 +47,10 @@ def test_build_graph_whitelist_and_isolates():
 
 
 def test_build_graph_accepts_plain_tuples_and_rejects_bad_threshold():
-    graph = build_graph(CountTable({("b", "a"): 3}), threshold=1)
-    assert graph.edges == {TagPair("a", "b"): 3}
+    graph = build_graph(CountTable({("a", "b"): 3}), threshold=1)
+    assert graph.edges == {("a", "b"): 3}
     with pytest.raises(ValueError):
         build_graph(PAIRS, threshold=0)
-
-
-def test_graph_validation():
-    with pytest.raises(ValueError, match="below threshold"):
-        CooccurrenceGraph(
-            nodes=frozenset({"a", "b"}), edges={TagPair("a", "b"): 1}, threshold=2
-        )
-    with pytest.raises(ValueError, match="outside the node set"):
-        CooccurrenceGraph(nodes=frozenset({"a"}), edges={TagPair("a", "b"): 3}, threshold=1)
 
 
 def test_components_ordering():
@@ -83,13 +74,11 @@ def test_components_include_isolates():
 def test_dyad_report():
     graph = build_graph(PAIRS, threshold=1)
     rows = dyad_report(graph, 3)
-    assert [(r.pair, r.weight) for r in rows] == [
-        (TagPair("police", "riots"), 5),
-        (TagPair("husby", "riots"), 2),
-        (TagPair("nyheter", "police"), 1),
+    assert rows == [
+        ("police", "riots", 5, 1.0),
+        ("husby", "riots", 2, 0.4),
+        ("nyheter", "police", 1, 0.2),
     ]
-    assert rows[0].ratio == 1.0
-    assert rows[1].ratio == pytest.approx(0.4)
     assert dyad_report(graph, 1) == rows[:1]
     with pytest.raises(ValueError):
         dyad_report(graph, 0)
@@ -128,12 +117,72 @@ def test_parse_rejects_garbage():
         export_graph(build_graph(PAIRS, threshold=2), fmt="gexf")
 
 
+# Hand edits of the golden exports (threshold 2, nodes husby, police, riots).
+@pytest.mark.parametrize(
+    "fmt,old,new,match",
+    [
+        ("dot", '"husby" -- "riots"', '"husby" -- "husby"', "self-loop"),
+        ("dot", '  "husby";\n', "", "outside the node set"),
+        ("dot", "weight=2,", "weight=1,", "below threshold"),
+        ("graphml", 'source="husby" target="riots"', 'source="husby" target="husby"', "self-loop"),
+        ("graphml", '    <node id="husby"/>\n', "", "outside the node set"),
+        ("graphml", '<data key="weight">2<', '<data key="weight">1<', "below threshold"),
+    ],
+)
+def test_parse_rejects_edited_edges(fmt, old, new, match):
+    text = export_graph(build_graph(PAIRS, threshold=2), fmt=fmt)
+    assert parse_graph(text, fmt=fmt).edges == {("police", "riots"): 5, ("husby", "riots"): 2}
+    assert text.count(old) == 1
+    with pytest.raises(DataError, match=match):
+        parse_graph(text.replace(old, new), fmt=fmt)
+
+
 def test_dot_quoting_survives_odd_names():
-    table = CountTable({TagPair.of('we"ird', "pla\\in"): 2})
+    table = CountTable({("pla\\in", 'we"ird'): 2})
     graph = build_graph(table, threshold=2)
     parsed = parse_graph(export_graph(graph, fmt="dot"), fmt="dot")
     assert parsed.nodes == graph.nodes
     assert dict(parsed.edges) == dict(graph.edges)
+
+
+TAGS = st.text("abc", min_size=1, max_size=2)
+
+
+@given(
+    st.dictionaries(
+        st.tuples(TAGS, TAGS, st.booleans()).filter(lambda t: t[0] < t[1]),
+        st.integers(1, 4),
+        max_size=12,
+    ),
+    st.integers(1, 4),
+    st.none() | st.frozensets(TAGS, max_size=6),
+    st.booleans(),
+    st.integers(1, 14),
+)
+def test_build_graph_and_dyad_report_match_brute_force(
+    drawn, threshold, whitelist, retain_isolates, k
+):
+    # The boolean picks a TagPair or a plain tuple key, so tables mix both.
+    entries = {(TagPair(a, b) if as_pair else (a, b)): n for (a, b, as_pair), n in drawn.items()}
+    graph = build_graph(CountTable(entries), threshold, whitelist, retain_isolates)
+
+    want = {
+        (a, b): n
+        for (a, b), n in entries.items()
+        if n >= threshold and (whitelist is None or (a in whitelist and b in whitelist))
+    }
+    want_nodes = {tag for pair in want for tag in pair}
+    if retain_isolates and whitelist is not None:
+        want_nodes |= whitelist
+    assert graph.edges == want
+    assert graph.nodes == want_nodes
+    assert all(type(pair) is tuple for pair in graph.edges)
+
+    order = ranked(CountTable(want))
+    assert list(graph.edges.items()) == order
+    assert dyad_report(graph, k) == [
+        (a, b, weight, weight / order[0][1]) for (a, b), weight in order[:k]
+    ]
 
 
 @given(st.text(alphabet=st.sampled_from("ab&<>\"'\n\r\t;#é") | st.characters(), max_size=12))

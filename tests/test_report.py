@@ -129,6 +129,12 @@ def test_manifest_counts_min_tags_drops(workspace):
     assert summary["records_kept"] == summary["documents"] == 3
 
 
+def test_min_tags_that_drops_every_document_fails_the_run(workspace):
+    with pytest.raises(DataError, match="stage ingest: empty corpus after filtering"):
+        run_pipeline(_config(workspace, corpus={"min_tags": 3}))
+    assert list((workspace / "runs").iterdir()) == []
+
+
 def test_manifest_window_zero_pads_early_years(tmp_path):
     (tmp_path / "corpus.jsonl").write_text(
         '{"id": "a", "ts": "0005-01-01T00:00:00Z", "text": "x"}\n'

@@ -157,6 +157,11 @@ def _validate(values: dict[str, Any]) -> None:
         raise DataError(f"unknown stages in run.stages: {unknown}")
     if values["corpus"]["format"] not in ("jsonl", "csv"):
         raise DataError("corpus.format must be 'jsonl' or 'csv'")
+    aliases = values["corpus"]["aliases"].items()
+    if not all(isinstance(k, str) and isinstance(v, str) for k, v in aliases):
+        raise DataError("corpus.aliases must map strings to strings")
+    if not all(isinstance(tag, str) for tag in values["timeline"]["tags"]):
+        raise DataError("timeline.tags entries must be strings")
     for section, key in (
         ("corpus", "min_tags"),
         ("tags", "top"),

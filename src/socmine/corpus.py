@@ -1,7 +1,8 @@
 """Canonical document model and corpus ingestion from JSONL and CSV files.
 
-A loaded Corpus is immutable and sorted, so it can be shared across
-threads without further coordination.
+load_corpus is where records are checked, filtered and counted, each
+fault named by its line; Document and Corpus trust what they are given.
+A loaded Corpus is immutable and sorted.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ _BAD_TAG_CHAR = re.compile(r"[#\s\x00-\x1f\ud800-\udfff\ufffe\uffff]")
 # UTF-8 writer can encode.
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
+# What the surrogateescape error handler makes of bytes that are not UTF-8.
+_UNDECODED = re.compile(r"[\udc80-\udcff]")
+
 
 def _check_tag(tag: str) -> None:
     if not tag:
@@ -65,16 +69,6 @@ class Document:
     lang: str | None = None
     source: str = "tweet"
 
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("document id must be non-empty")
-        if self.timestamp.tzinfo is None:
-            raise ValueError("document timestamp must be timezone-aware")
-        for tag in self.hashtags:
-            _check_tag(tag)
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown source: {self.source!r}")
-
     # Not a field, so eq, hash, repr and asdict ignore it. Every text
     # analysis reads this one list; none of them mutates it.
     @cached_property
@@ -89,23 +83,6 @@ class Corpus:
 
     documents: tuple[Document, ...]
     window: tuple[datetime, datetime]
-
-    def __post_init__(self) -> None:
-        start, end = self.window
-        if start > end:
-            raise ValueError("corpus window start is after its end")
-        seen: set[str] = set()
-        previous: tuple[datetime, str] | None = None
-        for doc in self.documents:
-            if doc.id in seen:
-                raise ValueError(f"duplicate document id: {doc.id!r}")
-            seen.add(doc.id)
-            if not (start <= doc.timestamp <= end):
-                raise ValueError(f"document {doc.id!r} outside corpus window")
-            key = (doc.timestamp, doc.id)
-            if previous is not None and key < previous:
-                raise ValueError("documents are not sorted by (timestamp, id)")
-            previous = key
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -193,69 +170,83 @@ def parse_window(spec: str) -> tuple[datetime, datetime]:
     return (start, end)
 
 
+def _malformed(line: int, fieldname: str, why: str) -> DataError:
+    return DataError(f"line {line}: malformed field {fieldname!r}: {why}")
+
+
 def _record_to_document(
     record: Mapping[str, object],
     line: int,
     aliases: Mapping[str, str] | None,
+    known_tags: dict[str, str],
 ) -> Document:
-    def fail(fieldname: str, why: str) -> DataError:
-        return DataError(f"line {line}: malformed field {fieldname!r}: {why}")
-
-    def check_str(fieldname: str, value: object) -> None:
-        if not isinstance(value, str):
-            raise fail(fieldname, "must be a string")
-        if _SURROGATE.search(value):
-            raise fail(fieldname, "contains a lone surrogate")
-
+    """Check one record and build its Document. known_tags holds each raw
+    tag spelling this load has accepted, normalized, so each is checked once."""
     doc_id = record.get("id")
-    check_str("id", doc_id)
-    if not doc_id:
-        raise fail("id", "must be a non-empty string")
+    if not isinstance(doc_id, str) or not doc_id:
+        raise _malformed(line, "id", "must be a non-empty string")
 
     ts_raw = record.get("ts")
     # bool is an int subclass, but `true` is no timestamp.
     if isinstance(ts_raw, bool) or not isinstance(ts_raw, (str, int, float)) or ts_raw == "":
-        raise fail("ts", "missing timestamp")
+        raise _malformed(line, "ts", "missing timestamp")
     try:
         timestamp = parse_timestamp(ts_raw)
     except (ValueError, OverflowError, OSError) as exc:
-        raise fail("ts", str(exc)) from exc
+        raise _malformed(line, "ts", str(exc)) from exc
 
     text = record.get("text", "")
-    check_str("text", text)
+    if not isinstance(text, str):
+        raise _malformed(line, "text", "must be a string")
+    lang = record.get("lang") or None
+    if lang is not None and not isinstance(lang, str):
+        raise _malformed(line, "lang", "must be a string")
+    for fieldname, value in (("id", doc_id), ("text", text), ("lang", lang)):
+        if value and _SURROGATE.search(value):
+            raise _malformed(line, fieldname, "contains a lone surrogate")
 
     tags_raw = record.get("tags", [])
     if isinstance(tags_raw, str):
         tags_raw = [t for t in tags_raw.split("|") if t]
     if not isinstance(tags_raw, list):
-        raise fail("tags", "must be a list (JSONL) or pipe-delimited string (CSV)")
+        raise _malformed(line, "tags", "must be a list (JSONL) or pipe-delimited string (CSV)")
     tags: list[str] = []
     for item in tags_raw:
         if not isinstance(item, str):
-            raise fail("tags", f"tag {item!r} is not a string")
-        tags.append(normalize_tag(item, aliases))
-
-    lang = record.get("lang") or None
-    if lang is not None:
-        check_str("lang", lang)
+            raise _malformed(line, "tags", f"tag {item!r} is not a string")
+        tag = known_tags.get(item)
+        if tag is None:
+            tag = normalize_tag(item, aliases)
+            try:
+                _check_tag(tag)
+            except ValueError as exc:
+                raise _malformed(line, "tags", str(exc)) from exc
+            known_tags[item] = tag
+        tags.append(tag)
 
     source = record.get("source") or "tweet"
     if source not in SOURCES:
-        raise fail("source", f"must be one of {SOURCES}, got {source!r}")
+        raise _malformed(line, "source", f"must be one of {SOURCES}, got {source!r}")
 
-    # Document checks the tags; id, timestamp and source are valid by now,
-    # so any ValueError it raises is about a tag.
-    try:
-        return Document(
-            id=doc_id,
-            timestamp=timestamp,
-            text=text,
-            hashtags=tuple(tags),
-            lang=lang,
-            source=str(source),
-        )
-    except ValueError as exc:
-        raise fail("tags", str(exc)) from exc
+    return Document(
+        id=doc_id,
+        timestamp=timestamp,
+        text=text,
+        hashtags=tuple(tags),
+        lang=lang,
+        source=str(source),
+    )
+
+
+def _undecodable(path: Path) -> DataError:
+    """The error naming the first line of path that is not valid UTF-8."""
+    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            bad = _UNDECODED.search(line)
+            if bad:
+                byte = ord(bad.group()) - 0xDC00
+                return DataError(f"line {line_no}: invalid UTF-8 byte 0x{byte:02x}")
+    return DataError(f"{path}: invalid UTF-8")
 
 
 def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, object]]]:
@@ -290,11 +281,14 @@ def load_corpus(
     fmt: str = "jsonl",
     window: tuple[datetime, datetime] | None = None,
     aliases: Mapping[str, str] | None = None,
+    min_tags: int = 0,
 ) -> tuple[Corpus, LoadReport]:
     """Load and validate a corpus file; returns the corpus and its load report.
 
-    Records outside the window are dropped and counted in the report.
-    Duplicate ids and malformed records are hard errors.
+    Records outside the window, then documents with fewer than min_tags
+    hashtags, are dropped and counted in the report. Without a window, the
+    one inferred spans every record before the min_tags drop. Duplicate
+    ids and malformed records are hard errors.
     """
     path = Path(path)
     if not path.is_file():
@@ -303,33 +297,47 @@ def load_corpus(
 
     documents: list[Document] = []
     seen_ids: dict[str, int] = {}
-    for line_no, record in _iter_records(path, fmt):
-        report.records_read += 1
-        doc = _record_to_document(record, line_no, aliases)
-        if doc.id in seen_ids:
-            raise DataError(
-                f"line {line_no}: duplicate id {doc.id!r} "
-                f"(first seen at line {seen_ids[doc.id]})"
-            )
-        seen_ids[doc.id] = line_no
-        documents.append(doc)
+    known_tags: dict[str, str] = {}
+    try:
+        for line_no, record in _iter_records(path, fmt):
+            report.records_read += 1
+            doc = _record_to_document(record, line_no, aliases, known_tags)
+            if doc.id in seen_ids:
+                raise DataError(
+                    f"line {line_no}: duplicate id {doc.id!r} "
+                    f"(first seen at line {seen_ids[doc.id]})"
+                )
+            seen_ids[doc.id] = line_no
+            documents.append(doc)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path) from exc
 
     if window is not None:
         inside = [d for d in documents if window[0] <= d.timestamp <= window[1]]
         if len(inside) != len(documents):
             report.dropped["out_of_window"] += len(documents) - len(inside)
         documents = inside
-
     if not documents:
         raise DataError(f"empty corpus after filtering: {path}")
-    report.records_kept = len(documents)
-    return Corpus.from_documents(documents, window), report
+    corpus = Corpus.from_documents(documents, window)
+
+    if min_tags:
+        kept = tuple(d for d in corpus if len(d.hashtags) >= min_tags)
+        if not kept:
+            raise DataError(f"empty corpus after filtering: {path} (corpus.min_tags {min_tags})")
+        if len(kept) != len(corpus):
+            report.dropped["below_min_tags"] += len(corpus) - len(kept)
+        corpus = Corpus(documents=kept, window=corpus.window)
+
+    report.records_kept = len(corpus)
+    return corpus, report
 
 
 def write_corpus(corpus: Corpus, path: str | Path, fmt: str = "jsonl") -> None:
     """Serialize a corpus so that loading it back yields an equal Corpus."""
     path = Path(path)
     if fmt == "jsonl":
+        encode = json.JSONEncoder(ensure_ascii=False).encode
         with path.open("w", encoding="utf-8", newline="\n") as handle:
             for doc in corpus:
                 record = {
@@ -340,7 +348,7 @@ def write_corpus(corpus: Corpus, path: str | Path, fmt: str = "jsonl") -> None:
                     "lang": doc.lang,
                     "source": doc.source,
                 }
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+                handle.write(encode(record) + "\n")
     elif fmt == "csv":
         with path.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
@@ -358,11 +366,3 @@ def write_corpus(corpus: Corpus, path: str | Path, fmt: str = "jsonl") -> None:
                 )
     else:
         raise ValueError(f"unknown corpus format: {fmt!r}")
-
-
-def filter_multi_tag(corpus: Corpus, min_tags: int) -> Corpus:
-    """Keep documents carrying at least min_tags hashtags."""
-    if min_tags < 1:
-        raise ValueError(f"min_tags must be >= 1, got {min_tags}")
-    kept = tuple(d for d in corpus.documents if len(d.hashtags) >= min_tags)
-    return Corpus(documents=kept, window=corpus.window)

@@ -47,7 +47,6 @@ from .corpus import (
     Corpus,
     LoadReport,
     _iso_utc,
-    filter_multi_tag,
     load_corpus,
     normalize_tag,
     parse_window,
@@ -155,21 +154,13 @@ class Context:
     def loaded(self) -> tuple[Corpus, LoadReport]:
         cfg = self.sections["corpus"]
         window = parse_window(cfg["window"]) if cfg["window"] else None
-        corpus, load_report = load_corpus(
-            cfg["path"], fmt=cfg["format"], window=window, aliases=cfg["aliases"] or None
+        return load_corpus(
+            cfg["path"],
+            fmt=cfg["format"],
+            window=window,
+            aliases=cfg["aliases"] or None,
+            min_tags=cfg["min_tags"],
         )
-        if cfg["min_tags"]:
-            kept = filter_multi_tag(corpus, cfg["min_tags"])
-            if not kept.documents:
-                raise DataError(
-                    f"empty corpus after filtering: {cfg['path']} "
-                    f"(corpus.min_tags {cfg['min_tags']})"
-                )
-            if len(kept) != len(corpus):
-                load_report.dropped["below_min_tags"] += len(corpus) - len(kept)
-                load_report.records_kept = len(kept)
-            corpus = kept
-        return corpus, load_report
 
     @property
     def corpus(self) -> Corpus:

@@ -65,6 +65,9 @@ def test_merge_rejects_unknowns_and_bad_types(overrides, message):
         ({"timeline": {"top": -1}}, "timeline.top must be >= 0"),
         ({"graph": {"whitelist_top": -1}}, "graph.whitelist_top must be >= 0"),
         ({"graph": {"cap": -1}}, "graph.cap must be >= 0"),
+        ({"corpus": {"aliases": {"svpol": 5}}}, "corpus.aliases must map strings to strings"),
+        ({"corpus": {"aliases": {5: "svpol"}}}, "corpus.aliases must map strings to strings"),
+        ({"timeline": {"tags": [5]}}, "timeline.tags entries must be strings"),
     ],
 )
 def test_validation_errors(overrides, message):

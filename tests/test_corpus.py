@@ -1,19 +1,17 @@
 import json
 import sys
 from dataclasses import asdict, replace
-from datetime import datetime, timezone
+from datetime import datetime
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socmine.corpus
-from helpers import BASE, FIXTURES, UTC, make_doc
+from helpers import FIXTURES, UTC, make_doc
 from socmine.corpus import (
     _BAD_TAG_CHAR,
     Corpus,
-    Document,
-    filter_multi_tag,
     load_corpus,
     normalize_tag,
     parse_timestamp,
@@ -30,19 +28,6 @@ def test_normalize_tag():
     assert normalize_tag("#Stkhlmriot", {"stkhlmriot": "sthlmriot"}) == "sthlmriot"
 
 
-def test_document_validation():
-    with pytest.raises(ValueError):
-        Document(id="", timestamp=BASE, text="")
-    with pytest.raises(ValueError):
-        Document(id="a", timestamp=datetime(2013, 5, 20), text="")
-    with pytest.raises(ValueError):
-        Document(id="a", timestamp=BASE, text="", hashtags=("Has Space",))
-    with pytest.raises(ValueError):
-        Document(id="a", timestamp=BASE, text="", hashtags=("UPPER",))
-    with pytest.raises(ValueError):
-        Document(id="a", timestamp=BASE, text="", source="blog")
-
-
 def test_tag_rule_adds_only_what_xml_cannot_carry():
     # Every code point: the old rule ('#' or str.isspace) plus C0 controls,
     # lone surrogates, U+FFFE and U+FFFF, which XML 1.0 cannot carry.
@@ -57,16 +42,6 @@ def test_corpus_sorting_and_window_inference():
     corpus = Corpus.from_documents(docs)
     assert [d.id for d in corpus] == ["a", "c", "b"]
     assert corpus.window == (docs[1].timestamp, docs[0].timestamp)
-
-
-def test_corpus_rejects_duplicates_and_unsorted():
-    with pytest.raises(ValueError):
-        Corpus.from_documents([make_doc("a"), make_doc("a", day=1)])
-    window = (BASE, BASE)
-    with pytest.raises(ValueError):
-        Corpus(documents=(make_doc("b"), make_doc("a")), window=window)
-    with pytest.raises(ValueError):
-        Corpus(documents=(make_doc("a", day=3),), window=window)
 
 
 def test_parse_timestamp_forms():
@@ -164,20 +139,30 @@ def test_load_corpus_malformed_field_has_line_number(tmp_path):
         ("ts", True),
         ("ts", "9999-12-31T23:59:59-01:00"),
         ("id", "a\ud800"),
+        ("id", ""),
         ("text", "x \udfff y"),
         ("lang", "\ud800"),
+        ("source", "blog"),
+        ("tags", ["ok", "#Upper"]),
+        ("tags", ["spaced"]),
     ],
-    ids=["ts-1e20", "ts--1e20", "ts-10**400", "ts-true", "ts-past-9999", "id", "text", "lang"],
+    ids=[
+        "ts-1e20", "ts--1e20", "ts-10**400", "ts-true", "ts-past-9999", "id", "id-empty",
+        "text", "lang", "source", "alias-to-uppercase", "alias-to-space",
+    ],
 )
 def test_load_corpus_rejects_unloadable_values_with_line_number(tmp_path, field, value):
     path = tmp_path / "c.jsonl"
     record = {"id": "b", "ts": "2013-05-21T10:00:00Z", "text": "", field: value}
     path.write_text(
-        json.dumps({"id": "a", "ts": "2013-05-20T10:00:00Z"}) + "\n" + json.dumps(record) + "\n",
+        json.dumps({"id": "a", "ts": "2013-05-20T10:00:00Z", "tags": ["ok"]}) + "\n"
+        + json.dumps(record) + "\n",
         encoding="utf-8",
     )
+    # An alias target is checked like any tag.
+    aliases = {"upper": "UPPER", "spaced": "has space"}
     with pytest.raises(DataError, match=f"line 2: malformed field '{field}'"):
-        load_corpus(path)
+        load_corpus(path, aliases=aliases)
 
 
 # Text that often holds a lone surrogate, a control or a non-character.
@@ -247,8 +232,31 @@ def test_load_corpus_checks_each_tag_once(monkeypatch):
         original(tag)
 
     monkeypatch.setattr(socmine.corpus, "_check_tag", counting)
-    corpus, _ = load_corpus(FIXTURES / "twitter.jsonl")
-    assert sorted(checked) == sorted(t for doc in corpus for t in doc.hashtags)
+    path = FIXTURES / "twitter.jsonl"
+    load_corpus(path)
+    with path.open(encoding="utf-8") as handle:
+        spellings = {raw for line in handle for raw in json.loads(line)["tags"]}
+    assert sorted(checked) == sorted(normalize_tag(raw) for raw in spellings)
+    # Each load checks afresh: its aliases may differ.
+    load_corpus(path)
+    assert len(checked) == 2 * len(spellings)
+
+
+@pytest.mark.parametrize(
+    "fmt,header,good,bad",
+    [
+        ("jsonl", b"", b'{"id": "%d", "ts": 0}\n', b'{"id": "bad", "ts": 0, "text": "\xff"}\n'),
+        ("csv", b"id,ts,text,tags\n", b"%d,2013-05-20,x,\n", b"bad,2013-05-20,\xff,\n"),
+    ],
+    ids=["jsonl", "csv"],
+)
+def test_load_corpus_invalid_utf8_names_its_line(tmp_path, fmt, header, good, bad):
+    path = tmp_path / f"c.{fmt}"
+    # Valid records that span several read buffers come before the bad byte.
+    path.write_bytes(header + b"".join(good % i for i in range(3000)) + bad)
+    line = header.count(b"\n") + 3001
+    with pytest.raises(DataError, match=rf"^line {line}: invalid UTF-8 byte 0xff$"):
+        load_corpus(path, fmt=fmt)
 
 
 def test_load_corpus_invalid_json_and_missing_file(tmp_path):
@@ -348,16 +356,29 @@ def test_document_tokens_are_cached_and_not_a_field():
     assert "tokens" not in asdict(doc) and "tokens" not in repr(doc)
 
 
-def test_filter_multi_tag():
-    corpus = Corpus.from_documents(
+def test_load_corpus_min_tags_drops_after_the_window(tmp_path):
+    path = tmp_path / "c.jsonl"
+    _write_jsonl(
+        path,
         [
-            make_doc("a", tags=("svpol", "husby")),
-            make_doc("b", tags=("svpol",)),
-            make_doc("c", tags=()),
-        ]
+            {"id": "a", "ts": "2013-05-20T10:00:00Z", "tags": ["svpol"]},
+            {"id": "b", "ts": "2013-05-21T10:00:00Z", "tags": ["svpol", "husby"]},
+            {"id": "c", "ts": "2013-05-22T10:00:00Z", "tags": ["svpol", "husby", "riots"]},
+            {"id": "d", "ts": "2013-05-23T10:00:00Z", "tags": []},
+            {"id": "e", "ts": "2013-08-01T10:00:00Z", "tags": ["svpol", "husby"]},
+        ],
     )
-    filtered = filter_multi_tag(corpus, 2)
-    assert [d.id for d in filtered] == ["a"]
-    assert filtered.window == corpus.window
-    with pytest.raises(ValueError):
-        filter_multi_tag(corpus, 0)
+    window = parse_window("2013-05-15..2013-07-15")
+    corpus, report = load_corpus(path, window=window, min_tags=2)
+    assert [d.id for d in corpus] == ["b", "c"]
+    assert corpus.window == window
+    assert report.dropped == {"out_of_window": 1, "below_min_tags": 2}
+    assert (report.records_read, report.records_kept) == (5, 2)
+    # Without a window, the one inferred still spans the dropped documents.
+    corpus, report = load_corpus(path, min_tags=2)
+    assert [d.id for d in corpus] == ["b", "c", "e"]
+    span = ("2013-05-20T10:00:00Z", "2013-08-01T10:00:00Z")
+    assert corpus.window == tuple(map(parse_timestamp, span))
+    assert report.dropped == {"below_min_tags": 2}
+    with pytest.raises(DataError, match=r"empty corpus after filtering: .* \(corpus.min_tags 4\)"):
+        load_corpus(path, min_tags=4)

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .corpus import Document
 from .errors import DataError
+from .resources import read_rows
 # tokenize is not called here (Document.tokens calls it) but stays bound:
 # the benchmark tracer's self-test reads coding.tokenize.
 from .text import KeywordFamily, StemIndex, StopwordList, tokenize  # noqa: F401
@@ -37,30 +38,6 @@ class Taxonomy:
 
     categories: tuple[Category, ...]
 
-    def __post_init__(self) -> None:
-        ids = [c.id for c in self.categories]
-        if len(ids) != len(set(ids)):
-            raise ValueError("duplicate category ids in taxonomy")
-        known = set(ids)
-        for category in self.categories:
-            if category.parent is not None:
-                if category.parent not in known:
-                    raise ValueError(f"orphan subcategory id: {category.id!r}")
-                if category.id.split(".")[0] != category.parent:
-                    raise ValueError(
-                        f"subcategory {category.id!r} does not share its parent's prefix"
-                    )
-        seen_families: set[tuple[str, str]] = set()
-        for category in self.categories:
-            for family in category.families:
-                key = (family.stem, family.match_mode)
-                if key in seen_families:
-                    raise ValueError(f"duplicate family: {family.stem!r}")
-                seen_families.add(key)
-
-    def __len__(self) -> int:
-        return len(self.categories)
-
     def top_level(self) -> list[Category]:
         return [c for c in self.categories if c.parent is None]
 
@@ -71,55 +48,40 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     Tab-separated lines: `id<TAB>label` declares a category,
     `category_id<TAB>stem<TAB>mode` adds a keyword family to it. Blank
     lines and '#' comment lines are skipped. Subcategory ids like '6.1'
-    require category '6' to be declared.
+    require category '6' to be declared, anywhere in the file. A family
+    may appear only once in the whole taxonomy.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read taxonomy file {path}: {exc}") from exc
-
-    order: list[str] = []
-    labels: dict[str, str] = {}
-    families: dict[str, list[KeywordFamily]] = {}
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
+    # id -> (declaring line, label, families), in file order
+    declared: dict[str, tuple[int, str, list[KeywordFamily]]] = {}
+    seen_families: set[KeywordFamily] = set()
+    for line_no, parts in read_rows(path, "taxonomy"):
         if len(parts) == 2:
             cat_id, label = parts
-            if cat_id in labels:
+            if cat_id in declared:
                 raise DataError(f"line {line_no}: duplicate category id {cat_id!r}")
-            order.append(cat_id)
-            labels[cat_id] = label
-            families[cat_id] = []
+            declared[cat_id] = (line_no, label, [])
         elif len(parts) == 3:
             cat_id, stem, mode = parts
-            if cat_id not in labels:
+            if cat_id not in declared:
                 raise DataError(f"line {line_no}: unknown category id {cat_id!r}")
             try:
-                families[cat_id].append(KeywordFamily(stem=stem, match_mode=mode))
+                family = KeywordFamily(stem=stem, match_mode=mode)
             except ValueError as exc:
                 raise DataError(f"line {line_no}: {exc}") from exc
+            if family in seen_families:
+                raise DataError(f"line {line_no}: duplicate family: {stem!r}")
+            seen_families.add(family)
+            declared[cat_id][2].append(family)
         else:
             raise DataError(f"line {line_no}: expected 2 or 3 tab-separated fields")
 
     categories = []
-    for cat_id in order:
+    for cat_id, (line_no, label, families) in declared.items():
         parent = cat_id.split(".")[0] if "." in cat_id else None
-        categories.append(
-            Category(
-                id=cat_id,
-                label=labels[cat_id],
-                parent=parent,
-                families=tuple(families[cat_id]),
-            )
-        )
-    try:
-        return Taxonomy(categories=tuple(categories))
-    except ValueError as exc:
-        raise DataError(f"invalid taxonomy {path}: {exc}") from exc
+        if parent is not None and parent not in declared:
+            raise DataError(f"line {line_no}: orphan subcategory id: {cat_id!r}")
+        categories.append(Category(cat_id, label, parent, tuple(families)))
+    return Taxonomy(categories=tuple(categories))
 
 
 class CategoryCount(NamedTuple):
@@ -228,45 +190,31 @@ class PronounGroups:
     them_group: tuple[GroupEntry, ...]
     us_group: tuple[GroupEntry, ...]
 
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for _, surfaces in self.them_group + self.us_group:
-            for surface in surfaces:
-                if surface in seen:
-                    raise ValueError(f"surface {surface!r} appears in more than one entry")
-                seen.add(surface)
-
 
 def load_pronoun_groups(path: str | Path) -> PronounGroups:
-    """Parse a groups file: `group<TAB>label<TAB>surface[|surface...]` per line."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read pronoun groups file {path}: {exc}") from exc
-    them: list[GroupEntry] = []
-    us: list[GroupEntry] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
+    """Parse a groups file: `group<TAB>label<TAB>surface[|surface...]` per line.
+
+    A surface may appear in only one entry of either group.
+    """
+    groups: dict[str, list[GroupEntry]] = {"them": [], "us": []}
+    seen: set[str] = set()
+    for line_no, parts in read_rows(path, "pronoun groups"):
         if len(parts) != 3:
             raise DataError(f"line {line_no}: expected 3 tab-separated fields")
         group, label, surfaces_field = parts
         surfaces = tuple(s.lower() for s in surfaces_field.split("|") if s)
         if not surfaces:
             raise DataError(f"line {line_no}: no surfaces listed")
-        if group == "them":
-            them.append((label, surfaces))
-        elif group == "us":
-            us.append((label, surfaces))
-        else:
+        if group not in groups:
             raise DataError(f"line {line_no}: group must be 'them' or 'us', got {group!r}")
-    try:
-        return PronounGroups(them_group=tuple(them), us_group=tuple(us))
-    except ValueError as exc:
-        raise DataError(f"invalid pronoun groups {path}: {exc}") from exc
+        for surface in surfaces:
+            if surface in seen:
+                raise DataError(
+                    f"line {line_no}: surface {surface!r} appears in more than one entry"
+                )
+            seen.add(surface)
+        groups[group].append((label, surfaces))
+    return PronounGroups(them_group=tuple(groups["them"]), us_group=tuple(groups["us"]))
 
 
 class PronounRow(NamedTuple):

@@ -20,7 +20,9 @@ from typing import Any, Mapping
 
 import yaml
 
+from .corpus import _check_tag, normalize_tag
 from .errors import DataError
+from .text import KeywordFamily
 
 STAGES = (
     "ingest",
@@ -162,6 +164,11 @@ def _validate(values: dict[str, Any]) -> None:
         raise DataError("corpus.aliases must map strings to strings")
     if not all(isinstance(tag, str) for tag in values["timeline"]["tags"]):
         raise DataError("timeline.tags entries must be strings")
+    for tag in values["timeline"]["tags"]:
+        try:
+            _check_tag(normalize_tag(tag, values["corpus"]["aliases"]))
+        except ValueError as exc:
+            raise DataError(f"timeline.tags entry {tag!r}: {exc}") from exc
     for section, key in (
         ("corpus", "min_tags"),
         ("tags", "top"),
@@ -185,6 +192,11 @@ def _validate(values: dict[str, Any]) -> None:
         raise DataError("sentiment.min_freq must be >= 1")
     if values["sentiment"]["filter_mode"] not in ("prefix", "exact"):
         raise DataError("sentiment.filter_mode must be 'prefix' or 'exact'")
+    if values["sentiment"]["filter_stem"]:
+        try:
+            KeywordFamily(values["sentiment"]["filter_stem"], values["sentiment"]["filter_mode"])
+        except ValueError as exc:
+            raise DataError(f"sentiment.filter_stem: {exc}") from exc
 
 
 def _resolve_paths(values: dict[str, Any], base_dir: Path) -> dict[str, Any]:

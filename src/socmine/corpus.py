@@ -240,7 +240,7 @@ def _record_to_document(
 
 def _undecodable(path: Path) -> DataError:
     """The error naming the first line of path that is not valid UTF-8."""
-    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
+    with path.open(encoding="utf-8-sig", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             bad = _UNDECODED.search(line)
             if bad:
@@ -251,7 +251,7 @@ def _undecodable(path: Path) -> DataError:
 
 def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, object]]]:
     if fmt == "jsonl":
-        with path.open(encoding="utf-8") as handle:
+        with path.open(encoding="utf-8-sig") as handle:
             for line_no, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
@@ -263,7 +263,7 @@ def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, obje
                     raise DataError(f"line {line_no}: record is not a JSON object")
                 yield line_no, record
     elif fmt == "csv":
-        with path.open(encoding="utf-8", newline="") as handle:
+        with path.open(encoding="utf-8-sig", newline="") as handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None:
                 return

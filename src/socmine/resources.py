@@ -1,10 +1,12 @@
-"""Access to the data files bundled with the package (default stopword
-list, taxonomy, pronoun groups, demonstration lexicon)."""
+"""The data files bundled with the package (default stopword list,
+taxonomy, pronoun groups, demonstration lexicon) and the one reader every
+data-file loader uses."""
 
 from __future__ import annotations
 
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 from .errors import DataError
 
@@ -19,3 +21,24 @@ def default_data_path(name: str) -> Path:
     if not path.is_file():
         raise DataError(f"bundled data file missing: {name}")
     return path
+
+
+def read_rows(path: str | Path, kind: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, tab-separated fields) for each line of a data file.
+
+    The file is UTF-8, may start with a byte-order mark, and has its lines
+    numbered as the corpus reader numbers them. Blank and '#' comment lines
+    are skipped but counted; the loaders raise each fault as `line N: ...`.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
+    except OSError as exc:
+        raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        byte = exc.object[exc.start]
+        raise DataError(f"line {line_no}: invalid UTF-8 byte 0x{byte:02x}") from exc
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line.split("\t")

@@ -22,43 +22,34 @@ from typing import Iterable, NamedTuple
 
 from .errors import DataError
 from .ngrams import CountTable, _rank_key
-from .text import KeywordFamily, tokenize
+from .resources import read_rows
+from .text import KeywordFamily, StemIndex, tokenize
 
 POLARITIES = ("positive", "negative")
 MAX_BOOST = 4
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     stem: str
     polarity: str
     boost: int
     match_mode: str = "prefix"
-
-    def __post_init__(self) -> None:
-        # Reuse the keyword-family rules: lowercase stem, prefix stems
-        # need three or more characters.
-        KeywordFamily(stem=self.stem, match_mode=self.match_mode)
-        if self.polarity not in POLARITIES:
-            raise ValueError(f"polarity must be one of {POLARITIES}, got {self.polarity!r}")
-        if not isinstance(self.boost, int) or not 0 <= self.boost <= MAX_BOOST:
-            raise ValueError(f"boost must be an integer in 0..{MAX_BOOST}, got {self.boost!r}")
-
-    # Same fields, same rule.
-    matches = KeywordFamily.matches
 
 
 @dataclass(frozen=True)
 class SentimentLexicon:
     entries: tuple[LexiconEntry, ...]
 
-    def __post_init__(self) -> None:
-        stems = [e.stem for e in self.entries]
-        if len(stems) != len(set(stems)):
-            raise ValueError("duplicate stems in lexicon")
-
     def __len__(self) -> int:
         return len(self.entries)
+
+    @functools.cached_property
+    def index(self) -> StemIndex[tuple[str, int]]:
+        """Each entry as a keyword family valued (polarity, boost)."""
+        return StemIndex(
+            (KeywordFamily(entry.stem, entry.match_mode), (entry.polarity, entry.boost))
+            for entry in self.entries
+        )
 
 
 def load_lexicon(path: str | Path) -> SentimentLexicon:
@@ -66,48 +57,38 @@ def load_lexicon(path: str | Path) -> SentimentLexicon:
 
     Tab-separated lines: `stem<TAB>polarity<TAB>boost[<TAB>mode]`, where
     mode defaults to 'prefix'. Blank lines and '#' comments are skipped.
+    Stems follow the keyword-family rules (lowercase; prefix stems need
+    three or more characters) and each may appear only once.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read lexicon file {path}: {exc}") from exc
-    entries: list[LexiconEntry] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
+    entries: dict[str, LexiconEntry] = {}  # by stem
+    for line_no, parts in read_rows(path, "lexicon"):
         if len(parts) not in (3, 4):
             raise DataError(f"line {line_no}: expected 3 or 4 tab-separated fields")
-        stem, polarity, boost_field = parts[0], parts[1], parts[2]
-        mode = parts[3] if len(parts) == 4 else "prefix"
+        stem, polarity, boost_field, mode = (*parts, "prefix")[:4]
         try:
             boost = int(boost_field)
         except ValueError as exc:
             raise DataError(f"line {line_no}: boost must be an integer") from exc
         try:
-            entries.append(
-                LexiconEntry(stem=stem, polarity=polarity, boost=boost, match_mode=mode)
-            )
+            KeywordFamily(stem=stem, match_mode=mode)
         except ValueError as exc:
             raise DataError(f"line {line_no}: {exc}") from exc
-    try:
-        return SentimentLexicon(entries=tuple(entries))
-    except ValueError as exc:
-        raise DataError(f"invalid lexicon {path}: {exc}") from exc
+        if polarity not in POLARITIES:
+            raise DataError(f"line {line_no}: polarity must be one of {POLARITIES}: {polarity!r}")
+        if not 0 <= boost <= MAX_BOOST:
+            raise DataError(f"line {line_no}: boost must be an integer in 0..{MAX_BOOST}: {boost}")
+        if stem in entries:
+            raise DataError(f"line {line_no}: duplicate stems in lexicon: {stem!r}")
+        entries[stem] = LexiconEntry(stem, polarity, boost, mode)
+    return SentimentLexicon(entries=tuple(entries.values()))
 
 
 def _halves(surface: str, lexicon: SentimentLexicon) -> tuple[int, int]:
     """The (positive, negative) halves of one surface: (1, -1) when no entry matches."""
-    pos_boost = neg_boost = 0
-    for entry in lexicon.entries:
-        if entry.matches(surface):
-            if entry.polarity == "positive":
-                pos_boost = max(pos_boost, entry.boost)
-            else:
-                neg_boost = max(neg_boost, entry.boost)
-    return 1 + pos_boost, -1 - neg_boost
+    boosts = {"positive": 0, "negative": 0}
+    for polarity, boost in lexicon.index.lookup(surface):
+        boosts[polarity] = max(boosts[polarity], boost)
+    return 1 + boosts["positive"], -1 - boosts["negative"]
 
 
 def _strength(halves: Iterable[tuple[int, int]]) -> int:
@@ -161,8 +142,8 @@ def power_report(
         if count >= min_freq
     ]
     kept.sort(key=_rank_key)
-    # Distinct surfaces are far fewer than n-gram slots: scan the lexicon once
-    # per surface, for this call only.
+    # Distinct surfaces are far fewer than n-gram slots: look each one up
+    # once, for this call only.
     halves_of = functools.cache(functools.partial(_halves, lexicon=lexicon))
     rows = []
     for ngram, freq in kept:

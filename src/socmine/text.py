@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Generic, Iterable, TypeVar
 
 from .errors import DataError
+from .resources import read_rows
 
 # Word = maximal run of Unicode letters/digits. Underscore is excluded on
 # purpose, and hyphens/apostrophes split tokens.
@@ -116,13 +117,8 @@ def remove_stopwords(tokens: list[str], stops: StopwordList) -> list[str]:
 def load_stopwords(path: str | Path, language: str = "") -> StopwordList:
     """Read a stopword file: one word per line, '#' starts a comment line."""
     words: set[str] = set()
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read stopword file {path}: {exc}") from exc
-    for line in lines:
-        word = line.strip()
-        if not word or word.startswith("#"):
-            continue
-        words.add(word.lower())
+    for line_no, fields in read_rows(path, "stopword"):
+        if len(fields) != 1:
+            raise DataError(f"line {line_no}: expected one word per line")
+        words.add(fields[0].lower())
     return StopwordList(words=frozenset(words), language=language)

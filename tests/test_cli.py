@@ -157,6 +157,10 @@ def test_timeline_tags_are_normalized(corpus_file, capsys, spelling):
         (["tags", "--jobs", "0"], "run.jobs must be >= 1"),
         (["ingest", "--min-tags", "-1"], "corpus.min_tags must be >= 0"),
         (["graph", "--cap", "-1"], "graph.cap must be >= 0"),
+        (["timeline", "--tags", "#"], "timeline.tags entry '#'"),
+        (["timeline", "--tags", "riots,\t"], "timeline.tags entry '\\t'"),
+        (["sentiment", "--filter-stem", "ab"], "sentiment.filter_stem"),
+        (["sentiment", "--filter-stem", "AB", "--filter-mode", "exact"], "sentiment.filter_stem"),
     ],
 )
 def test_flag_errors_name_the_config_key(corpus_file, capsys, flags, key):

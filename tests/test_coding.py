@@ -63,6 +63,10 @@ def test_load_taxonomy_small(tmp_path):
         ("1\tA\tprefix\textra\n", "expected 2 or 3"),
         ("9\tstem\tprefix\n", "unknown category id"),
         ("1\tA\n1\tab\tprefix\n", "line 2"),
+        # Each fault names the line that makes it: the second family, the
+        # orphan's declaration.
+        ("1\tA\n1\twork\tprefix\n2\tB\n2\twork\tprefix\n", "line 4: duplicate family: 'work'"),
+        ("1\tA\n\n# nested\n2.1\tOrphan\n", "line 4: orphan subcategory id: '2.1'"),
     ],
 )
 def test_load_taxonomy_errors(tmp_path, body, message):
@@ -72,14 +76,10 @@ def test_load_taxonomy_errors(tmp_path, body, message):
         load_taxonomy(path)
 
 
-def test_taxonomy_rejects_mismatched_parent_prefix():
-    with pytest.raises(ValueError, match="prefix"):
-        Taxonomy(
-            categories=(
-                Category(id="1", label="A"),
-                Category(id="2.1", label="B", parent="1"),
-            )
-        )
+def test_load_taxonomy_declares_parents_in_any_order(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text(_taxonomy("1.1\tEmployment", "1\tWork"), encoding="utf-8")
+    assert [(c.id, c.parent) for c in load_taxonomy(path).categories] == [("1.1", "1"), ("1", None)]
 
 
 def test_bundled_taxonomy_structure():
@@ -207,6 +207,7 @@ def test_load_pronoun_groups(tmp_path):
         ("them\tthem\t|\n", "no surfaces"),
         ("others\tx\ty\n", "'them' or 'us'"),
         ("them\ta\tim\nus\tb\tim\n", "more than one entry"),
+        ("them\ta\tim\nus\tb\tmy\nus\tc\tnas|im\n", "line 3: surface 'im' appears in more than one entry"),
     ],
 )
 def test_load_pronoun_groups_errors(tmp_path, body, message):

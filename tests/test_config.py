@@ -68,6 +68,11 @@ def test_merge_rejects_unknowns_and_bad_types(overrides, message):
         ({"corpus": {"aliases": {"svpol": 5}}}, "corpus.aliases must map strings to strings"),
         ({"corpus": {"aliases": {5: "svpol"}}}, "corpus.aliases must map strings to strings"),
         ({"timeline": {"tags": [5]}}, "timeline.tags entries must be strings"),
+        ({"sentiment": {"filter_stem": "ab"}}, "sentiment.filter_stem: prefix stem 'ab'"),
+        (
+            {"sentiment": {"filter_stem": "AB", "filter_mode": "exact"}},
+            "sentiment.filter_stem: keyword family stem must be lowercase",
+        ),
     ],
 )
 def test_validation_errors(overrides, message):

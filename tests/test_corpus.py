@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from dataclasses import asdict, replace
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import socmine.corpus
 from helpers import FIXTURES, UTC, make_doc
+from socmine.config import file_digest
 from socmine.corpus import (
     _BAD_TAG_CHAR,
     Corpus,
@@ -257,6 +259,25 @@ def test_load_corpus_invalid_utf8_names_its_line(tmp_path, fmt, header, good, ba
     line = header.count(b"\n") + 3001
     with pytest.raises(DataError, match=rf"^line {line}: invalid UTF-8 byte 0xff$"):
         load_corpus(path, fmt=fmt)
+
+
+@pytest.mark.parametrize(
+    "fmt,body",
+    [
+        ("jsonl", '{"id": "a", "ts": "2013-05-20T10:00:00Z", "text": "hej", "tags": ["svpol"]}\n'),
+        ("csv", "id,ts,text,tags\na,2013-05-20T10:00:00Z,hej,svpol\n"),
+    ],
+    ids=["jsonl", "csv"],
+)
+def test_load_corpus_skips_a_byte_order_mark(tmp_path, fmt, body):
+    # Spreadsheet "CSV UTF-8" exports start with one.
+    plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+    plain.write_text(body, encoding="utf-8")
+    marked.write_text(body, encoding="utf-8-sig")
+    assert load_corpus(marked, fmt=fmt)[0] == load_corpus(plain, fmt=fmt)[0]
+    # The corpus digest still hashes the file as it is, mark included.
+    assert file_digest(marked) == hashlib.sha256(marked.read_bytes()).hexdigest()
+    assert file_digest(marked) != file_digest(plain)
 
 
 def test_load_corpus_invalid_json_and_missing_file(tmp_path):

@@ -135,6 +135,13 @@ def test_min_tags_that_drops_every_document_fails_the_run(workspace):
     assert list((workspace / "runs").iterdir()) == []
 
 
+@pytest.mark.parametrize("tag", ["#", "ri ots"])
+def test_timeline_tags_that_are_no_hashtag_fail_before_the_run(workspace, tag):
+    with pytest.raises(DataError, match="timeline.tags"):
+        run_pipeline(_config(workspace, timeline={"tags": ["riots", tag]}))
+    assert not (workspace / "runs").exists()
+
+
 def test_manifest_window_zero_pads_early_years(tmp_path):
     (tmp_path / "corpus.jsonl").write_text(
         '{"id": "a", "ts": "0005-01-01T00:00:00Z", "text": "x"}\n'

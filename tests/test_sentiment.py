@@ -15,6 +15,7 @@ from socmine.sentiment import (
     score_text,
     write_power_csv,
 )
+from socmine.text import MIN_PREFIX_STEM, tokenize
 
 LEXICON = SentimentLexicon(
     entries=(
@@ -24,25 +25,6 @@ LEXICON = SentimentLexicon(
         LexiconEntry(stem="mordować", polarity="negative", boost=3, match_mode="exact"),
     )
 )
-
-
-def test_entry_validation():
-    with pytest.raises(ValueError):
-        LexiconEntry(stem="dobr", polarity="meh", boost=1)
-    with pytest.raises(ValueError):
-        LexiconEntry(stem="dobr", polarity="positive", boost=5)
-    with pytest.raises(ValueError):
-        LexiconEntry(stem="dobr", polarity="positive", boost=-1)
-    with pytest.raises(ValueError):
-        LexiconEntry(stem="ab", polarity="positive", boost=1)
-    with pytest.raises(ValueError):
-        LexiconEntry(stem="Dobr", polarity="positive", boost=1)
-
-
-def test_lexicon_rejects_duplicate_stems():
-    entry = LexiconEntry(stem="dobr", polarity="positive", boost=1)
-    with pytest.raises(ValueError):
-        SentimentLexicon(entries=(entry, entry))
 
 
 def test_load_lexicon(tmp_path):
@@ -64,6 +46,14 @@ def test_load_lexicon(tmp_path):
         ("dobr\tpositive\tmany\n", "boost must be an integer"),
         ("dobr\tupbeat\t1\n", "line 1"),
         ("dobr\tpositive\t1\ndobr\tnegative\t2\n", "duplicate stems"),
+        # Line numbers count comment and blank lines; the mode does not matter.
+        ("# lexicon\ndobr\tpositive\t1\n\ndobr\tnegative\t2\texact\n", "line 4: duplicate stems"),
+        ("dobr\tmeh\t1\n", "line 1: polarity must be one of"),
+        ("dobr\tpositive\t5\n", "line 1: boost must be an integer in 0..4"),
+        ("dobr\tpositive\t-1\n", "line 1: boost must be an integer in 0..4"),
+        ("dobr\tpositive\t1\nab\tpositive\t1\n", "line 2: prefix stem 'ab' shorter than 3"),
+        ("Dobr\tpositive\t1\texact\n", "line 1: keyword family stem must be lowercase"),
+        ("dobr\tpositive\t1\tsuffix\n", "line 1: unknown match mode"),
     ],
 )
 def test_load_lexicon_errors(tmp_path, body, message):
@@ -110,6 +100,54 @@ def test_score_bounds():
 @given(st.text(max_size=80))
 def test_score_always_in_range(text):
     assert -4 <= score_text(text, LEXICON) <= 4
+
+
+def _scan_halves(surface, lexicon):
+    """Frozen copy of the linear scan _halves made before it used StemIndex."""
+    pos_boost = neg_boost = 0
+    for entry in lexicon.entries:
+        if entry.match_mode == "exact":
+            matched = surface == entry.stem
+        else:
+            matched = surface.startswith(entry.stem)
+        if matched:
+            if entry.polarity == "positive":
+                pos_boost = max(pos_boost, entry.boost)
+            else:
+                neg_boost = max(neg_boost, entry.boost)
+    return 1 + pos_boost, -1 - neg_boost
+
+
+def _scan_score(text, lexicon):
+    positive, negative = 1, -1
+    for surface in tokenize(text):
+        pos, neg = _scan_halves(surface, lexicon)
+        positive, negative = max(positive, pos), min(negative, neg)
+    return positive + negative
+
+
+# Lowercase letters, non-ASCII ones included, few enough that stems nest,
+# repeat and collide across modes.
+STEM_ALPHABET = "abłßż"
+ENTRIES = st.builds(
+    LexiconEntry,
+    stem=st.text(STEM_ALPHABET, min_size=MIN_PREFIX_STEM, max_size=6),
+    polarity=st.sampled_from(["positive", "negative"]),
+    boost=st.integers(0, 4),
+    match_mode=st.sampled_from(["prefix", "exact"]),
+)
+
+
+@given(
+    st.lists(ENTRIES, max_size=10),
+    st.lists(st.text(STEM_ALPHABET + "ŁŻ", min_size=1, max_size=8), max_size=6),
+)
+def test_score_text_equals_linear_scan(entries, words):
+    lexicon = SentimentLexicon(entries=tuple(entries))
+    # Each stem, one character short of it and one longer; then whole texts.
+    words += [w for e in entries for w in (e.stem, e.stem[:-1], e.stem + "a")]
+    for text in [*words, " ".join(words), " ".join(words[::2])]:
+        assert score_text(text, lexicon) == _scan_score(text, lexicon)
 
 
 def test_power_report_ordering_and_min_freq():

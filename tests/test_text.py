@@ -117,8 +117,15 @@ def test_load_stopwords(tmp_path):
     assert stops.language == "sv"
 
 
+def test_load_stopwords_rejects_a_line_with_a_tab(tmp_path):
+    path = tmp_path / "stops.txt"
+    path.write_text("# comment\noch\natt\tpå\n", encoding="utf-8")
+    with pytest.raises(DataError, match="^line 3: expected one word per line$"):
+        load_stopwords(path)
+
+
 def test_load_stopwords_missing_file(tmp_path):
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="cannot read stopword file"):
         load_stopwords(tmp_path / "absent.txt")
 
 

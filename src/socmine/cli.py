@@ -3,6 +3,9 @@
 One subcommand per analysis step, plus `run` for the full configured
 pipeline. A subcommand prints one result of a report.Context built from
 its flags, so it computes exactly what the matching `run` stage does.
+This module imports no analysis module: each cmd_* imports its own
+writer and _context imports report, so a subcommand loads only the
+modules it runs, and only `run` loads PyYAML.
 Exit codes: 0 success, 1 bad usage, 2 bad data or values, 3 unexpected
 internal failure.
 """
@@ -12,18 +15,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .coding import write_coding_csv, write_pronouns_csv
-from .config import load_config, make_config, merge_config
-from .corpus import _iso_utc, write_corpus
 from .errors import DataError, UsageError
-from .graph import export_graph
-from .ngrams import top_k, write_counts_csv
-from .report import Context, run_pipeline
-from .sentiment import write_power_csv
-from .timeline import classify_shape, export_timeline
+
+if TYPE_CHECKING:
+    from .report import Context
 
 
 class Parser(argparse.ArgumentParser):
@@ -48,6 +46,9 @@ def _corpus_options(parser: argparse.ArgumentParser) -> None:
 
 def _context(args: argparse.Namespace, **sections: dict) -> Context:
     """The flags as config sections over the defaults, checked like a config."""
+    from .config import merge_config
+    from .report import Context
+
     corpus = {
         "path": args.corpus,
         "format": args.format,
@@ -58,6 +59,8 @@ def _context(args: argparse.Namespace, **sections: dict) -> Context:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from .corpus import _iso_utc, write_corpus
+
     corpus, report = _context(args).loaded
     print(report.as_table())
     start, end = corpus.window
@@ -70,22 +73,28 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_tags(args: argparse.Namespace) -> int:
-    ctx = _context(args, run={"jobs": args.jobs})
-    # --top 0 (or below) prints every row.
-    rows = top_k(ctx.tag_table, args.top) if args.top >= 1 else ctx.ranked_tags
+    from .ngrams import top_k, write_counts_csv
+
+    ctx = _context(args, run={"jobs": args.jobs}, tags={"top": args.top})
+    # --top 0 prints every row.
+    rows = top_k(ctx.tag_table, args.top) if args.top else ctx.ranked_tags
     write_counts_csv(rows, sys.stdout)
     return 0
 
 
 def cmd_pairs(args: argparse.Namespace) -> int:
-    ctx = _context(args, run={"jobs": args.jobs})
-    # --top 0 (or below) prints every row.
-    rows = top_k(ctx.pair_table, args.top) if args.top >= 1 else ctx.ranked_pairs
+    from .ngrams import top_k, write_counts_csv
+
+    ctx = _context(args, run={"jobs": args.jobs}, pairs={"top": args.top})
+    # --top 0 prints every row.
+    rows = top_k(ctx.pair_table, args.top) if args.top else ctx.ranked_pairs
     write_counts_csv(rows, sys.stdout)
     return 0
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    from .graph import export_graph
+
     graph = {
         "threshold": args.threshold,
         "whitelist_top": args.whitelist_top,
@@ -98,6 +107,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
+    from .timeline import classify_shape, export_timeline
+
     tags = [t for t in args.tags.split(",") if t]
     if not tags:
         raise UsageError("--tags needs at least one tag")
@@ -120,6 +131,8 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def cmd_code(args: argparse.Namespace) -> int:
+    from .coding import write_coding_csv
+
     coding = {
         "taxonomy": args.taxonomy,
         "min_freq": args.min_freq,
@@ -132,11 +145,15 @@ def cmd_code(args: argparse.Namespace) -> int:
 
 
 def cmd_pronouns(args: argparse.Namespace) -> int:
+    from .coding import write_pronouns_csv
+
     write_pronouns_csv(_context(args, pronouns={"groups": args.groups}).pronouns, sys.stdout)
     return 0
 
 
 def cmd_sentiment(args: argparse.Namespace) -> int:
+    from .sentiment import write_power_csv
+
     sentiment = {
         "lexicon": args.lexicon,
         "filter_stem": args.filter_stem,
@@ -155,6 +172,9 @@ def cmd_sentiment(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .config import load_config, make_config
+    from .report import run_pipeline
+
     config = load_config(args.config)
     if args.jobs or args.out_dir:
         raw = {section: dict(values) for section, values in config.raw.items()}

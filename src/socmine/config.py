@@ -7,18 +7,18 @@ mean "use the bundled data file" where one exists.
 The config digest is computed from the merged values before path
 resolution, minus run.jobs and run.out_dir, so the same analysis recipe
 hashes identically across machines and parallelism settings.
+
+PyYAML and hashlib are imported by the functions that use them, so the
+subcommands, which check their flags with merge_config, load neither.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
-
-import yaml
 
 from .corpus import _check_tag, normalize_tag
 from .errors import DataError
@@ -215,6 +215,8 @@ def make_config(overrides: Mapping[str, Any], base_dir: str | Path = ".") -> Con
 
 
 def load_config(path: str | Path) -> Config:
+    import yaml
+
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -241,6 +243,8 @@ def digest_view(raw_values: Mapping[str, Any]) -> dict[str, Any]:
 
 def config_digest(raw_values: Mapping[str, Any]) -> str:
     """SHA-256 over the canonical JSON form of the digest view."""
+    import hashlib
+
     canonical = json.dumps(
         digest_view(raw_values), sort_keys=True, ensure_ascii=False, separators=(",", ":")
     )
@@ -249,6 +253,8 @@ def config_digest(raw_values: Mapping[str, Any]) -> str:
 
 def file_digest(path: str | Path) -> str:
     """SHA-256 of a file's bytes; used to fingerprint corpus inputs."""
+    import hashlib
+
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as handle:

@@ -3,7 +3,10 @@ every artifact plus a manifest into a run directory named by the config
 digest.
 
 Each analysis is one `Context` property, which the stages here and the
-analysis subcommands share.
+analysis subcommands share. The corpus, text and count layers every
+property rests on are imported with this module; coding, graph, timeline
+and sentiment are imported by the properties and stage renderers that use
+them, so a subcommand or a run loads only the analyses it runs.
 
 Reruns of the same config over the same inputs produce byte-identical
 artifacts and manifest, whatever run.jobs says: the manifest embeds the
@@ -18,30 +21,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-import shutil
-import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from . import resources
-from .coding import (
-    CodingResult,
-    PronounReport,
-    Taxonomy,
-    code_vocabulary,
-    format_ratio,
-    load_pronoun_groups,
-    load_taxonomy,
-    pronoun_orientation,
-    rollup,
-    surface_counts,
-    write_coding_csv,
-    write_pronouns_csv,
-)
 from .config import STAGES, Config, digest_view, file_digest
 from .corpus import (
     Corpus,
@@ -53,7 +40,6 @@ from .corpus import (
     write_corpus,
 )
 from .errors import DataError, UsageError
-from .graph import CooccurrenceGraph, build_graph, components, dyad_report, export_graph
 from .ngrams import (
     CountTable,
     count_tag_pairs,
@@ -62,9 +48,13 @@ from .ngrams import (
     counts_to_csv,
     ranked,
 )
-from .sentiment import PowerReport, load_lexicon, power_report, write_power_csv
 from .text import KeywordFamily, StopwordList, load_stopwords
-from .timeline import CumulativeSeries, classify_shape, cumulative_series_bulk, export_timeline
+
+if TYPE_CHECKING:
+    from .coding import CodingResult, PronounReport, Taxonomy
+    from .graph import CooccurrenceGraph
+    from .sentiment import PowerReport
+    from .timeline import CumulativeSeries
 
 MANIFEST_NAME = "manifest.json"
 
@@ -192,6 +182,8 @@ class Context:
 
     @cached_property
     def graph(self) -> CooccurrenceGraph:
+        from .graph import build_graph
+
         cfg = self.sections["graph"]
         whitelist = None
         if cfg["whitelist_top"]:
@@ -206,6 +198,8 @@ class Context:
     @cached_property
     def series(self) -> list[CumulativeSeries]:
         """One series per requested tag, or per top tag, sorted by tag."""
+        from .timeline import cumulative_series_bulk
+
         cfg = self.sections["timeline"]
         aliases = self.sections["corpus"]["aliases"]
         # Requested tags are spelled as in the corpus file; ranked ones are
@@ -220,10 +214,14 @@ class Context:
 
     @cached_property
     def surface_counts(self) -> Counter:
+        from .coding import surface_counts
+
         return surface_counts(self.corpus)
 
     @cached_property
     def coding(self) -> tuple[Taxonomy, CodingResult, dict[str, int]]:
+        from .coding import code_vocabulary, load_taxonomy, rollup
+
         cfg = self.sections["coding"]
         freq = self.surface_counts
         taxonomy = load_taxonomy(cfg["taxonomy"] or resources.default_data_path(resources.TAXONOMY))
@@ -238,6 +236,8 @@ class Context:
 
     @cached_property
     def pronouns(self) -> PronounReport:
+        from .coding import load_pronoun_groups, pronoun_orientation
+
         freq = self.surface_counts
         path = self.sections["pronouns"]["groups"]
         groups = load_pronoun_groups(path or resources.default_data_path(resources.PRONOUNS))
@@ -246,6 +246,8 @@ class Context:
     @cached_property
     def power(self) -> tuple[CountTable, PowerReport]:
         """The counted 2-grams and their power report."""
+        from .sentiment import load_lexicon, power_report
+
         cfg = self.sections["sentiment"]
         documents = self.corpus.documents
         lexicon = load_lexicon(cfg["lexicon"] or resources.default_data_path(resources.LEXICON))
@@ -298,6 +300,8 @@ def _stage_pairs(ctx: Context, run_dir: Path) -> Rendered:
 
 
 def _stage_graph(ctx: Context, run_dir: Path) -> Rendered:
+    from .graph import components, dyad_report, export_graph
+
     cfg, graph = ctx.sections["graph"], ctx.graph
     fmt = cfg["format"]
     artifacts = [
@@ -321,6 +325,8 @@ def _stage_graph(ctx: Context, run_dir: Path) -> Rendered:
 
 
 def _stage_timeline(ctx: Context, run_dir: Path) -> Rendered:
+    from .timeline import classify_shape, export_timeline
+
     series = ctx.series
     artifacts = [
         _write_text(run_dir, f"timeline.{fmt}", export_timeline(series, fmt=fmt))
@@ -342,6 +348,8 @@ def _stage_timeline(ctx: Context, run_dir: Path) -> Rendered:
 
 
 def _stage_coding(ctx: Context, run_dir: Path) -> Rendered:
+    from .coding import write_coding_csv
+
     taxonomy, result, rolled = ctx.coding
     buffer = io.StringIO()
     write_coding_csv(result, rolled, taxonomy, buffer)
@@ -356,6 +364,8 @@ def _stage_coding(ctx: Context, run_dir: Path) -> Rendered:
 
 
 def _stage_pronouns(ctx: Context, run_dir: Path) -> Rendered:
+    from .coding import format_ratio, write_pronouns_csv
+
     report = ctx.pronouns
     buffer = io.StringIO()
     write_pronouns_csv(report, buffer)
@@ -369,6 +379,8 @@ def _stage_pronouns(ctx: Context, run_dir: Path) -> Rendered:
 
 
 def _stage_sentiment(ctx: Context, run_dir: Path) -> Rendered:
+    from .sentiment import write_power_csv
+
     grams, report = ctx.power
     buffer = io.StringIO()
     write_power_csv(report, buffer)
@@ -394,6 +406,9 @@ _STAGES: dict[str, Callable[[Context, Path], Rendered]] = {
 
 
 def run_pipeline(config: Config) -> RunManifest:
+    import shutil
+    import tempfile
+
     corpus_cfg = config["corpus"]
     run_cfg = config["run"]
     if not corpus_cfg["path"]:

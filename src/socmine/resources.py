@@ -4,7 +4,6 @@ data-file loader uses."""
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
@@ -17,7 +16,10 @@ LEXICON = "lexicon.tsv"
 
 
 def default_data_path(name: str) -> Path:
-    path = Path(str(resources.files("socmine").joinpath("data", name)))
+    # The package is installed as plain files, so its data directory sits
+    # next to this module; importlib.resources would import tempfile and
+    # zipfile into every subcommand for the same path.
+    path = Path(__file__).with_name("data") / name
     if not path.is_file():
         raise DataError(f"bundled data file missing: {name}")
     return path

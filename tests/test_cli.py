@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -6,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from helpers import FIXTURES
 from socmine.cli import main
+from socmine.config import STAGES, make_config
+from socmine.report import run_pipeline
 
 CORPUS = """\
 {"id": "a", "ts": "2013-05-20T10:00:00Z", "text": "policja na ulicy", "tags": ["riots", "police"]}
@@ -53,6 +57,10 @@ def test_tags_ranked_csv(corpus_file, capsys):
 def test_tags_top_limits_rows(corpus_file, capsys):
     assert main(["tags", str(corpus_file), "--top", "1"]) == 0
     assert capsys.readouterr().out == "key,count\nriots,3\n"
+    assert main(["tags", str(corpus_file), "--top", "0"]) == 0
+    assert capsys.readouterr().out == "key,count\nriots,3\npolice,2\nhusby,1\n"
+    assert main(["pairs", str(corpus_file), "--top", "0"]) == 0
+    assert capsys.readouterr().out == "key,key2,count\npolice,riots,2\nhusby,riots,1\n"
 
 
 def test_pairs_two_column_csv(corpus_file, capsys):
@@ -161,6 +169,8 @@ def test_timeline_tags_are_normalized(corpus_file, capsys, spelling):
         (["timeline", "--tags", "riots,\t"], "timeline.tags entry '\\t'"),
         (["sentiment", "--filter-stem", "ab"], "sentiment.filter_stem"),
         (["sentiment", "--filter-stem", "AB", "--filter-mode", "exact"], "sentiment.filter_stem"),
+        (["tags", "--top", "-1"], "tags.top must be >= 0"),
+        (["pairs", "--top", "-1"], "pairs.top must be >= 0"),
     ],
 )
 def test_flag_errors_name_the_config_key(corpus_file, capsys, flags, key):
@@ -259,3 +269,112 @@ def test_cli_import_loads_no_xml_or_network_modules():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+# Runs `socmine ARGV...` (or only builds the parser when ARGV is empty) and
+# writes the names in sys.modules at exit to the file named first.
+MODULES_PROBE = """\
+import sys
+from socmine.cli import build_parser, main
+out, argv = sys.argv[1], sys.argv[2:]
+if argv:
+    code = main(argv)
+else:
+    build_parser()
+    code = 0
+with open(out, "w", encoding="utf-8") as handle:
+    handle.write("\\n".join(sorted(sys.modules)))
+sys.exit(code)
+"""
+# Only `socmine run` reads a config file and stages a run directory.
+RUN_ONLY = {"yaml", "tempfile"}
+UNUSED_BY_TEXT = {"socmine.graph", "socmine.timeline", "socmine.sentiment"}
+UNUSED_BY_TAGS = {"socmine.coding", "socmine.graph", "socmine.sentiment"}
+
+
+def _modules_at_exit(tmp_path, argv):
+    """The modules a fresh interpreter holds after `socmine ARGV...` exits 0."""
+    # -S keeps site hooks (.pth files) from importing modules, tempfile for
+    # one, before socmine runs; PyYAML's own directory stands in for
+    # site-packages.
+    site_dir = Path(importlib.util.find_spec("yaml").origin).parent.parent
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(site_dir)])}
+    out = tmp_path / "modules.txt"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", MODULES_PROBE, str(out), *argv],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(out.read_text(encoding="utf-8").split("\n"))
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        ([], {"socmine.report", "socmine.config"}),
+        (["pronouns", str(FIXTURES / "forum.jsonl")], UNUSED_BY_TEXT),
+        (["code", str(FIXTURES / "forum.jsonl")], UNUSED_BY_TEXT),
+        (["tags", str(FIXTURES / "twitter.jsonl")], UNUSED_BY_TAGS),
+        (["pairs", str(FIXTURES / "twitter.jsonl")], UNUSED_BY_TAGS),
+        (["ingest", str(FIXTURES / "twitter.jsonl")], set()),
+        (["graph", str(FIXTURES / "twitter.jsonl")], set()),
+        (["timeline", str(FIXTURES / "twitter.jsonl"), "--tags", "svpol"], set()),
+        (["sentiment", str(FIXTURES / "forum.jsonl")], set()),
+    ],
+    ids=["parser", "pronouns", "code", "tags", "pairs", "ingest", "graph", "timeline", "sentiment"],
+)
+def test_subcommand_imports_only_the_modules_it_runs(tmp_path, argv, absent):
+    # No subcommand but run loads RUN_ONLY; the parser alone loads no report.
+    loaded = _modules_at_exit(tmp_path, argv)
+    assert sorted(loaded & (absent | RUN_ONLY)) == []
+
+
+def test_run_imports_only_the_stages_it_runs(tmp_path):
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        f"corpus:\n  path: {json.dumps(str(FIXTURES / 'twitter.jsonl'))}\n"
+        "run:\n  stages: [ingest, tags]\n",
+        encoding="utf-8",
+    )
+    loaded = _modules_at_exit(tmp_path, ["run", "--config", str(config)])
+    assert RUN_ONLY <= loaded
+    assert sorted(loaded & {"socmine.coding", "socmine.sentiment"}) == []
+
+
+# The subcommand that prints each stage's artifact; timeline is given the
+# tags the run plotted.
+SUBCOMMAND_OF_STAGE = {
+    "tags": (["tags", "--top", "0"], "tags.csv"),
+    "pairs": (["pairs", "--top", "0"], "pairs.csv"),
+    "graph": (["graph"], "graph.dot"),
+    "timeline": (["timeline", "--tags"], "timeline.csv"),
+    "coding": (["code"], "coding.csv"),
+    "pronouns": (["pronouns"], "pronouns.csv"),
+    "sentiment": (["sentiment"], "power.csv"),
+}
+
+
+# forum.jsonl holds no hashtags, so its timeline stage has nothing to plot.
+@pytest.mark.parametrize(
+    "fixture,skip", [("twitter.jsonl", ()), ("forum.jsonl", ("timeline",))]
+)
+def test_each_subcommand_prints_its_run_artifact(tmp_path, capsys, fixture, skip):
+    corpus = str(FIXTURES / fixture)
+    stages = [s for s in STAGES if s not in skip]
+    config = make_config(
+        {"corpus": {"path": corpus}, "run": {"stages": stages, "out_dir": "."}},
+        base_dir=tmp_path,
+    )
+    manifest = run_pipeline(config)
+    capsys.readouterr()
+    for stage in manifest.stages[1:]:
+        (command, *flags), artifact = SUBCOMMAND_OF_STAGE[stage.name]
+        if stage.name == "timeline":
+            flags.append(",".join(stage.summary["tags"]))
+        assert main([command, corpus, *flags]) == 0
+        printed = capsys.readouterr().out.encode("utf-8")
+        assert printed == (manifest.run_dir / artifact).read_bytes(), command

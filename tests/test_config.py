@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+import socmine
 from socmine.config import (
     DEFAULTS,
     STAGES,
@@ -149,3 +150,12 @@ def test_file_digest_matches_hashlib(tmp_path):
     assert file_digest(path) == hashlib.sha256(payload).hexdigest()
     with pytest.raises(DataError, match="cannot read"):
         file_digest(tmp_path / "gone.bin")
+
+
+def test_package_reaches_load_config_on_first_use():
+    from socmine import load_config as imported
+
+    assert socmine.load_config is load_config
+    assert imported is load_config
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        socmine.nothing  # noqa: B018

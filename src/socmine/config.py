@@ -8,13 +8,14 @@ The config digest is computed from the merged values before path
 resolution, minus run.jobs and run.out_dir, so the same analysis recipe
 hashes identically across machines and parallelism settings.
 
-PyYAML and hashlib are imported by the functions that use them, so the
-subcommands, which check their flags with merge_config, load neither.
+PyYAML is imported by load_config alone, so the subcommands, which check
+their flags with merge_config, never load it.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -243,8 +244,6 @@ def digest_view(raw_values: Mapping[str, Any]) -> dict[str, Any]:
 
 def config_digest(raw_values: Mapping[str, Any]) -> str:
     """SHA-256 over the canonical JSON form of the digest view."""
-    import hashlib
-
     canonical = json.dumps(
         digest_view(raw_values), sort_keys=True, ensure_ascii=False, separators=(",", ":")
     )
@@ -253,8 +252,6 @@ def config_digest(raw_values: Mapping[str, Any]) -> str:
 
 def file_digest(path: str | Path) -> str:
     """SHA-256 of a file's bytes; used to fingerprint corpus inputs."""
-    import hashlib
-
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as handle:

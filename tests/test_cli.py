@@ -258,13 +258,22 @@ def test_version(capsys):
     assert capsys.readouterr().out.startswith("socmine ")
 
 
+# xml.sax.saxutils alone pulls in urllib.request, http.client, email and ssl.
+HEAVY = {"xml.sax", "urllib.request", "http.client", "xml.etree"}
+
+
 def test_cli_import_loads_no_xml_or_network_modules():
-    # xml.sax.saxutils alone pulls in urllib.request, http.client, email and ssl.
-    heavy = ("xml.sax", "urllib.request", "http.client", "xml.etree")
     src = str(Path(__file__).resolve().parent.parent / "src")
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    probe = f"import sys, socmine.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    # cli.py imports the analysis modules lazily, so the probe imports every
+    # module of the package itself.
+    probe = (
+        "import importlib, pkgutil, sys, socmine\n"
+        "for info in pkgutil.iter_modules(socmine.__path__, 'socmine.'):\n"
+        "    importlib.import_module(info.name)\n"
+        f"print(sorted(m for m in {sorted(HEAVY)!r} if m in sys.modules))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
@@ -322,15 +331,28 @@ def _modules_at_exit(tmp_path, argv):
         (["pairs", str(FIXTURES / "twitter.jsonl")], UNUSED_BY_TAGS),
         (["ingest", str(FIXTURES / "twitter.jsonl")], set()),
         (["graph", str(FIXTURES / "twitter.jsonl")], set()),
+        (["graph", str(FIXTURES / "twitter.jsonl"), "--graph-format", "graphml"], set()),
         (["timeline", str(FIXTURES / "twitter.jsonl"), "--tags", "svpol"], set()),
         (["sentiment", str(FIXTURES / "forum.jsonl")], set()),
     ],
-    ids=["parser", "pronouns", "code", "tags", "pairs", "ingest", "graph", "timeline", "sentiment"],
+    ids=[
+        "parser",
+        "pronouns",
+        "code",
+        "tags",
+        "pairs",
+        "ingest",
+        "graph",
+        "graphml",
+        "timeline",
+        "sentiment",
+    ],
 )
 def test_subcommand_imports_only_the_modules_it_runs(tmp_path, argv, absent):
-    # No subcommand but run loads RUN_ONLY; the parser alone loads no report.
+    # No subcommand loads HEAVY, none but run loads RUN_ONLY, and the parser
+    # alone loads no report.
     loaded = _modules_at_exit(tmp_path, argv)
-    assert sorted(loaded & (absent | RUN_ONLY)) == []
+    assert sorted(loaded & (absent | RUN_ONLY | HEAVY)) == []
 
 
 def test_run_imports_only_the_stages_it_runs(tmp_path):
@@ -342,7 +364,7 @@ def test_run_imports_only_the_stages_it_runs(tmp_path):
     )
     loaded = _modules_at_exit(tmp_path, ["run", "--config", str(config)])
     assert RUN_ONLY <= loaded
-    assert sorted(loaded & {"socmine.coding", "socmine.sentiment"}) == []
+    assert sorted(loaded & ({"socmine.coding", "socmine.sentiment"} | HEAVY)) == []
 
 
 # The subcommand that prints each stage's artifact; timeline is given the

@@ -1,10 +1,16 @@
 """Command-line front end.
 
 One subcommand per analysis step, plus `run` for the full configured
-pipeline. A subcommand prints one result of a report.Context built from
-its flags, so it computes exactly what the matching `run` stage does.
+pipeline. The flags of an analysis subcommand are config keys: each
+flag's dest is the key it sets (`--threshold` sets `graph.threshold`),
+a flag that is not given sets nothing, and _context lays the given ones
+over config.DEFAULTS and checks them like a config file, so every
+default lives there. The subcommand then prints what its `run` stage
+writes, from the same report.Context property and serializer. Only
+`ingest --out`, `timeline --timeline-format`/`--classify` and the flags
+of `run` are not config keys.
 This module imports no analysis module: each cmd_* imports its own
-writer and _context imports report, so a subcommand loads only the
+serializer and _context imports report, so a subcommand loads only the
 modules it runs, and only `run` loads PyYAML.
 Exit codes: 0 success, 1 bad usage, 2 bad data or values, 3 unexpected
 internal failure.
@@ -31,31 +37,17 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _corpus_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("corpus", help="corpus file to analyze")
-    parser.add_argument(
-        "--format", choices=("jsonl", "csv"), default="jsonl", help="corpus file format"
-    )
-    parser.add_argument(
-        "--window", default="", metavar="START..END", help="keep documents inside this span"
-    )
-    parser.add_argument(
-        "--min-tags", type=int, default=0, help="keep documents with at least N hashtags"
-    )
-
-
-def _context(args: argparse.Namespace, **sections: dict) -> Context:
-    """The flags as config sections over the defaults, checked like a config."""
+def _context(args: argparse.Namespace) -> Context:
+    """The flags whose dest is a `section.key` over the defaults, checked like a config."""
     from .config import merge_config
     from .report import Context
 
-    corpus = {
-        "path": args.corpus,
-        "format": args.format,
-        "window": args.window,
-        "min_tags": args.min_tags,
-    }
-    return Context(merge_config({"corpus": corpus, **sections}))
+    overrides: dict[str, dict] = {}
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot:
+            overrides.setdefault(section, {})[key] = value
+    return Context(merge_config(overrides))
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -72,47 +64,29 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tags(args: argparse.Namespace) -> int:
-    from .ngrams import top_k, write_counts_csv
+def cmd_counts(args: argparse.Namespace) -> int:
+    """`tags` or `pairs`: the top rows of the ranked table."""
+    from .ngrams import counts_to_csv
 
-    ctx = _context(args, run={"jobs": args.jobs}, tags={"top": args.top})
-    # --top 0 prints every row.
-    rows = top_k(ctx.tag_table, args.top) if args.top else ctx.ranked_tags
-    write_counts_csv(rows, sys.stdout)
-    return 0
-
-
-def cmd_pairs(args: argparse.Namespace) -> int:
-    from .ngrams import top_k, write_counts_csv
-
-    ctx = _context(args, run={"jobs": args.jobs}, pairs={"top": args.top})
-    # --top 0 prints every row.
-    rows = top_k(ctx.pair_table, args.top) if args.top else ctx.ranked_pairs
-    write_counts_csv(rows, sys.stdout)
+    sys.stdout.write(counts_to_csv(_context(args).top_rows(args.command)))
     return 0
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
     from .graph import export_graph
 
-    graph = {
-        "threshold": args.threshold,
-        "whitelist_top": args.whitelist_top,
-        "cap": args.cap,
-        "retain_isolates": args.retain_isolates,
-    }
-    ctx = _context(args, run={"jobs": args.jobs}, graph=graph)
-    sys.stdout.write(export_graph(ctx.graph, fmt=args.graph_format, cap=args.cap or None))
+    ctx = _context(args)
+    cfg = ctx.sections["graph"]
+    sys.stdout.write(export_graph(ctx.graph, cfg["format"], cfg["cap"]))
     return 0
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
     from .timeline import classify_shape, export_timeline
 
-    tags = [t for t in args.tags.split(",") if t]
-    if not tags:
+    if not vars(args)["timeline.tags"]:
         raise UsageError("--tags needs at least one tag")
-    series = _context(args, timeline={"tags": tags}).series
+    series = _context(args).series
     if args.classify:
         for item in series:
             verdict = classify_shape(item)
@@ -131,43 +105,25 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def cmd_code(args: argparse.Namespace) -> int:
-    from .coding import write_coding_csv
+    from .coding import coding_csv
 
-    coding = {
-        "taxonomy": args.taxonomy,
-        "min_freq": args.min_freq,
-        "occurrences": args.occurrences,
-    }
-    ctx = _context(args, text={"stopwords": args.stopwords}, coding=coding)
-    taxonomy, result, rolled = ctx.coding
-    write_coding_csv(result, rolled, taxonomy, sys.stdout)
+    taxonomy, result, rolled = _context(args).coding
+    sys.stdout.write(coding_csv(result, rolled, taxonomy))
     return 0
 
 
 def cmd_pronouns(args: argparse.Namespace) -> int:
-    from .coding import write_pronouns_csv
+    from .coding import pronouns_csv
 
-    write_pronouns_csv(_context(args, pronouns={"groups": args.groups}).pronouns, sys.stdout)
+    sys.stdout.write(pronouns_csv(_context(args).pronouns))
     return 0
 
 
 def cmd_sentiment(args: argparse.Namespace) -> int:
-    from .sentiment import write_power_csv
+    from .sentiment import power_csv
 
-    sentiment = {
-        "lexicon": args.lexicon,
-        "filter_stem": args.filter_stem,
-        "filter_mode": args.filter_mode,
-        "min_freq": args.min_freq,
-    }
-    ctx = _context(
-        args,
-        run={"jobs": args.jobs},
-        text={"stopwords": args.stopwords},
-        sentiment=sentiment,
-    )
-    _, report = ctx.power
-    write_power_csv(report, sys.stdout)
+    _, report = _context(args).power
+    sys.stdout.write(power_csv(report))
     return 0
 
 
@@ -188,66 +144,82 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _tag_list(value: str) -> list[str]:
+    return [tag for tag in value.split(",") if tag]
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="socmine", description="Social-media text mining toolkit.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("ingest", help="load, validate and summarize a corpus")
-    _corpus_options(p)
+    def analysis(name: str, help: str) -> argparse.ArgumentParser:
+        """An analysis subcommand: a flag that is not given sets no config key."""
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.add_argument("corpus.path", metavar="corpus", help="corpus file to analyze")
+        p.add_argument("--format", dest="corpus.format", choices=("jsonl", "csv"),
+                       help="corpus file format")
+        p.add_argument("--window", dest="corpus.window", metavar="START..END",
+                       help="keep documents inside this span")
+        p.add_argument("--min-tags", dest="corpus.min_tags", type=int,
+                       help="keep documents with at least N hashtags")
+        return p
+
+    p = analysis("ingest", "load, validate and summarize a corpus")
     p.add_argument("--out", default="", help="write the normalized corpus here")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("tags", help="rank hashtags by document count")
-    _corpus_options(p)
-    p.add_argument("--top", type=int, default=20, help="rows to print, 0 for all")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_tags)
+    for name, help in (
+        ("tags", "rank hashtags by document count"),
+        ("pairs", "rank co-occurring hashtag pairs"),
+    ):
+        p = analysis(name, help)
+        p.add_argument("--top", dest=f"{name}.top", type=int, help="rows to print, 0 for all")
+        p.add_argument("--jobs", dest="run.jobs", type=int)
+        p.set_defaults(func=cmd_counts)
 
-    p = sub.add_parser("pairs", help="rank co-occurring hashtag pairs")
-    _corpus_options(p)
-    p.add_argument("--top", type=int, default=20, help="rows to print, 0 for all")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_pairs)
-
-    p = sub.add_parser("graph", help="export the tag co-occurrence graph")
-    _corpus_options(p)
-    p.add_argument("--threshold", type=int, default=2, help="minimum edge weight kept")
-    p.add_argument("--graph-format", choices=("dot", "graphml"), default="dot")
-    p.add_argument("--cap", type=int, default=10, help="drawn edge width cap, 0 for none")
-    p.add_argument("--whitelist-top", type=int, default=0, help="restrict nodes to the top N tags")
-    p.add_argument("--retain-isolates", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p = analysis("graph", "export the tag co-occurrence graph")
+    p.add_argument("--threshold", dest="graph.threshold", type=int, help="minimum edge weight kept")
+    p.add_argument("--graph-format", dest="graph.format", choices=("dot", "graphml"))
+    p.add_argument("--cap", dest="graph.cap", type=int, help="drawn edge width cap, 0 for none")
+    p.add_argument("--whitelist-top", dest="graph.whitelist_top", type=int,
+                   help="restrict nodes to the top N tags")
+    p.add_argument("--retain-isolates", dest="graph.retain_isolates", action="store_true")
+    p.add_argument("--jobs", dest="run.jobs", type=int)
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("timeline", help="cumulative per-tag activity over time")
-    _corpus_options(p)
-    p.add_argument("--tags", required=True, help="comma-separated tags to plot")
+    p = analysis("timeline", "cumulative per-tag activity over time")
+    p.add_argument("--tags", dest="timeline.tags", type=_tag_list, required=True,
+                   help="comma-separated tags to plot")
     p.add_argument("--timeline-format", choices=("csv", "svg"), default="csv")
-    p.add_argument("--classify", action="store_true", help="print curve shapes instead")
+    p.add_argument("--classify", action="store_true", default=False,
+                   help="print curve shapes instead")
     p.set_defaults(func=cmd_timeline)
 
-    p = sub.add_parser("code", help="assign corpus vocabulary to taxonomy categories")
-    _corpus_options(p)
-    p.add_argument("--taxonomy", default="", help="taxonomy file, bundled one by default")
-    p.add_argument("--stopwords", default="", help="stopword file, bundled one by default")
-    p.add_argument("--min-freq", type=int, default=1)
-    p.add_argument("--occurrences", action="store_true", help="count occurrences, not words")
+    p = analysis("code", "assign corpus vocabulary to taxonomy categories")
+    p.add_argument("--taxonomy", dest="coding.taxonomy",
+                   help="taxonomy file, bundled one by default")
+    p.add_argument("--stopwords", dest="text.stopwords",
+                   help="stopword file, bundled one by default")
+    p.add_argument("--min-freq", dest="coding.min_freq", type=int)
+    p.add_argument("--occurrences", dest="coding.occurrences", action="store_true",
+                   help="count occurrences, not words")
     p.set_defaults(func=cmd_code)
 
-    p = sub.add_parser("pronouns", help="count orientation pronoun groups")
-    _corpus_options(p)
-    p.add_argument("--groups", default="", help="groups file, bundled one by default")
+    p = analysis("pronouns", "count orientation pronoun groups")
+    p.add_argument("--groups", dest="pronouns.groups", help="groups file, bundled one by default")
     p.set_defaults(func=cmd_pronouns)
 
-    p = sub.add_parser("sentiment", help="score frequent token 2-grams with a lexicon")
-    _corpus_options(p)
-    p.add_argument("--lexicon", default="", help="lexicon file, bundled one by default")
-    p.add_argument("--filter-stem", default="", help="keep 2-grams touching this stem")
-    p.add_argument("--filter-mode", choices=("prefix", "exact"), default="prefix")
-    p.add_argument("--min-freq", type=int, default=2)
-    p.add_argument("--stopwords", default="", help="stopword file, bundled one by default")
-    p.add_argument("--jobs", type=int, default=1)
+    p = analysis("sentiment", "score frequent token 2-grams with a lexicon")
+    p.add_argument("--lexicon", dest="sentiment.lexicon",
+                   help="lexicon file, bundled one by default")
+    p.add_argument("--filter-stem", dest="sentiment.filter_stem",
+                   help="keep 2-grams touching this stem")
+    p.add_argument("--filter-mode", dest="sentiment.filter_mode", choices=("prefix", "exact"))
+    p.add_argument("--min-freq", dest="sentiment.min_freq", type=int)
+    p.add_argument("--stopwords", dest="text.stopwords",
+                   help="stopword file, bundled one by default")
+    p.add_argument("--jobs", dest="run.jobs", type=int)
     p.set_defaults(func=cmd_sentiment)
 
     p = sub.add_parser("run", help="run the configured pipeline end to end")

@@ -260,11 +260,11 @@ def format_ratio(ratio: float) -> str:
     return "inf" if math.isinf(ratio) else f"{ratio:.4f}"
 
 
-def write_coding_csv(
-    result: CodingResult, rolled: Mapping[str, int], taxonomy: Taxonomy,
-    handle: io.TextIOBase,
-) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
+def coding_csv(result: CodingResult, rolled: Mapping[str, int], taxonomy: Taxonomy) -> str:
+    """One row per category in taxonomy order, then the uncategorized and
+    vocabulary counts as comment lines."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["category_id", "label", "unique_words", "count", "rolled_up"])
     for category in taxonomy.categories:
         counted = result.per_category.get(category.id, CategoryCount(frozenset(), 0))
@@ -272,15 +272,18 @@ def write_coding_csv(
             [category.id, category.label, len(counted.unique_words), counted.count,
              rolled[category.id]]
         )
-    handle.write(f"# uncategorized,{len(result.uncategorized)}\n")
-    handle.write(f"# vocabulary_size,{result.vocabulary_size}\n")
+    buffer.write(f"# uncategorized,{len(result.uncategorized)}\n")
+    buffer.write(f"# vocabulary_size,{result.vocabulary_size}\n")
+    return buffer.getvalue()
 
 
-def write_pronouns_csv(report: PronounReport, handle: io.TextIOBase) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
+def pronouns_csv(report: PronounReport) -> str:
+    """One row per group surface, then the totals and ratio as comment lines."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["label", "group", "surface", "count"])
-    for row in report.rows:
-        writer.writerow(list(row))
-    handle.write(f"# them_total,{report.them_total}\n")
-    handle.write(f"# us_total,{report.us_total}\n")
-    handle.write(f"# ratio,{format_ratio(report.ratio)}\n")
+    writer.writerows(report.rows)
+    buffer.write(f"# them_total,{report.them_total}\n")
+    buffer.write(f"# us_total,{report.us_total}\n")
+    buffer.write(f"# ratio,{format_ratio(report.ratio)}\n")
+    return buffer.getvalue()

@@ -5,6 +5,8 @@ Exports are byte-deterministic: nodes and edges are emitted in sorted order.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Mapping
@@ -98,24 +100,33 @@ def dyad_report(graph: CooccurrenceGraph, k: int) -> list[tuple[str, str, int, f
     return [(a, b, weight, weight / max_weight) for (a, b), weight in top]
 
 
-def _render_width(weight: int, cap: int | None) -> int:
-    return min(weight, cap) if cap is not None else weight
+def dyads_csv(graph: CooccurrenceGraph) -> str:
+    """Every edge as a tag_a,tag_b,weight,ratio row in rank order, the ratio
+    written with 4 decimals."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["tag_a", "tag_b", "weight", "ratio"])
+    writer.writerows(
+        (a, b, weight, f"{ratio:.4f}")
+        for a, b, weight, ratio in dyad_report(graph, max(1, len(graph.edges)))
+    )
+    return buffer.getvalue()
+
+
+def _render_width(weight: int, cap: int) -> int:
+    return min(weight, cap) if cap else weight
 
 
 def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_graph(
-    graph: CooccurrenceGraph,
-    fmt: str = "dot",
-    cap: int | None = None,
-) -> str:
+def export_graph(graph: CooccurrenceGraph, fmt: str = "dot", cap: int = 0) -> str:
     """Emit the graph as DOT or GraphML text.
 
-    The drawn edge width is capped at `cap` (the true weight is always
-    carried as a data attribute), mirroring plots that thin their dominant
-    edges so the rest of the network stays visible.
+    The drawn edge width is capped at `cap`, 0 for no cap (the true weight
+    is always carried as a data attribute), mirroring plots that thin their
+    dominant edges so the rest of the network stays visible.
     """
     if fmt == "dot":
         return _export_dot(graph, cap)
@@ -130,7 +141,7 @@ def _sorted_edges(graph: CooccurrenceGraph) -> list[tuple[str, str, int]]:
     return sorted((a, b, weight) for (a, b), weight in graph.edges.items())
 
 
-def _export_dot(graph: CooccurrenceGraph, cap: int | None) -> str:
+def _export_dot(graph: CooccurrenceGraph, cap: int) -> str:
     quoted = {node: _dot_quote(node) for node in graph.nodes}
     lines = ["graph cooccurrence {", f"  graph [threshold={graph.threshold}];"]
     for node in sorted(graph.nodes):
@@ -155,7 +166,7 @@ def _quoteattr(value: str) -> str:
     return '"' + value.replace('"', "&quot;") + '"'
 
 
-def _export_graphml(graph: CooccurrenceGraph, cap: int | None) -> str:
+def _export_graphml(graph: CooccurrenceGraph, cap: int) -> str:
     quoted = {node: _quoteattr(node) for node in graph.nodes}
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

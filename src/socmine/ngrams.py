@@ -140,18 +140,14 @@ def top_k(table: CountTable, k: int) -> list[tuple[Key, int]]:
     return heapq.nsmallest(k, table.entries.items(), key=_rank_key)
 
 
-def write_counts_csv(rows: Sequence[tuple[Key, int]], handle: io.TextIOBase) -> None:
-    """Serialize ranked rows to CSV in their order; pair keys become two columns."""
-    writer = csv.writer(handle, lineterminator="\n")
+def counts_to_csv(rows: Sequence[tuple[Key, int]]) -> str:
+    """Ranked rows as CSV, in their order; pair keys become two columns."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
     if rows and isinstance(rows[0][0], tuple):
         writer.writerow(["key", "key2", "count"])
         writer.writerows((a, b, count) for (a, b), count in rows)
     else:
         writer.writerow(["key", "count"])
         writer.writerows(rows)
-
-
-def counts_to_csv(rows: Sequence[tuple[Key, int]]) -> str:
-    buffer = io.StringIO()
-    write_counts_csv(rows, buffer)
     return buffer.getvalue()

@@ -2,8 +2,8 @@
 every artifact plus a manifest into a run directory named by the config
 digest.
 
-Each analysis is one `Context` property, which the stages here and the
-analysis subcommands share. The corpus, text and count layers every
+Each analysis is computed once by a `Context`, which the stages here and
+the analysis subcommands share. The corpus, text and count layers every
 property rests on are imported with this module; coding, graph, timeline
 and sentiment are imported by the properties and stage renderers that use
 them, so a subcommand or a run loads only the analyses it runs.
@@ -18,12 +18,10 @@ place after its manifest, so a failed run leaves an earlier one as it was.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Mapping
@@ -47,6 +45,7 @@ from .ngrams import (
     count_token_2grams,
     counts_to_csv,
     ranked,
+    top_k,
 )
 from .text import KeywordFamily, StopwordList, load_stopwords
 
@@ -106,7 +105,8 @@ def _headline(stage: StageResult) -> str:
     if stage.name == "graph":
         return f"{s['nodes']} nodes, {s['edges']} edges"
     if stage.name == "timeline":
-        return ", ".join(f"{tag}:{v['shape']}" for tag, v in sorted(s["shapes"].items()))
+        shapes = sorted(s["shapes"].items())
+        return ", ".join(f"{tag}:{v['shape']}" for tag, v in shapes) or "no tags to plot"
     if stage.name == "coding":
         return f"{s['vocabulary_size']} words, {s['uncategorized']} uncategorized"
     if stage.name == "pronouns":
@@ -121,12 +121,9 @@ def _write_text(run_dir: Path, name: str, content: str) -> str:
     return name
 
 
-def _ranked_rows(rows: list[tuple[Any, int]], k: int) -> list[list[Any]]:
-    """The first k ranked rows, pair keys spread into two columns."""
-    return [
-        [*key, count] if isinstance(key, tuple) else [key, count]
-        for key, count in rows[:k]
-    ]
+def _summary_rows(rows: list[tuple[Any, int]]) -> list[list[Any]]:
+    """Ranked rows as JSON lists, pair keys spread into two columns."""
+    return [[*key, count] if isinstance(key, tuple) else [key, count] for key, count in rows]
 
 
 class Context:
@@ -139,6 +136,8 @@ class Context:
 
     def __init__(self, sections: Mapping[str, Mapping[str, Any]]) -> None:
         self.sections = sections
+        self._tables: dict[str, CountTable] = {}
+        self._rankings: dict[str, list[tuple[Any, int]]] = {}
 
     @cached_property
     def loaded(self) -> tuple[Corpus, LoadReport]:
@@ -163,22 +162,29 @@ class Context:
             return load_stopwords(path, language=Path(path).stem)
         return load_stopwords(resources.default_data_path(resources.STOPWORDS), language="pl")
 
-    @cached_property
-    def tag_table(self) -> CountTable:
-        return count_tags(self.corpus)
+    def table(self, name: str) -> CountTable:
+        """The `tags` or `pairs` count table, counted once."""
+        if name not in self._tables:
+            count = count_tags if name == "tags" else count_tag_pairs
+            self._tables[name] = count(self.corpus)
+        return self._tables[name]
 
-    @cached_property
-    def pair_table(self) -> CountTable:
-        return count_tag_pairs(self.corpus)
+    def ranking(self, name: str) -> list[tuple[Any, int]]:
+        """The whole table in rank order, sorted once; the CSVs, summaries
+        and top-N slices share it."""
+        if name not in self._rankings:
+            self._rankings[name] = ranked(self.table(name))
+        return self._rankings[name]
 
-    # Each table is sorted once; the CSVs, summaries and top-N slices share it.
-    @cached_property
-    def ranked_tags(self) -> list[tuple[str, int]]:
-        return ranked(self.tag_table)
-
-    @cached_property
-    def ranked_pairs(self) -> list[tuple[tuple[str, str], int]]:
-        return ranked(self.pair_table)
+    def top_rows(self, name: str) -> list[tuple[Any, int]]:
+        """The first `<name>.top` ranked rows, or every row when top is 0."""
+        top = self.sections[name]["top"]
+        if not top:
+            return self.ranking(name)
+        if name in self._rankings:
+            return self._rankings[name][:top]
+        # A top-sized heap, when nothing needs the whole table sorted.
+        return top_k(self.table(name), top)
 
     @cached_property
     def graph(self) -> CooccurrenceGraph:
@@ -187,9 +193,9 @@ class Context:
         cfg = self.sections["graph"]
         whitelist = None
         if cfg["whitelist_top"]:
-            whitelist = {tag for tag, _ in self.ranked_tags[: cfg["whitelist_top"]]}
+            whitelist = {tag for tag, _ in self.ranking("tags")[: cfg["whitelist_top"]]}
         return build_graph(
-            self.pair_table,
+            self.table("pairs"),
             threshold=cfg["threshold"],
             node_whitelist=whitelist,
             retain_isolates=cfg["retain_isolates"],
@@ -197,7 +203,8 @@ class Context:
 
     @cached_property
     def series(self) -> list[CumulativeSeries]:
-        """One series per requested tag, or per top tag, sorted by tag."""
+        """One series per requested tag, or per top tag, sorted by tag; none
+        when nothing is requested and the corpus has no tags."""
         from .timeline import cumulative_series_bulk
 
         cfg = self.sections["timeline"]
@@ -206,9 +213,7 @@ class Context:
         # normalized already.
         tags = [normalize_tag(tag, aliases) for tag in cfg["tags"]]
         if not tags:
-            tags = [tag for tag, _ in self.ranked_tags[: cfg["top"]]]
-        if not tags:
-            raise DataError("timeline stage has no tags to plot")
+            tags = [tag for tag, _ in self.ranking("tags")[: cfg["top"]]]
         series_by_tag = cumulative_series_bulk(self.corpus, tags)
         return [series_by_tag[tag] for tag in sorted(series_by_tag)]
 
@@ -277,44 +282,28 @@ def _stage_ingest(ctx: Context, run_dir: Path) -> Rendered:
     return ["corpus.jsonl"], summary
 
 
-def _stage_tags(ctx: Context, run_dir: Path) -> Rendered:
-    table, rows = ctx.tag_table, ctx.ranked_tags
-    artifact = _write_text(run_dir, "tags.csv", counts_to_csv(rows))
+def _stage_counts(name: str, ctx: Context, run_dir: Path) -> Rendered:
+    """The tags or pairs stage: the whole ranked table, and its top rows in
+    the summary."""
+    table = ctx.table(name)
+    artifact = _write_text(run_dir, f"{name}.csv", counts_to_csv(ctx.ranking(name)))
     summary = {
         "distinct": len(table),
         "total": table.total,
-        "top": _ranked_rows(rows, ctx.sections["tags"]["top"]),
-    }
-    return [artifact], summary
-
-
-def _stage_pairs(ctx: Context, run_dir: Path) -> Rendered:
-    table, rows = ctx.pair_table, ctx.ranked_pairs
-    artifact = _write_text(run_dir, "pairs.csv", counts_to_csv(rows))
-    summary = {
-        "distinct": len(table),
-        "total": table.total,
-        "top": _ranked_rows(rows, ctx.sections["pairs"]["top"]),
+        "top": _summary_rows(ctx.top_rows(name)),
     }
     return [artifact], summary
 
 
 def _stage_graph(ctx: Context, run_dir: Path) -> Rendered:
-    from .graph import components, dyad_report, export_graph
+    from .graph import components, dyads_csv, export_graph
 
     cfg, graph = ctx.sections["graph"], ctx.graph
     fmt = cfg["format"]
     artifacts = [
-        _write_text(run_dir, f"graph.{fmt}", export_graph(graph, fmt, cap=cfg["cap"] or None))
+        _write_text(run_dir, f"graph.{fmt}", export_graph(graph, fmt, cfg["cap"])),
+        _write_text(run_dir, "dyads.csv", dyads_csv(graph)),
     ]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["tag_a", "tag_b", "weight", "ratio"])
-    writer.writerows(
-        (a, b, weight, f"{ratio:.4f}")
-        for a, b, weight, ratio in dyad_report(graph, max(1, len(graph.edges)))
-    )
-    artifacts.append(_write_text(run_dir, "dyads.csv", buffer.getvalue()))
     summary = {
         "nodes": len(graph.nodes),
         "edges": len(graph.edges),
@@ -327,10 +316,12 @@ def _stage_graph(ctx: Context, run_dir: Path) -> Rendered:
 def _stage_timeline(ctx: Context, run_dir: Path) -> Rendered:
     from .timeline import classify_shape, export_timeline
 
+    # A corpus without tags leaves nothing to plot, and no file is written.
     series = ctx.series
+    formats = ctx.sections["timeline"]["formats"] if series else []
     artifacts = [
         _write_text(run_dir, f"timeline.{fmt}", export_timeline(series, fmt=fmt))
-        for fmt in ctx.sections["timeline"]["formats"]
+        for fmt in formats
     ]
     shapes = {}
     for item in series:
@@ -348,12 +339,10 @@ def _stage_timeline(ctx: Context, run_dir: Path) -> Rendered:
 
 
 def _stage_coding(ctx: Context, run_dir: Path) -> Rendered:
-    from .coding import write_coding_csv
+    from .coding import coding_csv
 
     taxonomy, result, rolled = ctx.coding
-    buffer = io.StringIO()
-    write_coding_csv(result, rolled, taxonomy, buffer)
-    artifact = _write_text(run_dir, "coding.csv", buffer.getvalue())
+    artifact = _write_text(run_dir, "coding.csv", coding_csv(result, rolled, taxonomy))
     summary = {
         "vocabulary_size": result.vocabulary_size,
         "uncategorized": len(result.uncategorized),
@@ -364,12 +353,10 @@ def _stage_coding(ctx: Context, run_dir: Path) -> Rendered:
 
 
 def _stage_pronouns(ctx: Context, run_dir: Path) -> Rendered:
-    from .coding import format_ratio, write_pronouns_csv
+    from .coding import format_ratio, pronouns_csv
 
     report = ctx.pronouns
-    buffer = io.StringIO()
-    write_pronouns_csv(report, buffer)
-    artifact = _write_text(run_dir, "pronouns.csv", buffer.getvalue())
+    artifact = _write_text(run_dir, "pronouns.csv", pronouns_csv(report))
     summary = {
         "them_total": report.them_total,
         "us_total": report.us_total,
@@ -379,12 +366,10 @@ def _stage_pronouns(ctx: Context, run_dir: Path) -> Rendered:
 
 
 def _stage_sentiment(ctx: Context, run_dir: Path) -> Rendered:
-    from .sentiment import write_power_csv
+    from .sentiment import power_csv
 
     grams, report = ctx.power
-    buffer = io.StringIO()
-    write_power_csv(report, buffer)
-    artifact = _write_text(run_dir, "power.csv", buffer.getvalue())
+    artifact = _write_text(run_dir, "power.csv", power_csv(report))
     summary = {
         "rows": len(report.rows),
         "distinct_2grams": len(grams),
@@ -395,8 +380,8 @@ def _stage_sentiment(ctx: Context, run_dir: Path) -> Rendered:
 
 _STAGES: dict[str, Callable[[Context, Path], Rendered]] = {
     "ingest": _stage_ingest,
-    "tags": _stage_tags,
-    "pairs": _stage_pairs,
+    "tags": partial(_stage_counts, "tags"),
+    "pairs": partial(_stage_counts, "pairs"),
     "graph": _stage_graph,
     "timeline": _stage_timeline,
     "coding": _stage_coding,

@@ -152,9 +152,12 @@ def power_report(
     return PowerReport(rows=tuple(rows))
 
 
-def write_power_csv(report: PowerReport, handle: io.TextIOBase) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
+def power_csv(report: PowerReport) -> str:
+    """One row per scored n-gram in rank order, then the power sum as a comment line."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["ngram", "freq", "strength", "power"])
     for row in report.rows:
         writer.writerow([" ".join(row.ngram), row.freq, row.strength, row.power])
-    handle.write(f"# sum_power,{report.sum_power}\n")
+    buffer.write(f"# sum_power,{report.sum_power}\n")
+    return buffer.getvalue()

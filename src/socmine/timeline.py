@@ -17,7 +17,7 @@ from .corpus import Corpus
 
 SHAPES = ("linear", "stepwise", "burst", "other")
 
-# Defaults calibrated on the synthetic fixtures; all exposed as parameters.
+# Thresholds calibrated on the synthetic fixtures.
 STEP_THRESHOLD = 0.4
 BURST_THRESHOLD = 0.6
 BURST_DAYS = 7
@@ -110,14 +110,7 @@ def _r_squared(values: Sequence[int]) -> float:
     return max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
 
 
-def classify_shape(
-    series: CumulativeSeries,
-    step_threshold: float = STEP_THRESHOLD,
-    burst_threshold: float = BURST_THRESHOLD,
-    burst_days: int = BURST_DAYS,
-    linear_r2: float = LINEAR_R2,
-    min_total: int = MIN_TOTAL,
-) -> ShapeVerdict:
+def classify_shape(series: CumulativeSeries) -> ShapeVerdict:
     """Classify a cumulative curve.
 
     Precedence: stepwise beats burst beats linear, because a single step
@@ -131,7 +124,7 @@ def classify_shape(
     if not days:
         return ShapeVerdict("other", 0.0, 0.0, 0.0, (date.min, date.min), "empty series")
 
-    window = min(burst_days, len(increments))
+    window = min(BURST_DAYS, len(increments))
     mass = sum(increments[:window])
     best_mass, best_start = mass, 0
     for i in range(1, len(increments) - window + 1):
@@ -147,16 +140,16 @@ def classify_shape(
     max_step = max(increments) / total
     burst_mass = best_mass / total
 
-    if total < min_total:
+    if total < MIN_TOTAL:
         return ShapeVerdict(
             "other", r2, max_step, burst_mass, burst_window,
-            f"total {total} below minimum {min_total}",
+            f"total {total} below minimum {MIN_TOTAL}",
         )
-    if max_step >= step_threshold:
+    if max_step >= STEP_THRESHOLD:
         shape = "stepwise"
-    elif burst_mass >= burst_threshold:
+    elif burst_mass >= BURST_THRESHOLD:
         shape = "burst"
-    elif r2 >= linear_r2:
+    elif r2 >= LINEAR_R2:
         shape = "linear"
     else:
         shape = "other"

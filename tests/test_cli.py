@@ -10,6 +10,7 @@ import pytest
 from helpers import FIXTURES
 from socmine.cli import main
 from socmine.config import STAGES, make_config
+from socmine.corpus import load_corpus, write_corpus
 from socmine.report import run_pipeline
 
 CORPUS = """\
@@ -380,23 +381,118 @@ SUBCOMMAND_OF_STAGE = {
 }
 
 
-# forum.jsonl holds no hashtags, so its timeline stage has nothing to plot.
+# forum.jsonl holds no hashtags, so its timeline stage plots nothing and
+# there are no tags to pass to `timeline --tags`.
 @pytest.mark.parametrize(
     "fixture,skip", [("twitter.jsonl", ()), ("forum.jsonl", ("timeline",))]
 )
 def test_each_subcommand_prints_its_run_artifact(tmp_path, capsys, fixture, skip):
     corpus = str(FIXTURES / fixture)
-    stages = [s for s in STAGES if s not in skip]
-    config = make_config(
-        {"corpus": {"path": corpus}, "run": {"stages": stages, "out_dir": "."}},
-        base_dir=tmp_path,
-    )
+    config = make_config({"corpus": {"path": corpus}, "run": {"out_dir": "."}}, base_dir=tmp_path)
     manifest = run_pipeline(config)
     capsys.readouterr()
     for stage in manifest.stages[1:]:
+        if stage.name in skip:
+            continue
         (command, *flags), artifact = SUBCOMMAND_OF_STAGE[stage.name]
         if stage.name == "timeline":
             flags.append(",".join(stage.summary["tags"]))
         assert main([command, corpus, *flags]) == 0
         printed = capsys.readouterr().out.encode("utf-8")
         assert printed == (manifest.run_dir / artifact).read_bytes(), command
+
+
+RICH_CORPUS = [
+    ("a", "2013-05-20T10:00:00Z", "policja na ulicy policja strzela", ["riots", "police", "husby"]),
+    ("b", "2013-05-21T10:00:00Z", "oni im nie pomogą my też nie", ["riots", "police"]),
+    ("c", "2013-05-21T18:00:00Z", "dobra policja dobra wiadomość", ["riots", "husby", "kista"]),
+    ("d", "2013-05-22T10:00:00Z", "policja używa gazu na ulicy", ["riots", "police", "husby"]),
+    ("e", "2013-05-23T10:00:00Z", "dobra wiadomość dla nas", ["kista"]),
+    ("f", "2013-05-24T10:00:00Z", "policja gazu policjanci strzela", ["svpol", "riots"]),
+]
+# Data files that differ from the bundled ones, so a flag that is dropped
+# changes the output.
+FLAG_DATA = {
+    "stops.txt": "ulicy\ngazu\n",
+    "taxonomy.tsv": "1\tStreet\n1\tulic\tprefix\n2\tPolice\n2\tpolicj\tprefix\n2\tgaz\tprefix\n",
+    "groups.tsv": "them\tthey\toni|im\nus\twe\tmy|nas\n",
+    "lexicon.tsv": "dobr\tpositive\t2\nstrzela\tnegative\t3\texact\n",
+}
+
+
+def _flag_case(stage, d):
+    """The subcommand of a stage with non-default flags, the same values as
+    config keys, and the run artifact its stdout must equal."""
+    corpus, csv_corpus, stops = str(d / "c.jsonl"), str(d / "c.csv"), str(d / "stops.txt")
+    window = "2013-05-21..2013-05-23"
+    return {
+        "tags": (
+            ["tags", csv_corpus, "--top", "0", "--format", "csv", "--window", window,
+             "--min-tags", "2"],
+            {"corpus": {"path": csv_corpus, "format": "csv", "window": window, "min_tags": 2},
+             "tags": {"top": 0}},
+            "tags.csv",
+        ),
+        "pairs": (
+            ["pairs", corpus, "--top", "0", "--min-tags", "3", "--jobs", "2"],
+            {"corpus": {"min_tags": 3}, "pairs": {"top": 0}, "run": {"jobs": 2}},
+            "pairs.csv",
+        ),
+        # kista is a whitelisted tag whose edges all fall below the threshold.
+        "graph": (
+            ["graph", corpus, "--threshold", "3", "--whitelist-top", "4", "--retain-isolates",
+             "--cap", "2", "--graph-format", "graphml"],
+            {"graph": {"threshold": 3, "whitelist_top": 4, "retain_isolates": True, "cap": 2,
+                       "format": "graphml"}},
+            "graph.graphml",
+        ),
+        "timeline": (
+            ["timeline", corpus, "--tags", "riots,kista", "--timeline-format", "svg",
+             "--window", window],
+            {"corpus": {"window": window},
+             "timeline": {"tags": ["riots", "kista"], "formats": ["svg"]}},
+            "timeline.svg",
+        ),
+        "coding": (
+            ["code", corpus, "--taxonomy", str(d / "taxonomy.tsv"), "--stopwords", stops,
+             "--min-freq", "2", "--occurrences"],
+            {"coding": {"taxonomy": str(d / "taxonomy.tsv"), "min_freq": 2, "occurrences": True},
+             "text": {"stopwords": stops}},
+            "coding.csv",
+        ),
+        "pronouns": (
+            ["pronouns", corpus, "--groups", str(d / "groups.tsv")],
+            {"pronouns": {"groups": str(d / "groups.tsv")}},
+            "pronouns.csv",
+        ),
+        "sentiment": (
+            ["sentiment", corpus, "--lexicon", str(d / "lexicon.tsv"), "--filter-stem", "policja",
+             "--filter-mode", "exact", "--min-freq", "1", "--stopwords", stops, "--jobs", "2"],
+            {"sentiment": {"lexicon": str(d / "lexicon.tsv"), "filter_stem": "policja",
+                           "filter_mode": "exact", "min_freq": 1},
+             "text": {"stopwords": stops}, "run": {"jobs": 2}},
+            "power.csv",
+        ),
+    }[stage]
+
+
+@pytest.mark.parametrize("stage", STAGES[1:])
+def test_each_flag_reaches_its_config_key(tmp_path, capsys, stage):
+    (tmp_path / "c.jsonl").write_text(
+        "".join(
+            json.dumps({"id": i, "ts": ts, "text": text, "tags": tags}, ensure_ascii=False) + "\n"
+            for i, ts, text, tags in RICH_CORPUS
+        ),
+        encoding="utf-8",
+    )
+    write_corpus(load_corpus(tmp_path / "c.jsonl")[0], tmp_path / "c.csv", fmt="csv")
+    for name, text in FLAG_DATA.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv, overrides, artifact = _flag_case(stage, tmp_path)
+    overrides.setdefault("corpus", {}).setdefault("path", argv[1])
+    overrides.setdefault("run", {}).update(stages=[stage], out_dir=".")
+    manifest = run_pipeline(make_config(overrides, base_dir=tmp_path))
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    assert printed == (manifest.run_dir / artifact).read_bytes()

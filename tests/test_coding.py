@@ -1,4 +1,3 @@
-import io
 import math
 
 import pytest
@@ -10,14 +9,14 @@ from socmine.coding import (
     Category,
     Taxonomy,
     code_vocabulary,
+    coding_csv,
     format_ratio,
     load_pronoun_groups,
     load_taxonomy,
     pronoun_orientation,
+    pronouns_csv,
     rollup,
     surface_counts,
-    write_coding_csv,
-    write_pronouns_csv,
 )
 from socmine.errors import DataError
 from socmine.resources import default_data_path
@@ -184,9 +183,7 @@ def test_coding_csv_golden():
     taxonomy = load_taxonomy(default_data_path("taxonomy.tsv"))
     result = code_vocabulary(surface_counts(corpus), taxonomy, NO_STOPS)
     rolled = rollup(result, taxonomy)
-    buffer = io.StringIO()
-    write_coding_csv(result, rolled, taxonomy, buffer)
-    assert buffer.getvalue() == (GOLDEN / "coding_20words.csv").read_text(encoding="utf-8")
+    assert coding_csv(result, rolled, taxonomy) == (GOLDEN / "coding_20words.csv").read_text(encoding="utf-8")
 
 
 def test_load_pronoun_groups(tmp_path):
@@ -247,9 +244,7 @@ def test_pronoun_ratio_inf_when_us_absent():
 def test_pronouns_csv_footer():
     groups = load_pronoun_groups(default_data_path("pronouns.tsv"))
     corpus = make_corpus(("a", 0, (), "oni i my"))
-    buffer = io.StringIO()
-    write_pronouns_csv(pronoun_orientation(surface_counts(corpus), groups), buffer)
-    text = buffer.getvalue()
+    text = pronouns_csv(pronoun_orientation(surface_counts(corpus), groups))
     assert text.startswith("label,group,surface,count\n")
     assert "# them_total,1\n" in text
     assert "# us_total,1\n" in text

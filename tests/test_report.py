@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from helpers import FIXTURES
-from socmine.config import make_config
+from socmine.config import STAGES, make_config
 from socmine.errors import DataError, UsageError
 from socmine.report import MANIFEST_NAME, run_pipeline
 
@@ -90,6 +90,30 @@ def test_stage_subset_and_summaries(workspace):
     assert tags["top"][0] == ["riots", 3]
     names = {p.name for p in Path(manifest.run_dir).iterdir()}
     assert names == {"tags.csv", "pairs.csv", MANIFEST_NAME}
+
+
+def test_top_0_summarizes_every_row(workspace):
+    config = _config(
+        workspace, run={"stages": ["tags", "pairs"]}, tags={"top": 0}, pairs={"top": 0}
+    )
+    for stage in run_pipeline(config).stages:
+        summary = stage.summary
+        assert len(summary["top"]) == summary["distinct"] > 0, stage.name
+    assert summary["top"][0] == ["police", "riots", 2]
+
+
+def test_timeline_with_no_tags_writes_no_file(tmp_path):
+    # The default run, on a corpus without hashtags.
+    config = make_config(
+        {"corpus": {"path": str(FIXTURES / "forum.jsonl")}, "run": {"out_dir": "runs"}},
+        base_dir=tmp_path,
+    )
+    manifest = run_pipeline(config)
+    assert [s.name for s in manifest.stages] == list(STAGES)
+    timeline = manifest.stages[STAGES.index("timeline")]
+    assert timeline.artifacts == ()
+    assert timeline.summary == {"tags": [], "shapes": {}}
+    assert not list(Path(manifest.run_dir).glob("timeline.*"))
 
 
 def test_text_stages_tokenize_each_document_once(workspace, monkeypatch):
@@ -222,17 +246,23 @@ def test_failed_rerun_keeps_existing_run_dir(workspace):
 
 
 def test_failed_rerun_leaves_every_file_untouched(workspace):
+    taxonomy = workspace / "taxonomy.tsv"
+    taxonomy.write_text("1\tPolice\n1\tpolicj\tprefix\n", encoding="utf-8")
     config = _config(
-        workspace, run={"stages": ["ingest", "tags", "timeline"]}, timeline={"tags": []}
+        workspace,
+        run={"stages": ["ingest", "tags", "coding"]},
+        coding={"taxonomy": "taxonomy.tsv"},
     )
     run_dir = Path(run_pipeline(config).run_dir)
     first = {p.name: p.read_bytes() for p in run_dir.iterdir()}
-    # Same config, so same run directory; no tags, so the timeline stage fails
-    # after ingest and tags have written their artifacts.
+    # Same config, so same run directory; the taxonomy no longer loads, so
+    # the coding stage fails after ingest and tags have written new artifacts.
     (workspace / "corpus.jsonl").write_text(
-        '{"id": "z", "ts": "2013-05-20T10:00:00Z", "text": "nic"}\n', encoding="utf-8"
+        '{"id": "z", "ts": "2013-05-20T10:00:00Z", "text": "nic", "tags": ["z"]}\n',
+        encoding="utf-8",
     )
-    with pytest.raises(DataError, match="stage timeline: .*no tags"):
+    taxonomy.write_text("1\tPolice\n2\tpolicj\tprefix\n", encoding="utf-8")
+    with pytest.raises(DataError, match="stage coding: line 2: unknown category id"):
         run_pipeline(config)
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == first
     assert [p.name for p in (workspace / "runs").iterdir()] == [run_dir.name]

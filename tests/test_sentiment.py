@@ -1,5 +1,3 @@
-import io
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,9 +9,9 @@ from socmine.sentiment import (
     LexiconEntry,
     SentimentLexicon,
     load_lexicon,
+    power_csv,
     power_report,
     score_text,
-    write_power_csv,
 )
 from socmine.text import MIN_PREFIX_STEM, tokenize
 
@@ -188,6 +186,4 @@ def test_power_csv_golden():
         )
     )
     table = CountTable({("bad", "news"): 3, ("good", "news"): 2, ("plain", "news"): 2})
-    buffer = io.StringIO()
-    write_power_csv(power_report(table, lexicon), buffer)
-    assert buffer.getvalue() == (GOLDEN / "power_small.csv").read_text(encoding="utf-8")
+    assert power_csv(power_report(table, lexicon)) == (GOLDEN / "power_small.csv").read_text(encoding="utf-8")

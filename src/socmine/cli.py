@@ -1,14 +1,14 @@
 """Command-line front end.
 
 One subcommand per analysis step, plus `run` for the full configured
-pipeline. The flags of an analysis subcommand are config keys: each
-flag's dest is the key it sets (`--threshold` sets `graph.threshold`),
-a flag that is not given sets nothing, and _context lays the given ones
-over config.DEFAULTS and checks them like a config file, so every
-default lives there. The subcommand then prints what its `run` stage
-writes, from the same report.Context property and serializer. Only
-`ingest --out`, `timeline --timeline-format`/`--classify` and the flags
-of `run` are not config keys.
+pipeline. Flags are config keys: a flag's dest is the key it sets
+(`--threshold` sets `graph.threshold`), one not given sets nothing, and
+_overrides lays the given ones over config.DEFAULTS, or over the config
+file for `run`, for merge_config to check. So every default and value
+rule lives in config, and a bad value exits 2 naming its key. An analysis
+subcommand prints what its `run` stage writes, from the same
+report.Context property and serializer. Only `ingest --out`, `timeline
+--timeline-format`/`--classify` and `run --config` are not config keys.
 This module imports no analysis module: each cmd_* imports its own
 serializer and _context imports report, so a subcommand loads only the
 modules it runs, and only `run` loads PyYAML.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__
 from .errors import DataError, UsageError
@@ -37,17 +37,22 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _context(args: argparse.Namespace) -> Context:
-    """The flags whose dest is a `section.key` over the defaults, checked like a config."""
-    from .config import merge_config
-    from .report import Context
-
-    overrides: dict[str, dict] = {}
+def _overrides(args: argparse.Namespace, base: Mapping[str, Mapping] | None = None) -> dict:
+    """The flags whose dest is a `section.key`, laid over a copy of base."""
+    overrides = {section: dict(values) for section, values in (base or {}).items()}
     for dest, value in vars(args).items():
         section, dot, key = dest.partition(".")
         if dot:
             overrides.setdefault(section, {})[key] = value
-    return Context(merge_config(overrides))
+    return overrides
+
+
+def _context(args: argparse.Namespace) -> Context:
+    """The given flags over the defaults, checked like a config."""
+    from .config import merge_config
+    from .report import Context
+
+    return Context(merge_config(_overrides(args)))
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -132,14 +137,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     from .report import run_pipeline
 
     config = load_config(args.config)
-    if args.jobs or args.out_dir:
-        raw = {section: dict(values) for section, values in config.raw.items()}
-        if args.jobs:
-            raw["run"]["jobs"] = args.jobs
-        if args.out_dir:
-            raw["run"]["out_dir"] = str(Path(args.out_dir).resolve())
-        config = make_config(raw, base_dir=config.base_dir)
-    manifest = run_pipeline(config)
+    manifest = run_pipeline(make_config(_overrides(args, config.raw), base_dir=config.base_dir))
     print(manifest.console_summary())
     return 0
 
@@ -157,8 +155,7 @@ def build_parser() -> Parser:
         """An analysis subcommand: a flag that is not given sets no config key."""
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         p.add_argument("corpus.path", metavar="corpus", help="corpus file to analyze")
-        p.add_argument("--format", dest="corpus.format", choices=("jsonl", "csv"),
-                       help="corpus file format")
+        p.add_argument("--format", dest="corpus.format", help="corpus file format")
         p.add_argument("--window", dest="corpus.window", metavar="START..END",
                        help="keep documents inside this span")
         p.add_argument("--min-tags", dest="corpus.min_tags", type=int,
@@ -175,17 +172,15 @@ def build_parser() -> Parser:
     ):
         p = analysis(name, help)
         p.add_argument("--top", dest=f"{name}.top", type=int, help="rows to print, 0 for all")
-        p.add_argument("--jobs", dest="run.jobs", type=int)
         p.set_defaults(func=cmd_counts)
 
     p = analysis("graph", "export the tag co-occurrence graph")
     p.add_argument("--threshold", dest="graph.threshold", type=int, help="minimum edge weight kept")
-    p.add_argument("--graph-format", dest="graph.format", choices=("dot", "graphml"))
+    p.add_argument("--graph-format", dest="graph.format")
     p.add_argument("--cap", dest="graph.cap", type=int, help="drawn edge width cap, 0 for none")
     p.add_argument("--whitelist-top", dest="graph.whitelist_top", type=int,
                    help="restrict nodes to the top N tags")
     p.add_argument("--retain-isolates", dest="graph.retain_isolates", action="store_true")
-    p.add_argument("--jobs", dest="run.jobs", type=int)
     p.set_defaults(func=cmd_graph)
 
     p = analysis("timeline", "cumulative per-tag activity over time")
@@ -215,19 +210,21 @@ def build_parser() -> Parser:
                    help="lexicon file, bundled one by default")
     p.add_argument("--filter-stem", dest="sentiment.filter_stem",
                    help="keep 2-grams touching this stem")
-    p.add_argument("--filter-mode", dest="sentiment.filter_mode", choices=("prefix", "exact"))
+    p.add_argument("--filter-mode", dest="sentiment.filter_mode")
     p.add_argument("--min-freq", dest="sentiment.min_freq", type=int)
     p.add_argument("--stopwords", dest="text.stopwords",
                    help="stopword file, bundled one by default")
-    p.add_argument("--jobs", dest="run.jobs", type=int)
     p.set_defaults(func=cmd_sentiment)
 
-    p = sub.add_parser("run", help="run the configured pipeline end to end")
+    p = sub.add_parser("run", help="run the configured pipeline end to end",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--config", required=True, help="pipeline config file (YAML)")
-    p.add_argument("--jobs", type=int, default=0, help="override run.jobs")
-    p.add_argument("--out-dir", default="", help="override run.out_dir")
+    p.add_argument("--out-dir", dest="run.out_dir", type=lambda path: str(Path(path).resolve()),
+                   help="run directory parent, relative to the working directory")
     p.set_defaults(func=cmd_run)
 
+    for name in ("tags", "pairs", "graph", "sentiment", "run"):
+        sub.choices[name].add_argument("--jobs", dest="run.jobs", type=int)
     return parser
 
 

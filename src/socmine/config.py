@@ -1,8 +1,8 @@
 """Pipeline configuration.
 
-Configs are YAML mappings merged over DEFAULTS. Path-valued settings are
-resolved relative to the config file's directory; empty path settings
-mean "use the bundled data file" where one exists.
+Configs are YAML mappings merged over DEFAULTS and checked against RULES.
+Path-valued settings are resolved relative to the config file's directory;
+empty path settings mean "use the bundled data file" where one exists.
 
 The config digest is computed from the merged values before path
 resolution, minus run.jobs and run.out_dir, so the same analysis recipe
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from .corpus import _check_tag, normalize_tag
+from .corpus import _check_tag, normalize_tag, parse_window
 from .errors import DataError
 from .text import KeywordFamily
 
@@ -86,18 +86,35 @@ DEFAULTS: dict[str, dict[str, Any]] = {
     },
 }
 
+# The value rule of a key: its minimum, or the values it (or each entry of
+# a list) may take. merge_config checks config files and flags against it.
+RULES: dict[str, int | tuple[str, ...]] = {
+    "corpus.format": ("jsonl", "csv"),
+    "corpus.min_tags": 0,
+    "run.jobs": 1,
+    "tags.top": 0,
+    "pairs.top": 0,
+    "graph.threshold": 1,
+    "graph.whitelist_top": 0,
+    "graph.format": ("dot", "graphml"),
+    "graph.cap": 0,
+    "timeline.top": 0,
+    "timeline.formats": ("csv", "svg"),
+    "coding.min_freq": 1,
+    "sentiment.filter_mode": ("prefix", "exact"),
+    "sentiment.min_freq": 1,
+}
+
+# A key's type is its default's; bool first, as it is an int subclass.
+_KINDS = ((bool, "a boolean"), (int, "an integer"), (str, "a string"),
+          (list, "a list"), (dict, "a mapping"))
+
 # Settings that name files or directories, resolved against the config dir.
-_PATH_KEYS = (
-    ("corpus", "path"),
-    ("run", "out_dir"),
-    ("text", "stopwords"),
-    ("coding", "taxonomy"),
-    ("pronouns", "groups"),
-    ("sentiment", "lexicon"),
-)
+_PATH_KEYS = ("corpus.path", "run.out_dir", "text.stopwords", "coding.taxonomy",
+              "pronouns.groups", "sentiment.lexicon")
 
 # Excluded from the digest: neither changes what gets computed.
-_DIGEST_EXEMPT = (("run", "jobs"), ("run", "out_dir"))
+_DIGEST_EXEMPT = ("run.jobs", "run.out_dir")
 
 
 @dataclass(frozen=True)
@@ -119,18 +136,9 @@ def _merge_section(section: str, defaults: dict, overrides: Mapping) -> dict:
     for key, value in overrides.items():
         if key not in defaults:
             raise DataError(f"unknown config key {section}.{key}")
-        default = defaults[key]
-        if isinstance(default, bool) and not isinstance(value, bool):
-            raise DataError(f"config key {section}.{key} must be a boolean")
-        if isinstance(default, int) and not isinstance(default, bool):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise DataError(f"config key {section}.{key} must be an integer")
-        if isinstance(default, str) and not isinstance(value, str):
-            raise DataError(f"config key {section}.{key} must be a string")
-        if isinstance(default, list) and not isinstance(value, list):
-            raise DataError(f"config key {section}.{key} must be a list")
-        if isinstance(default, dict) and not isinstance(value, dict):
-            raise DataError(f"config key {section}.{key} must be a mapping")
+        kind, name = next(k for k in _KINDS if isinstance(defaults[key], k[0]))
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise DataError(f"config key {section}.{key} must be {name}")
         merged[key] = copy.deepcopy(value)
     return merged
 
@@ -152,47 +160,36 @@ def merge_config(overrides: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _validate(values: dict[str, Any]) -> None:
-    run = values["run"]
-    if run["jobs"] < 1:
-        raise DataError("run.jobs must be >= 1")
-    unknown = [s for s in run["stages"] if s not in STAGES]
+    for name, rule in RULES.items():
+        section, key = name.split(".")
+        value = values[section][key]
+        if isinstance(rule, int):
+            if value < rule:
+                raise DataError(f"{name} must be >= {rule}")
+        elif not all(entry in rule for entry in (value if isinstance(value, list) else [value])):
+            which = " entries" if isinstance(value, list) else ""
+            raise DataError(f"{name}{which} must be {' or '.join(map(repr, rule))}")
+    stages = values["run"]["stages"]
+    if not stages:
+        raise DataError("run.stages selects no stages")
+    unknown = [s for s in stages if s not in STAGES]
     if unknown:
         raise DataError(f"unknown stages in run.stages: {unknown}")
-    if values["corpus"]["format"] not in ("jsonl", "csv"):
-        raise DataError("corpus.format must be 'jsonl' or 'csv'")
     aliases = values["corpus"]["aliases"].items()
     if not all(isinstance(k, str) and isinstance(v, str) for k, v in aliases):
         raise DataError("corpus.aliases must map strings to strings")
-    if not all(isinstance(tag, str) for tag in values["timeline"]["tags"]):
-        raise DataError("timeline.tags entries must be strings")
     for tag in values["timeline"]["tags"]:
+        if not isinstance(tag, str):
+            raise DataError("timeline.tags entries must be strings")
         try:
             _check_tag(normalize_tag(tag, values["corpus"]["aliases"]))
         except ValueError as exc:
             raise DataError(f"timeline.tags entry {tag!r}: {exc}") from exc
-    for section, key in (
-        ("corpus", "min_tags"),
-        ("tags", "top"),
-        ("pairs", "top"),
-        ("graph", "whitelist_top"),
-        ("graph", "cap"),
-        ("timeline", "top"),
-    ):
-        if values[section][key] < 0:
-            raise DataError(f"{section}.{key} must be >= 0")
-    if values["graph"]["threshold"] < 1:
-        raise DataError("graph.threshold must be >= 1")
-    if values["graph"]["format"] not in ("dot", "graphml"):
-        raise DataError("graph.format must be 'dot' or 'graphml'")
-    for fmt in values["timeline"]["formats"]:
-        if fmt not in ("csv", "svg"):
-            raise DataError("timeline.formats entries must be 'csv' or 'svg'")
-    if values["coding"]["min_freq"] < 1:
-        raise DataError("coding.min_freq must be >= 1")
-    if values["sentiment"]["min_freq"] < 1:
-        raise DataError("sentiment.min_freq must be >= 1")
-    if values["sentiment"]["filter_mode"] not in ("prefix", "exact"):
-        raise DataError("sentiment.filter_mode must be 'prefix' or 'exact'")
+    if values["corpus"]["window"]:
+        try:
+            parse_window(values["corpus"]["window"])
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"corpus.window: {exc}") from exc
     if values["sentiment"]["filter_stem"]:
         try:
             KeywordFamily(values["sentiment"]["filter_stem"], values["sentiment"]["filter_mode"])
@@ -202,7 +199,8 @@ def _validate(values: dict[str, Any]) -> None:
 
 def _resolve_paths(values: dict[str, Any], base_dir: Path) -> dict[str, Any]:
     resolved = copy.deepcopy(values)
-    for section, key in _PATH_KEYS:
+    for name in _PATH_KEYS:
+        section, key = name.split(".")
         value = resolved[section][key]
         if value:
             resolved[section][key] = str((base_dir / value).resolve())
@@ -237,7 +235,8 @@ def load_config(path: str | Path) -> Config:
 def digest_view(raw_values: Mapping[str, Any]) -> dict[str, Any]:
     """The config as hashed: merged raw values minus run.jobs and run.out_dir."""
     redacted = copy.deepcopy(dict(raw_values))
-    for section, key in _DIGEST_EXEMPT:
+    for name in _DIGEST_EXEMPT:
+        section, key = name.split(".")
         redacted.get(section, {}).pop(key, None)
     return redacted
 

@@ -399,8 +399,6 @@ def run_pipeline(config: Config) -> RunManifest:
     if not corpus_cfg["path"]:
         raise UsageError("corpus.path is required")
     enabled = [s for s in STAGES if s in run_cfg["stages"]]
-    if not enabled:
-        raise UsageError("run.stages selects no stages")
 
     run_id = config.digest
     out_dir = Path(run_cfg["out_dir"])

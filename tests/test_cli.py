@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import os
@@ -8,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from helpers import FIXTURES
-from socmine.cli import main
-from socmine.config import STAGES, make_config
+from socmine.cli import build_parser, main
+from socmine.config import RULES, STAGES, load_config, make_config
 from socmine.corpus import load_corpus, write_corpus
 from socmine.report import run_pipeline
 
@@ -172,6 +173,14 @@ def test_timeline_tags_are_normalized(corpus_file, capsys, spelling):
         (["sentiment", "--filter-stem", "AB", "--filter-mode", "exact"], "sentiment.filter_stem"),
         (["tags", "--top", "-1"], "tags.top must be >= 0"),
         (["pairs", "--top", "-1"], "pairs.top must be >= 0"),
+        (["tags", "--window", "notawindow"], "corpus.window"),
+        (["tags", "--window", "2013-05-22..2013-05-20"], "corpus.window"),
+        (["ingest", "--format", "xml"], "corpus.format must be 'jsonl' or 'csv'"),
+        (["graph", "--graph-format", "gexf"], "graph.format must be 'dot' or 'graphml'"),
+        (
+            ["sentiment", "--filter-mode", "suffix"],
+            "sentiment.filter_mode must be 'prefix' or 'exact'",
+        ),
     ],
 )
 def test_flag_errors_name_the_config_key(corpus_file, capsys, flags, key):
@@ -250,6 +259,65 @@ def test_run_out_dir_override(corpus_file, tmp_path, capsys):
     capsys.readouterr()
     assert elsewhere.exists()
     assert len(list(elsewhere.iterdir())) == 1
+
+
+@pytest.fixture()
+def run_config(corpus_file, tmp_path, monkeypatch):
+    """A config in its own directory, run from another working directory."""
+    path = tmp_path / "conf" / "run.yaml"
+    path.parent.mkdir()
+    path.write_text(
+        f"corpus:\n  path: {json.dumps(str(corpus_file))}\nrun:\n  stages: [tags]\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    return path
+
+
+def test_run_jobs_0_exits_2_before_staging(run_config, capsys):
+    assert main(["run", "--config", str(run_config), "--jobs", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "run.jobs must be >= 1" in captured.err
+    assert sorted(run_config.parent.iterdir()) == [run_config]
+    assert list(Path.cwd().iterdir()) == []
+
+
+# A config's `run.out_dir: ""` also means the working directory.
+@pytest.mark.parametrize("out_dir,under", [("out", "out"), ("", ".")])
+def test_run_out_dir_resolves_against_working_directory(run_config, capsys, out_dir, under):
+    assert main(["run", "--config", str(run_config), "--out-dir", out_dir]) == 0
+    capsys.readouterr()
+    digest = load_config(run_config).digest
+    assert (Path.cwd() / under / digest / "manifest.json").is_file()
+    assert sorted(run_config.parent.iterdir()) == [run_config]
+
+
+def test_every_config_key_flag_is_checked_by_its_rule(corpus_file, run_config, capsys):
+    # A flag that sets a key with a value rule leaves the check to
+    # merge_config: a choices= in argparse would exit 1 and name no key.
+    actions = build_parser()._actions
+    subparsers = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+    given = {
+        "run": ["run", "--config", str(run_config)],
+        "timeline": ["timeline", str(corpus_file), "--tags", "riots"],
+    }
+    checked = set()
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            rule = RULES.get(action.dest)
+            if rule is None:
+                continue
+            bad = str(rule - 1) if isinstance(rule, int) else "bogus"
+            argv = [*given.get(command, [command, str(corpus_file)]), action.option_strings[0], bad]
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert action.dest in captured.err, argv
+            checked.add(action.dest)
+    # Only timeline.top and timeline.formats are set by no flag.
+    assert checked == RULES.keys() - {"timeline.top", "timeline.formats"}
 
 
 def test_version(capsys):

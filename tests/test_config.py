@@ -1,10 +1,14 @@
 import hashlib
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import socmine
 from socmine.config import (
     DEFAULTS,
+    RULES,
     STAGES,
     config_digest,
     digest_view,
@@ -74,6 +78,14 @@ def test_merge_rejects_unknowns_and_bad_types(overrides, message):
             {"sentiment": {"filter_stem": "AB", "filter_mode": "exact"}},
             "sentiment.filter_stem: keyword family stem must be lowercase",
         ),
+        ({"run": {"stages": []}}, "run.stages selects no stages"),
+        ({"corpus": {"window": "2013-05-20"}}, "corpus.window: window must look like START..END"),
+        ({"corpus": {"window": "2013-05-22..2013-05-20"}}, "corpus.window: window start after end"),
+        ({"corpus": {"window": "2013-05-20..never"}}, "corpus.window: Invalid isoformat"),
+        (
+            {"corpus": {"window": "0001-01-01T00:00:00+01:00..2013-01-01"}},
+            "corpus.window: date value out of range",
+        ),
     ],
 )
 def test_validation_errors(overrides, message):
@@ -82,6 +94,21 @@ def test_validation_errors(overrides, message):
     # The same rules check command-line flags, which skip make_config.
     with pytest.raises(DataError, match=message):
         merge_config(overrides)
+
+
+MINIMUMS = sorted((name, rule) for name, rule in RULES.items() if isinstance(rule, int))
+
+
+@given(st.sampled_from(MINIMUMS), st.integers(-3, 3))
+def test_each_minimum_rejects_exactly_the_values_below_it(rule, offset):
+    name, minimum = rule
+    section, key = name.split(".")
+    value = minimum + offset
+    if value < minimum:
+        with pytest.raises(DataError, match=re.escape(f"{name} must be >= {minimum}")):
+            merge_config({section: {key: value}})
+    else:
+        assert merge_config({section: {key: value}})[section][key] == value
 
 
 def test_digest_ignores_jobs_and_out_dir():

@@ -218,8 +218,8 @@ def test_dyads_csv_quotes_tags_with_commas(workspace):
 def test_pipeline_requires_corpus_and_stages(workspace):
     with pytest.raises(UsageError, match="corpus.path"):
         run_pipeline(make_config({}, base_dir=workspace))
-    with pytest.raises(UsageError, match="no stages"):
-        run_pipeline(_config(workspace, run={"stages": []}))
+    with pytest.raises(DataError, match="no stages"):
+        _config(workspace, run={"stages": []})
 
 
 def test_stage_errors_are_prefixed_and_run_dir_cleaned(workspace):

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -41,7 +42,8 @@ def normalize_tag(raw: str, aliases: Mapping[str, str] | None = None) -> str:
 _BAD_TAG_CHAR = re.compile(r"[#\s\x00-\x1f\ud800-\udfff\ufffe\uffff]")
 
 # A JSON escape such as "\ud800" decodes to a lone surrogate, which no
-# UTF-8 writer can encode.
+# UTF-8 writer can encode. Both formats are decoded strictly, so a record
+# can hold one only when its JSONL line holds a backslash-u.
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 # What the surrogateescape error handler makes of bytes that are not UTF-8.
@@ -179,9 +181,12 @@ def _record_to_document(
     line: int,
     aliases: Mapping[str, str] | None,
     known_tags: dict[str, str],
+    escaped: bool,
 ) -> Document:
     """Check one record and build its Document. known_tags holds each raw
-    tag spelling this load has accepted, normalized, so each is checked once."""
+    tag spelling this load has accepted, normalized, so each is checked once.
+    `escaped` says whether the record's line holds a backslash-u, without
+    which it holds no lone surrogate."""
     doc_id = record.get("id")
     if not isinstance(doc_id, str) or not doc_id:
         raise _malformed(line, "id", "must be a non-empty string")
@@ -201,9 +206,10 @@ def _record_to_document(
     lang = record.get("lang") or None
     if lang is not None and not isinstance(lang, str):
         raise _malformed(line, "lang", "must be a string")
-    for fieldname, value in (("id", doc_id), ("text", text), ("lang", lang)):
-        if value and _SURROGATE.search(value):
-            raise _malformed(line, fieldname, "contains a lone surrogate")
+    if escaped:
+        for fieldname, value in (("id", doc_id), ("text", text), ("lang", lang)):
+            if value and _SURROGATE.search(value):
+                raise _malformed(line, fieldname, "contains a lone surrogate")
 
     tags_raw = record.get("tags", [])
     if isinstance(tags_raw, str):
@@ -249,7 +255,8 @@ def _undecodable(path: Path) -> DataError:
     return DataError(f"{path}: invalid UTF-8")
 
 
-def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, object]]]:
+def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, object], bool]]:
+    """(line number, record, whether its line holds a backslash-u) per record."""
     if fmt == "jsonl":
         with path.open(encoding="utf-8-sig") as handle:
             for line_no, line in enumerate(handle, start=1):
@@ -261,7 +268,7 @@ def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, obje
                     raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
                 if not isinstance(record, dict):
                     raise DataError(f"line {line_no}: record is not a JSON object")
-                yield line_no, record
+                yield line_no, record, "\\u" in line
     elif fmt == "csv":
         with path.open(encoding="utf-8-sig", newline="") as handle:
             reader = csv.DictReader(handle)
@@ -271,7 +278,7 @@ def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, obje
             if missing:
                 raise DataError(f"line 1: CSV header missing columns {missing}")
             for record in reader:
-                yield reader.line_num, record
+                yield reader.line_num, record, False
     else:
         raise ValueError(f"unknown corpus format: {fmt!r}")
 
@@ -299,9 +306,9 @@ def load_corpus(
     seen_ids: dict[str, int] = {}
     known_tags: dict[str, str] = {}
     try:
-        for line_no, record in _iter_records(path, fmt):
+        for line_no, record, escaped in _iter_records(path, fmt):
             report.records_read += 1
-            doc = _record_to_document(record, line_no, aliases, known_tags)
+            doc = _record_to_document(record, line_no, aliases, known_tags, escaped)
             if doc.id in seen_ids:
                 raise DataError(
                     f"line {line_no}: duplicate id {doc.id!r} "
@@ -337,18 +344,19 @@ def write_corpus(corpus: Corpus, path: str | Path, fmt: str = "jsonl") -> None:
     """Serialize a corpus so that loading it back yields an equal Corpus."""
     path = Path(path)
     if fmt == "jsonl":
-        encode = json.JSONEncoder(ensure_ascii=False).encode
+        # The bytes of json.JSONEncoder(ensure_ascii=False).encode(record)
+        # for the record {id, ts, text, tags, lang, source}, one line at a
+        # time so the file is never held in memory.
+        quote = encode_basestring
         with path.open("w", encoding="utf-8", newline="\n") as handle:
             for doc in corpus:
-                record = {
-                    "id": doc.id,
-                    "ts": _iso_utc(doc.timestamp),
-                    "text": doc.text,
-                    "tags": list(doc.hashtags),
-                    "lang": doc.lang,
-                    "source": doc.source,
-                }
-                handle.write(encode(record) + "\n")
+                tags = ", ".join([quote(tag) for tag in doc.hashtags])
+                lang = "null" if doc.lang is None else quote(doc.lang)
+                handle.write(
+                    f'{{"id": {quote(doc.id)}, "ts": "{_iso_utc(doc.timestamp)}", '
+                    f'"text": {quote(doc.text)}, "tags": [{tags}], "lang": {lang}, '
+                    f'"source": {quote(doc.source)}}}\n'
+                )
     elif fmt == "csv":
         with path.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")

@@ -5,13 +5,11 @@ Exports are byte-deterministic: nodes and edges are emitted in sorted order.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Mapping
 
-from .ngrams import CountTable, _rank_key
+from .ngrams import CountTable, _csv_text, ranked
 
 FORMATS = ("dot", "graphml")
 
@@ -49,14 +47,13 @@ def build_graph(
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     whitelist = set(node_whitelist) if node_whitelist is not None else None
 
-    kept = [
-        ((a, b), count)
+    kept = {
+        (a, b): count
         for (a, b), count in pairs.entries.items()
         if count >= threshold
         and (whitelist is None or (a in whitelist and b in whitelist))
-    ]
-    kept.sort(key=_rank_key)
-    edges = dict(kept)
+    }
+    edges = dict(ranked(CountTable(kept)))
 
     nodes = {tag for pair in edges for tag in pair}
     if retain_isolates and whitelist is not None:
@@ -103,14 +100,12 @@ def dyad_report(graph: CooccurrenceGraph, k: int) -> list[tuple[str, str, int, f
 def dyads_csv(graph: CooccurrenceGraph) -> str:
     """Every edge as a tag_a,tag_b,weight,ratio row in rank order, the ratio
     written with 4 decimals."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["tag_a", "tag_b", "weight", "ratio"])
-    writer.writerows(
+    rows = [
         (a, b, weight, f"{ratio:.4f}")
         for a, b, weight, ratio in dyad_report(graph, max(1, len(graph.edges)))
-    )
-    return buffer.getvalue()
+    ]
+    lines = [f"{a},{b},{weight},{ratio}\n" for a, b, weight, ratio in rows]
+    return _csv_text("tag_a,tag_b,weight,ratio", lines, rows)
 
 
 def _render_width(weight: int, cap: int) -> int:

@@ -1,5 +1,9 @@
 """Tag frequencies, hashtag pair co-occurrence, and token 2-gram counting.
 
+`ranked` defines rank order for every ranked table, artifact and graph:
+descending count, ties ascending by key. `top_k` takes the same first rows
+from a heap keyed by `_rank_key`, the one other place that order is spelled.
+
 Counting runs in one thread. The counters accept `jobs` and reject values
 below 1, but do not use it, and the run context never passes it: a thread
 pool only added overhead, because the interpreter lock lets one thread at a
@@ -13,8 +17,8 @@ import heapq
 import io
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from itertools import combinations, repeat
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus, Document
 # tokenize is not called here (Document.tokens calls it) but stays bound:
@@ -56,23 +60,19 @@ class CountTable:
         return key in self.entries
 
 
-def _count(
-    items: Iterable,
-    keys_of: Callable[[object], Iterable[Key]],
-    jobs: int,
-) -> CountTable:
-    """Count the keys of every item; `jobs` is checked but changes nothing."""
+def _count(key_lists: Iterable[Iterable[Key]], jobs: int) -> CountTable:
+    """Count the keys of every list; `jobs` is checked but changes nothing."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     counts: Counter = Counter()
-    for item in items:
-        counts.update(keys_of(item))
+    for keys in key_lists:
+        counts.update(keys)
     return CountTable(dict(counts))
 
 
 def count_tags(corpus: Corpus, jobs: int = 1) -> CountTable:
     """Per-document distinct hashtag counts: each tag counts once per document."""
-    return _count(corpus.documents, lambda d: set(d.hashtags), jobs)
+    return _count((set(d.hashtags) for d in corpus.documents), jobs)
 
 
 def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> CountTable:
@@ -82,9 +82,12 @@ def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> CountTable:
     fewer than two distinct tags contribute nothing. Keys are plain (a, b)
     tuples with a < b, which hash and compare equal to the same TagPair.
     """
-    return _count(
-        corpus.documents, lambda d: combinations(sorted(set(d.hashtags)), 2), jobs
+    pairs = (
+        combinations(sorted(set(d.hashtags)), 2)
+        for d in corpus.documents
+        if len(d.hashtags) > 1
     )
+    return _count(pairs, jobs)
 
 
 def count_token_2grams(
@@ -109,17 +112,17 @@ def count_token_2grams(
             if filter_term.matches(gram[0]) or filter_term.matches(gram[1])
         ]
 
-    return _count(documents, grams_of, jobs)
+    return _count(map(grams_of, documents), jobs)
 
 
 # Per-item helpers stay private: a benchmark tracer wraps every public
 # function, and wrapping one called once per table entry slows its caller.
 def _rank_key(item: tuple[Key, int]) -> tuple:
-    """Descending count, ties ascending by key, as one flat tuple.
+    """top_k's heap key: the rank order of `ranked` as one flat tuple,
+    (-count, *key) for a pair key and (-count, key) otherwise.
 
-    A flat (-count, a, b) sorts faster than (-count, TagPair): list.sort
-    compares exact tuples of str and int on its fast path, and a nested
-    tuple subclass takes the generic one. The order is the same.
+    A flat tuple compares faster than (-count, TagPair): exact tuples of
+    str and int take the fast comparison path, a nested subclass does not.
     """
     key, count = item
     if isinstance(key, tuple):
@@ -128,8 +131,25 @@ def _rank_key(item: tuple[Key, int]) -> tuple:
 
 
 def ranked(table: CountTable) -> list[tuple[Key, int]]:
-    """Every entry: descending count, ties ascending lexicographically."""
-    return sorted(table.entries.items(), key=_rank_key)
+    """Every entry: descending count, ties ascending lexicographically.
+
+    Keys are grouped by count and each group sorts in the keys' own order,
+    which costs far less than building a rank key for every entry: most
+    entries of a long-tailed table share the few smallest counts.
+    """
+    buckets: dict[int, list[Key]] = {}
+    for key, count in table.entries.items():
+        bucket = buckets.get(count)
+        if bucket is None:
+            buckets[count] = [key]
+        else:
+            bucket.append(key)
+    rows: list[tuple[Key, int]] = []
+    for count in sorted(buckets, reverse=True):
+        keys = buckets[count]
+        keys.sort()
+        rows.extend(zip(keys, repeat(count)))
+    return rows
 
 
 def top_k(table: CountTable, k: int) -> list[tuple[Key, int]]:
@@ -142,12 +162,26 @@ def top_k(table: CountTable, k: int) -> list[tuple[Key, int]]:
 
 def counts_to_csv(rows: Sequence[tuple[Key, int]]) -> str:
     """Ranked rows as CSV, in their order; pair keys become two columns."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
     if rows and isinstance(rows[0][0], tuple):
-        writer.writerow(["key", "key2", "count"])
-        writer.writerows((a, b, count) for (a, b), count in rows)
-    else:
-        writer.writerow(["key", "count"])
-        writer.writerows(rows)
+        lines = [f"{a},{b},{count}\n" for (a, b), count in rows]
+        fields = ((a, b, count) for (a, b), count in rows)
+        return _csv_text("key,key2,count", lines, fields)
+    return _csv_text("key,count", [f"{key},{count}\n" for key, count in rows], rows)
+
+
+def _csv_text(header: str, lines: list[str], fields: Iterable[Sequence]) -> str:
+    """The header line, then each row: its line, its fields joined by
+    commas, when no field holds a quote, comma or line break, so that no
+    field needs quoting; else csv.writer's text of the fields."""
+    body = "".join(lines)
+    if (
+        '"' not in body
+        and "\r" not in body
+        and body.count(",") == header.count(",") * len(lines)
+        and body.count("\n") == len(lines)
+    ):
+        return f"{header}\n{body}"
+    buffer = io.StringIO()
+    buffer.write(f"{header}\n")
+    csv.writer(buffer, lineterminator="\n").writerows(fields)
     return buffer.getvalue()

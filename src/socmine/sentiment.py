@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .errors import DataError
-from .ngrams import CountTable, _rank_key
+from .ngrams import CountTable, ranked
 from .resources import read_rows
 from .text import KeywordFamily, StemIndex, tokenize
 
@@ -131,22 +131,18 @@ def power_report(
 ) -> PowerReport:
     """Score every counted n-gram with frequency >= min_freq.
 
-    Rows are ordered by descending frequency, ties broken by the n-gram
-    itself ascending, so equally frequent n-grams list alphabetically.
+    Rows are in `ranked` order: descending frequency, ties broken by the
+    n-gram itself ascending, so equally frequent n-grams list alphabetically.
     """
     if min_freq < 1:
         raise ValueError(f"min_freq must be >= 1, got {min_freq}")
-    kept = [
-        (_as_ngram(key), count)
-        for key, count in table.entries.items()
-        if count >= min_freq
-    ]
-    kept.sort(key=_rank_key)
+    kept = {key: count for key, count in table.entries.items() if count >= min_freq}
     # Distinct surfaces are far fewer than n-gram slots: look each one up
     # once, for this call only.
     halves_of = functools.cache(functools.partial(_halves, lexicon=lexicon))
     rows = []
-    for ngram, freq in kept:
+    for key, freq in ranked(CountTable(kept)):
+        ngram = _as_ngram(key)
         strength = _strength(halves_of(surface) for surface in ngram)
         rows.append(ScoredNGram(ngram=ngram, freq=freq, strength=strength, power=freq * strength))
     return PowerReport(rows=tuple(rows))

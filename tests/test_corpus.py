@@ -13,6 +13,7 @@ from helpers import FIXTURES, UTC, make_doc
 from socmine.config import file_digest
 from socmine.corpus import (
     _BAD_TAG_CHAR,
+    _iso_utc,
     Corpus,
     load_corpus,
     normalize_tag,
@@ -209,7 +210,66 @@ def test_every_json_object_record_loads_or_names_its_line(tmp_path_factory, reco
     except DataError as exc:
         assert str(exc).startswith("line 2: "), str(exc)
         return
-    write_corpus(corpus, directory / "out.jsonl")
+    out = directory / "out.jsonl"
+    write_corpus(corpus, out)
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    records = [
+        {
+            "id": doc.id,
+            "ts": _iso_utc(doc.timestamp),
+            "text": doc.text,
+            "tags": list(doc.hashtags),
+            "lang": doc.lang,
+            "source": doc.source,
+        }
+        for doc in corpus
+    ]
+    assert out.read_bytes().decode("utf-8") == "".join(encode(r) + "\n" for r in records)
+    assert load_corpus(out, window=corpus.window)[0] == corpus
+
+
+def test_load_corpus_escaped_backslash_before_u_is_text(tmp_path):
+    # On disk "\\u00e9": an escaped backslash, then the letters u00e9.
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        '{"id": "a\\\\ud800", "ts": "2013-05-20T10:00:00Z", "text": "caf\\\\u00e9"}\n',
+        encoding="utf-8",
+    )
+    corpus, _ = load_corpus(path)
+    assert (corpus.documents[0].id, corpus.documents[0].text) == ("a\\ud800", "caf\\u00e9")
+
+
+@pytest.mark.parametrize("field", ["id", "text", "lang"])
+@pytest.mark.parametrize("escape", ["\\uD800", "\\uDfFf", "\\udc80"])
+def test_load_corpus_surrogate_escape_in_any_case_names_its_field(tmp_path, field, escape):
+    record = {"id": "b", "ts": "2013-05-21T10:00:00Z", "text": "", field: "x"}
+    line = json.dumps(record).replace('"x"', f'"x{escape}"')
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        '{"id": "a", "ts": "2013-05-20T10:00:00Z"}\n' + line + "\n", encoding="utf-8"
+    )
+    message = f"line 2: malformed field '{field}': contains a lone surrogate"
+    with pytest.raises(DataError, match=message):
+        load_corpus(path)
+
+
+def test_load_corpus_names_a_bad_timestamp_before_a_surrogate(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        '{"id": "a\\ud800", "ts": "not a time", "text": "\\udfff", "lang": "\\ud800"}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError, match="line 1: malformed field 'ts'"):
+        load_corpus(path)
+
+
+def test_load_corpus_csv_keeps_a_backslash_u_as_text(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text(
+        "id,ts,text,tags\na\\ud800,2013-05-20T10:00:00Z,\\udfff,x\n", encoding="utf-8"
+    )
+    corpus, _ = load_corpus(path, fmt="csv")
+    assert (corpus.documents[0].id, corpus.documents[0].text) == ("a\\ud800", "\\udfff")
 
 
 @pytest.mark.parametrize("tag", ["a\x01b", "\ud800", "a\uffffb", "a b", "x#y"])

@@ -1,3 +1,5 @@
+import csv
+import io
 from xml.sax.saxutils import quoteattr
 
 import pytest
@@ -12,6 +14,7 @@ from socmine.graph import (
     build_graph,
     components,
     dyad_report,
+    dyads_csv,
     export_graph,
     _quoteattr,
 )
@@ -188,3 +191,26 @@ def test_build_graph_and_dyad_report_match_brute_force(
 @given(st.text(alphabet=st.sampled_from("ab&<>\"'\n\r\t;#é") | st.characters(), max_size=12))
 def test_quoteattr_replica_matches_saxutils(value):
     assert _quoteattr(value) == quoteattr(value)
+
+
+# Tags with and without a comma or a quote.
+CSV_TAGS = st.text(st.sampled_from('ab,"'), min_size=1, max_size=3)
+
+
+@given(
+    st.dictionaries(
+        st.tuples(CSV_TAGS, CSV_TAGS).filter(lambda t: t[0] < t[1]),
+        st.integers(1, 4),
+        max_size=12,
+    )
+)
+def test_dyads_csv_equals_csv_writer(entries):
+    graph = build_graph(CountTable(entries), threshold=1)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["tag_a", "tag_b", "weight", "ratio"])
+    writer.writerows(
+        (a, b, weight, f"{ratio:.4f}")
+        for a, b, weight, ratio in dyad_report(graph, max(1, len(graph.edges)))
+    )
+    assert dyads_csv(graph) == buffer.getvalue()

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -182,3 +185,28 @@ def test_counts_to_csv_scalar_and_pair_keys():
     pairs = CountTable({TagPair("a", "b"): 3, ("x", "y"): 1})
     assert counts_to_csv(ranked(pairs)) == "key,key2,count\na,b,3\nx,y,1\n"
     assert counts_to_csv(ranked(CountTable())) == "key,count\n"
+
+
+def _writer_csv(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+# Keys with and without what CSV must quote: a comma, a quote, line breaks.
+CSV_KEYS = st.text(st.sampled_from(['a', 'b', ',', '"', "\r", "\n", " ", "é"]), max_size=4)
+
+
+@given(
+    st.dictionaries(CSV_KEYS, st.integers(1, 4), max_size=12)
+    | st.dictionaries(st.tuples(CSV_KEYS, CSV_KEYS), st.integers(1, 4), max_size=12)
+)
+def test_counts_to_csv_equals_csv_writer(entries):
+    rows = ranked(CountTable(entries))
+    if rows and isinstance(rows[0][0], tuple):
+        want = _writer_csv(["key", "key2", "count"], [(a, b, n) for (a, b), n in rows])
+    else:
+        want = _writer_csv(["key", "count"], rows)
+    assert counts_to_csv(rows) == want

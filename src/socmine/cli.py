@@ -73,7 +73,8 @@ def cmd_counts(args: argparse.Namespace) -> int:
     """`tags` or `pairs`: the top rows of the ranked table."""
     from .ngrams import counts_to_csv
 
-    sys.stdout.write(counts_to_csv(_context(args).top_rows(args.command)))
+    rows = _context(args).top_rows(args.command)
+    sys.stdout.write(counts_to_csv(rows, pairs=args.command == "pairs"))
     return 0
 
 

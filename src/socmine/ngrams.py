@@ -42,9 +42,11 @@ class CountTable:
     entries: Mapping[Key, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for key, count in self.entries.items():
-            if count < 1:
-                raise ValueError(f"count for {key!r} must be >= 1, got {count}")
+        # min runs in C; the loop only names the first offending key.
+        if min(self.entries.values(), default=1) < 1:
+            for key, count in self.entries.items():
+                if count < 1:
+                    raise ValueError(f"count for {key!r} must be >= 1, got {count}")
 
     @property
     def total(self) -> int:
@@ -160,9 +162,10 @@ def top_k(table: CountTable, k: int) -> list[tuple[Key, int]]:
     return heapq.nsmallest(k, table.entries.items(), key=_rank_key)
 
 
-def counts_to_csv(rows: Sequence[tuple[Key, int]]) -> str:
-    """Ranked rows as CSV, in their order; pair keys become two columns."""
-    if rows and isinstance(rows[0][0], tuple):
+def counts_to_csv(rows: Sequence[tuple[Key, int]], pairs: bool = False) -> str:
+    """Ranked rows as CSV, in their order. The rows of a pairs table have
+    (a, b) keys and become three columns, also when there are none."""
+    if pairs:
         lines = [f"{a},{b},{count}\n" for (a, b), count in rows]
         fields = ((a, b, count) for (a, b), count in rows)
         return _csv_text("key,key2,count", lines, fields)

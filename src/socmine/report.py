@@ -286,7 +286,8 @@ def _stage_counts(name: str, ctx: Context, run_dir: Path) -> Rendered:
     """The tags or pairs stage: the whole ranked table, and its top rows in
     the summary."""
     table = ctx.table(name)
-    artifact = _write_text(run_dir, f"{name}.csv", counts_to_csv(ctx.ranking(name)))
+    text = counts_to_csv(ctx.ranking(name), pairs=name == "pairs")
+    artifact = _write_text(run_dir, f"{name}.csv", text)
     summary = {
         "distinct": len(table),
         "total": table.total,

@@ -13,15 +13,13 @@ n-gram is scored from its own surfaces, which are never re-tokenized.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .errors import DataError
-from .ngrams import CountTable, ranked
+from .ngrams import CountTable, _csv_text, ranked
 from .resources import read_rows
 from .text import KeywordFamily, StemIndex, tokenize
 
@@ -142,18 +140,26 @@ def power_report(
     halves_of = functools.cache(functools.partial(_halves, lexicon=lexicon))
     rows = []
     for key, freq in ranked(CountTable(kept)):
-        ngram = _as_ngram(key)
-        strength = _strength(halves_of(surface) for surface in ngram)
-        rows.append(ScoredNGram(ngram=ngram, freq=freq, strength=strength, power=freq * strength))
+        if type(key) is tuple and len(key) == 2 and type(key[0]) is str and type(key[1]) is str:
+            # A token 2-gram, nearly every row: its own key is its n-gram, and
+            # each half is >= 1 or <= -1, so _strength reduces to this.
+            (pos_a, neg_a), (pos_b, neg_b) = halves_of(key[0]), halves_of(key[1])
+            ngram, strength = key, max(pos_a, pos_b) + min(neg_a, neg_b)
+        else:
+            ngram = _as_ngram(key)
+            strength = _strength(map(halves_of, ngram))
+        rows.append(ScoredNGram(ngram, freq, strength, freq * strength))
     return PowerReport(rows=tuple(rows))
 
 
 def power_csv(report: PowerReport) -> str:
     """One row per scored n-gram in rank order, then the power sum as a comment line."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["ngram", "freq", "strength", "power"])
-    for row in report.rows:
-        writer.writerow([" ".join(row.ngram), row.freq, row.strength, row.power])
-    buffer.write(f"# sum_power,{report.sum_power}\n")
-    return buffer.getvalue()
+    lines = [
+        f"{' '.join(ngram)},{freq},{strength},{power}\n"
+        for ngram, freq, strength, power in report.rows
+    ]
+    fields = (
+        (" ".join(ngram), freq, strength, power) for ngram, freq, strength, power in report.rows
+    )
+    table = _csv_text("ngram,freq,strength,power", lines, fields)
+    return f"{table}# sum_power,{report.sum_power}\n"

@@ -16,8 +16,10 @@ from .errors import DataError
 from .resources import read_rows
 
 # Word = maximal run of Unicode letters/digits. Underscore is excluded on
-# purpose, and hyphens/apostrophes split tokens.
+# purpose, and hyphens/apostrophes split tokens. \w is that class plus "_",
+# so in a text without "_" the two find the same runs, \w+ faster.
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_WORD_NO_UNDERSCORE_RE = re.compile(r"\w+", re.UNICODE)
 
 # Shortest stem a prefix family may use; shorter stems degenerate into
 # matching half the vocabulary of languages with short function words.
@@ -72,8 +74,9 @@ class StemIndex(Generic[V]):
     """Finds every family a surface matches with dict probes, not a scan.
 
     Built once from (family, value) pairs. A lookup probes the exact stems
-    once and the prefix stems once per distinct prefix-stem length that
-    fits the surface. It returns the values of the matching families in
+    once and, when the surface's first MIN_PREFIX_STEM characters begin
+    some prefix stem, the prefix stems once per distinct prefix-stem length
+    that fits the surface. It returns the values of the matching families in
     the order they were given, the order a scan of KeywordFamily.matches
     over the pairs gives.
     """
@@ -85,9 +88,15 @@ class StemIndex(Generic[V]):
             stems = self._exact if family.match_mode == "exact" else self._prefix
             stems.setdefault(family.stem, []).append((rank, value))
         self._lengths = sorted({len(stem) for stem in self._prefix})
+        self._heads = frozenset(stem[:MIN_PREFIX_STEM] for stem in self._prefix)
 
     def lookup(self, surface: str) -> list[V]:
-        hits = list(self._exact.get(surface, ()))
+        exact = self._exact.get(surface, ())
+        # Every prefix stem has at least MIN_PREFIX_STEM characters, so a
+        # surface whose head starts no prefix stem matches none of them.
+        if surface[:MIN_PREFIX_STEM] not in self._heads:
+            return [value for _, value in exact]
+        hits = list(exact)
         for n in self._lengths:
             if n > len(surface):
                 break
@@ -97,6 +106,17 @@ class StemIndex(Generic[V]):
         return [value for _, value in hits]
 
 
+class _LoweredWords(dict):
+    """Raw word -> its interned lowercase token, filled on first sight."""
+
+    def __missing__(self, word: str) -> str:
+        token = self[word] = sys.intern(word.lower())
+        return token
+
+
+_LOWERED = _LoweredWords()
+
+
 def tokenize(text: str) -> list[str]:
     """Split on Unicode word boundaries, lowercase, keep diacritics intact.
 
@@ -104,8 +124,14 @@ def tokenize(text: str) -> list[str]:
     mapping can add a non-word mark ("İ" lowers to "i" + U+0307), which
     would split the word if it were applied first. Tokens are interned, so
     equal tokens kept by many documents are one string.
+
+    Words go through a memo that holds one entry per distinct raw word form
+    seen in the process ("Policja" and "policja" are two), so each form is
+    lowered and interned once. A text without "_" is split with \\w+, which
+    then finds exactly the runs of [^\\W_]+.
     """
-    return list(map(sys.intern, map(str.lower, _WORD_RE.findall(text))))
+    word_re = _WORD_RE if "_" in text else _WORD_NO_UNDERSCORE_RE
+    return list(map(_LOWERED.__getitem__, word_re.findall(text)))
 
 
 def remove_stopwords(tokens: list[str], stops: StopwordList) -> list[str]:

@@ -470,6 +470,18 @@ def test_each_subcommand_prints_its_run_artifact(tmp_path, capsys, fixture, skip
         assert printed == (manifest.run_dir / artifact).read_bytes(), command
 
 
+def test_a_table_without_pairs_keeps_the_pairs_columns(tmp_path, capsys):
+    # forum.jsonl holds no hashtags, so its pairs table has no rows; its
+    # header must still be that of a pairs table.
+    corpus = str(FIXTURES / "forum.jsonl")
+    config = make_config({"corpus": {"path": corpus}, "run": {"out_dir": "."}}, base_dir=tmp_path)
+    manifest = run_pipeline(config)
+    assert (manifest.run_dir / "pairs.csv").read_text(encoding="utf-8") == "key,key2,count\n"
+    capsys.readouterr()
+    assert main(["pairs", corpus]) == 0
+    assert capsys.readouterr().out == "key,key2,count\n"
+
+
 RICH_CORPUS = [
     ("a", "2013-05-20T10:00:00Z", "policja na ulicy policja strzela", ["riots", "police", "husby"]),
     ("b", "2013-05-21T10:00:00Z", "oni im nie pomogą my też nie", ["riots", "police"]),

@@ -31,6 +31,9 @@ def test_count_table_rejects_nonpositive():
         CountTable({"a": 0})
     with pytest.raises(ValueError):
         CountTable({"a": -3})
+    # The first offending key in the table's order is named.
+    with pytest.raises(ValueError, match=r"^count for 'b' must be >= 1, got 0$"):
+        CountTable({"a": 2, "b": 0, "c": -1})
 
 
 def test_count_tags_distinct_per_document():
@@ -183,8 +186,9 @@ def test_counts_to_csv_scalar_and_pair_keys():
         "key,count\nsvpol,2\nhusby,1\n"
     )
     pairs = CountTable({TagPair("a", "b"): 3, ("x", "y"): 1})
-    assert counts_to_csv(ranked(pairs)) == "key,key2,count\na,b,3\nx,y,1\n"
+    assert counts_to_csv(ranked(pairs), pairs=True) == "key,key2,count\na,b,3\nx,y,1\n"
     assert counts_to_csv(ranked(CountTable())) == "key,count\n"
+    assert counts_to_csv(ranked(CountTable()), pairs=True) == "key,key2,count\n"
 
 
 def _writer_csv(header, rows):
@@ -200,13 +204,17 @@ CSV_KEYS = st.text(st.sampled_from(['a', 'b', ',', '"', "\r", "\n", " ", "é"]),
 
 
 @given(
-    st.dictionaries(CSV_KEYS, st.integers(1, 4), max_size=12)
-    | st.dictionaries(st.tuples(CSV_KEYS, CSV_KEYS), st.integers(1, 4), max_size=12)
+    st.tuples(st.just(False), st.dictionaries(CSV_KEYS, st.integers(1, 4), max_size=12))
+    | st.tuples(
+        st.just(True),
+        st.dictionaries(st.tuples(CSV_KEYS, CSV_KEYS), st.integers(1, 4), max_size=12),
+    )
 )
-def test_counts_to_csv_equals_csv_writer(entries):
+def test_counts_to_csv_equals_csv_writer(drawn):
+    pairs, entries = drawn
     rows = ranked(CountTable(entries))
-    if rows and isinstance(rows[0][0], tuple):
+    if pairs:
         want = _writer_csv(["key", "key2", "count"], [(a, b, n) for (a, b), n in rows])
     else:
         want = _writer_csv(["key", "count"], rows)
-    assert counts_to_csv(rows) == want
+    assert counts_to_csv(rows, pairs=pairs) == want

@@ -1,12 +1,17 @@
+import csv
+import io
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import GOLDEN
 from socmine.errors import DataError
-from socmine.ngrams import CountTable
+from socmine.ngrams import CountTable, TagPair, ranked
 from socmine.sentiment import (
     LexiconEntry,
+    PowerReport,
+    ScoredNGram,
     SentimentLexicon,
     load_lexicon,
     power_csv,
@@ -187,3 +192,72 @@ def test_power_csv_golden():
     )
     table = CountTable({("bad", "news"): 3, ("good", "news"): 2, ("plain", "news"): 2})
     assert power_csv(power_report(table, lexicon)) == (GOLDEN / "power_small.csv").read_text(encoding="utf-8")
+
+
+def _scan_power_rows(table, lexicon, min_freq):
+    """Frozen copy of power_report's per-row code (_as_ngram, then _strength
+    over a generator of halves) from before 2-grams took a fast path."""
+    rows = []
+    kept = {key: count for key, count in table.entries.items() if count >= min_freq}
+    for key, freq in ranked(CountTable(kept)):
+        ngram = tuple(str(part) for part in key) if isinstance(key, tuple) else (str(key),)
+        positive, negative = 1, -1
+        for pos, neg in (_scan_halves(surface, lexicon) for surface in ngram):
+            positive = max(positive, pos)
+            negative = min(negative, neg)
+        strength = positive + negative
+        rows.append((ngram, freq, strength, freq * strength))
+    return rows
+
+
+# Surfaces that nest the stems of LEXICON, so that rows score on both sides.
+SURFACES = st.lists(
+    st.sampled_from(["dobr", "fatal", "wspania", "mordować", "y", "ą", ""]), max_size=3
+).map("".join)
+COUNTS = st.integers(1, 5)
+POWER_TABLES = st.one_of(
+    st.dictionaries(SURFACES, COUNTS, max_size=12),
+    st.dictionaries(st.tuples(SURFACES, SURFACES), COUNTS, max_size=12),
+    st.dictionaries(st.tuples(SURFACES, SURFACES, SURFACES), COUNTS, max_size=12),
+    st.dictionaries(
+        st.tuples(SURFACES, SURFACES) | st.builds(TagPair, SURFACES, SURFACES),
+        COUNTS,
+        max_size=12,
+    ),
+)
+
+
+@given(POWER_TABLES, st.sampled_from([1, 3]))
+def test_power_report_equals_per_row_scan(entries, min_freq):
+    table = CountTable(entries)
+    rows = power_report(table, LEXICON, min_freq=min_freq).rows
+    assert rows == tuple(_scan_power_rows(table, LEXICON, min_freq))
+    assert all(type(row.ngram) is tuple for row in rows)
+    assert all(type(part) is str for row in rows for part in row.ngram)
+
+
+# Surfaces with and without what CSV must quote: a comma, a quote, line breaks.
+CSV_SURFACES = st.text(st.sampled_from(["a", ",", '"', "\r", "\n", " ", "é"]), max_size=4)
+
+
+@given(
+    st.lists(
+        st.builds(
+            ScoredNGram,
+            st.lists(CSV_SURFACES, min_size=1, max_size=3).map(tuple),
+            COUNTS,
+            st.integers(-4, 4),
+            st.integers(-20, 20),
+        ),
+        max_size=8,
+    )
+)
+def test_power_csv_equals_csv_writer(rows):
+    report = PowerReport(rows=tuple(rows))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["ngram", "freq", "strength", "power"])
+    for row in rows:
+        writer.writerow([" ".join(row.ngram), row.freq, row.strength, row.power])
+    buffer.write(f"# sum_power,{report.sum_power}\n")
+    assert power_csv(report) == buffer.getvalue()

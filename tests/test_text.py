@@ -54,6 +54,10 @@ def test_tokenize_interns_each_token():
     # share the strings instead of holding a copy per occurrence.
     first, second = tokenize("Policja policja")
     assert first is second
+    # Three raw forms of one word lower to one token object.
+    tokens = tokenize("POLICJA policja Policja")
+    assert tokens == ["policja"] * 3
+    assert tokens[0] is tokens[1] is tokens[2]
 
 
 def test_tokenize_empty_and_punctuation_only():
@@ -72,6 +76,18 @@ def test_tokenize_matches_reference_and_is_lowercase(text):
     assert tokens == reference_tokenize(text)
     assert all(t == t.lower() for t in tokens)
     assert all(tokens)
+
+
+# Characters the tokenizer's fast paths turn on: "_" (which selects the
+# pattern), "İ" (lowers to two characters, one a non-word mark), U+0307
+# itself, "Σ"/"ς" (lowering depends on the position in the word), an
+# apostrophe, digits and Polish letters in both cases.
+TRICKY_ALPHABET = "_İi\u0307Σσς'09 aAłŁżŻśŚ"
+
+
+@given(st.text(TRICKY_ALPHABET, max_size=60))
+def test_tokenize_matches_reference_on_tricky_alphabet(text):
+    assert tokenize(text) == reference_tokenize(text)
 
 
 def test_remove_stopwords_keeps_order():

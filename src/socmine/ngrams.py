@@ -42,11 +42,9 @@ class CountTable:
     entries: Mapping[Key, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # min runs in C; the loop only names the first offending key.
-        if min(self.entries.values(), default=1) < 1:
-            for key, count in self.entries.items():
-                if count < 1:
-                    raise ValueError(f"count for {key!r} must be >= 1, got {count}")
+        for key, count in self.entries.items():
+            if count < 1:
+                raise ValueError(f"count for {key!r} must be >= 1, got {count}")
 
     @property
     def total(self) -> int:
@@ -162,7 +160,7 @@ def top_k(table: CountTable, k: int) -> list[tuple[Key, int]]:
     return heapq.nsmallest(k, table.entries.items(), key=_rank_key)
 
 
-def counts_to_csv(rows: Sequence[tuple[Key, int]], pairs: bool = False) -> str:
+def counts_to_csv(rows: Sequence[tuple[Key, int]], *, pairs: bool) -> str:
     """Ranked rows as CSV, in their order. The rows of a pairs table have
     (a, b) keys and become three columns, also when there are none."""
     if pairs:

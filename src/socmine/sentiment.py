@@ -140,14 +140,9 @@ def power_report(
     halves_of = functools.cache(functools.partial(_halves, lexicon=lexicon))
     rows = []
     for key, freq in ranked(CountTable(kept)):
-        if type(key) is tuple and len(key) == 2 and type(key[0]) is str and type(key[1]) is str:
-            # A token 2-gram, nearly every row: its own key is its n-gram, and
-            # each half is >= 1 or <= -1, so _strength reduces to this.
-            (pos_a, neg_a), (pos_b, neg_b) = halves_of(key[0]), halves_of(key[1])
-            ngram, strength = key, max(pos_a, pos_b) + min(neg_a, neg_b)
-        else:
-            ngram = _as_ngram(key)
-            strength = _strength(map(halves_of, ngram))
+        # A key of plain strings, as every token n-gram is, is its own n-gram.
+        ngram = key if type(key) is tuple and all(type(p) is str for p in key) else _as_ngram(key)
+        strength = _strength(map(halves_of, ngram))
         rows.append(ScoredNGram(ngram, freq, strength, freq * strength))
     return PowerReport(rows=tuple(rows))
 

@@ -1,7 +1,8 @@
 """Tokenization, stopword filtering, and keyword-family matching.
 
-All functions here are pure. Tokens are plain lowercase strings and word
-lists are immutable, so every downstream analysis can share them freely.
+All functions here are pure, apart from the memo `tokenize` keeps of the
+words it has lowered. Tokens are plain lowercase strings and word lists are
+immutable, so every downstream analysis can share them freely.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from .errors import DataError
 from .resources import read_rows
 
 # Word = maximal run of Unicode letters/digits. Underscore is excluded on
-# purpose, and hyphens/apostrophes split tokens. \w is that class plus "_",
-# so in a text without "_" the two find the same runs, \w+ faster.
+# purpose, and hyphens/apostrophes split tokens.
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
-_WORD_NO_UNDERSCORE_RE = re.compile(r"\w+", re.UNICODE)
 
 # Shortest stem a prefix family may use; shorter stems degenerate into
 # matching half the vocabulary of languages with short function words.
@@ -125,13 +124,12 @@ def tokenize(text: str) -> list[str]:
     would split the word if it were applied first. Tokens are interned, so
     equal tokens kept by many documents are one string.
 
-    Words go through a memo that holds one entry per distinct raw word form
-    seen in the process ("Policja" and "policja" are two), so each form is
-    lowered and interned once. A text without "_" is split with \\w+, which
-    then finds exactly the runs of [^\\W_]+.
+    Words go through a memo so that each raw word form is lowered and
+    interned once. The memo lives for the process and is never cleared: it
+    holds one entry per distinct raw word form seen ("Policja" and "policja"
+    are two), so it grows with the vocabulary of everything tokenized.
     """
-    word_re = _WORD_RE if "_" in text else _WORD_NO_UNDERSCORE_RE
-    return list(map(_LOWERED.__getitem__, word_re.findall(text)))
+    return list(map(_LOWERED.__getitem__, _WORD_RE.findall(text)))
 
 
 def remove_stopwords(tokens: list[str], stops: StopwordList) -> list[str]:

@@ -196,7 +196,7 @@ def test_power_csv_golden():
 
 def _scan_power_rows(table, lexicon, min_freq):
     """Frozen copy of power_report's per-row code (_as_ngram, then _strength
-    over a generator of halves) from before 2-grams took a fast path."""
+    over a generator of halves) from before token keys skipped _as_ngram."""
     rows = []
     kept = {key: count for key, count in table.entries.items() if count >= min_freq}
     for key, freq in ranked(CountTable(kept)):

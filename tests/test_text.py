@@ -78,10 +78,11 @@ def test_tokenize_matches_reference_and_is_lowercase(text):
     assert all(tokens)
 
 
-# Characters the tokenizer's fast paths turn on: "_" (which selects the
-# pattern), "İ" (lowers to two characters, one a non-word mark), U+0307
-# itself, "Σ"/"ς" (lowering depends on the position in the word), an
-# apostrophe, digits and Polish letters in both cases.
+# Characters the tokenizer's memo and pattern must handle: "_" (not a word
+# character here, though \w matches it), "İ" (lowers to two characters,
+# one a non-word mark), U+0307 itself, "Σ"/"ς" (lowering depends on the
+# position in the word), an apostrophe, digits and Polish letters in both
+# cases.
 TRICKY_ALPHABET = "_İi\u0307Σσς'09 aAłŁżŻśŚ"
 
 

@@ -64,7 +64,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     print(f"documents: {len(corpus)}")
     print(f"window: {_iso_utc(start)} .. {_iso_utc(end)}")
     if args.out:
-        write_corpus(corpus, args.out, fmt="jsonl")
+        write_corpus(corpus, args.out)
         print(f"wrote {args.out}")
     return 0
 

@@ -98,7 +98,7 @@ RULES: dict[str, int | tuple[str, ...]] = {
     "graph.whitelist_top": 0,
     "graph.format": ("dot", "graphml"),
     "graph.cap": 0,
-    "timeline.top": 0,
+    "timeline.top": 1,
     "timeline.formats": ("csv", "svg"),
     "coding.min_freq": 1,
     "sentiment.filter_mode": ("prefix", "exact"),
@@ -178,6 +178,15 @@ def _validate(values: dict[str, Any]) -> None:
     aliases = values["corpus"]["aliases"].items()
     if not all(isinstance(k, str) and isinstance(v, str) for k, v in aliases):
         raise DataError("corpus.aliases must map strings to strings")
+    # Aliases map normalized tags to tags: a key is looked up after
+    # normalization, and a value is used as it is.
+    for key, value in aliases:
+        if normalize_tag(key) != key:
+            raise DataError(f"corpus.aliases key {key!r} must be written {normalize_tag(key)!r}")
+        try:
+            _check_tag(value)
+        except ValueError as exc:
+            raise DataError(f"corpus.aliases value for {key!r}: {exc}") from exc
     for tag in values["timeline"]["tags"]:
         if not isinstance(tag, str):
             raise DataError("timeline.tags entries must be strings")

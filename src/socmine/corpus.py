@@ -24,9 +24,8 @@ from .text import tokenize
 SOURCES = ("tweet", "forum_post")
 
 # JSONL field names double as the CSV column header; a CSV file may omit
-# the last two.
-FIELDS = ("id", "ts", "text", "tags", "lang", "source")
-_CSV_REQUIRED = FIELDS[:4]
+# the last two, lang and source.
+_CSV_REQUIRED = ("id", "ts", "text", "tags")
 
 
 def normalize_tag(raw: str, aliases: Mapping[str, str] | None = None) -> str:
@@ -340,37 +339,20 @@ def load_corpus(
     return corpus, report
 
 
-def write_corpus(corpus: Corpus, path: str | Path, fmt: str = "jsonl") -> None:
-    """Serialize a corpus so that loading it back yields an equal Corpus."""
-    path = Path(path)
-    if fmt == "jsonl":
-        # The bytes of json.JSONEncoder(ensure_ascii=False).encode(record)
-        # for the record {id, ts, text, tags, lang, source}, one line at a
-        # time so the file is never held in memory.
-        quote = encode_basestring
-        with path.open("w", encoding="utf-8", newline="\n") as handle:
-            for doc in corpus:
-                tags = ", ".join([quote(tag) for tag in doc.hashtags])
-                lang = "null" if doc.lang is None else quote(doc.lang)
-                handle.write(
-                    f'{{"id": {quote(doc.id)}, "ts": "{_iso_utc(doc.timestamp)}", '
-                    f'"text": {quote(doc.text)}, "tags": [{tags}], "lang": {lang}, '
-                    f'"source": {quote(doc.source)}}}\n'
-                )
-    elif fmt == "csv":
-        with path.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(FIELDS)
-            for doc in corpus:
-                writer.writerow(
-                    [
-                        doc.id,
-                        _iso_utc(doc.timestamp),
-                        doc.text,
-                        "|".join(doc.hashtags),
-                        doc.lang or "",
-                        doc.source,
-                    ]
-                )
-    else:
-        raise ValueError(f"unknown corpus format: {fmt!r}")
+def write_corpus(corpus: Corpus, path: str | Path) -> None:
+    """Write a corpus as JSONL, so that loading it back yields an equal Corpus.
+
+    Each line is the bytes of json.JSONEncoder(ensure_ascii=False).encode
+    of the record {id, ts, text, tags, lang, source}, written one at a time
+    so the file is never held in memory.
+    """
+    quote = encode_basestring
+    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
+        for doc in corpus:
+            tags = ", ".join([quote(tag) for tag in doc.hashtags])
+            lang = "null" if doc.lang is None else quote(doc.lang)
+            handle.write(
+                f'{{"id": {quote(doc.id)}, "ts": "{_iso_utc(doc.timestamp)}", '
+                f'"text": {quote(doc.text)}, "tags": [{tags}], "lang": {lang}, '
+                f'"source": {quote(doc.source)}}}\n'
+            )

@@ -6,12 +6,9 @@ Exports are byte-deterministic: nodes and edges are emitted in sorted order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Mapping
 
 from .ngrams import CountTable, _csv_text, ranked
-
-FORMATS = ("dot", "graphml")
 
 
 @dataclass(frozen=True)
@@ -86,24 +83,11 @@ def components(graph: CooccurrenceGraph) -> list[set[str]]:
     return result
 
 
-def dyad_report(graph: CooccurrenceGraph, k: int) -> list[tuple[str, str, int, float]]:
-    """The first k edges as (a, b, weight, ratio to the heaviest edge's weight)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    top = list(islice(graph.edges.items(), k))
-    if not top:
-        return []
-    max_weight = top[0][1]
-    return [(a, b, weight, weight / max_weight) for (a, b), weight in top]
-
-
 def dyads_csv(graph: CooccurrenceGraph) -> str:
-    """Every edge as a tag_a,tag_b,weight,ratio row in rank order, the ratio
-    written with 4 decimals."""
-    rows = [
-        (a, b, weight, f"{ratio:.4f}")
-        for a, b, weight, ratio in dyad_report(graph, max(1, len(graph.edges)))
-    ]
+    """Every edge as a tag_a,tag_b,weight,ratio row in rank order: the ratio
+    is to the first, heaviest edge's weight, written with 4 decimals."""
+    top = next(iter(graph.edges.values()), 1)
+    rows = [(a, b, weight, f"{weight / top:.4f}") for (a, b), weight in graph.edges.items()]
     lines = [f"{a},{b},{weight},{ratio}\n" for a, b, weight, ratio in rows]
     return _csv_text("tag_a,tag_b,weight,ratio", lines, rows)
 

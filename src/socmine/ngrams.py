@@ -1,8 +1,7 @@
 """Tag frequencies, hashtag pair co-occurrence, and token 2-gram counting.
 
 `ranked` defines rank order for every ranked table, artifact and graph:
-descending count, ties ascending by key. `top_k` takes the same first rows
-from a heap keyed by `_rank_key`, the one other place that order is spelled.
+descending count, ties ascending by key. A top-N is a prefix of it.
 
 Counting runs in one thread. The counters accept `jobs` and reject values
 below 1, but do not use it, and the run context never passes it: a thread
@@ -13,7 +12,6 @@ time run the Python that does the counting.
 from __future__ import annotations
 
 import csv
-import heapq
 import io
 from collections import Counter
 from dataclasses import dataclass, field
@@ -115,21 +113,6 @@ def count_token_2grams(
     return _count(map(grams_of, documents), jobs)
 
 
-# Per-item helpers stay private: a benchmark tracer wraps every public
-# function, and wrapping one called once per table entry slows its caller.
-def _rank_key(item: tuple[Key, int]) -> tuple:
-    """top_k's heap key: the rank order of `ranked` as one flat tuple,
-    (-count, *key) for a pair key and (-count, key) otherwise.
-
-    A flat tuple compares faster than (-count, TagPair): exact tuples of
-    str and int take the fast comparison path, a nested subclass does not.
-    """
-    key, count = item
-    if isinstance(key, tuple):
-        return (-count, *key)
-    return (-count, key)
-
-
 def ranked(table: CountTable) -> list[tuple[Key, int]]:
     """Every entry: descending count, ties ascending lexicographically.
 
@@ -150,14 +133,6 @@ def ranked(table: CountTable) -> list[tuple[Key, int]]:
         keys.sort()
         rows.extend(zip(keys, repeat(count)))
     return rows
-
-
-def top_k(table: CountTable, k: int) -> list[tuple[Key, int]]:
-    """The first k entries of ranked(table), without sorting the whole table."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    # nsmallest keeps a k-sized heap, and sorts in full when k >= len(table).
-    return heapq.nsmallest(k, table.entries.items(), key=_rank_key)
 
 
 def counts_to_csv(rows: Sequence[tuple[Key, int]], *, pairs: bool) -> str:

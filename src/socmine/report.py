@@ -45,7 +45,6 @@ from .ngrams import (
     count_token_2grams,
     counts_to_csv,
     ranked,
-    top_k,
 )
 from .text import KeywordFamily, StopwordList, load_stopwords
 
@@ -178,13 +177,7 @@ class Context:
 
     def top_rows(self, name: str) -> list[tuple[Any, int]]:
         """The first `<name>.top` ranked rows, or every row when top is 0."""
-        top = self.sections[name]["top"]
-        if not top:
-            return self.ranking(name)
-        if name in self._rankings:
-            return self._rankings[name][:top]
-        # A top-sized heap, when nothing needs the whole table sorted.
-        return top_k(self.table(name), top)
+        return self.ranking(name)[: self.sections[name]["top"] or None]
 
     @cached_property
     def graph(self) -> CooccurrenceGraph:
@@ -270,7 +263,7 @@ Rendered = tuple[list[str], dict[str, Any]]
 
 def _stage_ingest(ctx: Context, run_dir: Path) -> Rendered:
     corpus, load_report = ctx.loaded
-    write_corpus(corpus, run_dir / "corpus.jsonl", fmt="jsonl")
+    write_corpus(corpus, run_dir / "corpus.jsonl")
     start, end = corpus.window
     summary = {
         "records_read": load_report.records_read,

@@ -118,19 +118,15 @@ class PowerReport:
         return sum(row.power for row in self.rows)
 
 
-def _as_ngram(key: object) -> tuple[str, ...]:
-    if isinstance(key, tuple):
-        return tuple(str(part) for part in key)
-    return (str(key),)
-
-
 def power_report(
     table: CountTable, lexicon: SentimentLexicon, min_freq: int = 1
 ) -> PowerReport:
     """Score every counted n-gram with frequency >= min_freq.
 
-    Rows are in `ranked` order: descending frequency, ties broken by the
-    n-gram itself ascending, so equally frequent n-grams list alphabetically.
+    Keys are tuples of token surfaces, as count_token_2grams writes them,
+    and each key is its row's n-gram. Rows are in `ranked` order: descending
+    frequency, ties broken by the n-gram itself ascending, so equally
+    frequent n-grams list alphabetically.
     """
     if min_freq < 1:
         raise ValueError(f"min_freq must be >= 1, got {min_freq}")
@@ -139,9 +135,7 @@ def power_report(
     # once, for this call only.
     halves_of = functools.cache(functools.partial(_halves, lexicon=lexicon))
     rows = []
-    for key, freq in ranked(CountTable(kept)):
-        # A key of plain strings, as every token n-gram is, is its own n-gram.
-        ngram = key if type(key) is tuple and all(type(p) is str for p in key) else _as_ngram(key)
+    for ngram, freq in ranked(CountTable(kept)):
         strength = _strength(map(halves_of, ngram))
         rows.append(ScoredNGram(ngram, freq, strength, freq * strength))
     return PowerReport(rows=tuple(rows))

@@ -15,8 +15,6 @@ from typing import Iterable, Sequence
 
 from .corpus import Corpus
 
-SHAPES = ("linear", "stepwise", "burst", "other")
-
 # Thresholds calibrated on the synthetic fixtures.
 STEP_THRESHOLD = 0.4
 BURST_THRESHOLD = 0.6

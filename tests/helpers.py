@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from socmine.corpus import Corpus, Document
+from socmine.corpus import Corpus, Document, _iso_utc
 
 UTC = timezone.utc
 BASE = datetime(2013, 5, 20, 12, 0, 0, tzinfo=UTC)
@@ -31,3 +32,13 @@ def make_corpus(*specs) -> Corpus:
         text = spec[3] if len(spec) > 3 else ""
         docs.append(make_doc(doc_id, day=day, text=text, tags=tags))
     return Corpus.from_documents(docs)
+
+
+def write_csv_corpus(corpus: Corpus, path: Path) -> None:
+    """Write a corpus as a CSV file that load_corpus(fmt="csv") reads back equal."""
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["id", "ts", "text", "tags", "lang", "source"])
+        for doc in corpus:
+            row = [doc.id, _iso_utc(doc.timestamp), doc.text, "|".join(doc.hashtags)]
+            writer.writerow([*row, doc.lang or "", doc.source])

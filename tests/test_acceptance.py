@@ -32,7 +32,7 @@ from socmine.ngrams import (
     count_tag_pairs,
     count_tags,
     count_token_2grams,
-    top_k,
+    ranked,
 )
 from socmine.report import run_pipeline
 from socmine.resources import STOPWORDS, TAXONOMY, default_data_path
@@ -102,9 +102,9 @@ def test_criterion_1_tag_ranking_replay():
     started = perf_counter()
     corpus, _ = load_corpus(FIXTURES / "twitter.jsonl", window=WINDOW)
     table = count_tags(corpus)
-    ranked = top_k(table, 20)
+    top20 = ranked(table)[:20]
     elapsed = perf_counter() - started
-    assert ranked == EXPECTED_TOP20
+    assert top20 == EXPECTED_TOP20
     assert table["svpol"] == 3897
     assert table["sthlmriots"] == 1319
     assert table["migpol"] == 436

@@ -18,7 +18,6 @@ from graph_parse import parse_graph
 from helpers import BASE
 from socmine.config import make_config
 from socmine.corpus import _check_tag, _iso_utc, load_corpus, normalize_tag
-from socmine.graph import dyad_report
 from socmine.report import MANIFEST_NAME, Context, run_pipeline
 
 
@@ -84,10 +83,8 @@ def _check_run(run_dir: Path, ctx: Context, fmt: str) -> None:
     assert parsed.nodes == graph.nodes
     assert list(parsed.edges.items()) == list(graph.edges.items())
     assert parsed.threshold == graph.threshold
-    dyads = [
-        [a, b, str(weight), f"{ratio:.4f}"]
-        for a, b, weight, ratio in dyad_report(graph, max(1, len(graph.edges)))
-    ]
+    heaviest = max(graph.edges.values(), default=1)
+    dyads = [[a, b, str(weight), f"{weight / heaviest:.4f}"] for (a, b), weight in graph.edges.items()]
     assert _csv_rows(run_dir / "dyads.csv") == [["tag_a", "tag_b", "weight", "ratio"], *dyads]
 
     series = ctx.series

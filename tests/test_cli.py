@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from helpers import FIXTURES
+from helpers import FIXTURES, write_csv_corpus
 from socmine.cli import build_parser, main
 from socmine.config import RULES, STAGES, load_config, make_config
-from socmine.corpus import load_corpus, write_corpus
+from socmine.corpus import load_corpus
 from socmine.report import run_pipeline
 
 CORPUS = """\
@@ -467,7 +467,13 @@ def test_each_subcommand_prints_its_run_artifact(tmp_path, capsys, fixture, skip
             flags.append(",".join(stage.summary["tags"]))
         assert main([command, corpus, *flags]) == 0
         printed = capsys.readouterr().out.encode("utf-8")
-        assert printed == (manifest.run_dir / artifact).read_bytes(), command
+        written = (manifest.run_dir / artifact).read_bytes()
+        assert printed == written, command
+        if command in ("tags", "pairs"):
+            # A top-N is the header and the first N rows of the whole table.
+            assert main([command, corpus, "--top", "20"]) == 0
+            first_rows = b"".join(written.splitlines(keepends=True)[:21])
+            assert capsys.readouterr().out.encode("utf-8") == first_rows, command
 
 
 def test_a_table_without_pairs_keeps_the_pairs_columns(tmp_path, capsys):
@@ -565,7 +571,7 @@ def test_each_flag_reaches_its_config_key(tmp_path, capsys, stage):
         ),
         encoding="utf-8",
     )
-    write_corpus(load_corpus(tmp_path / "c.jsonl")[0], tmp_path / "c.csv", fmt="csv")
+    write_csv_corpus(load_corpus(tmp_path / "c.jsonl")[0], tmp_path / "c.csv")
     for name, text in FLAG_DATA.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     argv, overrides, artifact = _flag_case(stage, tmp_path)

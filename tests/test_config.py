@@ -67,7 +67,7 @@ def test_merge_rejects_unknowns_and_bad_types(overrides, message):
         ({"sentiment": {"min_freq": 0}}, "sentiment.min_freq"),
         ({"tags": {"top": -1}}, "tags.top must be >= 0"),
         ({"pairs": {"top": -1}}, "pairs.top must be >= 0"),
-        ({"timeline": {"top": -1}}, "timeline.top must be >= 0"),
+        ({"timeline": {"top": -1}}, "timeline.top must be >= 1"),
         ({"graph": {"whitelist_top": -1}}, "graph.whitelist_top must be >= 0"),
         ({"graph": {"cap": -1}}, "graph.cap must be >= 0"),
         ({"corpus": {"aliases": {"svpol": 5}}}, "corpus.aliases must map strings to strings"),
@@ -86,6 +86,15 @@ def test_merge_rejects_unknowns_and_bad_types(overrides, message):
             {"corpus": {"window": "0001-01-01T00:00:00+01:00..2013-01-01"}},
             "corpus.window: date value out of range",
         ),
+        # A timeline of the top 0 tags would plot nothing.
+        ({"timeline": {"top": 0}}, "timeline.top must be >= 1"),
+        # Alias values are used as they are, so each must be a tag; keys are
+        # looked up by normalized tag, so one spelled otherwise never applies.
+        (
+            {"corpus": {"aliases": {"svpol": "SV POL"}}},
+            "corpus.aliases value for 'svpol': hashtag contains the forbidden character ' '",
+        ),
+        ({"corpus": {"aliases": {"#SvPol": "x"}}}, "corpus.aliases key '#SvPol' must be written 'svpol'"),
     ],
 )
 def test_validation_errors(overrides, message):

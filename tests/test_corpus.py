@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socmine.corpus
-from helpers import FIXTURES, UTC, make_doc
+from helpers import FIXTURES, UTC, make_doc, write_csv_corpus
 from socmine.config import file_digest
 from socmine.corpus import (
     _BAD_TAG_CHAR,
@@ -397,6 +397,10 @@ def test_load_corpus_aliases_merge_tags(tmp_path):
     assert corpus.documents[0].hashtags == ("sthlmriot", "svpol")
 
 
+# write_corpus writes JSONL only; the CSV writer is the tests' own.
+WRITERS = {"jsonl": write_corpus, "csv": write_csv_corpus}
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_write_corpus_round_trip(tmp_path, fmt):
     docs = [
@@ -405,7 +409,7 @@ def test_write_corpus_round_trip(tmp_path, fmt):
     ]
     corpus = Corpus.from_documents(docs)
     path = tmp_path / f"out.{fmt}"
-    write_corpus(corpus, path, fmt=fmt)
+    WRITERS[fmt](corpus, path)
     loaded, _ = load_corpus(path, fmt=fmt, window=corpus.window)
     assert loaded == corpus
 
@@ -420,7 +424,7 @@ def test_write_corpus_round_trip(tmp_path, fmt):
 def test_write_corpus_round_trips_any_year(tmp_path_factory, fmt, when):
     corpus = Corpus.from_documents([replace(make_doc("a", text="x"), timestamp=when)])
     path = tmp_path_factory.mktemp("years") / f"out.{fmt}"
-    write_corpus(corpus, path, fmt=fmt)
+    WRITERS[fmt](corpus, path)
     loaded, _ = load_corpus(path, fmt=fmt, window=corpus.window)
     assert loaded == corpus
     # Years 1000 and later keep the bytes they always had.

@@ -13,7 +13,6 @@ from socmine.graph import (
     CooccurrenceGraph,
     build_graph,
     components,
-    dyad_report,
     dyads_csv,
     export_graph,
     _quoteattr,
@@ -76,20 +75,17 @@ def test_components_include_isolates():
 
 def test_dyad_report():
     graph = build_graph(PAIRS, threshold=1)
-    rows = dyad_report(graph, 3)
-    assert rows == [
-        ("police", "riots", 5, 1.0),
-        ("husby", "riots", 2, 0.4),
-        ("nyheter", "police", 1, 0.2),
-    ]
-    assert dyad_report(graph, 1) == rows[:1]
-    with pytest.raises(ValueError):
-        dyad_report(graph, 0)
+    assert dyads_csv(graph) == (
+        "tag_a,tag_b,weight,ratio\n"
+        "police,riots,5,1.0000\n"
+        "husby,riots,2,0.4000\n"
+        "nyheter,police,1,0.2000\n"
+    )
 
 
 def test_dyad_report_empty_graph():
     graph = CooccurrenceGraph(nodes=frozenset(), edges={}, threshold=1)
-    assert dyad_report(graph, 5) == []
+    assert dyads_csv(graph) == "tag_a,tag_b,weight,ratio\n"
 
 
 @pytest.mark.parametrize("fmt,name", [("dot", "graph.dot"), ("graphml", "graph.graphml")])
@@ -160,11 +156,8 @@ TAGS = st.text("abc", min_size=1, max_size=2)
     st.integers(1, 4),
     st.none() | st.frozensets(TAGS, max_size=6),
     st.booleans(),
-    st.integers(1, 14),
 )
-def test_build_graph_and_dyad_report_match_brute_force(
-    drawn, threshold, whitelist, retain_isolates, k
-):
+def test_build_graph_and_dyad_report_match_brute_force(drawn, threshold, whitelist, retain_isolates):
     # The boolean picks a TagPair or a plain tuple key, so tables mix both.
     entries = {(TagPair(a, b) if as_pair else (a, b)): n for (a, b, as_pair), n in drawn.items()}
     graph = build_graph(CountTable(entries), threshold, whitelist, retain_isolates)
@@ -183,8 +176,8 @@ def test_build_graph_and_dyad_report_match_brute_force(
 
     order = ranked(CountTable(want))
     assert list(graph.edges.items()) == order
-    assert dyad_report(graph, k) == [
-        (a, b, weight, weight / order[0][1]) for (a, b), weight in order[:k]
+    assert list(csv.reader(io.StringIO(dyads_csv(graph))))[1:] == [
+        [a, b, str(weight), f"{weight / order[0][1]:.4f}"] for (a, b), weight in order
     ]
 
 
@@ -209,8 +202,8 @@ def test_dyads_csv_equals_csv_writer(entries):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["tag_a", "tag_b", "weight", "ratio"])
+    heaviest = max(graph.edges.values(), default=1)
     writer.writerows(
-        (a, b, weight, f"{ratio:.4f}")
-        for a, b, weight, ratio in dyad_report(graph, max(1, len(graph.edges)))
+        (a, b, weight, f"{weight / heaviest:.4f}") for (a, b), weight in graph.edges.items()
     )
     assert dyads_csv(graph) == buffer.getvalue()

@@ -15,7 +15,6 @@ from socmine.ngrams import (
     count_token_2grams,
     counts_to_csv,
     ranked,
-    top_k,
 )
 from socmine.text import KeywordFamily, StopwordList
 
@@ -128,22 +127,10 @@ def test_jobs_must_be_positive():
         count_tags(corpus, jobs=0)
 
 
-def test_top_k_tie_break_is_lexicographic():
+def test_ranked_tie_break_is_lexicographic():
     table = CountTable({"b": 2, "a": 2, "c": 5, "d": 1})
-    assert top_k(table, 3) == [("c", 5), ("a", 2), ("b", 2)]
-    assert top_k(table, 99) == [("c", 5), ("a", 2), ("b", 2), ("d", 1)]
-    with pytest.raises(ValueError):
-        top_k(table, 0)
-
-
-@given(
-    st.dictionaries(st.text("abc", max_size=3), st.integers(1, 4), max_size=30),
-    st.integers(1, 35),
-)
-def test_top_k_equals_full_sort_prefix(entries, k):
-    # Counts drawn from 1..4 force many ties, which the key order must break.
-    full = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
-    assert top_k(CountTable(entries), k) == full[:k]
+    assert ranked(table) == [("c", 5), ("a", 2), ("b", 2), ("d", 1)]
+    assert ranked(CountTable()) == []
 
 
 def _reference_order(entries):
@@ -170,15 +157,6 @@ def test_ranked_pair_keys_match_reference_order(drawn):
     # The boolean picks a TagPair or a plain tuple key, so tables mix both.
     entries = {(TagPair(a, b) if as_pair else (a, b)): n for (a, b, as_pair), n in drawn.items()}
     assert ranked(CountTable(entries)) == _reference_order(entries)
-
-
-@given(
-    st.dictionaries(st.tuples(TAGS, TAGS), st.integers(1, 4), max_size=30),
-    st.integers(1, 35),
-)
-def test_top_k_equals_ranked_prefix(entries, k):
-    table = CountTable(entries)
-    assert top_k(table, k) == ranked(table)[:k]
 
 
 def test_counts_to_csv_scalar_and_pair_keys():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import GOLDEN
 from socmine.errors import DataError
-from socmine.ngrams import CountTable, TagPair, ranked
+from socmine.ngrams import CountTable, ranked
 from socmine.sentiment import (
     LexiconEntry,
     PowerReport,
@@ -195,8 +195,8 @@ def test_power_csv_golden():
 
 
 def _scan_power_rows(table, lexicon, min_freq):
-    """Frozen copy of power_report's per-row code (_as_ngram, then _strength
-    over a generator of halves) from before token keys skipped _as_ngram."""
+    """Frozen copy of power_report's old per-row code: each key's parts made
+    strings, then _strength over a generator of halves."""
     rows = []
     kept = {key: count for key, count in table.entries.items() if count >= min_freq}
     for key, freq in ranked(CountTable(kept)):
@@ -215,15 +215,11 @@ SURFACES = st.lists(
     st.sampled_from(["dobr", "fatal", "wspania", "mordować", "y", "ą", ""]), max_size=3
 ).map("".join)
 COUNTS = st.integers(1, 5)
+# Keys are plain tuples of surfaces, as count_token_2grams writes them.
 POWER_TABLES = st.one_of(
-    st.dictionaries(SURFACES, COUNTS, max_size=12),
+    st.dictionaries(st.tuples(SURFACES), COUNTS, max_size=12),
     st.dictionaries(st.tuples(SURFACES, SURFACES), COUNTS, max_size=12),
     st.dictionaries(st.tuples(SURFACES, SURFACES, SURFACES), COUNTS, max_size=12),
-    st.dictionaries(
-        st.tuples(SURFACES, SURFACES) | st.builds(TagPair, SURFACES, SURFACES),
-        COUNTS,
-        max_size=12,
-    ),
 )
 
 

@@ -14,11 +14,20 @@ serializer and _context imports report, so a subcommand loads only the
 modules it runs, and only `run` loads PyYAML.
 Exit codes: 0 success, 1 bad usage, 2 bad data or values, 3 unexpected
 internal failure.
+
+main runs each command with the cyclic garbage collector off, and turns it
+back on when it returns if it was on. Documents, token lists, tuples,
+strings and Counters hold no reference cycles, so a collection finds
+nothing, yet it rescans every one of the hundreds of thousands of them a
+corpus makes: 6-8% of a `socmine run`. The cyclic garbage a command leaves
+does not grow with the corpus (a test checks this). Library callers of
+report.run_pipeline and Context keep the interpreter's default.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -230,6 +239,16 @@ def build_parser() -> Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,7 +21,7 @@ from .errors import DataError
 from .resources import read_rows
 # tokenize is not called here (Document.tokens calls it) but stays bound:
 # the benchmark tracer's self-test reads coding.tokenize.
-from .text import KeywordFamily, StemIndex, StopwordList, tokenize  # noqa: F401
+from .text import KeywordFamily, StemIndex, StopwordList, is_token, tokenize  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,8 @@ class PronounGroups:
 def load_pronoun_groups(path: str | Path) -> PronounGroups:
     """Parse a groups file: `group<TAB>label<TAB>surface[|surface...]` per line.
 
-    A surface may appear in only one entry of either group.
+    Each surface must be one token; it is lowered. A surface may appear in
+    only one entry of either group.
     """
     groups: dict[str, list[GroupEntry]] = {"them": [], "us": []}
     seen: set[str] = set()
@@ -202,12 +203,15 @@ def load_pronoun_groups(path: str | Path) -> PronounGroups:
         if len(parts) != 3:
             raise DataError(f"line {line_no}: expected 3 tab-separated fields")
         group, label, surfaces_field = parts
-        surfaces = tuple(s.lower() for s in surfaces_field.split("|") if s)
-        if not surfaces:
+        words = [word for word in surfaces_field.split("|") if word]
+        if not words:
             raise DataError(f"line {line_no}: no surfaces listed")
         if group not in groups:
             raise DataError(f"line {line_no}: group must be 'them' or 'us', got {group!r}")
-        for surface in surfaces:
+        surfaces = tuple(word.lower() for word in words)
+        for word, surface in zip(words, surfaces):
+            if not is_token(word):
+                raise DataError(f"line {line_no}: surface must be one token: {word!r}")
             if surface in seen:
                 raise DataError(
                     f"line {line_no}: surface {surface!r} appears in more than one entry"

@@ -42,7 +42,8 @@ class KeywordFamily:
     """A stem plus match rule standing in for the inflected forms of a word.
 
     match_mode 'exact' matches the stem only; 'prefix' matches every
-    surface starting with the stem.
+    surface starting with the stem. The stem must be one token, or it
+    could match no surface.
     """
 
     stem: str
@@ -53,6 +54,8 @@ class KeywordFamily:
             raise ValueError("keyword family stem must be non-empty")
         if self.stem != self.stem.lower():
             raise ValueError(f"keyword family stem must be lowercase: {self.stem!r}")
+        if not is_token(self.stem):
+            raise ValueError(f"keyword family stem must be one token: {self.stem!r}")
         if self.match_mode not in ("prefix", "exact"):
             raise ValueError(f"unknown match mode: {self.match_mode!r}")
         if self.match_mode == "prefix" and len(self.stem) < MIN_PREFIX_STEM:
@@ -138,11 +141,21 @@ def remove_stopwords(tokens: list[str], stops: StopwordList) -> list[str]:
     return [token for token in tokens if token not in words]
 
 
+def is_token(word: str) -> bool:
+    """Whether tokenize turns word into one token: word, lowered."""
+    return _WORD_RE.fullmatch(word) is not None
+
+
 def load_stopwords(path: str | Path, language: str = "") -> StopwordList:
-    """Read a stopword file: one word per line, '#' starts a comment line."""
+    """Read a stopword file: one word per line, '#' starts a comment line.
+
+    Each word must be one token; it is lowered.
+    """
     words: set[str] = set()
     for line_no, fields in read_rows(path, "stopword"):
         if len(fields) != 1:
             raise DataError(f"line {line_no}: expected one word per line")
+        if not is_token(fields[0]):
+            raise DataError(f"line {line_no}: stopword must be one token: {fields[0]!r}")
         words.add(fields[0].lower())
     return StopwordList(words=frozenset(words), language=language)

@@ -1,7 +1,9 @@
 import argparse
+import gc
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -181,6 +183,10 @@ def test_timeline_tags_are_normalized(corpus_file, capsys, spelling):
             ["sentiment", "--filter-mode", "suffix"],
             "sentiment.filter_mode must be 'prefix' or 'exact'",
         ),
+        (
+            ["sentiment", "--filter-stem", "poli cja"],
+            "sentiment.filter_stem: keyword family stem must be one token: 'poli cja'",
+        ),
     ],
 )
 def test_flag_errors_name_the_config_key(corpus_file, capsys, flags, key):
@@ -227,6 +233,26 @@ def test_sentiment_subcommand(corpus_file, capsys):
     assert out.splitlines()[0] == "ngram,freq,strength,power"
     assert "dobra wiadomość,2,1,2" in out
     assert out.endswith("# sum_power,2\n")
+
+
+# A data file word the tokenizer cannot produce as one token would never
+# match, so it is refused rather than silently ignored.
+@pytest.mark.parametrize(
+    "command,flag,data,message",
+    [
+        ("pronouns", "--groups", "us\twe\tmy\nthem\tthey\tim-x\n", "line 2: surface must be one token: 'im-x'"),
+        ("code", "--stopwords", "nie_\n", "line 1: stopword must be one token: 'nie_'"),
+        ("sentiment", "--lexicon", "dobr y\tpositive\t1\n", "line 1: keyword family stem must be one token"),
+        ("code", "--taxonomy", "1\tA\n1\tpoli cja\tprefix\n", "line 2: keyword family stem must be one token"),
+    ],
+)
+def test_a_data_word_that_is_not_one_token_exits_2(corpus_file, tmp_path, capsys, command, flag, data, message):
+    path = tmp_path / "words.tsv"
+    path.write_text(data, encoding="utf-8")
+    assert main([command, str(corpus_file), flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_run_subcommand(corpus_file, tmp_path, capsys):
@@ -582,3 +608,90 @@ def test_each_flag_reaches_its_config_key(tmp_path, capsys, stage):
     assert main(argv) == 0
     printed = capsys.readouterr().out.encode("utf-8")
     assert printed == (manifest.run_dir / artifact).read_bytes()
+
+
+# main runs each command with the cyclic garbage collector off (see the cli
+# module docstring). The tests below check that it gives the caller back the
+# collector's state, that stages run with it off, and that the cyclic garbage
+# a run leaves does not grow with the corpus.
+
+
+@pytest.fixture()
+def collector_on():
+    gc.enable()
+    yield
+    gc.enable()
+
+
+def test_main_gives_back_the_collector_state(corpus_file, collector_on):
+    for argv, code in (
+        (["tags", str(corpus_file)], 0),
+        (["tags"], 1),
+        (["tags", str(corpus_file), "--top", "-1"], 2),
+    ):
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert main(argv) == code, argv
+            assert gc.isenabled() is enabled, (argv, enabled)
+    gc.enable()
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert gc.isenabled()
+
+
+def test_stages_run_with_the_collector_off(corpus_file, collector_on, tmp_path, monkeypatch):
+    import socmine.report as report
+
+    seen = []
+    ingest = report._STAGES["ingest"]
+
+    def spy(ctx, build_dir):
+        seen.append(gc.isenabled())
+        return ingest(ctx, build_dir)
+
+    monkeypatch.setitem(report._STAGES, "ingest", spy)
+    config = tmp_path / "run.yaml"
+    config.write_text("corpus:\n  path: c.jsonl\nrun:\n  stages: [ingest]\n", encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+# Words the bundled taxonomy, lexicon, pronoun groups and stopwords match,
+# so that every stage has rows to make.
+GUARD_WORDS = "oni im my nas dobra wspaniały fatalny i w na work school asylum hate".split()
+
+
+def _guard_corpus(path: Path, copies: int) -> None:
+    """copies x 150 documents; past the first copy, one in four lies outside the window."""
+    rng = random.Random(copies)
+    with path.open("w", encoding="utf-8") as handle:
+        for i in range(150 * copies):
+            day = 20 + i % 5 if i < 150 or i % 4 else 1
+            words = rng.choices(GUARD_WORDS, k=12) + [f"w{rng.randrange(40 * copies)}" for _ in range(6)]
+            tags = sorted({f"t{rng.randrange(30 * copies)}" for _ in range(rng.randrange(1, 5))})
+            record = {"id": str(i), "ts": f"2013-05-{day:02d}T10:00:00Z", "text": " ".join(words), "tags": tags}
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def test_cyclic_garbage_of_a_run_does_not_grow_with_the_corpus(tmp_path, collector_on):
+    config = tmp_path / "run.yaml"
+    leftovers, dropped = [], []
+    # The first run imports and sets up what every run shares; it is not counted.
+    for n, copies in enumerate((1, 1, 4)):
+        corpus = tmp_path / f"c{copies}.jsonl"
+        _guard_corpus(corpus, copies)
+        config.write_text(
+            f"corpus:\n  path: {corpus.name}\n  window: 2013-05-15..2013-05-31\nrun:\n  out_dir: runs{n}\n",
+            encoding="utf-8",
+        )
+        gc.collect()
+        gc.disable()
+        assert main(["run", "--config", str(config)]) == 0
+        leftovers.append(gc.collect())
+        gc.enable()
+        (manifest,) = (tmp_path / f"runs{n}").glob("*/manifest.json")
+        ingest = json.loads(manifest.read_text(encoding="utf-8"))["stages"][0]
+        dropped.append(ingest["summary"]["dropped"])
+    assert dropped == [{}, {}, {"out_of_window": 112}]
+    assert leftovers[1] == leftovers[2], leftovers

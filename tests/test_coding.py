@@ -62,6 +62,7 @@ def test_load_taxonomy_small(tmp_path):
         ("1\tA\tprefix\textra\n", "expected 2 or 3"),
         ("9\tstem\tprefix\n", "unknown category id"),
         ("1\tA\n1\tab\tprefix\n", "line 2"),
+        ("1\tA\n1\tpoli cja\tprefix\n", "line 2: keyword family stem must be one token: 'poli cja'"),
         # Each fault names the line that makes it: the second family, the
         # orphan's declaration.
         ("1\tA\n1\twork\tprefix\n2\tB\n2\twork\tprefix\n", "line 4: duplicate family: 'work'"),
@@ -205,6 +206,7 @@ def test_load_pronoun_groups(tmp_path):
         ("others\tx\ty\n", "'them' or 'us'"),
         ("them\ta\tim\nus\tb\tim\n", "more than one entry"),
         ("them\ta\tim\nus\tb\tmy\nus\tc\tnas|im\n", "line 3: surface 'im' appears in more than one entry"),
+        ("us\twe\tmy\nthem\tthey\tim-x\n", "line 2: surface must be one token: 'im-x'"),
     ],
 )
 def test_load_pronoun_groups_errors(tmp_path, body, message):

@@ -95,6 +95,11 @@ def test_merge_rejects_unknowns_and_bad_types(overrides, message):
             "corpus.aliases value for 'svpol': hashtag contains the forbidden character ' '",
         ),
         ({"corpus": {"aliases": {"#SvPol": "x"}}}, "corpus.aliases key '#SvPol' must be written 'svpol'"),
+        # A stem that is not one token could never match a token.
+        (
+            {"sentiment": {"filter_stem": "poli cja"}},
+            "sentiment.filter_stem: keyword family stem must be one token: 'poli cja'",
+        ),
     ],
 )
 def test_validation_errors(overrides, message):

@@ -57,6 +57,7 @@ def test_load_lexicon(tmp_path):
         ("dobr\tpositive\t1\nab\tpositive\t1\n", "line 2: prefix stem 'ab' shorter than 3"),
         ("Dobr\tpositive\t1\texact\n", "line 1: keyword family stem must be lowercase"),
         ("dobr\tpositive\t1\tsuffix\n", "line 1: unknown match mode"),
+        ("dobr y\tpositive\t1\n", "line 1: keyword family stem must be one token: 'dobr y'"),
     ],
 )
 def test_load_lexicon_errors(tmp_path, body, message):

@@ -126,6 +126,23 @@ def test_keyword_family_validation():
     assert KeywordFamily(stem="my", match_mode="exact").matches("my")
 
 
+@given(
+    st.one_of(st.text(max_size=8), st.text(TRICKY_ALPHABET, max_size=8)).map(str.lower),
+    st.sampled_from(["prefix", "exact"]),
+)
+def test_keyword_family_accepts_a_stem_iff_it_is_one_token(stem, mode):
+    # A stem the tokenizer cannot produce as one token would never match.
+    accepted = tokenize(stem) == [stem] and stem == stem.lower()
+    if mode == "prefix":
+        accepted = accepted and len(stem) >= MIN_PREFIX_STEM
+    try:
+        KeywordFamily(stem, mode)
+    except ValueError:
+        assert not accepted
+    else:
+        assert accepted
+
+
 def test_load_stopwords(tmp_path):
     path = tmp_path / "stops.txt"
     path.write_text("# comment\nOch\natt\n\n  på  \n", encoding="utf-8")
@@ -138,6 +155,14 @@ def test_load_stopwords_rejects_a_line_with_a_tab(tmp_path):
     path = tmp_path / "stops.txt"
     path.write_text("# comment\noch\natt\tpå\n", encoding="utf-8")
     with pytest.raises(DataError, match="^line 3: expected one word per line$"):
+        load_stopwords(path)
+
+
+@pytest.mark.parametrize("word", ["nie_", "po-prostu", "a b", "o'"])
+def test_load_stopwords_rejects_a_word_that_is_not_one_token(tmp_path, word):
+    path = tmp_path / "stops.txt"
+    path.write_text(f"# comment\noch\n{word}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^line 3: stopword must be one token: {word!r}$"):
         load_stopwords(path)
 
 

@@ -22,11 +22,23 @@ nothing, yet it rescans every one of the hundreds of thousands of them a
 corpus makes: 6-8% of a `socmine run`. The cyclic garbage a command leaves
 does not grow with the corpus (a test checks this). Library callers of
 report.run_pipeline and Context keep the interpreter's default.
+
+When main parses the process's own arguments (argv is None: the console
+script, `python -m socmine.cli`), it also registers gc.freeze with atexit,
+once. Shutdown then skips the collections that would rescan every module
+and object the command left: from main's return to process exit took
+21.5 -> 7.1 ms for `tags` and 28-33 -> 11-13 ms for a `socmine run`,
+medians of 11 fresh processes on a shared 2-vCPU VM. A caller that passes argv (tests, the
+benchmark's in-process trace) gets no hook and no frozen heap, so the
+interpreter is handed back as it was. Nothing is frozen while a command
+runs, every artifact is closed before main returns, and the interpreter
+still flushes stdout and stderr at exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import sys
 from pathlib import Path
@@ -239,6 +251,11 @@ def build_parser() -> Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        # The process's own command: nothing runs after it but shutdown
+        # (see the module docstring). Unregistering first keeps it to one hook.
+        atexit.unregister(gc.freeze)
+        atexit.register(gc.freeze)
     enabled = gc.isenabled()
     gc.disable()
     try:

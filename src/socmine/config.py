@@ -8,14 +8,14 @@ The config digest is computed from the merged values before path
 resolution, minus run.jobs and run.out_dir, so the same analysis recipe
 hashes identically across machines and parallelism settings.
 
-PyYAML is imported by load_config alone, so the subcommands, which check
-their flags with merge_config, never load it.
+PyYAML is imported by load_config alone, and hashlib by the two digest
+functions alone, so the subcommands, which check their flags with
+merge_config and write no manifest, load neither.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +23,7 @@ from typing import Any, Mapping
 
 from .corpus import _check_tag, normalize_tag, parse_window
 from .errors import DataError
+from .resources import utf8_fault
 from .text import KeywordFamily
 
 STAGES = (
@@ -230,6 +231,8 @@ def load_config(path: str | Path) -> Config:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"config file {path}: {utf8_fault(exc)}") from exc
     try:
         loaded = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -252,6 +255,8 @@ def digest_view(raw_values: Mapping[str, Any]) -> dict[str, Any]:
 
 def config_digest(raw_values: Mapping[str, Any]) -> str:
     """SHA-256 over the canonical JSON form of the digest view."""
+    import hashlib
+
     canonical = json.dumps(
         digest_view(raw_values), sort_keys=True, ensure_ascii=False, separators=(",", ":")
     )
@@ -260,6 +265,8 @@ def config_digest(raw_values: Mapping[str, Any]) -> str:
 
 def file_digest(path: str | Path) -> str:
     """SHA-256 of a file's bytes; used to fingerprint corpus inputs."""
+    import hashlib
+
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as handle:

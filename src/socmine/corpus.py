@@ -138,8 +138,10 @@ def _iso_utc(dt: datetime) -> str:
     """A UTC time as YYYY-MM-DDTHH:MM:SSZ, the year always four digits.
 
     strftime("%Y") writes year 5 as "5", which parse_timestamp rejects.
+    isoformat's first 19 characters are that text with or without a
+    tzinfo or a microsecond.
     """
-    return dt.replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
+    return dt.isoformat()[:19] + "Z"
 
 
 def parse_timestamp(value: str | int | float) -> datetime:
@@ -154,7 +156,7 @@ def parse_timestamp(value: str | int | float) -> datetime:
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     ts = ts.astimezone(timezone.utc)
-    return ts.replace(microsecond=0)
+    return ts.replace(microsecond=0) if ts.microsecond else ts
 
 
 def parse_window(spec: str) -> tuple[datetime, datetime]:
@@ -233,14 +235,7 @@ def _record_to_document(
     if source not in SOURCES:
         raise _malformed(line, "source", f"must be one of {SOURCES}, got {source!r}")
 
-    return Document(
-        id=doc_id,
-        timestamp=timestamp,
-        text=text,
-        hashtags=tuple(tags),
-        lang=lang,
-        source=str(source),
-    )
+    return Document(doc_id, timestamp, text, tuple(tags), lang, str(source))
 
 
 def _undecodable(path: Path) -> DataError:
@@ -259,7 +254,9 @@ def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, obje
     if fmt == "jsonl":
         with path.open(encoding="utf-8-sig") as handle:
             for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
+                # A line read from a file is never empty, so this is
+                # `not line.strip()` without the stripped copy.
+                if line.isspace():
                     continue
                 try:
                     record = json.loads(line)

@@ -1,6 +1,7 @@
 """The data files bundled with the package (default stopword list,
-taxonomy, pronoun groups, demonstration lexicon) and the one reader every
-data-file loader uses."""
+taxonomy, pronoun groups, demonstration lexicon), the one reader every
+data-file loader uses, and the text naming a byte that is not UTF-8,
+which the config loader shares."""
 
 from __future__ import annotations
 
@@ -37,10 +38,14 @@ def read_rows(path: str | Path, kind: str) -> Iterator[tuple[int, list[str]]]:
     except OSError as exc:
         raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        line_no = exc.object.count(b"\n", 0, exc.start) + 1
-        byte = exc.object[exc.start]
-        raise DataError(f"line {line_no}: invalid UTF-8 byte 0x{byte:02x}") from exc
+        raise DataError(utf8_fault(exc)) from exc
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield line_no, line.split("\t")
+
+
+def utf8_fault(exc: UnicodeDecodeError) -> str:
+    """`line N: invalid UTF-8 byte 0xXX`, for a whole file that failed to decode."""
+    line_no = exc.object.count(b"\n", 0, exc.start) + 1
+    return f"line {line_no}: invalid UTF-8 byte 0x{exc.object[exc.start]:02x}"

@@ -1,4 +1,5 @@
 import argparse
+import atexit
 import gc
 import importlib.util
 import json
@@ -357,10 +358,15 @@ def test_version(capsys):
 HEAVY = {"xml.sax", "urllib.request", "http.client", "xml.etree"}
 
 
-def test_cli_import_loads_no_xml_or_network_modules():
+def _env_with_src() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     paths = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def test_cli_import_loads_no_xml_or_network_modules():
+    env = _env_with_src()
     # cli.py imports the analysis modules lazily, so the probe imports every
     # module of the package itself.
     probe = (
@@ -390,8 +396,9 @@ with open(out, "w", encoding="utf-8") as handle:
     handle.write("\\n".join(sorted(sys.modules)))
 sys.exit(code)
 """
-# Only `socmine run` reads a config file and stages a run directory.
-RUN_ONLY = {"yaml", "tempfile"}
+# Only `socmine run` reads a config file, stages a run directory and
+# writes digests into its manifest.
+RUN_ONLY = {"yaml", "tempfile", "hashlib"}
 UNUSED_BY_TEXT = {"socmine.graph", "socmine.timeline", "socmine.sentiment"}
 UNUSED_BY_TAGS = {"socmine.coding", "socmine.graph", "socmine.sentiment"}
 
@@ -610,10 +617,12 @@ def test_each_flag_reaches_its_config_key(tmp_path, capsys, stage):
     assert printed == (manifest.run_dir / artifact).read_bytes()
 
 
-# main runs each command with the cyclic garbage collector off (see the cli
-# module docstring). The tests below check that it gives the caller back the
-# collector's state, that stages run with it off, and that the cyclic garbage
-# a run leaves does not grow with the corpus.
+# main runs each command with the cyclic garbage collector off, and freezes
+# the heap at exit when it runs the process's own command (see the cli
+# module docstring). The tests below check that an in-process caller gets
+# the collector's state back and no exit hook, that a fresh process is
+# frozen when it exits, that stages run with collection off, and that the
+# cyclic garbage a run leaves does not grow with the corpus.
 
 
 @pytest.fixture()
@@ -631,12 +640,40 @@ def test_main_gives_back_the_collector_state(corpus_file, collector_on):
     ):
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
+            hooks, frozen = atexit._ncallbacks(), gc.get_freeze_count()
             assert main(argv) == code, argv
             assert gc.isenabled() is enabled, (argv, enabled)
+            assert (atexit._ncallbacks(), gc.get_freeze_count()) == (hooks, frozen), argv
     gc.enable()
     with pytest.raises(SystemExit):
         main(["--version"])
     assert gc.isenabled()
+
+
+# A hook registered before main runs after main's own: it sees the heap
+# as shutdown will.
+EXIT_PROBE = """\
+import atexit, gc, sys
+from socmine.cli import main
+atexit.register(lambda: print(f"frozen: {gc.get_freeze_count() > 0}", file=sys.stderr))
+sys.exit(main())
+"""
+
+
+def test_the_process_entry_freezes_the_heap_at_exit(corpus_file, tmp_path, capsys):
+    env = _env_with_src()
+    for argv, code in (
+        (["tags", str(corpus_file)], 0),
+        (["tags"], 1),
+        (["tags", str(tmp_path / "gone.jsonl")], 2),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-c", EXIT_PROBE, *argv], env=env, capture_output=True, text=True
+        )
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert (result.returncode, result.stdout) == (code, out), argv
+        assert result.stderr == err + "frozen: True\n", argv
 
 
 def test_stages_run_with_the_collector_off(corpus_file, collector_on, tmp_path, monkeypatch):

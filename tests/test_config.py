@@ -179,6 +179,13 @@ def test_load_config_errors(tmp_path):
     scalar.write_text("just a string\n", encoding="utf-8")
     with pytest.raises(DataError, match="must be a mapping"):
         load_config(scalar)
+    # Data files name the line of a byte that is not UTF-8; a config file
+    # names its path too.
+    undecodable = tmp_path / "undecodable.yaml"
+    undecodable.write_bytes(b'corpus:\n  path: "x\xff.jsonl"\n')
+    with pytest.raises(DataError) as raised:
+        load_config(undecodable)
+    assert str(raised.value) == f"config file {undecodable}: line 2: invalid UTF-8 byte 0xff"
     empty = tmp_path / "empty.yaml"
     empty.write_text("", encoding="utf-8")
     assert load_config(empty)["tags"]["top"] == DEFAULTS["tags"]["top"]

@@ -2,7 +2,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, replace
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +55,42 @@ def test_parse_timestamp_forms():
     assert parse_timestamp("2013-05-20 10:30:00") == expected
     assert parse_timestamp("2013-05-20T10:30:00.654321Z") == expected
     assert parse_timestamp(expected.timestamp()) == expected
+
+
+def _reference_parse_timestamp(value):
+    if isinstance(value, (int, float)):
+        ts = datetime.fromtimestamp(float(value), tz=timezone.utc)
+    else:
+        text = value.strip()
+        if text.endswith(("Z", "z")):
+            text = text[:-1] + "+00:00"
+        ts = datetime.fromisoformat(text)
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return ts.astimezone(timezone.utc).replace(microsecond=0)
+
+
+def _outcome(parse, value):
+    try:
+        return repr(parse(value))
+    except (ValueError, OverflowError, OSError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300)
+@given(
+    st.builds(
+        lambda when, timespec, suffix: when.isoformat(timespec=timespec) + suffix,
+        st.datetimes(),
+        st.sampled_from(["seconds", "milliseconds", "microseconds"]),
+        st.sampled_from(["", "Z", "z", "+00:00", "+02:00", "-05:30", "+23:59"]),
+    )
+    | st.floats(min_value=0, max_value=4e9)
+    | st.integers(min_value=-(10**11), max_value=10**11)
+)
+def test_parse_timestamp_matches_its_reference(value):
+    # parse_timestamp drops a microsecond only when there is one.
+    assert _outcome(parse_timestamp, value) == _outcome(_reference_parse_timestamp, value)
 
 
 def test_parse_window_bare_date_end_covers_the_day():
@@ -185,8 +221,14 @@ _json_values = st.recursive(
 )
 
 
+# Lines of whitespace, also whitespace that JSON does not allow; none ends
+# a line for a file read in text mode.
+_blank_line = st.text(st.sampled_from(" \t\u3000\x1c\x1d\x1e\x1f\xa0\x0b\x0c\x85\u2028"))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
+    st.lists(_blank_line, max_size=3),
     st.fixed_dictionaries(
         {
             "id": _text | _json_values,
@@ -200,16 +242,18 @@ _json_values = st.recursive(
         },
     )
 )
-def test_every_json_object_record_loads_or_names_its_line(tmp_path_factory, record):
+def test_every_json_object_record_loads_or_names_its_line(tmp_path_factory, blanks, record):
     directory = tmp_path_factory.mktemp("record")
     path = directory / "c.jsonl"
     # ensure_ascii (the default) writes lone surrogates as \uXXXX escapes.
-    path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+    # Blank lines are skipped but counted.
+    path.write_text("".join(line + "\n" for line in blanks) + json.dumps(record) + "\n", encoding="utf-8")
     try:
-        corpus, _ = load_corpus(path)
+        corpus, report = load_corpus(path)
     except DataError as exc:
-        assert str(exc).startswith("line 2: "), str(exc)
+        assert str(exc).startswith(f"line {len(blanks) + 1}: "), str(exc)
         return
+    assert report.records_read == 1
     out = directory / "out.jsonl"
     write_corpus(corpus, out)
     encode = json.JSONEncoder(ensure_ascii=False).encode
@@ -430,6 +474,18 @@ def test_write_corpus_round_trips_any_year(tmp_path_factory, fmt, when):
     # Years 1000 and later keep the bytes they always had.
     if when.year >= 1000:
         assert when.strftime("%Y-%m-%dT%H:%M:%SZ") in path.read_text(encoding="utf-8")
+
+
+@settings(max_examples=300)
+@given(
+    st.datetimes(
+        timezones=st.none()
+        | st.builds(timezone, st.timedeltas(min_value=timedelta(hours=-23), max_value=timedelta(hours=23)))
+    )
+)
+def test_iso_utc_matches_its_reference(when):
+    # Naive and aware, years 1-9999, any microsecond.
+    assert _iso_utc(when) == when.replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
 
 def test_document_tokens_are_cached_and_not_a_field():

@@ -7,7 +7,8 @@ _overrides lays the given ones over config.DEFAULTS, or over the config
 file for `run`, for merge_config to check. So every default and value
 rule lives in config, and a bad value exits 2 naming its key. An analysis
 subcommand prints what its `run` stage writes, from the same
-report.Context property and serializer. Only `ingest --out`, `timeline
+report.Context property and serializer; its run.stages is that one stage,
+so `code` and `pronouns` count no 2-grams. Only `ingest --out`, `timeline
 --timeline-format`/`--classify` and `run --config` are not config keys.
 This module imports no analysis module: each cmd_* imports its own
 serializer and _context imports report, so a subcommand loads only the
@@ -149,8 +150,7 @@ def cmd_pronouns(args: argparse.Namespace) -> int:
 def cmd_sentiment(args: argparse.Namespace) -> int:
     from .sentiment import power_csv
 
-    _, report = _context(args).power
-    sys.stdout.write(power_csv(report))
+    sys.stdout.write(power_csv(_context(args).power))
     return 0
 
 
@@ -173,9 +173,11 @@ def build_parser() -> Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def analysis(name: str, help: str) -> argparse.ArgumentParser:
-        """An analysis subcommand: a flag that is not given sets no config key."""
+    def analysis(name: str, help: str, stage: str = "") -> argparse.ArgumentParser:
+        """An analysis subcommand: a flag that is not given sets no config key,
+        and run.stages is its own stage, named `name` unless given."""
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.set_defaults(**{"run.stages": [stage or name]})
         p.add_argument("corpus.path", metavar="corpus", help="corpus file to analyze")
         p.add_argument("--format", dest="corpus.format", help="corpus file format")
         p.add_argument("--window", dest="corpus.window", metavar="START..END",
@@ -213,7 +215,7 @@ def build_parser() -> Parser:
                    help="print curve shapes instead")
     p.set_defaults(func=cmd_timeline)
 
-    p = analysis("code", "assign corpus vocabulary to taxonomy categories")
+    p = analysis("code", "assign corpus vocabulary to taxonomy categories", "coding")
     p.add_argument("--taxonomy", dest="coding.taxonomy",
                    help="taxonomy file, bundled one by default")
     p.add_argument("--stopwords", dest="text.stopwords",

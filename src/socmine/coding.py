@@ -11,16 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
-from .corpus import Document
 from .errors import DataError
 from .resources import read_rows
-# tokenize is not called here (Document.tokens calls it) but stays bound:
-# the benchmark tracer's self-test reads coding.tokenize.
+# tokenize is not called here (ngrams.count_tokens calls it) but stays
+# bound: the benchmark tracer's self-test reads coding.tokenize.
 from .text import KeywordFamily, StemIndex, StopwordList, is_token, tokenize  # noqa: F401
 
 
@@ -106,18 +104,6 @@ class CodingResult:
             raise ValueError("vocabulary is not conserved across categories")
 
 
-def surface_counts(documents: Iterable[Document]) -> Counter:
-    """Occurrences of every token surface across the documents' tokens.
-
-    Vocabulary coding and pronoun counting share this one count; stopwords
-    are kept, so each analysis filters for itself.
-    """
-    freq: Counter = Counter()
-    for doc in documents:
-        freq.update(doc.tokens)
-    return freq
-
-
 def code_vocabulary(
     freq: Mapping[str, int],
     taxonomy: Taxonomy,
@@ -127,7 +113,7 @@ def code_vocabulary(
 ) -> CodingResult:
     """Assign the corpus vocabulary to taxonomy categories.
 
-    freq maps each surface to its corpus frequency (see surface_counts).
+    freq maps each surface to its corpus frequency (see ngrams.count_tokens).
     Vocabulary = distinct non-stopword surfaces with frequency >= min_freq.
     Each surface goes to the first category (in taxonomy order) whose
     family matches it.
@@ -238,7 +224,7 @@ class PronounReport:
 
 def pronoun_orientation(freq: Mapping[str, int], groups: PronounGroups) -> PronounReport:
     """Raw occurrence counts of every listed surface, read from the corpus
-    surface frequencies (see surface_counts).
+    surface frequencies (see ngrams.count_tokens).
 
     Stopword lists are deliberately not applied here: the surfaces of
     interest are exactly the function words a stoplist would remove.

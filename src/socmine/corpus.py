@@ -13,13 +13,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import cached_property
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DataError
-from .text import tokenize
 
 SOURCES = ("tweet", "forum_post")
 
@@ -59,7 +57,7 @@ def _check_tag(tag: str) -> None:
         raise ValueError(f"hashtag is not lowercase: {tag!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """One social-media record (tweet or forum post)."""
 
@@ -69,13 +67,6 @@ class Document:
     hashtags: tuple[str, ...] = ()
     lang: str | None = None
     source: str = "tweet"
-
-    # Not a field, so eq, hash, repr and asdict ignore it. Every text
-    # analysis reads this one list; none of them mutates it.
-    @cached_property
-    def tokens(self) -> list[str]:
-        """The tokens of the text, computed on first use."""
-        return tokenize(self.text)
 
 
 @dataclass(frozen=True)
@@ -204,9 +195,11 @@ def _record_to_document(
     text = record.get("text", "")
     if not isinstance(text, str):
         raise _malformed(line, "text", "must be a string")
-    lang = record.get("lang") or None
+    # Only a missing field, null or "" means no language (or a tweet, below).
+    lang = record.get("lang")
     if lang is not None and not isinstance(lang, str):
         raise _malformed(line, "lang", "must be a string")
+    lang = lang or None
     if escaped:
         for fieldname, value in (("id", doc_id), ("text", text), ("lang", lang)):
             if value and _SURROGATE.search(value):
@@ -231,11 +224,13 @@ def _record_to_document(
             known_tags[item] = tag
         tags.append(tag)
 
-    source = record.get("source") or "tweet"
-    if source not in SOURCES:
+    source = record.get("source")
+    if source is None or source == "":
+        source = "tweet"
+    elif source not in SOURCES:
         raise _malformed(line, "source", f"must be one of {SOURCES}, got {source!r}")
 
-    return Document(doc_id, timestamp, text, tuple(tags), lang, str(source))
+    return Document(doc_id, timestamp, text, tuple(tags), lang, source)
 
 
 def _undecodable(path: Path) -> DataError:

@@ -1,4 +1,4 @@
-"""Tag frequencies, hashtag pair co-occurrence, and token 2-gram counting.
+"""Tag frequencies, hashtag pair co-occurrence, and the one token count.
 
 `ranked` defines rank order for every ranked table, artifact and graph:
 descending count, ties ascending by key. A top-N is a prefix of it.
@@ -19,9 +19,7 @@ from itertools import combinations, repeat
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus, Document
-# tokenize is not called here (Document.tokens calls it) but stays bound:
-# the benchmark tracer's self-test reads ngrams.tokenize.
-from .text import KeywordFamily, StopwordList, remove_stopwords, tokenize  # noqa: F401
+from .text import KeywordFamily, StopwordList, remove_stopwords, tokenize
 
 Key = Hashable
 
@@ -88,29 +86,39 @@ def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> CountTable:
     return _count(pairs, jobs)
 
 
-def count_token_2grams(
-    documents: Sequence[Document],
-    stops: StopwordList,
+def count_tokens(
+    documents: Iterable[Document],
+    stops: StopwordList | None = None,
     filter_term: KeywordFamily | None = None,
     jobs: int = 1,
-) -> CountTable:
-    """Adjacent ordered token pairs in the stopword-filtered text of each document.
+) -> tuple[Counter, CountTable]:
+    """Tokenize each document once; the surface counts and the 2-gram table.
 
-    2-grams never cross document boundaries. With filter_term, only pairs
-    where at least one member matches the family are kept.
+    Every token surface is counted, stopwords kept, so each analysis of
+    them filters for itself. Only when stops is given are the 2-grams
+    counted: adjacent ordered token pairs in the stopword-filtered text of
+    each document, never crossing a document boundary, and with
+    filter_term only the pairs where at least one member matches the
+    family. No token list outlives its document.
     """
-
-    def grams_of(doc: Document) -> Iterable[tuple[str, str]]:
-        tokens = remove_stopwords(doc.tokens, stops)
-        grams = zip(tokens, tokens[1:])
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    surfaces: Counter = Counter()
+    grams: Counter = Counter()
+    for doc in documents:
+        tokens = tokenize(doc.text)
+        surfaces.update(tokens)
+        if stops is None:
+            continue
+        kept = remove_stopwords(tokens, stops)
         if filter_term is None:
-            return grams
-        return [
-            gram for gram in grams
-            if filter_term.matches(gram[0]) or filter_term.matches(gram[1])
-        ]
-
-    return _count(map(grams_of, documents), jobs)
+            grams.update(zip(kept, kept[1:]))
+        else:
+            grams.update(
+                gram for gram in zip(kept, kept[1:])
+                if filter_term.matches(gram[0]) or filter_term.matches(gram[1])
+            )
+    return surfaces, CountTable(dict(grams))
 
 
 def ranked(table: CountTable) -> list[tuple[Key, int]]:

@@ -42,7 +42,7 @@ from .ngrams import (
     CountTable,
     count_tag_pairs,
     count_tags,
-    count_token_2grams,
+    count_tokens,
     counts_to_csv,
     ranked,
 )
@@ -157,9 +157,7 @@ class Context:
     @cached_property
     def stops(self) -> StopwordList:
         path = self.sections["text"]["stopwords"]
-        if path:
-            return load_stopwords(path, language=Path(path).stem)
-        return load_stopwords(resources.default_data_path(resources.STOPWORDS), language="pl")
+        return load_stopwords(path or resources.default_data_path(resources.STOPWORDS))
 
     def table(self, name: str) -> CountTable:
         """The `tags` or `pairs` count table, counted once."""
@@ -211,17 +209,26 @@ class Context:
         return [series_by_tag[tag] for tag in sorted(series_by_tag)]
 
     @cached_property
-    def surface_counts(self) -> Counter:
-        from .coding import surface_counts
-
-        return surface_counts(self.corpus)
+    def token_counts(self) -> tuple[Counter, CountTable]:
+        """The surface counts, and the 2-gram table when sentiment runs:
+        one tokenize of each document, which coding, pronouns and
+        sentiment all read. Without sentiment in run.stages no 2-gram is
+        counted and no stopword file is read."""
+        documents = self.corpus.documents
+        if "sentiment" not in self.sections["run"]["stages"]:
+            return count_tokens(documents)
+        cfg = self.sections["sentiment"]
+        filter_term = None
+        if cfg["filter_stem"]:
+            filter_term = KeywordFamily(stem=cfg["filter_stem"], match_mode=cfg["filter_mode"])
+        return count_tokens(documents, self.stops, filter_term=filter_term)
 
     @cached_property
     def coding(self) -> tuple[Taxonomy, CodingResult, dict[str, int]]:
         from .coding import code_vocabulary, load_taxonomy, rollup
 
         cfg = self.sections["coding"]
-        freq = self.surface_counts
+        freq, _ = self.token_counts
         taxonomy = load_taxonomy(cfg["taxonomy"] or resources.default_data_path(resources.TAXONOMY))
         result = code_vocabulary(
             freq,
@@ -236,24 +243,23 @@ class Context:
     def pronouns(self) -> PronounReport:
         from .coding import load_pronoun_groups, pronoun_orientation
 
-        freq = self.surface_counts
+        freq, _ = self.token_counts
         path = self.sections["pronouns"]["groups"]
         groups = load_pronoun_groups(path or resources.default_data_path(resources.PRONOUNS))
         return pronoun_orientation(freq, groups)
 
     @cached_property
-    def power(self) -> tuple[CountTable, PowerReport]:
-        """The counted 2-grams and their power report."""
+    def power(self) -> PowerReport:
+        """The power report of the counted 2-grams. A context whose
+        run.stages lacks sentiment counts none, so it has no power report."""
         from .sentiment import load_lexicon, power_report
 
+        if "sentiment" not in self.sections["run"]["stages"]:
+            raise ValueError("no 2-grams are counted: run.stages does not select sentiment")
         cfg = self.sections["sentiment"]
-        documents = self.corpus.documents
+        _, grams = self.token_counts
         lexicon = load_lexicon(cfg["lexicon"] or resources.default_data_path(resources.LEXICON))
-        filter_term = None
-        if cfg["filter_stem"]:
-            filter_term = KeywordFamily(stem=cfg["filter_stem"], match_mode=cfg["filter_mode"])
-        grams = count_token_2grams(documents, self.stops, filter_term=filter_term)
-        return grams, power_report(grams, lexicon, min_freq=cfg["min_freq"])
+        return power_report(grams, lexicon, min_freq=cfg["min_freq"])
 
 
 # Stage renderers: each writes its artifacts into run_dir and returns their
@@ -362,11 +368,11 @@ def _stage_pronouns(ctx: Context, run_dir: Path) -> Rendered:
 def _stage_sentiment(ctx: Context, run_dir: Path) -> Rendered:
     from .sentiment import power_csv
 
-    grams, report = ctx.power
+    report = ctx.power
     artifact = _write_text(run_dir, "power.csv", power_csv(report))
     summary = {
         "rows": len(report.rows),
-        "distinct_2grams": len(grams),
+        "distinct_2grams": len(ctx.token_counts[1]),
         "sum_power": report.sum_power,
     }
     return [artifact], summary

@@ -123,7 +123,7 @@ def power_report(
 ) -> PowerReport:
     """Score every counted n-gram with frequency >= min_freq.
 
-    Keys are tuples of token surfaces, as count_token_2grams writes them,
+    Keys are tuples of token surfaces, as ngrams.count_tokens writes them,
     and each key is its row's n-gram. Rows are in `ranked` order: descending
     frequency, ties broken by the n-gram itself ascending, so equally
     frequent n-grams list alphabetically.

@@ -28,7 +28,6 @@ MIN_PREFIX_STEM = 3
 @dataclass(frozen=True)
 class StopwordList:
     words: frozenset[str]
-    language: str = ""
 
     def __contains__(self, surface: str) -> bool:
         return surface in self.words
@@ -146,7 +145,7 @@ def is_token(word: str) -> bool:
     return _WORD_RE.fullmatch(word) is not None
 
 
-def load_stopwords(path: str | Path, language: str = "") -> StopwordList:
+def load_stopwords(path: str | Path) -> StopwordList:
     """Read a stopword file: one word per line, '#' starts a comment line.
 
     Each word must be one token; it is lowered.
@@ -158,4 +157,4 @@ def load_stopwords(path: str | Path, language: str = "") -> StopwordList:
         if not is_token(fields[0]):
             raise DataError(f"line {line_no}: stopword must be one token: {fields[0]!r}")
         words.add(fields[0].lower())
-    return StopwordList(words=frozenset(words), language=language)
+    return StopwordList(words=frozenset(words))

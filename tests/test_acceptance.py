@@ -22,7 +22,6 @@ from socmine.coding import (
     load_taxonomy,
     pronoun_orientation,
     rollup,
-    surface_counts,
 )
 from socmine.config import make_config
 from socmine.corpus import Corpus, load_corpus, parse_window
@@ -31,7 +30,7 @@ from socmine.ngrams import (
     TagPair,
     count_tag_pairs,
     count_tags,
-    count_token_2grams,
+    count_tokens,
     ranked,
 )
 from socmine.report import run_pipeline
@@ -95,7 +94,7 @@ def forum():
 
 @pytest.fixture(scope="module")
 def stops():
-    return load_stopwords(default_data_path(STOPWORDS), language="pl")
+    return load_stopwords(default_data_path(STOPWORDS))
 
 
 def test_criterion_1_tag_ranking_replay():
@@ -172,7 +171,7 @@ def test_criterion_3_parallel_counting_matches_brute_force():
     word_pool = ["och", "polis", "husby", "bilar", "natt", "sten", "unga",
                  "men", "varfor", "igen", "stan", "brand"]
     stop_set = {"och", "men"}
-    stop_list = StopwordList(frozenset(stop_set), "oracle")
+    stop_list = StopwordList(frozenset(stop_set))
 
     for round_no in range(100):
         docs = []
@@ -189,7 +188,7 @@ def test_criterion_3_parallel_counting_matches_brute_force():
         for jobs in (1, 2, 8):
             assert dict(count_tags(corpus, jobs=jobs).entries) == expect_tags
             assert dict(count_tag_pairs(corpus, jobs=jobs).entries) == expect_pairs
-            got = count_token_2grams(corpus.documents, stop_list, jobs=jobs)
+            _, got = count_tokens(corpus.documents, stop_list, jobs=jobs)
             assert dict(got.entries) == expect_grams
     print(
         "PASS: criterion 3 - tag, pair and 2-gram counts match a brute-force "
@@ -243,7 +242,7 @@ def test_criterion_4_timeline_endpoints_and_shapes(twitter):
 
 def test_criterion_5_pronoun_orientation_replay(forum):
     groups = load_pronoun_groups(default_data_path("pronouns.tsv"))
-    report = pronoun_orientation(surface_counts(forum), groups)
+    report = pronoun_orientation(count_tokens(forum.documents)[0], groups)
     counts = {row.surface: row.count for row in report.rows}
     assert counts == {"im": 79, "oni": 53, "nich": 38, "nam": 4, "nas": 13, "my": 1}
     assert report.them_total == 170
@@ -261,7 +260,7 @@ def test_criterion_6_coding_conservation_and_rollup(forum, stops):
     assert len(taxonomy.top_level()) == 10
     assert sum(c.parent is not None for c in taxonomy.categories) == 14
 
-    result = code_vocabulary(surface_counts(forum), taxonomy, stops)
+    result = code_vocabulary(count_tokens(forum.documents)[0], taxonomy, stops)
     assigned = sum(len(c.unique_words) for c in result.per_category.values())
     assert assigned + len(result.uncategorized) == result.vocabulary_size
 
@@ -272,7 +271,7 @@ def test_criterion_6_coding_conservation_and_rollup(forum, stops):
     )
     twenty = Corpus.from_documents([make_doc("w1", text=text20)])
     coded = code_vocabulary(
-        surface_counts(twenty), taxonomy, StopwordList(frozenset(), "none")
+        count_tokens(twenty.documents)[0], taxonomy, StopwordList(frozenset())
     )
     rolled = rollup(coded, taxonomy)
     hand_summed = {
@@ -290,7 +289,7 @@ def test_criterion_6_coding_conservation_and_rollup(forum, stops):
 
 def test_criterion_7_power_rows_replay(forum, stops):
     lexicon = load_lexicon(default_data_path("lexicon.tsv"))
-    grams = count_token_2grams(
+    _, grams = count_tokens(
         forum.documents, stops, filter_term=KeywordFamily("policj", "prefix")
     )
     report = power_report(grams, lexicon, min_freq=2)

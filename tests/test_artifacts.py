@@ -102,7 +102,7 @@ def _check_run(run_dir: Path, ctx: Context, fmt: str) -> None:
         assert labels[4:] == [s.tag for s in series]
         assert len(list(svg.iter(f"{ns}polyline"))) == len(series)
 
-    _, report = ctx.power
+    report = ctx.power
     rows = _csv_rows(run_dir / "power.csv")
     assert rows[1:-1] == [
         [" ".join(r.ngram), str(r.freq), str(r.strength), str(r.power)] for r in report.rows

@@ -16,13 +16,18 @@ from socmine.coding import (
     pronoun_orientation,
     pronouns_csv,
     rollup,
-    surface_counts,
 )
 from socmine.errors import DataError
+from socmine.ngrams import count_tokens
 from socmine.resources import default_data_path
 from socmine.text import KeywordFamily, StopwordList
 
-NO_STOPS = StopwordList(frozenset(), "none")
+NO_STOPS = StopwordList(frozenset())
+
+
+def _surfaces(corpus):
+    """The corpus surface counts, stopwords kept."""
+    return count_tokens(corpus.documents)[0]
 
 
 def _taxonomy(*lines):
@@ -108,7 +113,7 @@ def test_code_vocabulary_first_match_and_conservation():
         ("a", 0, (), "policja gazu policja riots okna"),
         ("b", 1, (), "policji bić riots"),
     )
-    result = code_vocabulary(surface_counts(corpus), _small_taxonomy(), NO_STOPS)
+    result = code_vocabulary(_surfaces(corpus), _small_taxonomy(), NO_STOPS)
     assert result.per_category["1"].unique_words == frozenset({"policja", "policji"})
     assert result.per_category["1.1"].unique_words == frozenset({"gazu", "bić"})
     assert result.per_category["2"].unique_words == frozenset({"riots"})
@@ -125,7 +130,7 @@ def test_code_vocabulary_multi_match_reports_all_hits():
         )
     )
     corpus = make_corpus(("a", 0, (), "policja"))
-    result = code_vocabulary(surface_counts(corpus), taxonomy, NO_STOPS)
+    result = code_vocabulary(_surfaces(corpus), taxonomy, NO_STOPS)
     assert result.per_category["1"].unique_words == frozenset({"policja"})
     assert result.per_category["2"].count == 0
     assert result.multi_matched == {"policja": ("1", "2")}
@@ -133,7 +138,7 @@ def test_code_vocabulary_multi_match_reports_all_hits():
 
 def test_code_vocabulary_min_freq_and_occurrences():
     corpus = make_corpus(("a", 0, (), "policja policja riots"))
-    freq = surface_counts(corpus)
+    freq = _surfaces(corpus)
     result = code_vocabulary(freq, _small_taxonomy(), NO_STOPS, min_freq=2)
     assert result.vocabulary_size == 1
     assert result.per_category["1"].count == 1
@@ -147,8 +152,8 @@ def test_code_vocabulary_min_freq_and_occurrences():
 
 def test_code_vocabulary_applies_stopwords():
     corpus = make_corpus(("a", 0, (), "policja i riots"))
-    stops = StopwordList(frozenset({"i"}), "test")
-    result = code_vocabulary(surface_counts(corpus), _small_taxonomy(), stops)
+    stops = StopwordList(frozenset({"i"}))
+    result = code_vocabulary(_surfaces(corpus), _small_taxonomy(), stops)
     assert result.vocabulary_size == 2
     assert "i" not in result.uncategorized
 
@@ -158,7 +163,7 @@ def test_code_vocabulary_applies_stopwords():
 ), min_size=1, max_size=30))
 def test_conservation_property(words):
     corpus = make_corpus(("a", 0, (), " ".join(words)))
-    result = code_vocabulary(surface_counts(corpus), _small_taxonomy(), NO_STOPS)
+    result = code_vocabulary(_surfaces(corpus), _small_taxonomy(), NO_STOPS)
     assigned = sum(len(c.unique_words) for c in result.per_category.values())
     assert assigned + len(result.uncategorized) == result.vocabulary_size
 
@@ -166,7 +171,7 @@ def test_conservation_property(words):
 def test_rollup_sums_children_into_parents():
     corpus = make_corpus(("a", 0, (), "policja gazu bić riots okna"))
     taxonomy = _small_taxonomy()
-    result = code_vocabulary(surface_counts(corpus), taxonomy, NO_STOPS)
+    result = code_vocabulary(_surfaces(corpus), taxonomy, NO_STOPS)
     rolled = rollup(result, taxonomy)
     assert set(rolled) == {"1", "1.1", "2"}
     assert rolled["1.1"] == 2
@@ -182,7 +187,7 @@ def test_coding_csv_golden():
     )
     corpus = make_corpus(("w1", 12, (), text20))
     taxonomy = load_taxonomy(default_data_path("taxonomy.tsv"))
-    result = code_vocabulary(surface_counts(corpus), taxonomy, NO_STOPS)
+    result = code_vocabulary(_surfaces(corpus), taxonomy, NO_STOPS)
     rolled = rollup(result, taxonomy)
     assert coding_csv(result, rolled, taxonomy) == (GOLDEN / "coding_20words.csv").read_text(encoding="utf-8")
 
@@ -222,7 +227,7 @@ def test_pronoun_orientation_counts_ignore_stoplists():
         ("a", 0, (), "oni rzucali kamieniami a my patrzymy na nich"),
         ("b", 1, (), "im nie wolno oni wiedzą"),
     )
-    report = pronoun_orientation(surface_counts(corpus), groups)
+    report = pronoun_orientation(_surfaces(corpus), groups)
     counts = {(r.surface): r.count for r in report.rows}
     assert counts["oni"] == 2
     assert counts["nich"] == 1
@@ -236,7 +241,7 @@ def test_pronoun_orientation_counts_ignore_stoplists():
 def test_pronoun_ratio_inf_when_us_absent():
     groups = load_pronoun_groups(default_data_path("pronouns.tsv"))
     corpus = make_corpus(("a", 0, (), "oni oni oni"))
-    report = pronoun_orientation(surface_counts(corpus), groups)
+    report = pronoun_orientation(_surfaces(corpus), groups)
     assert report.us_total == 0
     assert math.isinf(report.ratio)
     assert format_ratio(report.ratio) == "inf"
@@ -246,7 +251,7 @@ def test_pronoun_ratio_inf_when_us_absent():
 def test_pronouns_csv_footer():
     groups = load_pronoun_groups(default_data_path("pronouns.tsv"))
     corpus = make_corpus(("a", 0, (), "oni i my"))
-    text = pronouns_csv(pronoun_orientation(surface_counts(corpus), groups))
+    text = pronouns_csv(pronoun_orientation(_surfaces(corpus), groups))
     assert text.startswith("label,group,surface,count\n")
     assert "# them_total,1\n" in text
     assert "# us_total,1\n" in text

@@ -184,10 +184,18 @@ def test_load_corpus_malformed_field_has_line_number(tmp_path):
         ("source", "blog"),
         ("tags", ["ok", "#Upper"]),
         ("tags", ["spaced"]),
+        # Only a missing field, null or "" means no language, or a tweet.
+        ("lang", False),
+        ("lang", 0),
+        ("lang", []),
+        ("source", 0),
+        ("source", []),
+        ("source", False),
     ],
     ids=[
         "ts-1e20", "ts--1e20", "ts-10**400", "ts-true", "ts-past-9999", "id", "id-empty",
         "text", "lang", "source", "alias-to-uppercase", "alias-to-space",
+        "lang-false", "lang-0", "lang-empty-list", "source-0", "source-empty-list", "source-false",
     ],
 )
 def test_load_corpus_rejects_unloadable_values_with_line_number(tmp_path, field, value):
@@ -488,13 +496,17 @@ def test_iso_utc_matches_its_reference(when):
     assert _iso_utc(when) == when.replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
 
-def test_document_tokens_are_cached_and_not_a_field():
-    doc = make_doc("a", text="Policja, policja!")
-    twin = make_doc("a", text="Policja, policja!")
-    assert doc.tokens == ["policja", "policja"]
-    assert doc.tokens is doc.tokens
+def test_document_is_a_slotted_frozen_value():
+    doc = make_doc("a", text="Policja, policja!", tags=("riots",), lang="pl")
+    twin = make_doc("a", text="Policja, policja!", tags=("riots",), lang="pl")
+    assert not hasattr(doc, "__dict__")
+    assert list(asdict(doc)) == ["id", "timestamp", "text", "hashtags", "lang", "source"]
     assert doc == twin and hash(doc) == hash(twin)
-    assert "tokens" not in asdict(doc) and "tokens" not in repr(doc)
+    for name, value in (("text", "policja"), ("hashtags", ()), ("lang", None), ("source", "forum_post")):
+        other = replace(doc, **{name: value})
+        assert other != doc and hash(other) != hash(doc), name
+    with pytest.raises(AttributeError):
+        doc.text = "x"
 
 
 def test_load_corpus_min_tags_drops_after_the_window(tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import io
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -12,13 +13,18 @@ from socmine.ngrams import (
     TagPair,
     count_tag_pairs,
     count_tags,
-    count_token_2grams,
+    count_tokens,
     counts_to_csv,
     ranked,
 )
-from socmine.text import KeywordFamily, StopwordList
+from socmine.text import KeywordFamily, StopwordList, tokenize
 
-EMPTY_STOPS = StopwordList(frozenset(), "none")
+EMPTY_STOPS = StopwordList(frozenset())
+
+
+def _grams(documents, stops, filter_term=None, jobs=1):
+    """The 2-gram table of the one token count."""
+    return count_tokens(documents, stops, filter_term=filter_term, jobs=jobs)[1]
 
 
 def test_tag_pair_canonical_order():
@@ -71,7 +77,7 @@ def test_count_token_2grams_ordered_and_bounded():
         ("a", 0, (), "policja używa gazu"),
         ("b", 1, (), "gazu policja"),
     )
-    table = count_token_2grams(corpus.documents, EMPTY_STOPS)
+    table = _grams(corpus.documents, EMPTY_STOPS)
     assert table[("policja", "używa")] == 1
     assert table[("używa", "gazu")] == 1
     assert table[("gazu", "policja")] == 1
@@ -82,15 +88,15 @@ def test_count_token_2grams_ordered_and_bounded():
 
 def test_count_token_2grams_counts_occurrences():
     corpus = make_corpus(("a", 0, (), "raz dwa raz dwa"))
-    table = count_token_2grams(corpus.documents, EMPTY_STOPS)
+    table = _grams(corpus.documents, EMPTY_STOPS)
     assert table[("raz", "dwa")] == 2
     assert table[("dwa", "raz")] == 1
 
 
 def test_count_token_2grams_stopwords_bridge_gaps():
-    stops = StopwordList(frozenset({"i"}), "test")
+    stops = StopwordList(frozenset({"i"}))
     corpus = make_corpus(("a", 0, (), "kamienie i butelki"))
-    table = count_token_2grams(corpus.documents, stops)
+    table = _grams(corpus.documents, stops)
     assert table[("kamienie", "butelki")] == 1
     assert len(table) == 1
 
@@ -100,7 +106,7 @@ def test_count_token_2grams_filter_term():
     corpus = make_corpus(
         ("a", 0, (), "szwedzka policja używa gazu"),
     )
-    table = count_token_2grams(corpus.documents, EMPTY_STOPS, filter_term=family)
+    table = _grams(corpus.documents, EMPTY_STOPS, filter_term=family)
     assert table[("szwedzka", "policja")] == 1
     assert table[("policja", "używa")] == 1
     assert ("używa", "gazu") not in table
@@ -116,15 +122,50 @@ def test_jobs_never_change_counts(jobs):
     )
     assert count_tags(corpus, jobs=jobs).entries == count_tags(corpus).entries
     assert count_tag_pairs(corpus, jobs=jobs).entries == count_tag_pairs(corpus).entries
-    seq = count_token_2grams(corpus.documents, EMPTY_STOPS)
-    par = count_token_2grams(corpus.documents, EMPTY_STOPS, jobs=jobs)
+    seq = _grams(corpus.documents, EMPTY_STOPS)
+    par = _grams(corpus.documents, EMPTY_STOPS, jobs=jobs)
     assert par.entries == seq.entries
+
+
+WORDS = st.sampled_from(["Policja", "policja", "i", "gazu", "używa", "ulicy", "my", "policjanci"])
+TEXTS = st.lists(WORDS, max_size=8).map(" ".join) | st.text(max_size=12)
+
+
+def _oracle_2grams(documents, stops, filter_term):
+    """Each document's 2-grams on its own, from tokenize and a stopword test."""
+    grams = Counter()
+    for doc in documents:
+        kept = [token for token in tokenize(doc.text) if token not in stops.words]
+        for gram in zip(kept, kept[1:]):
+            if filter_term is None or filter_term.matches(gram[0]) or filter_term.matches(gram[1]):
+                grams[gram] += 1
+    return grams
+
+
+@given(
+    st.lists(TEXTS, max_size=6),
+    st.none() | st.frozensets(WORDS.map(str.lower)).map(StopwordList),
+    st.none() | st.sampled_from([KeywordFamily("policj"), KeywordFamily("gazu", "exact")]),
+)
+def test_count_tokens_matches_a_per_document_oracle(texts, stops, filter_term):
+    documents = [make_doc(f"d{i}", text=text) for i, text in enumerate(texts)]
+    surfaces, grams = count_tokens(documents, stops, filter_term=filter_term)
+    expected = Counter()
+    for doc in documents:
+        expected.update(Counter(tokenize(doc.text)))
+    assert surfaces == expected
+    if stops is None:
+        assert len(grams) == 0
+    else:
+        assert dict(grams.entries) == _oracle_2grams(documents, stops, filter_term)
 
 
 def test_jobs_must_be_positive():
     corpus = make_corpus(("a", 0, ("x",)))
     with pytest.raises(ValueError):
         count_tags(corpus, jobs=0)
+    with pytest.raises(ValueError):
+        count_tokens(corpus.documents, jobs=0)
 
 
 def test_ranked_tie_break_is_lexicographic():

@@ -7,7 +7,8 @@ import pytest
 from helpers import FIXTURES
 from socmine.config import STAGES, make_config
 from socmine.errors import DataError, UsageError
-from socmine.report import MANIFEST_NAME, run_pipeline
+from socmine.cli import main
+from socmine.report import MANIFEST_NAME, Context, run_pipeline
 
 SMALL = """\
 {"id": "a", "ts": "2013-05-20T10:00:00Z", "text": "policja używa gazu", "tags": ["riots", "police"]}
@@ -116,33 +117,73 @@ def test_timeline_with_no_tags_writes_no_file(tmp_path):
     assert not list(Path(manifest.run_dir).glob("timeline.*"))
 
 
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_text_stages_tokenize_each_document_once(workspace, monkeypatch):
     import socmine.coding
-    import socmine.corpus
     import socmine.ngrams
     import socmine.sentiment
 
     calls = {"tokenize": 0, "score_text": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    # Document.tokens calls the corpus module's binding; the others must
-    # stay unused.
-    for module in (socmine.corpus, socmine.coding, socmine.ngrams, socmine.sentiment):
-        monkeypatch.setattr(module, "tokenize", counting("tokenize", module.tokenize))
+    # ngrams.count_tokens calls its module's binding; the others must stay
+    # unused.
+    for module in (socmine.coding, socmine.ngrams, socmine.sentiment):
+        monkeypatch.setattr(module, "tokenize", _counting(calls, "tokenize", module.tokenize))
     monkeypatch.setattr(
-        socmine.sentiment, "score_text", counting("score_text", socmine.sentiment.score_text)
+        socmine.sentiment, "score_text", _counting(calls, "score_text", socmine.sentiment.score_text)
     )
-    stages = ["ingest", "coding", "pronouns", "sentiment"]
-    manifest = run_pipeline(_config(workspace, run={"stages": stages}))
-    documents = manifest.stages[0].summary["documents"]
-    assert documents == 4
-    # Surface counts and 2-grams read the same cached tokens.
-    assert calls == {"tokenize": 1 * documents, "score_text": 0}
+    for stages in (["ingest", "coding", "pronouns", "sentiment"], ["ingest", "sentiment"]):
+        calls.update(tokenize=0, score_text=0)
+        manifest = run_pipeline(_config(workspace, run={"stages": stages}))
+        documents = manifest.stages[0].summary["documents"]
+        assert documents == 4
+        # Surface counts and 2-grams come from the same one walk.
+        assert calls == {"tokenize": 1 * documents, "score_text": 0}, stages
+        assert manifest.stages[-1].summary["distinct_2grams"] > 0
+
+
+def test_coding_and_pronouns_count_no_2grams(workspace, monkeypatch, capsys):
+    import socmine.ngrams
+
+    calls = {"remove_stopwords": 0}
+    monkeypatch.setattr(
+        socmine.ngrams,
+        "remove_stopwords",
+        _counting(calls, "remove_stopwords", socmine.ngrams.remove_stopwords),
+    )
+    for stage in ("coding", "pronouns"):
+        manifest = run_pipeline(_config(workspace, run={"stages": [stage], "out_dir": stage}))
+        assert [s.name for s in manifest.stages] == [stage]
+    corpus = str(workspace / "corpus.jsonl")
+    for command in ("code", "pronouns"):
+        assert main([command, corpus]) == 0
+    assert calls == {"remove_stopwords": 0}
+
+    # So a pronouns-only run reads no stopword file, not even a bad one.
+    (workspace / "stops.txt").write_text("nie_\n", encoding="utf-8")
+    (workspace / "run.yaml").write_text(
+        "corpus:\n  path: corpus.jsonl\ntext:\n  stopwords: stops.txt\n"
+        "run:\n  stages: [pronouns]\n  out_dir: runs\n",
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    assert main(["run", "--config", str(workspace / "run.yaml")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_power_without_sentiment_in_run_stages_raises(workspace):
+    config = _config(workspace, run={"stages": ["ingest", "coding", "pronouns"]})
+    ctx = Context(config.values)
+    with pytest.raises(ValueError, match="run.stages does not select sentiment"):
+        ctx.power
+    # The counts the other stages read are still there, without 2-grams.
+    surfaces, grams = ctx.token_counts
+    assert surfaces["policja"] == 3 and len(grams) == 0
 
 
 def test_manifest_counts_min_tags_drops(workspace):

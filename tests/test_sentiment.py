@@ -216,7 +216,7 @@ SURFACES = st.lists(
     st.sampled_from(["dobr", "fatal", "wspania", "mordować", "y", "ą", ""]), max_size=3
 ).map("".join)
 COUNTS = st.integers(1, 5)
-# Keys are plain tuples of surfaces, as count_token_2grams writes them.
+# Keys are plain tuples of surfaces, as ngrams.count_tokens writes them.
 POWER_TABLES = st.one_of(
     st.dictionaries(st.tuples(SURFACES), COUNTS, max_size=12),
     st.dictionaries(st.tuples(SURFACES, SURFACES), COUNTS, max_size=12),

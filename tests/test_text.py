@@ -92,12 +92,12 @@ def test_tokenize_matches_reference_on_tricky_alphabet(text):
 
 
 def test_remove_stopwords_keeps_order():
-    stops = StopwordList(frozenset({"i", "a", "do"}), language="test")
+    stops = StopwordList(frozenset({"i", "a", "do"}))
     assert remove_stopwords(tokenize("a policja i do domu"), stops) == ["policja", "domu"]
 
 
 def test_stopword_list_contains_and_len():
-    stops = StopwordList(frozenset({"och", "att"}), language="sv")
+    stops = StopwordList(frozenset({"och", "att"}))
     assert "och" in stops
     assert "polis" not in stops
     assert len(stops) == 2
@@ -146,9 +146,8 @@ def test_keyword_family_accepts_a_stem_iff_it_is_one_token(stem, mode):
 def test_load_stopwords(tmp_path):
     path = tmp_path / "stops.txt"
     path.write_text("# comment\nOch\natt\n\n  på  \n", encoding="utf-8")
-    stops = load_stopwords(path, language="sv")
+    stops = load_stopwords(path)
     assert stops.words == frozenset({"och", "att", "på"})
-    assert stops.language == "sv"
 
 
 def test_load_stopwords_rejects_a_line_with_a_tab(tmp_path):

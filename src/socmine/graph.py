@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .ngrams import CountTable, _csv_text, ranked
+from .ngrams import _csv_text
 
 
 @dataclass(frozen=True)
@@ -28,29 +28,31 @@ class CooccurrenceGraph:
 
 
 def build_graph(
-    pairs: CountTable,
+    rows: Iterable[tuple[tuple[str, str], int]],
     threshold: int,
     node_whitelist: Iterable[str] | None = None,
     retain_isolates: bool = False,
 ) -> CooccurrenceGraph:
     """Keep pairs with count >= threshold as edges, in rank order.
 
-    Pair keys are (a, b) with a < b, as count_tag_pairs writes them. With a
-    whitelist, both endpoints must be whitelisted. Nodes are the endpoints
-    of surviving edges; whitelisted nodes without edges are retained only
-    when retain_isolates is set.
+    Rows are the pair table in rank order, as `ngrams.ranked` returns them,
+    so the edges are read off its prefix down to the first row below the
+    threshold. Pair keys are (a, b) with a < b, as count_tag_pairs writes
+    them. With a whitelist, both endpoints must be whitelisted. Nodes are
+    the endpoints of surviving edges; whitelisted nodes without edges are
+    retained only when retain_isolates is set.
     """
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     whitelist = set(node_whitelist) if node_whitelist is not None else None
 
-    kept = {
-        (a, b): count
-        for (a, b), count in pairs.entries.items()
-        if count >= threshold
-        and (whitelist is None or (a in whitelist and b in whitelist))
-    }
-    edges = dict(ranked(CountTable(kept)))
+    # Each edge key is a new plain tuple, whatever tuple type the rows hold.
+    edges: dict[tuple[str, str], int] = {}
+    for (a, b), count in rows:
+        if count < threshold:
+            break
+        if whitelist is None or (a in whitelist and b in whitelist):
+            edges[a, b] = count
 
     nodes = {tag for pair in edges for tag in pair}
     if retain_isolates and whitelist is not None:
@@ -87,9 +89,9 @@ def dyads_csv(graph: CooccurrenceGraph) -> str:
     """Every edge as a tag_a,tag_b,weight,ratio row in rank order: the ratio
     is to the first, heaviest edge's weight, written with 4 decimals."""
     top = next(iter(graph.edges.values()), 1)
-    rows = [(a, b, weight, f"{weight / top:.4f}") for (a, b), weight in graph.edges.items()]
-    lines = [f"{a},{b},{weight},{ratio}\n" for a, b, weight, ratio in rows]
-    return _csv_text("tag_a,tag_b,weight,ratio", lines, rows)
+    lines = [f"{a},{b},{weight},{weight / top:.4f}\n" for (a, b), weight in graph.edges.items()]
+    fields = ((a, b, weight, f"{weight / top:.4f}") for (a, b), weight in graph.edges.items())
+    return _csv_text("tag_a,tag_b,weight,ratio", lines, fields)
 
 
 def _render_width(weight: int, cap: int) -> int:
@@ -158,12 +160,13 @@ def _export_graphml(graph: CooccurrenceGraph, cap: int) -> str:
     ]
     for node in sorted(graph.nodes):
         lines.append(f"    <node id={quoted[node]}/>")
-    for a, b, weight in _sorted_edges(graph):
-        width = _render_width(weight, cap)
-        lines.append(f"    <edge source={quoted[a]} target={quoted[b]}>")
-        lines.append(f'      <data key="weight">{weight}</data>')
-        lines.append(f'      <data key="render_width">{width}</data>')
-        lines.append("    </edge>")
+    lines += [
+        f"    <edge source={quoted[a]} target={quoted[b]}>\n"
+        f'      <data key="weight">{weight}</data>\n'
+        f'      <data key="render_width">{_render_width(weight, cap)}</data>\n'
+        "    </edge>"
+        for a, b, weight in _sorted_edges(graph)
+    ]
     lines.append("  </graph>")
     lines.append("</graphml>")
     return "\n".join(lines) + "\n"

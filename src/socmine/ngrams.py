@@ -15,7 +15,7 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
+from itertools import chain, repeat
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus, Document
@@ -56,19 +56,18 @@ class CountTable:
         return key in self.entries
 
 
-def _count(key_lists: Iterable[Iterable[Key]], jobs: int) -> CountTable:
-    """Count the keys of every list; `jobs` is checked but changes nothing."""
+def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    counts: Counter = Counter()
-    for keys in key_lists:
-        counts.update(keys)
-    return CountTable(dict(counts))
 
 
 def count_tags(corpus: Corpus, jobs: int = 1) -> CountTable:
     """Per-document distinct hashtag counts: each tag counts once per document."""
-    return _count((set(d.hashtags) for d in corpus.documents), jobs)
+    _check_jobs(jobs)
+    counts: Counter = Counter()
+    for d in corpus.documents:
+        counts.update(set(d.hashtags))
+    return CountTable(dict(counts))
 
 
 def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> CountTable:
@@ -77,13 +76,24 @@ def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> CountTable:
     Each document contributes one count per distinct pair; documents with
     fewer than two distinct tags contribute nothing. Keys are plain (a, b)
     tuples with a < b, which hash and compare equal to the same TagPair.
+
+    Entries are in ascending key order, so `ranked` finds each count's keys
+    already sorted. Each document adds its later tags to the partner list
+    of every earlier one; the partner lists are sorted, and the pairs are
+    counted in the order of their first tag.
     """
-    pairs = (
-        combinations(sorted(set(d.hashtags)), 2)
-        for d in corpus.documents
-        if len(d.hashtags) > 1
-    )
-    return _count(pairs, jobs)
+    _check_jobs(jobs)
+    partners: dict[str, list[str]] = {}
+    for d in corpus.documents:
+        if len(d.hashtags) > 1:
+            tags = sorted(set(d.hashtags))
+            for i in range(1, len(tags)):
+                partners.setdefault(tags[i - 1], []).extend(tags[i:])
+    for later in partners.values():
+        later.sort()
+    # A Counter keeps its keys in the order it first meets them.
+    pairs = (zip(repeat(a), partners[a]) for a in sorted(partners))
+    return CountTable(dict(Counter(chain.from_iterable(pairs))))
 
 
 def count_tokens(
@@ -101,8 +111,7 @@ def count_tokens(
     filter_term only the pairs where at least one member matches the
     family. No token list outlives its document.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_jobs(jobs)
     surfaces: Counter = Counter()
     grams: Counter = Counter()
     for doc in documents:
@@ -126,7 +135,10 @@ def ranked(table: CountTable) -> list[tuple[Key, int]]:
 
     Keys are grouped by count and each group sorts in the keys' own order,
     which costs far less than building a rank key for every entry: most
-    entries of a long-tailed table share the few smallest counts.
+    entries of a long-tailed table share the few smallest counts. The
+    result is right for entries in any order; a table whose entries are in
+    key order, as count_tag_pairs writes them, fills every group already
+    sorted, and the sort of each group is one linear pass.
     """
     buckets: dict[int, list[Key]] = {}
     for key, count in table.entries.items():

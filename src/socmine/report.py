@@ -154,10 +154,19 @@ class Context:
     def corpus(self) -> Corpus:
         return self.loaded[0]
 
+    def _load_data(self, key: str, bundled: str, load: Callable[[str | Path], Any]) -> Any:
+        """Load the data file of config key `key`, such as "text.stopwords",
+        or the bundled file of that name when the key is unset; a fault in
+        it names the key."""
+        section, name = key.split(".")
+        try:
+            return load(self.sections[section][name] or resources.default_data_path(bundled))
+        except DataError as exc:
+            raise DataError(f"{key}: {exc}") from exc
+
     @cached_property
     def stops(self) -> StopwordList:
-        path = self.sections["text"]["stopwords"]
-        return load_stopwords(path or resources.default_data_path(resources.STOPWORDS))
+        return self._load_data("text.stopwords", resources.STOPWORDS, load_stopwords)
 
     def table(self, name: str) -> CountTable:
         """The `tags` or `pairs` count table, counted once."""
@@ -186,7 +195,7 @@ class Context:
         if cfg["whitelist_top"]:
             whitelist = {tag for tag, _ in self.ranking("tags")[: cfg["whitelist_top"]]}
         return build_graph(
-            self.table("pairs"),
+            self.ranking("pairs"),
             threshold=cfg["threshold"],
             node_whitelist=whitelist,
             retain_isolates=cfg["retain_isolates"],
@@ -229,7 +238,7 @@ class Context:
 
         cfg = self.sections["coding"]
         freq, _ = self.token_counts
-        taxonomy = load_taxonomy(cfg["taxonomy"] or resources.default_data_path(resources.TAXONOMY))
+        taxonomy = self._load_data("coding.taxonomy", resources.TAXONOMY, load_taxonomy)
         result = code_vocabulary(
             freq,
             taxonomy,
@@ -244,8 +253,7 @@ class Context:
         from .coding import load_pronoun_groups, pronoun_orientation
 
         freq, _ = self.token_counts
-        path = self.sections["pronouns"]["groups"]
-        groups = load_pronoun_groups(path or resources.default_data_path(resources.PRONOUNS))
+        groups = self._load_data("pronouns.groups", resources.PRONOUNS, load_pronoun_groups)
         return pronoun_orientation(freq, groups)
 
     @cached_property
@@ -258,7 +266,7 @@ class Context:
             raise ValueError("no 2-grams are counted: run.stages does not select sentiment")
         cfg = self.sections["sentiment"]
         _, grams = self.token_counts
-        lexicon = load_lexicon(cfg["lexicon"] or resources.default_data_path(resources.LEXICON))
+        lexicon = self._load_data("sentiment.lexicon", resources.LEXICON, load_lexicon)
         return power_report(grams, lexicon, min_freq=cfg["min_freq"])
 
 

@@ -119,11 +119,11 @@ def test_criterion_2_pair_weights_and_thresholds(twitter):
     for pair, weight in EXPECTED_PAIRS.items():
         assert pairs[pair] == weight, pair
 
-    loose = build_graph(pairs, threshold=2)
+    loose = build_graph(ranked(pairs), threshold=2)
     for pair in EXPECTED_PAIRS:
         assert pair in loose.edges
 
-    tight = build_graph(pairs, threshold=38)
+    tight = build_graph(ranked(pairs), threshold=38)
     assert TagPair("migpol", "sthlmriots") not in tight.edges
     assert len(tight.edges) == 5
     for pair, weight in EXPECTED_PAIRS.items():

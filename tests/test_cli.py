@@ -253,7 +253,14 @@ def test_a_data_word_that_is_not_one_token_exits_2(corpus_file, tmp_path, capsys
     assert main([command, str(corpus_file), flag, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert message in captured.err
+    # The fault names the config key of the file it is in.
+    key = {
+        "--groups": "pronouns.groups",
+        "--stopwords": "text.stopwords",
+        "--lexicon": "sentiment.lexicon",
+        "--taxonomy": "coding.taxonomy",
+    }[flag]
+    assert f"error: {key}: {message}" in captured.err
 
 
 def test_run_subcommand(corpus_file, tmp_path, capsys):

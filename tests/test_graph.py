@@ -29,7 +29,7 @@ PAIRS = CountTable(
 
 
 def test_build_graph_threshold_drops_weak_edges():
-    graph = build_graph(PAIRS, threshold=2)
+    graph = build_graph(ranked(PAIRS), threshold=2)
     assert graph.nodes == frozenset({"police", "riots", "husby"})
     assert graph.edges == {
         TagPair("police", "riots"): 5,
@@ -41,18 +41,18 @@ def test_build_graph_threshold_drops_weak_edges():
 
 def test_build_graph_whitelist_and_isolates():
     whitelist = {"police", "riots", "kista"}
-    graph = build_graph(PAIRS, threshold=1, node_whitelist=whitelist)
+    graph = build_graph(ranked(PAIRS), threshold=1, node_whitelist=whitelist)
     assert graph.edges == {TagPair("police", "riots"): 5}
     assert graph.nodes == frozenset({"police", "riots"})
-    kept = build_graph(PAIRS, threshold=1, node_whitelist=whitelist, retain_isolates=True)
+    kept = build_graph(ranked(PAIRS), threshold=1, node_whitelist=whitelist, retain_isolates=True)
     assert kept.nodes == frozenset(whitelist)
 
 
 def test_build_graph_accepts_plain_tuples_and_rejects_bad_threshold():
-    graph = build_graph(CountTable({("a", "b"): 3}), threshold=1)
+    graph = build_graph(ranked(CountTable({("a", "b"): 3})), threshold=1)
     assert graph.edges == {("a", "b"): 3}
     with pytest.raises(ValueError):
-        build_graph(PAIRS, threshold=0)
+        build_graph(ranked(PAIRS), threshold=0)
 
 
 def test_components_ordering():
@@ -63,7 +63,7 @@ def test_components_ordering():
             TagPair("x", "y"): 2,
         }
     )
-    graph = build_graph(edges, threshold=2)
+    graph = build_graph(ranked(edges), threshold=2)
     assert components(graph) == [{"a", "b", "c"}, {"x", "y"}]
 
 
@@ -74,7 +74,7 @@ def test_components_include_isolates():
 
 
 def test_dyad_report():
-    graph = build_graph(PAIRS, threshold=1)
+    graph = build_graph(ranked(PAIRS), threshold=1)
     assert dyads_csv(graph) == (
         "tag_a,tag_b,weight,ratio\n"
         "police,riots,5,1.0000\n"
@@ -90,14 +90,14 @@ def test_dyad_report_empty_graph():
 
 @pytest.mark.parametrize("fmt,name", [("dot", "graph.dot"), ("graphml", "graph.graphml")])
 def test_export_matches_golden(fmt, name):
-    graph = build_graph(PAIRS, threshold=2)
+    graph = build_graph(ranked(PAIRS), threshold=2)
     rendered = export_graph(graph, fmt=fmt, cap=3)
     assert rendered == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("fmt", ["dot", "graphml"])
 def test_export_parse_round_trip(fmt):
-    graph = build_graph(PAIRS, threshold=1)
+    graph = build_graph(ranked(PAIRS), threshold=1)
     first = export_graph(graph, fmt=fmt, cap=2)
     parsed = parse_graph(first, fmt=fmt)
     assert parsed.nodes == graph.nodes
@@ -113,7 +113,7 @@ def test_parse_rejects_garbage():
     with pytest.raises(DataError):
         parse_graph("<not xml", fmt="graphml")
     with pytest.raises(ValueError):
-        export_graph(build_graph(PAIRS, threshold=2), fmt="gexf")
+        export_graph(build_graph(ranked(PAIRS), threshold=2), fmt="gexf")
 
 
 # Hand edits of the golden exports (threshold 2, nodes husby, police, riots).
@@ -129,7 +129,7 @@ def test_parse_rejects_garbage():
     ],
 )
 def test_parse_rejects_edited_edges(fmt, old, new, match):
-    text = export_graph(build_graph(PAIRS, threshold=2), fmt=fmt)
+    text = export_graph(build_graph(ranked(PAIRS), threshold=2), fmt=fmt)
     assert parse_graph(text, fmt=fmt).edges == {("police", "riots"): 5, ("husby", "riots"): 2}
     assert text.count(old) == 1
     with pytest.raises(DataError, match=match):
@@ -138,7 +138,7 @@ def test_parse_rejects_edited_edges(fmt, old, new, match):
 
 def test_dot_quoting_survives_odd_names():
     table = CountTable({("pla\\in", 'we"ird'): 2})
-    graph = build_graph(table, threshold=2)
+    graph = build_graph(ranked(table), threshold=2)
     parsed = parse_graph(export_graph(graph, fmt="dot"), fmt="dot")
     assert parsed.nodes == graph.nodes
     assert dict(parsed.edges) == dict(graph.edges)
@@ -160,7 +160,7 @@ TAGS = st.text("abc", min_size=1, max_size=2)
 def test_build_graph_and_dyad_report_match_brute_force(drawn, threshold, whitelist, retain_isolates):
     # The boolean picks a TagPair or a plain tuple key, so tables mix both.
     entries = {(TagPair(a, b) if as_pair else (a, b)): n for (a, b, as_pair), n in drawn.items()}
-    graph = build_graph(CountTable(entries), threshold, whitelist, retain_isolates)
+    graph = build_graph(ranked(CountTable(entries)), threshold, whitelist, retain_isolates)
 
     want = {
         (a, b): n
@@ -198,7 +198,7 @@ CSV_TAGS = st.text(st.sampled_from('ab,"'), min_size=1, max_size=3)
     )
 )
 def test_dyads_csv_equals_csv_writer(entries):
-    graph = build_graph(CountTable(entries), threshold=1)
+    graph = build_graph(ranked(CountTable(entries)), threshold=1)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["tag_a", "tag_b", "weight", "ratio"])

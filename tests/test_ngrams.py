@@ -1,13 +1,14 @@
 import csv
 import io
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import make_corpus, make_doc
-from socmine.corpus import Corpus
+from socmine.corpus import Corpus, normalize_tag
 from socmine.ngrams import (
     CountTable,
     TagPair,
@@ -70,6 +71,26 @@ def test_count_tag_pairs_hand_counted():
     assert len(table) == 3
     # every key must already be canonical
     assert all(a < b for a, b in table.entries)
+
+
+# Spellings an alias folds together, so a document can name one tag twice.
+PAIR_ALIASES = {"policja": "police", "svpol": "sv"}
+DOC_TAGS = st.lists(
+    st.sampled_from(["a", "ab", "b", "police", "policja", "sv", "svpol", "é"]), max_size=6
+)
+
+
+@given(st.lists(DOC_TAGS, min_size=1, max_size=12))
+def test_count_tag_pairs_entries_are_in_key_order(tag_lists):
+    # Documents with repeated, aliased and single tags, and with none.
+    tag_lists = [[normalize_tag(tag, PAIR_ALIASES) for tag in tags] for tags in tag_lists]
+    corpus = make_corpus(*[(f"d{i}", i, tuple(tags)) for i, tags in enumerate(tag_lists)])
+    entries = count_tag_pairs(corpus).entries
+    # Key order is what lets ranked sort each count's keys in one pass.
+    assert list(entries) == sorted(entries)
+    assert entries == Counter(
+        pair for tags in tag_lists for pair in combinations(sorted(set(tags)), 2)
+    )
 
 
 def test_count_token_2grams_ordered_and_bounded():
@@ -164,6 +185,8 @@ def test_jobs_must_be_positive():
     corpus = make_corpus(("a", 0, ("x",)))
     with pytest.raises(ValueError):
         count_tags(corpus, jobs=0)
+    with pytest.raises(ValueError):
+        count_tag_pairs(corpus, jobs=0)
     with pytest.raises(ValueError):
         count_tokens(corpus.documents, jobs=0)
 

@@ -174,6 +174,15 @@ def test_coding_and_pronouns_count_no_2grams(workspace, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["run", "--config", str(workspace / "run.yaml")]) == 0
     assert capsys.readouterr().err == ""
+    # With sentiment, the first text stage reads it, and the fault names the file's key.
+    text = (workspace / "run.yaml").read_text(encoding="utf-8")
+    (workspace / "run.yaml").write_text(
+        text.replace("[pronouns]", "[pronouns, sentiment]"), encoding="utf-8"
+    )
+    assert main(["run", "--config", str(workspace / "run.yaml")]) == 2
+    assert capsys.readouterr().err == (
+        "error: stage pronouns: text.stopwords: line 1: stopword must be one token: 'nie_'\n"
+    )
 
 
 def test_power_without_sentiment_in_run_stages_raises(workspace):
@@ -220,6 +229,7 @@ def test_manifest_window_zero_pads_early_years(tmp_path):
 
 
 def test_pipeline_ranks_each_table_once(workspace, monkeypatch):
+    import socmine.graph
     import socmine.report
 
     ranked_sizes = []
@@ -238,8 +248,10 @@ def test_pipeline_ranks_each_table_once(workspace, monkeypatch):
     )
     manifest = run_pipeline(config)
     # One sort of the 3 tags feeds tags.csv, its summary, the whitelist and
-    # the timeline; one sort of the 2 pairs feeds pairs.csv and its summary.
+    # the timeline; one sort of the 2 pairs feeds pairs.csv, its summary and
+    # the graph, which ranks nothing itself.
     assert ranked_sizes == [3, 2]
+    assert "ranked" not in vars(socmine.graph)
     assert manifest.stages[4].summary["tags"] == ["husby", "riots"]
 
 
@@ -303,7 +315,7 @@ def test_failed_rerun_leaves_every_file_untouched(workspace):
         encoding="utf-8",
     )
     taxonomy.write_text("1\tPolice\n2\tpolicj\tprefix\n", encoding="utf-8")
-    with pytest.raises(DataError, match="stage coding: line 2: unknown category id"):
+    with pytest.raises(DataError, match="stage coding: coding.taxonomy: line 2: unknown category id"):
         run_pipeline(config)
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == first
     assert [p.name for p in (workspace / "runs").iterdir()] == [run_dir.name]

@@ -11,27 +11,25 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .errors import DataError
+from .record import Record
 from .resources import read_rows
 # tokenize is not called here (ngrams.count_tokens calls it) but stays
 # bound: the benchmark tracer's self-test reads coding.tokenize.
 from .text import KeywordFamily, StemIndex, StopwordList, is_token, tokenize  # noqa: F401
 
 
-@dataclass(frozen=True)
-class Category:
+class Category(NamedTuple):
     id: str
     label: str
     parent: str | None = None
     families: tuple[KeywordFamily, ...] = ()
 
 
-@dataclass(frozen=True)
-class Taxonomy:
+class Taxonomy(NamedTuple):
     """Ordered category tree; file order decides first-match assignment."""
 
     categories: tuple[Category, ...]
@@ -87,21 +85,23 @@ class CategoryCount(NamedTuple):
     count: int
 
 
-@dataclass(frozen=True)
-class CodingResult:
-    """Vocabulary assignment: each surface lands in at most one category."""
+class CodingResult(Record):
+    """Vocabulary assignment: each surface lands in at most one category.
 
-    per_category: Mapping[str, CategoryCount]
-    uncategorized: frozenset[str]
-    vocabulary_size: int
-    # Surfaces that matched more than one family, with every matching
-    # category id; listed so coders can refine overlapping families.
-    multi_matched: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    multi_matched maps each surface that matched more than one family to
+    every matching category id, so coders can refine overlapping families.
+    """
 
-    def __post_init__(self) -> None:
-        assigned = sum(len(c.unique_words) for c in self.per_category.values())
-        if assigned + len(self.uncategorized) != self.vocabulary_size:
+    __slots__ = ("per_category", "uncategorized", "vocabulary_size", "multi_matched")
+
+    def __init__(self, per_category: Mapping[str, CategoryCount], uncategorized: frozenset[str],
+                 vocabulary_size: int,
+                 multi_matched: Mapping[str, tuple[str, ...]] | None = None) -> None:
+        assigned = sum(len(c.unique_words) for c in per_category.values())
+        if assigned + len(uncategorized) != vocabulary_size:
             raise ValueError("vocabulary is not conserved across categories")
+        multi_matched = {} if multi_matched is None else multi_matched
+        self._set(per_category, uncategorized, vocabulary_size, multi_matched)
 
 
 def code_vocabulary(
@@ -169,8 +169,7 @@ def rollup(result: CodingResult, taxonomy: Taxonomy) -> dict[str, int]:
 GroupEntry = tuple[str, tuple[str, ...]]  # (label, surfaces)
 
 
-@dataclass(frozen=True)
-class PronounGroups:
+class PronounGroups(NamedTuple):
     """Observer-orientation word groups: 'them' vs 'us' surfaces."""
 
     them_group: tuple[GroupEntry, ...]
@@ -214,8 +213,7 @@ class PronounRow(NamedTuple):
     count: int
 
 
-@dataclass(frozen=True)
-class PronounReport:
+class PronounReport(NamedTuple):
     rows: tuple[PronounRow, ...]
     them_total: int
     us_total: int

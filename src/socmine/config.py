@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
 from .corpus import _check_tag, normalize_tag, parse_window
 from .errors import DataError
+from .record import Record
 from .resources import utf8_fault
 from .text import KeywordFamily
 
@@ -118,11 +118,11 @@ _PATH_KEYS = ("corpus.path", "run.out_dir", "text.stopwords", "coding.taxonomy",
 _DIGEST_EXEMPT = ("run.jobs", "run.out_dir")
 
 
-@dataclass(frozen=True)
-class Config:
-    values: Mapping[str, Any]
-    raw: Mapping[str, Any]
-    base_dir: Path
+class Config(Record):
+    __slots__ = ("values", "raw", "base_dir")
+
+    def __init__(self, values: Mapping[str, Any], raw: Mapping[str, Any], base_dir: Path) -> None:
+        self._set(values, raw, base_dir)
 
     def __getitem__(self, section: str) -> Mapping[str, Any]:
         return self.values[section]

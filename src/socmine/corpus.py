@@ -11,13 +11,13 @@ import csv
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DataError
+from .record import Record
 
 SOURCES = ("tweet", "forum_post")
 
@@ -57,8 +57,7 @@ def _check_tag(tag: str) -> None:
         raise ValueError(f"hashtag is not lowercase: {tag!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Document:
+class Document(NamedTuple):
     """One social-media record (tweet or forum post)."""
 
     id: str
@@ -69,12 +68,13 @@ class Document:
     source: str = "tweet"
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(Record):
     """Documents sorted by (timestamp, id) inside a closed time window."""
 
-    documents: tuple[Document, ...]
-    window: tuple[datetime, datetime]
+    __slots__ = ("documents", "window")
+
+    def __init__(self, documents: tuple[Document, ...], window: tuple[datetime, datetime]) -> None:
+        self._set(documents, window)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -97,15 +97,19 @@ class Corpus:
         return cls(documents=tuple(docs), window=window)
 
 
-@dataclass
-class LoadReport:
+class LoadReport(Record):
     """Counts of records read, kept, and dropped (with reasons) during a load."""
 
-    path: str
-    format: str
-    records_read: int = 0
-    records_kept: int = 0
-    dropped: Counter = field(default_factory=Counter)
+    __slots__ = ("path", "format", "records_read", "records_kept", "dropped")
+    # Filled in as the load goes, so neither frozen nor hashable.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, path: str, format: str, records_read: int = 0,
+                 records_kept: int = 0, dropped: Counter | None = None) -> None:
+        dropped = Counter() if dropped is None else dropped
+        self._set(path, format, records_read, records_kept, dropped)
 
     @property
     def records_dropped(self) -> int:
@@ -269,6 +273,13 @@ def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, obje
             if missing:
                 raise DataError(f"line 1: CSV header missing columns {missing}")
             for record in reader:
+                # DictReader keeps a row's fields past the header under None.
+                if None in record:
+                    width = len(reader.fieldnames)
+                    raise DataError(
+                        f"line {reader.line_num}: row has {width + len(record[None])} fields, "
+                        f"the header {width}"
+                    )
                 yield reader.line_num, record, False
     else:
         raise ValueError(f"unknown corpus format: {fmt!r}")

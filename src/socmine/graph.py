@@ -5,23 +5,25 @@ Exports are byte-deterministic: nodes and edges are emitted in sorted order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .ngrams import _csv_text
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CooccurrenceGraph:
+class CooccurrenceGraph(Record):
     """Weighted undirected graph of tags; edge weight = co-occurrence count.
 
     Edges are keyed by plain (a, b) tuples with a < b and listed in rank
     order: weight descending, ties ascending by (a, b).
     """
 
-    nodes: frozenset[str]
-    edges: Mapping[tuple[str, str], int]
-    threshold: int
+    __slots__ = ("nodes", "edges", "threshold")
+
+    def __init__(
+        self, nodes: frozenset[str], edges: Mapping[tuple[str, str], int], threshold: int
+    ) -> None:
+        self._set(nodes, edges, threshold)
 
     def __len__(self) -> int:
         return len(self.nodes)

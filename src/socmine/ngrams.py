@@ -14,11 +14,11 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus, Document
+from .record import Record
 from .text import KeywordFamily, StopwordList, remove_stopwords, tokenize
 
 Key = Hashable
@@ -31,16 +31,17 @@ class TagPair(NamedTuple):
     b: str
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(Record):
     """Frequency map from a key (tag, token pair, ...) to an occurrence count."""
 
-    entries: Mapping[Key, int] = field(default_factory=dict)
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        for key, count in self.entries.items():
+    def __init__(self, entries: Mapping[Key, int] | None = None) -> None:
+        entries = {} if entries is None else entries
+        for key, count in entries.items():
             if count < 1:
                 raise ValueError(f"count for {key!r} must be >= 1, got {count}")
+        self._set(entries)
 
     @property
     def total(self) -> int:
@@ -64,10 +65,8 @@ def _check_jobs(jobs: int) -> None:
 def count_tags(corpus: Corpus, jobs: int = 1) -> CountTable:
     """Per-document distinct hashtag counts: each tag counts once per document."""
     _check_jobs(jobs)
-    counts: Counter = Counter()
-    for d in corpus.documents:
-        counts.update(set(d.hashtags))
-    return CountTable(dict(counts))
+    tag_sets = (set(d.hashtags) for d in corpus.documents)
+    return CountTable(dict(Counter(chain.from_iterable(tag_sets))))
 
 
 def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> CountTable:

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
 from . import resources
 from .config import STAGES, Config, digest_view, file_digest
@@ -57,16 +56,14 @@ if TYPE_CHECKING:
 MANIFEST_NAME = "manifest.json"
 
 
-@dataclass(frozen=True)
-class StageResult:
+class StageResult(NamedTuple):
     name: str
     artifacts: tuple[str, ...]
     summary: Mapping[str, Any]
     seconds: float
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     run_id: str
     corpus_digest: str
     config: Mapping[str, Any]

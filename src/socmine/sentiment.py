@@ -14,12 +14,12 @@ n-gram is scored from its own surfaces, which are never re-tokenized.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .errors import DataError
 from .ngrams import CountTable, _csv_text, ranked
+from .record import Record
 from .resources import read_rows
 from .text import KeywordFamily, StemIndex, tokenize
 
@@ -34,9 +34,11 @@ class LexiconEntry(NamedTuple):
     match_mode: str = "prefix"
 
 
-@dataclass(frozen=True)
-class SentimentLexicon:
-    entries: tuple[LexiconEntry, ...]
+class SentimentLexicon(Record):
+    __slots__ = ("entries", "__dict__")
+
+    def __init__(self, entries: tuple[LexiconEntry, ...]) -> None:
+        self._set(entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -109,8 +111,7 @@ class ScoredNGram(NamedTuple):
     power: int
 
 
-@dataclass(frozen=True)
-class PowerReport:
+class PowerReport(NamedTuple):
     rows: tuple[ScoredNGram, ...]
 
     @property

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Generic, Iterable, TypeVar
 
 from .errors import DataError
+from .record import Record
 from .resources import read_rows
 
 # Word = maximal run of Unicode letters/digits. Underscore is excluded on
@@ -25,9 +25,11 @@ _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 MIN_PREFIX_STEM = 3
 
 
-@dataclass(frozen=True)
-class StopwordList:
-    words: frozenset[str]
+class StopwordList(Record):
+    __slots__ = ("words",)
+
+    def __init__(self, words: frozenset[str]) -> None:
+        self._set(words)
 
     def __contains__(self, surface: str) -> bool:
         return surface in self.words
@@ -36,8 +38,7 @@ class StopwordList:
         return len(self.words)
 
 
-@dataclass(frozen=True)
-class KeywordFamily:
+class KeywordFamily(Record):
     """A stem plus match rule standing in for the inflected forms of a word.
 
     match_mode 'exact' matches the stem only; 'prefix' matches every
@@ -45,22 +46,20 @@ class KeywordFamily:
     could match no surface.
     """
 
-    stem: str
-    match_mode: str = "prefix"
+    __slots__ = ("stem", "match_mode")
 
-    def __post_init__(self) -> None:
-        if not self.stem:
+    def __init__(self, stem: str, match_mode: str = "prefix") -> None:
+        if not stem:
             raise ValueError("keyword family stem must be non-empty")
-        if self.stem != self.stem.lower():
-            raise ValueError(f"keyword family stem must be lowercase: {self.stem!r}")
-        if not is_token(self.stem):
-            raise ValueError(f"keyword family stem must be one token: {self.stem!r}")
-        if self.match_mode not in ("prefix", "exact"):
-            raise ValueError(f"unknown match mode: {self.match_mode!r}")
-        if self.match_mode == "prefix" and len(self.stem) < MIN_PREFIX_STEM:
-            raise ValueError(
-                f"prefix stem {self.stem!r} shorter than {MIN_PREFIX_STEM} characters"
-            )
+        if stem != stem.lower():
+            raise ValueError(f"keyword family stem must be lowercase: {stem!r}")
+        if not is_token(stem):
+            raise ValueError(f"keyword family stem must be one token: {stem!r}")
+        if match_mode not in ("prefix", "exact"):
+            raise ValueError(f"unknown match mode: {match_mode!r}")
+        if match_mode == "prefix" and len(stem) < MIN_PREFIX_STEM:
+            raise ValueError(f"prefix stem {stem!r} shorter than {MIN_PREFIX_STEM} characters")
+        self._set(stem, match_mode)
 
     def matches(self, surface: str) -> bool:
         if self.match_mode == "exact":

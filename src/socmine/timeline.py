@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus
+from .record import Record
 
 # Thresholds calibrated on the synthetic fixtures.
 STEP_THRESHOLD = 0.4
@@ -23,19 +23,18 @@ LINEAR_R2 = 0.95
 MIN_TOTAL = 10
 
 
-@dataclass(frozen=True)
-class CumulativeSeries:
+class CumulativeSeries(Record):
     """Running total of a tag's daily usage across the corpus window."""
 
-    tag: str
-    buckets: tuple[tuple[date, int], ...]
+    __slots__ = ("tag", "buckets")
 
-    def __post_init__(self) -> None:
+    def __init__(self, tag: str, buckets: tuple[tuple[date, int], ...]) -> None:
         previous = 0
-        for _, cumulative in self.buckets:
+        for _, cumulative in buckets:
             if cumulative < previous:
                 raise ValueError("cumulative counts must be non-decreasing")
             previous = cumulative
+        self._set(tag, buckets)
 
     @property
     def total(self) -> int:
@@ -52,8 +51,7 @@ class CumulativeSeries:
         return [values[0]] + [b - a for a, b in zip(values, values[1:])]
 
 
-@dataclass(frozen=True)
-class ShapeVerdict:
+class ShapeVerdict(NamedTuple):
     shape: str
     linearity_r2: float
     max_step_fraction: float

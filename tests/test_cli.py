@@ -361,8 +361,9 @@ def test_version(capsys):
     assert capsys.readouterr().out.startswith("socmine ")
 
 
-# xml.sax.saxutils alone pulls in urllib.request, http.client, email and ssl.
-HEAVY = {"xml.sax", "urllib.request", "http.client", "xml.etree"}
+# xml.sax.saxutils alone pulls in urllib.request, http.client, email and ssl;
+# dataclasses pulls in inspect, ast, dis and tokenize.
+HEAVY = {"xml.sax", "urllib.request", "http.client", "xml.etree", "dataclasses", "inspect"}
 
 
 def _env_with_src() -> dict:
@@ -375,11 +376,12 @@ def _env_with_src() -> dict:
 def test_cli_import_loads_no_xml_or_network_modules():
     env = _env_with_src()
     # cli.py imports the analysis modules lazily, so the probe imports every
-    # module of the package itself.
+    # module of the package itself. It lists them with pathlib, because
+    # pkgutil.iter_modules imports inspect to name them.
     probe = (
-        "import importlib, pkgutil, sys, socmine\n"
-        "for info in pkgutil.iter_modules(socmine.__path__, 'socmine.'):\n"
-        "    importlib.import_module(info.name)\n"
+        "import importlib, pathlib, sys, socmine\n"
+        "for path in sorted(pathlib.Path(socmine.__path__[0]).glob('[!_]*.py')):\n"
+        "    importlib.import_module('socmine.' + path.stem)\n"
         f"print(sorted(m for m in {sorted(HEAVY)!r} if m in sys.modules))"
     )
     result = subprocess.run(

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import sys
-from dataclasses import asdict, replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 import socmine.corpus
 from helpers import FIXTURES, UTC, make_doc, write_csv_corpus
+from socmine.cli import main
 from socmine.config import file_digest
 from socmine.corpus import (
     _BAD_TAG_CHAR,
@@ -439,6 +439,23 @@ def test_load_corpus_csv_missing_header(tmp_path):
         load_corpus(path, fmt="csv")
 
 
+def test_csv_row_with_more_fields_than_its_header_exits_2(tmp_path, capsys):
+    # An unquoted comma in the text shifts the tags into a fifth field.
+    path = tmp_path / "c.csv"
+    path.write_text(
+        "id,ts,text,tags\n"
+        "a,2013-05-01T00:00:00Z,hello,world,police|riots\n"
+        "b,2013-05-02T00:00:00Z,x,police\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError, match=r"^line 2: row has 5 fields, the header 4$"):
+        load_corpus(path, fmt="csv")
+    assert main(["tags", str(path), "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2" in captured.err
+
+
 def test_load_corpus_aliases_merge_tags(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_jsonl(
@@ -474,7 +491,7 @@ def test_write_corpus_round_trip(tmp_path, fmt):
     ).map(lambda dt: dt.replace(microsecond=0, tzinfo=UTC))
 )
 def test_write_corpus_round_trips_any_year(tmp_path_factory, fmt, when):
-    corpus = Corpus.from_documents([replace(make_doc("a", text="x"), timestamp=when)])
+    corpus = Corpus.from_documents([make_doc("a", text="x")._replace(timestamp=when)])
     path = tmp_path_factory.mktemp("years") / f"out.{fmt}"
     WRITERS[fmt](corpus, path)
     loaded, _ = load_corpus(path, fmt=fmt, window=corpus.window)
@@ -500,10 +517,10 @@ def test_document_is_a_slotted_frozen_value():
     doc = make_doc("a", text="Policja, policja!", tags=("riots",), lang="pl")
     twin = make_doc("a", text="Policja, policja!", tags=("riots",), lang="pl")
     assert not hasattr(doc, "__dict__")
-    assert list(asdict(doc)) == ["id", "timestamp", "text", "hashtags", "lang", "source"]
+    assert list(doc._asdict()) == ["id", "timestamp", "text", "hashtags", "lang", "source"]
     assert doc == twin and hash(doc) == hash(twin)
     for name, value in (("text", "policja"), ("hashtags", ()), ("lang", None), ("source", "forum_post")):
-        other = replace(doc, **{name: value})
+        other = doc._replace(**{name: value})
         assert other != doc and hash(other) != hash(doc), name
     with pytest.raises(AttributeError):
         doc.text = "x"

@@ -3,10 +3,12 @@
 `ranked` defines rank order for every ranked table, artifact and graph:
 descending count, ties ascending by key. A top-N is a prefix of it.
 
-Counting runs in one thread. The counters accept `jobs` and reject values
-below 1, but do not use it, and the run context never passes it: a thread
-pool only added overhead, because the interpreter lock lets one thread at a
-time run the Python that does the counting.
+Each count runs in one thread. The counters accept `jobs` and reject
+values below 1, but do not use it, and the run context never passes it: a
+thread pool only added overhead, because the interpreter lock lets one
+thread at a time run the Python that does the counting. `socmine run` at
+jobs 2 counts tags in one process and tokens in another (see report), but
+splits no count.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ class CountTable(Record):
 
     def __init__(self, entries: Mapping[Key, int] | None = None) -> None:
         entries = {} if entries is None else entries
-        for key, count in entries.items():
-            if count < 1:
-                raise ValueError(f"count for {key!r} must be >= 1, got {count}")
+        # One C-level pass; the key is named only when some count is bad.
+        if entries and min(entries.values()) < 1:
+            key, count = next((k, c) for k, c in entries.items() if c < 1)
+            raise ValueError(f"count for {key!r} must be >= 1, got {count}")
         self._set(entries)
 
     @property

@@ -8,6 +8,18 @@ property rests on are imported with this module; coding, graph, timeline
 and sentiment are imported by the properties and stage renderers that use
 them, so a subcommand or a run loads only the analyses it runs.
 
+At run.jobs 2 or more, a run with both a tag stage (ingest's corpus
+write, tags, pairs, graph, timeline) and a text stage (coding, pronouns,
+sentiment) loads the corpus once and forks. The child renders the tag
+stages into the same build directory and sends their StageResults, or
+the exception they raised, back down a pipe as a pickle; the parent
+renders the text stages meanwhile, reads the pipe to EOF and reaps the
+child. The two sides share nothing but the loaded corpus, so nothing else
+crosses the pipe, and the tag side's error wins when both fail, as it
+would in serial order. Any other run renders its stages one after
+another in this process. The fork costs memory, since the child copies
+each page of the corpus it reads, so it waits for run.jobs 2.
+
 Reruns of the same config over the same inputs produce byte-identical
 artifacts and manifest, whatever run.jobs says: the manifest embeds the
 digest view of the config (no jobs, no out_dir) and carries no wall-clock
@@ -19,6 +31,7 @@ place after its manifest, so a failed run leaves an earlier one as it was.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from functools import cached_property, partial
 from pathlib import Path
@@ -395,6 +408,109 @@ _STAGES: dict[str, Callable[[Context, Path], Rendered]] = {
 }
 
 
+# The stages that tokenize document text. The rest read tags, or write the
+# corpus, and share nothing with these but the loaded corpus. These come
+# last in STAGES, so a serial run renders every other stage first.
+_TEXT_STAGES = ("coding", "pronouns", "sentiment")
+
+
+def _in_stage(name: str, step: Callable[[], Any]) -> Any:
+    """step(), a DataError or ValueError it raises prefixed with the stage name."""
+    try:
+        return step()
+    except DataError as exc:
+        raise DataError(f"stage {name}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"stage {name}: {exc}") from exc
+
+
+def _render(
+    names: list[str], ctx: Context, build_dir: Path, start: float | None = None
+) -> list[StageResult]:
+    """Render the named stages in order into build_dir. The first stage's
+    seconds count from `start` when it is given."""
+    results = []
+    start = perf_counter() if start is None else start
+    for name in names:
+        artifacts, summary = _in_stage(name, partial(_STAGES[name], ctx, build_dir))
+        end = perf_counter()
+        results.append(StageResult(name, tuple(artifacts), summary, end - start))
+        start = end
+    return results
+
+
+def _reap(pid: int, kill: bool) -> int:
+    """The wait status of child pid, killed first if `kill`. A signal
+    handler that raises during the wait (Ctrl-C) does not leave the child
+    behind: it is killed and waited for again, then the exception goes on."""
+    import signal
+
+    interrupt: BaseException | None = None
+    while True:
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        try:
+            _, status = os.waitpid(pid, 0)
+        except ChildProcessError:  # already reaped: nothing to wait for
+            raise
+        except BaseException as exc:
+            interrupt, kill = interrupt or exc, True
+            continue
+        if interrupt is not None:
+            raise interrupt
+        return status
+
+
+def _render_beside(
+    ctx: Context, build_dir: Path, tag_side: list[str], text_side: list[str]
+) -> list[StageResult]:
+    """Render tag_side in a forked child while this process renders
+    text_side. Returns the results in stage order, or raises the error a
+    serial run would have raised first: the tag side's, as it runs first."""
+    import pickle
+
+    # Loaded once, before the fork; its time and faults are the first stage's.
+    start = perf_counter()
+    _in_stage(tag_side[0], lambda: ctx.loaded)
+    read_fd, write_fd = os.pipe()
+    payload = None
+    pid = os.fork()
+    if pid == 0:
+        # The child leaves through os._exit alone, so it runs none of the
+        # caller's cleanup or atexit hooks and flushes none of its stdio.
+        exit_code = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome: Any = _render(tag_side, ctx, build_dir, start)
+            except BaseException as exc:
+                outcome = exc
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome))
+            exit_code = 0
+        finally:
+            os._exit(exit_code)
+    try:
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            try:
+                own: Any = _render(text_side, ctx, build_dir)
+            except Exception as exc:
+                own = exc
+            # Read to EOF before waiting, so a result larger than the pipe
+            # buffer cannot block the child.
+            payload = pipe.read()
+    finally:
+        status = _reap(pid, kill=payload is None)
+    if not payload:
+        raise RuntimeError(f"the tag stages' process sent no result (wait status {status})")
+    theirs = pickle.loads(payload)
+    for outcome in (theirs, own):
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return theirs + own
+
+
 def run_pipeline(config: Config) -> RunManifest:
     import shutil
     import tempfile
@@ -417,23 +533,12 @@ def run_pipeline(config: Config) -> RunManifest:
         build_dir.mkdir()
         corpus_digest = file_digest(corpus_cfg["path"])
         ctx = Context(config.values)
-        results: list[StageResult] = []
-        for name in enabled:
-            start = perf_counter()
-            try:
-                artifacts, summary = _STAGES[name](ctx, build_dir)
-            except DataError as exc:
-                raise DataError(f"stage {name}: {exc}") from exc
-            except ValueError as exc:
-                raise ValueError(f"stage {name}: {exc}") from exc
-            results.append(
-                StageResult(
-                    name=name,
-                    artifacts=tuple(artifacts),
-                    summary=summary,
-                    seconds=perf_counter() - start,
-                )
-            )
+        tag_side = [name for name in enabled if name not in _TEXT_STAGES]
+        text_side = [name for name in enabled if name in _TEXT_STAGES]
+        if run_cfg["jobs"] >= 2 and tag_side and text_side and hasattr(os, "fork"):
+            results = _render_beside(ctx, build_dir, tag_side, text_side)
+        else:
+            results = _render(enabled, ctx, build_dir)
         manifest = RunManifest(
             run_id=run_id,
             corpus_digest=corpus_digest,

@@ -456,6 +456,20 @@ def test_csv_row_with_more_fields_than_its_header_exits_2(tmp_path, capsys):
     assert "line 2" in captured.err
 
 
+def test_csv_header_that_names_a_column_twice_exits_2(tmp_path, capsys):
+    # The last `tags` column would win, and `police` would be dropped.
+    path = tmp_path / "c.csv"
+    path.write_text(
+        "id,ts,text,tags,tags\na,2013-05-01T00:00:00Z,hello,police,riots\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError, match=r"^line 1: CSV header names column 'tags' twice$"):
+        load_corpus(path, fmt="csv")
+    assert main(["tags", str(path), "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 1" in captured.err and "'tags'" in captured.err
+
 def test_load_corpus_aliases_merge_tags(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_jsonl(

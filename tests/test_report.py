@@ -1,9 +1,16 @@
+import atexit
 import csv
 import json
+import os
+import signal
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import socmine.report
 from helpers import FIXTURES
 from socmine.config import STAGES, make_config
 from socmine.errors import DataError, UsageError
@@ -366,3 +373,196 @@ def test_pipeline_on_bundled_fixture_corpus(tmp_path):
     assert graph_summary["edges"] == 5
     dyads = (Path(manifest.run_dir) / "dyads.csv").read_text(encoding="utf-8")
     assert dyads.splitlines()[1] == "sthlmriots,svpol,533,1.0000"
+
+
+def _raising(kind, message):
+    def render(ctx, run_dir):
+        raise kind(message)
+    return render
+
+
+BAD_TAXONOMY = "1\tPolice\n2\tpolicj\tprefix\n"
+
+# Each case: tag-side renderers replaced by ones that raise, a taxonomy
+# file (or the bundled one), run.stages (or all), extra corpus lines, the
+# exit code and the start of stderr.
+FAILURES = {
+    "tag side data error": (
+        {"graph": (DataError, "boom")}, None, None, "", 2, "error: stage graph: boom\n"
+    ),
+    "tag side internal error": (
+        {"graph": (RuntimeError, "boom")}, None, None, "", 3,
+        "internal error: RuntimeError('boom')\n",
+    ),
+    "text side bad taxonomy": (
+        {}, BAD_TAXONOMY, None, "", 2,
+        "error: stage coding: coding.taxonomy: line 2: unknown category id",
+    ),
+    # In serial order the tag side fails first, so its error wins.
+    "both sides": (
+        {"timeline": (DataError, "boom")}, BAD_TAXONOMY, None, "", 2,
+        "error: stage timeline: boom\n",
+    ),
+    "malformed corpus line": (
+        {}, None, ["pairs", "sentiment"], "not json\n", 2,
+        "error: stage pairs: line 5: invalid JSON",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_a_failed_run_fails_alike_at_jobs_1_and_2(workspace, monkeypatch, capsys, case):
+    renderers, taxonomy, stages, extra, code, err = FAILURES[case]
+    for name, (kind, message) in renderers.items():
+        monkeypatch.setitem(socmine.report._STAGES, name, _raising(kind, message))
+    config = ["corpus:", "  path: corpus.jsonl"]
+    if taxonomy is not None:
+        (workspace / "taxonomy.tsv").write_text(taxonomy, encoding="utf-8")
+        config += ["coding:", "  taxonomy: taxonomy.tsv"]
+    if stages is not None:
+        config += ["run:", f"  stages: [{', '.join(stages)}]"]
+    (workspace / "run.yaml").write_text("\n".join(config) + "\n", encoding="utf-8")
+    with (workspace / "corpus.jsonl").open("a", encoding="utf-8") as handle:
+        handle.write(extra)
+    outcomes = []
+    for jobs in (1, 2):
+        out_dir = workspace / f"jobs{jobs}"
+        argv = ["run", "--config", str(workspace / "run.yaml"), "--jobs", str(jobs)]
+        status = main([*argv, "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        outcomes.append((status, captured.err))
+        assert captured.out == ""
+        # No run directory, no staging directory, and no process left.
+        assert list(out_dir.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert outcomes[0] == outcomes[1]
+    status, stderr = outcomes[0]
+    assert status == code and stderr.startswith(err), stderr
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sets(st.sampled_from(STAGES), min_size=1), st.sampled_from([1, 2, 3]))
+def test_a_run_is_the_same_whatever_jobs_and_stages(tmp_path_factory, stages, jobs):
+    workspace = tmp_path_factory.mktemp("jobs")
+    (workspace / "corpus.jsonl").write_text(SMALL, encoding="utf-8")
+    manifests = [
+        run_pipeline(_config(
+            workspace, run={"stages": sorted(stages), "jobs": n, "out_dir": f"jobs{n}"}
+        ))
+        for n in (1, jobs)
+    ]
+    serial, forked = (
+        {p.name: p.read_bytes() for p in Path(m.run_dir).iterdir()} for m in manifests
+    )
+    assert forked == serial
+    serial, forked = (
+        [(s.name, s.artifacts, s.summary) for s in m.stages] for m in manifests
+    )
+    assert forked == serial
+    assert [name for name, _, _ in serial] == [s for s in STAGES if s in stages]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_jobs_2_renders_the_tag_side_in_a_child(workspace, monkeypatch):
+    log = workspace / "pids.txt"
+
+    def logged(name, render):
+        def wrapper(ctx, run_dir):
+            with log.open("a", encoding="utf-8") as handle:
+                handle.write(f"{name} {os.getpid()}\n")
+            return render(ctx, run_dir)
+        return wrapper
+
+    for name, render in list(socmine.report._STAGES.items()):
+        monkeypatch.setitem(socmine.report._STAGES, name, logged(name, render))
+    # A summary larger than a pipe buffer still comes back whole.
+    blob = "x" * (1 << 20)
+
+    def big(ctx, run_dir):
+        return [], {"blob": blob}
+
+    monkeypatch.setitem(socmine.report._STAGES, "timeline", logged("timeline", big))
+
+    def hung(signum, frame):
+        raise TimeoutError("the run did not finish: the child blocked on a full pipe")
+
+    # A child blocked on a full pipe would hang the run; an alarm ends it.
+    previous = signal.signal(signal.SIGALRM, hung)
+    try:
+        for jobs in (1, 2):
+            log.write_text("", encoding="utf-8")
+            signal.alarm(60)
+            try:
+                manifest = run_pipeline(_config(workspace, run={"jobs": jobs}))
+            finally:
+                signal.alarm(0)
+            assert manifest.stages[4].summary == {"blob": blob}
+            pids = dict(line.split() for line in log.read_text(encoding="utf-8").splitlines())
+            assert sorted(pids) == sorted(STAGES)
+            side = {name: pids[name] == str(os.getpid()) for name in STAGES}
+            if jobs == 1:
+                assert all(side.values())
+            else:
+                text_stages = ("coding", "pronouns", "sentiment")
+                assert side == {name: name in text_stages for name in STAGES}
+                assert len(set(pids.values())) == 2
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_the_child_runs_no_atexit_hook_and_flushes_no_buffer(workspace):
+    log = workspace / "exit.txt"
+
+    def hook():
+        log.write_text("ran", encoding="utf-8")
+
+    buffered = (workspace / "buffered.txt").open("w", encoding="utf-8")
+    buffered.write("once\n")
+    atexit.register(hook)
+    try:
+        run_pipeline(_config(workspace, run={"jobs": 2}))
+    finally:
+        atexit.unregister(hook)
+        buffered.close()
+    assert not log.exists()
+    assert (workspace / "buffered.txt").read_text(encoding="utf-8") == "once\n"
+
+
+def test_an_interrupted_run_leaves_no_process(workspace, monkeypatch):
+    def slow(ctx, run_dir):
+        time.sleep(60)
+
+    def interrupted(ctx, run_dir):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(socmine.report._STAGES, "graph", slow)
+    monkeypatch.setitem(socmine.report._STAGES, "coding", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(_config(workspace, run={"jobs": 2}))
+    assert time.monotonic() - start < 30
+    assert list((workspace / "runs").iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_interrupted_wait_still_reaps_the_child(workspace, monkeypatch):
+    # Ctrl-C during the final wait, after the pipe is read to EOF.
+    real_waitpid = os.waitpid
+    calls = []
+
+    def interrupted(pid, options):
+        calls.append(pid)
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(_config(workspace, run={"jobs": 2}))
+    assert len(calls) == 2 and calls[0] == calls[1]
+    assert list((workspace / "runs").iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        real_waitpid(-1, os.WNOHANG)

@@ -245,10 +245,8 @@ def build_parser() -> Parser:
     p.add_argument("--config", required=True, help="pipeline config file (YAML)")
     p.add_argument("--out-dir", dest="run.out_dir", type=lambda path: str(Path(path).resolve()),
                    help="run directory parent, relative to the working directory")
+    p.add_argument("--jobs", dest="run.jobs", type=int)
     p.set_defaults(func=cmd_run)
-
-    for name in ("tags", "pairs", "graph", "sentiment", "run"):
-        sub.choices[name].add_argument("--jobs", dest="run.jobs", type=int)
     return parser
 
 

@@ -19,7 +19,7 @@ from .record import Record
 from .resources import read_rows
 # tokenize is not called here (ngrams.count_tokens calls it) but stays
 # bound: the benchmark tracer's self-test reads coding.tokenize.
-from .text import KeywordFamily, StemIndex, StopwordList, is_token, tokenize  # noqa: F401
+from .text import KeywordFamily, StemIndex, is_token, tokenize  # noqa: F401
 
 
 class Category(NamedTuple):
@@ -107,7 +107,7 @@ class CodingResult(Record):
 def code_vocabulary(
     freq: Mapping[str, int],
     taxonomy: Taxonomy,
-    stops: StopwordList,
+    stops: frozenset[str],
     min_freq: int = 1,
     count_occurrences: bool = False,
 ) -> CodingResult:

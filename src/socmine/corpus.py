@@ -97,19 +97,14 @@ class Corpus(Record):
         return cls(documents=tuple(docs), window=window)
 
 
-class LoadReport(Record):
+class LoadReport(NamedTuple):
     """Counts of records read, kept, and dropped (with reasons) during a load."""
 
-    __slots__ = ("path", "format", "records_read", "records_kept", "dropped")
-    # Filled in as the load goes, so neither frozen nor hashable.
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
-
-    def __init__(self, path: str, format: str, records_read: int = 0,
-                 records_kept: int = 0, dropped: Counter | None = None) -> None:
-        dropped = Counter() if dropped is None else dropped
-        self._set(path, format, records_read, records_kept, dropped)
+    path: str
+    format: str
+    records_read: int
+    records_kept: int
+    dropped: Counter
 
     @property
     def records_dropped(self) -> int:
@@ -308,14 +303,13 @@ def load_corpus(
     path = Path(path)
     if not path.is_file():
         raise DataError(f"corpus file not found: {path}")
-    report = LoadReport(path=str(path), format=fmt)
+    dropped: Counter = Counter()
 
     documents: list[Document] = []
     seen_ids: dict[str, int] = {}
     known_tags: dict[str, str] = {}
     try:
         for line_no, record, escaped in _iter_records(path, fmt):
-            report.records_read += 1
             doc = _record_to_document(record, line_no, aliases, known_tags, escaped)
             if doc.id in seen_ids:
                 raise DataError(
@@ -326,11 +320,13 @@ def load_corpus(
             documents.append(doc)
     except UnicodeDecodeError as exc:
         raise _undecodable(path) from exc
+    # Every record read is a document now, or the load has raised.
+    records_read = len(documents)
 
     if window is not None:
         inside = [d for d in documents if window[0] <= d.timestamp <= window[1]]
         if len(inside) != len(documents):
-            report.dropped["out_of_window"] += len(documents) - len(inside)
+            dropped["out_of_window"] += len(documents) - len(inside)
         documents = inside
     if not documents:
         raise DataError(f"empty corpus after filtering: {path}")
@@ -341,11 +337,10 @@ def load_corpus(
         if not kept:
             raise DataError(f"empty corpus after filtering: {path} (corpus.min_tags {min_tags})")
         if len(kept) != len(corpus):
-            report.dropped["below_min_tags"] += len(corpus) - len(kept)
+            dropped["below_min_tags"] += len(corpus) - len(kept)
         corpus = Corpus(documents=kept, window=corpus.window)
 
-    report.records_kept = len(corpus)
-    return corpus, report
+    return corpus, LoadReport(str(path), fmt, records_read, len(corpus), dropped)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -5,28 +5,21 @@ Exports are byte-deterministic: nodes and edges are emitted in sorted order.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .ngrams import _csv_text
-from .record import Record
 
 
-class CooccurrenceGraph(Record):
+class CooccurrenceGraph(NamedTuple):
     """Weighted undirected graph of tags; edge weight = co-occurrence count.
 
     Edges are keyed by plain (a, b) tuples with a < b and listed in rank
     order: weight descending, ties ascending by (a, b).
     """
 
-    __slots__ = ("nodes", "edges", "threshold")
-
-    def __init__(
-        self, nodes: frozenset[str], edges: Mapping[tuple[str, str], int], threshold: int
-    ) -> None:
-        self._set(nodes, edges, threshold)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
+    nodes: frozenset[str]
+    edges: Mapping[tuple[str, str], int]
+    threshold: int
 
 
 def build_graph(

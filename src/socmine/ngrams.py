@@ -17,24 +17,20 @@ import csv
 import io
 from collections import Counter
 from itertools import chain, repeat
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .corpus import Corpus, Document
 from .record import Record
-from .text import KeywordFamily, StopwordList, remove_stopwords, tokenize
+from .text import KeywordFamily, remove_stopwords, tokenize
 
 Key = Hashable
 
 
-class TagPair(NamedTuple):
-    """Named view of a pair key (a, b), a < b; equal to the plain tuple, same hash."""
-
-    a: str
-    b: str
-
-
 class CountTable(Record):
-    """Frequency map from a key (tag, token pair, ...) to an occurrence count."""
+    """Frequency map from a key (tag, token pair, ...) to an occurrence count.
+
+    A counter here hands over the Counter it counted in as `entries`, not a copy.
+    """
 
     __slots__ = ("entries",)
 
@@ -46,18 +42,8 @@ class CountTable(Record):
             raise ValueError(f"count for {key!r} must be >= 1, got {count}")
         self._set(entries)
 
-    @property
-    def total(self) -> int:
-        return sum(self.entries.values())
-
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __getitem__(self, key: Key) -> int:
-        return self.entries.get(key, 0)
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self.entries
 
 
 def _check_jobs(jobs: int) -> None:
@@ -69,7 +55,7 @@ def count_tags(corpus: Corpus, jobs: int = 1) -> CountTable:
     """Per-document distinct hashtag counts: each tag counts once per document."""
     _check_jobs(jobs)
     tag_sets = (set(d.hashtags) for d in corpus.documents)
-    return CountTable(dict(Counter(chain.from_iterable(tag_sets))))
+    return CountTable(Counter(chain.from_iterable(tag_sets)))
 
 
 def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> CountTable:
@@ -77,7 +63,7 @@ def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> CountTable:
 
     Each document contributes one count per distinct pair; documents with
     fewer than two distinct tags contribute nothing. Keys are plain (a, b)
-    tuples with a < b, which hash and compare equal to the same TagPair.
+    tuples with a < b.
 
     Entries are in ascending key order, so `ranked` finds each count's keys
     already sorted. Each document adds its later tags to the partner list
@@ -95,12 +81,12 @@ def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> CountTable:
         later.sort()
     # A Counter keeps its keys in the order it first meets them.
     pairs = (zip(repeat(a), partners[a]) for a in sorted(partners))
-    return CountTable(dict(Counter(chain.from_iterable(pairs))))
+    return CountTable(Counter(chain.from_iterable(pairs)))
 
 
 def count_tokens(
     documents: Iterable[Document],
-    stops: StopwordList | None = None,
+    stops: frozenset[str] | None = None,
     filter_term: KeywordFamily | None = None,
     jobs: int = 1,
 ) -> tuple[Counter, CountTable]:
@@ -129,7 +115,7 @@ def count_tokens(
                 gram for gram in zip(kept, kept[1:])
                 if filter_term.matches(gram[0]) or filter_term.matches(gram[1])
             )
-    return surfaces, CountTable(dict(grams))
+    return surfaces, CountTable(grams)
 
 
 def ranked(table: CountTable) -> list[tuple[Key, int]]:

@@ -58,7 +58,7 @@ from .ngrams import (
     counts_to_csv,
     ranked,
 )
-from .text import KeywordFamily, StopwordList, load_stopwords
+from .text import KeywordFamily, load_stopwords
 
 if TYPE_CHECKING:
     from .coding import CodingResult, PronounReport, Taxonomy
@@ -145,7 +145,6 @@ class Context:
 
     def __init__(self, sections: Mapping[str, Mapping[str, Any]]) -> None:
         self.sections = sections
-        self._tables: dict[str, CountTable] = {}
         self._rankings: dict[str, list[tuple[Any, int]]] = {}
 
     @cached_property
@@ -175,21 +174,16 @@ class Context:
             raise DataError(f"{key}: {exc}") from exc
 
     @cached_property
-    def stops(self) -> StopwordList:
+    def stops(self) -> frozenset[str]:
         return self._load_data("text.stopwords", resources.STOPWORDS, load_stopwords)
 
-    def table(self, name: str) -> CountTable:
-        """The `tags` or `pairs` count table, counted once."""
-        if name not in self._tables:
-            count = count_tags if name == "tags" else count_tag_pairs
-            self._tables[name] = count(self.corpus)
-        return self._tables[name]
-
     def ranking(self, name: str) -> list[tuple[Any, int]]:
-        """The whole table in rank order, sorted once; the CSVs, summaries
-        and top-N slices share it."""
+        """The whole `tags` or `pairs` table in rank order, counted and
+        sorted once; the CSVs, summaries and top-N slices share it, and the
+        count table does not outlive it."""
         if name not in self._rankings:
-            self._rankings[name] = ranked(self.table(name))
+            count = count_tags if name == "tags" else count_tag_pairs
+            self._rankings[name] = ranked(count(self.corpus))
         return self._rankings[name]
 
     def top_rows(self, name: str) -> list[tuple[Any, int]]:
@@ -302,12 +296,12 @@ def _stage_ingest(ctx: Context, run_dir: Path) -> Rendered:
 def _stage_counts(name: str, ctx: Context, run_dir: Path) -> Rendered:
     """The tags or pairs stage: the whole ranked table, and its top rows in
     the summary."""
-    table = ctx.table(name)
-    text = counts_to_csv(ctx.ranking(name), pairs=name == "pairs")
+    rows = ctx.ranking(name)
+    text = counts_to_csv(rows, pairs=name == "pairs")
     artifact = _write_text(run_dir, f"{name}.csv", text)
     summary = {
-        "distinct": len(table),
-        "total": table.total,
+        "distinct": len(rows),
+        "total": sum(count for _, count in rows),
         "top": _summary_rows(ctx.top_rows(name)),
     }
     return [artifact], summary

@@ -40,9 +40,6 @@ class SentimentLexicon(Record):
     def __init__(self, entries: tuple[LexiconEntry, ...]) -> None:
         self._set(entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     @functools.cached_property
     def index(self) -> StemIndex[tuple[str, int]]:
         """Each entry as a keyword family valued (polarity, boost)."""

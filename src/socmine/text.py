@@ -25,19 +25,6 @@ _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 MIN_PREFIX_STEM = 3
 
 
-class StopwordList(Record):
-    __slots__ = ("words",)
-
-    def __init__(self, words: frozenset[str]) -> None:
-        self._set(words)
-
-    def __contains__(self, surface: str) -> bool:
-        return surface in self.words
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
 class KeywordFamily(Record):
     """A stem plus match rule standing in for the inflected forms of a word.
 
@@ -133,10 +120,9 @@ def tokenize(text: str) -> list[str]:
     return list(map(_LOWERED.__getitem__, _WORD_RE.findall(text)))
 
 
-def remove_stopwords(tokens: list[str], stops: StopwordList) -> list[str]:
+def remove_stopwords(tokens: list[str], stops: frozenset[str]) -> list[str]:
     """Drop stopword tokens, keeping the order of the survivors."""
-    words = stops.words
-    return [token for token in tokens if token not in words]
+    return [token for token in tokens if token not in stops]
 
 
 def is_token(word: str) -> bool:
@@ -144,7 +130,7 @@ def is_token(word: str) -> bool:
     return _WORD_RE.fullmatch(word) is not None
 
 
-def load_stopwords(path: str | Path) -> StopwordList:
+def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword file: one word per line, '#' starts a comment line.
 
     Each word must be one token; it is lowered.
@@ -156,4 +142,4 @@ def load_stopwords(path: str | Path) -> StopwordList:
         if not is_token(fields[0]):
             raise DataError(f"line {line_no}: stopword must be one token: {fields[0]!r}")
         words.add(fields[0].lower())
-    return StopwordList(words=frozenset(words))
+    return frozenset(words)

@@ -69,7 +69,7 @@ def test_tags_top_limits_rows(corpus_file, capsys):
 
 
 def test_pairs_two_column_csv(corpus_file, capsys):
-    assert main(["pairs", str(corpus_file), "--jobs", "2"]) == 0
+    assert main(["pairs", str(corpus_file)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "key,key2,count"
     assert "police,riots,2" in out
@@ -167,7 +167,7 @@ def test_timeline_tags_are_normalized(corpus_file, capsys, spelling):
         (["graph", "--threshold", "0"], "graph.threshold must be >= 1"),
         (["code", "--min-freq", "0"], "coding.min_freq must be >= 1"),
         (["sentiment", "--min-freq", "0"], "sentiment.min_freq must be >= 1"),
-        (["tags", "--jobs", "0"], "run.jobs must be >= 1"),
+        (["sentiment", "--lexicon", "missing.tsv"], "sentiment.lexicon: cannot read"),
         (["ingest", "--min-tags", "-1"], "corpus.min_tags must be >= 0"),
         (["graph", "--cap", "-1"], "graph.cap must be >= 0"),
         (["timeline", "--tags", "#"], "timeline.tags entry '#'"),
@@ -195,6 +195,15 @@ def test_flag_errors_name_the_config_key(corpus_file, capsys, flags, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert key in captured.err
+
+
+@pytest.mark.parametrize("command", ["tags", "pairs", "graph", "sentiment"])
+def test_analysis_subcommands_reject_jobs(corpus_file, capsys, command):
+    # run.jobs is read only by `run`; an analysis subcommand has no --jobs.
+    assert main([command, str(corpus_file), "--jobs", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --jobs 2" in captured.err
 
 
 def test_ingest_bad_values_exit_2_with_line_number(tmp_path, capsys):
@@ -562,8 +571,8 @@ def _flag_case(stage, d):
             "tags.csv",
         ),
         "pairs": (
-            ["pairs", corpus, "--top", "0", "--min-tags", "3", "--jobs", "2"],
-            {"corpus": {"min_tags": 3}, "pairs": {"top": 0}, "run": {"jobs": 2}},
+            ["pairs", corpus, "--top", "0", "--min-tags", "3"],
+            {"corpus": {"min_tags": 3}, "pairs": {"top": 0}},
             "pairs.csv",
         ),
         # kista is a whitelisted tag whose edges all fall below the threshold.
@@ -595,10 +604,10 @@ def _flag_case(stage, d):
         ),
         "sentiment": (
             ["sentiment", corpus, "--lexicon", str(d / "lexicon.tsv"), "--filter-stem", "policja",
-             "--filter-mode", "exact", "--min-freq", "1", "--stopwords", stops, "--jobs", "2"],
+             "--filter-mode", "exact", "--min-freq", "1", "--stopwords", stops],
             {"sentiment": {"lexicon": str(d / "lexicon.tsv"), "filter_stem": "policja",
                            "filter_mode": "exact", "min_freq": 1},
-             "text": {"stopwords": stops}, "run": {"jobs": 2}},
+             "text": {"stopwords": stops}},
             "power.csv",
         ),
     }[stage]

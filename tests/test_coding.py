@@ -20,9 +20,9 @@ from socmine.coding import (
 from socmine.errors import DataError
 from socmine.ngrams import count_tokens
 from socmine.resources import default_data_path
-from socmine.text import KeywordFamily, StopwordList
+from socmine.text import KeywordFamily
 
-NO_STOPS = StopwordList(frozenset())
+NO_STOPS = frozenset()
 
 
 def _surfaces(corpus):
@@ -152,7 +152,7 @@ def test_code_vocabulary_min_freq_and_occurrences():
 
 def test_code_vocabulary_applies_stopwords():
     corpus = make_corpus(("a", 0, (), "policja i riots"))
-    stops = StopwordList(frozenset({"i"}))
+    stops = frozenset({"i"})
     result = code_vocabulary(_surfaces(corpus), _small_taxonomy(), stops)
     assert result.vocabulary_size == 2
     assert "i" not in result.uncategorized

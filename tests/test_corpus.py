@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import sys
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socmine.corpus
-from helpers import FIXTURES, UTC, make_doc, write_csv_corpus
+from helpers import BASE, FIXTURES, UTC, make_doc, write_csv_corpus
 from socmine.cli import main
 from socmine.config import file_digest
 from socmine.corpus import (
@@ -566,3 +567,50 @@ def test_load_corpus_min_tags_drops_after_the_window(tmp_path):
     assert report.dropped == {"below_min_tags": 2}
     with pytest.raises(DataError, match=r"empty corpus after filtering: .* \(corpus.min_tags 4\)"):
         load_corpus(path, min_tags=4)
+
+
+_DAYS = st.integers(0, 9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_DAYS, st.lists(st.sampled_from("abcd"), unique=True, max_size=4)),
+             max_size=12),
+    st.none() | st.tuples(_DAYS, _DAYS).map(sorted),
+    st.integers(0, 3),
+)
+def test_load_report_counts_match_brute_force_in_both_formats(
+    tmp_path_factory, specs, window_days, min_tags
+):
+    records = [
+        {"id": f"d{i}", "ts": _iso_utc(BASE + timedelta(days=day)), "text": "", "tags": tags}
+        for i, (day, tags) in enumerate(specs)
+    ]
+    window = None
+    if window_days is not None:
+        window = tuple(BASE + timedelta(days=day) for day in window_days)
+    inside = [tags for day, tags in specs if window is None or window_days[0] <= day <= window_days[1]]
+    kept = [tags for tags in inside if len(tags) >= min_tags]
+    brute = {"out_of_window": len(specs) - len(inside), "below_min_tags": len(inside) - len(kept)}
+
+    path = tmp_path_factory.mktemp("report") / "corpus"
+    _write_jsonl(path, records)
+    if not kept:
+        with pytest.raises(DataError, match="empty corpus after filtering"):
+            load_corpus(path, window=window, min_tags=min_tags)
+        return
+    _, report = load_corpus(path, window=window, min_tags=min_tags)
+    assert report.records_read == len(records)
+    assert report.records_read == report.records_kept + report.records_dropped
+    assert report.records_kept == len(kept)
+    for reason, count in brute.items():
+        assert report.dropped.get(reason, 0) == count, reason
+    assert set(report.dropped) <= set(brute)
+
+    # The same records as CSV, at the same path.
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["id", "ts", "text", "tags"])
+        writer.writerows([r["id"], r["ts"], r["text"], "|".join(r["tags"])] for r in records)
+    _, csv_report = load_corpus(path, fmt="csv", window=window, min_tags=min_tags)
+    assert csv_report == report._replace(format="csv")

@@ -11,25 +11,20 @@ from helpers import make_corpus, make_doc
 from socmine.corpus import Corpus, normalize_tag
 from socmine.ngrams import (
     CountTable,
-    TagPair,
     count_tag_pairs,
     count_tags,
     count_tokens,
     counts_to_csv,
     ranked,
 )
-from socmine.text import KeywordFamily, StopwordList, tokenize
+from socmine.text import KeywordFamily, tokenize
 
-EMPTY_STOPS = StopwordList(frozenset())
+EMPTY_STOPS = frozenset()
 
 
 def _grams(documents, stops, filter_term=None, jobs=1):
     """The 2-gram table of the one token count."""
     return count_tokens(documents, stops, filter_term=filter_term, jobs=jobs)[1]
-
-
-def test_tag_pair_canonical_order():
-    assert TagPair("a", "b") == ("a", "b")
 
 
 def test_count_table_rejects_nonpositive():
@@ -52,9 +47,9 @@ def test_count_tags_distinct_per_document():
         ]
     )
     table = count_tags(corpus)
-    assert table["svpol"] == 3
-    assert table["husby"] == 1
-    assert table.total == 4
+    assert table.entries["svpol"] == 3
+    assert table.entries["husby"] == 1
+    assert sum(table.entries.values()) == 4
 
 
 def test_count_tag_pairs_hand_counted():
@@ -65,9 +60,9 @@ def test_count_tag_pairs_hand_counted():
         ("d", 3, ()),
     )
     table = count_tag_pairs(corpus)
-    assert table[TagPair("police", "riots")] == 2
-    assert table[TagPair("husby", "riots")] == 1
-    assert table[TagPair("husby", "police")] == 1
+    assert table.entries[("police", "riots")] == 2
+    assert table.entries[("husby", "riots")] == 1
+    assert table.entries[("husby", "police")] == 1
     assert len(table) == 3
     # every key must already be canonical
     assert all(a < b for a, b in table.entries)
@@ -99,26 +94,26 @@ def test_count_token_2grams_ordered_and_bounded():
         ("b", 1, (), "gazu policja"),
     )
     table = _grams(corpus.documents, EMPTY_STOPS)
-    assert table[("policja", "używa")] == 1
-    assert table[("używa", "gazu")] == 1
-    assert table[("gazu", "policja")] == 1
+    assert table.entries[("policja", "używa")] == 1
+    assert table.entries[("używa", "gazu")] == 1
+    assert table.entries[("gazu", "policja")] == 1
     # no pair across the document boundary, no reversed duplicates merged
-    assert ("gazu", "gazu") not in table
+    assert ("gazu", "gazu") not in table.entries
     assert len(table) == 3
 
 
 def test_count_token_2grams_counts_occurrences():
     corpus = make_corpus(("a", 0, (), "raz dwa raz dwa"))
     table = _grams(corpus.documents, EMPTY_STOPS)
-    assert table[("raz", "dwa")] == 2
-    assert table[("dwa", "raz")] == 1
+    assert table.entries[("raz", "dwa")] == 2
+    assert table.entries[("dwa", "raz")] == 1
 
 
 def test_count_token_2grams_stopwords_bridge_gaps():
-    stops = StopwordList(frozenset({"i"}))
+    stops = frozenset({"i"})
     corpus = make_corpus(("a", 0, (), "kamienie i butelki"))
     table = _grams(corpus.documents, stops)
-    assert table[("kamienie", "butelki")] == 1
+    assert table.entries[("kamienie", "butelki")] == 1
     assert len(table) == 1
 
 
@@ -128,9 +123,9 @@ def test_count_token_2grams_filter_term():
         ("a", 0, (), "szwedzka policja używa gazu"),
     )
     table = _grams(corpus.documents, EMPTY_STOPS, filter_term=family)
-    assert table[("szwedzka", "policja")] == 1
-    assert table[("policja", "używa")] == 1
-    assert ("używa", "gazu") not in table
+    assert table.entries[("szwedzka", "policja")] == 1
+    assert table.entries[("policja", "używa")] == 1
+    assert ("używa", "gazu") not in table.entries
 
 
 @given(st.integers(min_value=1, max_value=16))
@@ -156,7 +151,7 @@ def _oracle_2grams(documents, stops, filter_term):
     """Each document's 2-grams on its own, from tokenize and a stopword test."""
     grams = Counter()
     for doc in documents:
-        kept = [token for token in tokenize(doc.text) if token not in stops.words]
+        kept = [token for token in tokenize(doc.text) if token not in stops]
         for gram in zip(kept, kept[1:]):
             if filter_term is None or filter_term.matches(gram[0]) or filter_term.matches(gram[1]):
                 grams[gram] += 1
@@ -165,7 +160,7 @@ def _oracle_2grams(documents, stops, filter_term):
 
 @given(
     st.lists(TEXTS, max_size=6),
-    st.none() | st.frozensets(WORDS.map(str.lower)).map(StopwordList),
+    st.none() | st.frozensets(WORDS.map(str.lower)),
     st.none() | st.sampled_from([KeywordFamily("policj"), KeywordFamily("gazu", "exact")]),
 )
 def test_count_tokens_matches_a_per_document_oracle(texts, stops, filter_term):
@@ -212,14 +207,12 @@ def test_ranked_tag_keys_match_reference_order(entries):
 
 @given(
     st.dictionaries(
-        st.tuples(TAGS, TAGS, st.booleans()).filter(lambda t: t[0] < t[1]),
+        st.tuples(TAGS, TAGS).filter(lambda t: t[0] < t[1]),
         st.integers(1, 4),
         max_size=30,
     )
 )
-def test_ranked_pair_keys_match_reference_order(drawn):
-    # The boolean picks a TagPair or a plain tuple key, so tables mix both.
-    entries = {(TagPair(a, b) if as_pair else (a, b)): n for (a, b, as_pair), n in drawn.items()}
+def test_ranked_pair_keys_match_reference_order(entries):
     assert ranked(CountTable(entries)) == _reference_order(entries)
 
 
@@ -227,7 +220,7 @@ def test_counts_to_csv_scalar_and_pair_keys():
     assert counts_to_csv(ranked(CountTable({"svpol": 2, "husby": 1})), pairs=False) == (
         "key,count\nsvpol,2\nhusby,1\n"
     )
-    pairs = CountTable({TagPair("a", "b"): 3, ("x", "y"): 1})
+    pairs = CountTable({("a", "b"): 3, ("x", "y"): 1})
     assert counts_to_csv(ranked(pairs), pairs=True) == "key,key2,count\na,b,3\nx,y,1\n"
     assert counts_to_csv(ranked(CountTable()), pairs=False) == "key,count\n"
     assert counts_to_csv(ranked(CountTable()), pairs=True) == "key,key2,count\n"

@@ -37,7 +37,7 @@ def test_load_lexicon(tmp_path):
         encoding="utf-8",
     )
     lexicon = load_lexicon(path)
-    assert len(lexicon) == 3
+    assert len(lexicon.entries) == 3
     assert lexicon.entries[2].match_mode == "exact"
     assert lexicon.entries[0].boost == 1
 

@@ -9,7 +9,6 @@ from socmine.text import (
     MIN_PREFIX_STEM,
     KeywordFamily,
     StemIndex,
-    StopwordList,
     load_stopwords,
     remove_stopwords,
     tokenize,
@@ -92,12 +91,12 @@ def test_tokenize_matches_reference_on_tricky_alphabet(text):
 
 
 def test_remove_stopwords_keeps_order():
-    stops = StopwordList(frozenset({"i", "a", "do"}))
+    stops = frozenset({"i", "a", "do"})
     assert remove_stopwords(tokenize("a policja i do domu"), stops) == ["policja", "domu"]
 
 
 def test_stopword_list_contains_and_len():
-    stops = StopwordList(frozenset({"och", "att"}))
+    stops = frozenset({"och", "att"})
     assert "och" in stops
     assert "polis" not in stops
     assert len(stops) == 2
@@ -147,7 +146,7 @@ def test_load_stopwords(tmp_path):
     path = tmp_path / "stops.txt"
     path.write_text("# comment\nOch\natt\n\n  på  \n", encoding="utf-8")
     stops = load_stopwords(path)
-    assert stops.words == frozenset({"och", "att", "på"})
+    assert stops == frozenset({"och", "att", "på"})
 
 
 def test_load_stopwords_rejects_a_line_with_a_tab(tmp_path):

@@ -170,4 +170,4 @@ def test_series_endpoint_matches_tag_count():
     )
     counts = count_tags(corpus)
     for tag in ("riots", "husby"):
-        assert cumulative_series_bulk(corpus, [tag])[tag].total == counts[tag]
+        assert cumulative_series_bulk(corpus, [tag])[tag].total == counts.entries[tag]

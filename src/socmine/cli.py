@@ -83,7 +83,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     corpus, report = _context(args).loaded
     print(report.as_table())
     start, end = corpus.window
-    print(f"documents: {len(corpus)}")
+    print(f"documents: {len(corpus.documents)}")
     print(f"window: {_iso_utc(start)} .. {_iso_utc(end)}")
     if args.out:
         write_corpus(corpus, args.out)

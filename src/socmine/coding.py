@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .errors import DataError
-from .record import Record
 from .resources import read_rows
 # tokenize is not called here (ngrams.count_tokens calls it) but stays
 # bound: the benchmark tracer's self-test reads coding.tokenize.
@@ -85,23 +84,17 @@ class CategoryCount(NamedTuple):
     count: int
 
 
-class CodingResult(Record):
+class CodingResult(NamedTuple):
     """Vocabulary assignment: each surface lands in at most one category.
 
     multi_matched maps each surface that matched more than one family to
     every matching category id, so coders can refine overlapping families.
     """
 
-    __slots__ = ("per_category", "uncategorized", "vocabulary_size", "multi_matched")
-
-    def __init__(self, per_category: Mapping[str, CategoryCount], uncategorized: frozenset[str],
-                 vocabulary_size: int,
-                 multi_matched: Mapping[str, tuple[str, ...]] | None = None) -> None:
-        assigned = sum(len(c.unique_words) for c in per_category.values())
-        if assigned + len(uncategorized) != vocabulary_size:
-            raise ValueError("vocabulary is not conserved across categories")
-        multi_matched = {} if multi_matched is None else multi_matched
-        self._set(per_category, uncategorized, vocabulary_size, multi_matched)
+    per_category: Mapping[str, CategoryCount]
+    uncategorized: frozenset[str]
+    vocabulary_size: int
+    multi_matched: Mapping[str, tuple[str, ...]]
 
 
 def code_vocabulary(

@@ -22,7 +22,6 @@ from typing import Any, Mapping
 
 from .corpus import _check_tag, normalize_tag, parse_window
 from .errors import DataError
-from .record import Record
 from .resources import utf8_fault
 from .text import KeywordFamily
 
@@ -118,11 +117,13 @@ _PATH_KEYS = ("corpus.path", "run.out_dir", "text.stopwords", "coding.taxonomy",
 _DIGEST_EXEMPT = ("run.jobs", "run.out_dir")
 
 
-class Config(Record):
+class Config:
     __slots__ = ("values", "raw", "base_dir")
 
     def __init__(self, values: Mapping[str, Any], raw: Mapping[str, Any], base_dir: Path) -> None:
-        self._set(values, raw, base_dir)
+        self.values = values
+        self.raw = raw
+        self.base_dir = base_dir
 
     def __getitem__(self, section: str) -> Mapping[str, Any]:
         return self.values[section]

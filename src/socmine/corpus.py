@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DataError
-from .record import Record
 
 SOURCES = ("tweet", "forum_post")
 
@@ -68,19 +67,11 @@ class Document(NamedTuple):
     source: str = "tweet"
 
 
-class Corpus(Record):
+class Corpus(NamedTuple):
     """Documents sorted by (timestamp, id) inside a closed time window."""
 
-    __slots__ = ("documents", "window")
-
-    def __init__(self, documents: tuple[Document, ...], window: tuple[datetime, datetime]) -> None:
-        self._set(documents, window)
-
-    def __len__(self) -> int:
-        return len(self.documents)
-
-    def __iter__(self) -> Iterator[Document]:
-        return iter(self.documents)
+    documents: tuple[Document, ...]
+    window: tuple[datetime, datetime]
 
     @classmethod
     def from_documents(
@@ -205,8 +196,6 @@ def _record_to_document(
                 raise _malformed(line, fieldname, "contains a lone surrogate")
 
     tags_raw = record.get("tags", [])
-    if isinstance(tags_raw, str):
-        tags_raw = [t for t in tags_raw.split("|") if t]
     if not isinstance(tags_raw, list):
         raise _malformed(line, "tags", "must be a list (JSONL) or pipe-delimited string (CSV)")
     tags: list[str] = []
@@ -281,6 +270,10 @@ def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, obje
                         f"line {reader.line_num}: row has {width + len(record[None])} fields, "
                         f"the header {width}"
                     )
+                # DictReader gives a short row's missing fields None.
+                tags = record["tags"]
+                if tags is not None:
+                    record["tags"] = [t for t in tags.split("|") if t]
                 yield reader.line_num, record, False
     else:
         raise ValueError(f"unknown corpus format: {fmt!r}")
@@ -333,14 +326,14 @@ def load_corpus(
     corpus = Corpus.from_documents(documents, window)
 
     if min_tags:
-        kept = tuple(d for d in corpus if len(d.hashtags) >= min_tags)
+        kept = tuple(d for d in corpus.documents if len(d.hashtags) >= min_tags)
         if not kept:
             raise DataError(f"empty corpus after filtering: {path} (corpus.min_tags {min_tags})")
-        if len(kept) != len(corpus):
-            dropped["below_min_tags"] += len(corpus) - len(kept)
+        if len(kept) != len(corpus.documents):
+            dropped["below_min_tags"] += len(corpus.documents) - len(kept)
         corpus = Corpus(documents=kept, window=corpus.window)
 
-    return corpus, LoadReport(str(path), fmt, records_read, len(corpus), dropped)
+    return corpus, LoadReport(str(path), fmt, records_read, len(corpus.documents), dropped)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -352,7 +345,7 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """
     quote = encode_basestring
     with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
-        for doc in corpus:
+        for doc in corpus.documents:
             tags = ", ".join([quote(tag) for tag in doc.hashtags])
             lang = "null" if doc.lang is None else quote(doc.lang)
             handle.write(

@@ -20,30 +20,9 @@ from itertools import chain, repeat
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .corpus import Corpus, Document
-from .record import Record
 from .text import KeywordFamily, remove_stopwords, tokenize
 
 Key = Hashable
-
-
-class CountTable(Record):
-    """Frequency map from a key (tag, token pair, ...) to an occurrence count.
-
-    A counter here hands over the Counter it counted in as `entries`, not a copy.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Mapping[Key, int] | None = None) -> None:
-        entries = {} if entries is None else entries
-        # One C-level pass; the key is named only when some count is bad.
-        if entries and min(entries.values()) < 1:
-            key, count = next((k, c) for k, c in entries.items() if c < 1)
-            raise ValueError(f"count for {key!r} must be >= 1, got {count}")
-        self._set(entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def _check_jobs(jobs: int) -> None:
@@ -51,19 +30,20 @@ def _check_jobs(jobs: int) -> None:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
-def count_tags(corpus: Corpus, jobs: int = 1) -> CountTable:
-    """Per-document distinct hashtag counts: each tag counts once per document."""
+def count_tags(corpus: Corpus, jobs: int = 1) -> Counter:
+    """Per-document distinct hashtag counts: each tag counts once per
+    document. Returns the Counter it counted in."""
     _check_jobs(jobs)
     tag_sets = (set(d.hashtags) for d in corpus.documents)
-    return CountTable(Counter(chain.from_iterable(tag_sets)))
+    return Counter(chain.from_iterable(tag_sets))
 
 
-def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> CountTable:
+def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> Counter:
     """Unordered pairs of distinct tags co-occurring in one document.
 
     Each document contributes one count per distinct pair; documents with
     fewer than two distinct tags contribute nothing. Keys are plain (a, b)
-    tuples with a < b.
+    tuples with a < b. Returns the Counter it counted in.
 
     Entries are in ascending key order, so `ranked` finds each count's keys
     already sorted. Each document adds its later tags to the partner list
@@ -81,7 +61,7 @@ def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> CountTable:
         later.sort()
     # A Counter keeps its keys in the order it first meets them.
     pairs = (zip(repeat(a), partners[a]) for a in sorted(partners))
-    return CountTable(Counter(chain.from_iterable(pairs)))
+    return Counter(chain.from_iterable(pairs))
 
 
 def count_tokens(
@@ -89,8 +69,8 @@ def count_tokens(
     stops: frozenset[str] | None = None,
     filter_term: KeywordFamily | None = None,
     jobs: int = 1,
-) -> tuple[Counter, CountTable]:
-    """Tokenize each document once; the surface counts and the 2-gram table.
+) -> tuple[Counter, Counter]:
+    """Tokenize each document once; the Counters of the surfaces and the 2-grams.
 
     Every token surface is counted, stopwords kept, so each analysis of
     them filters for itself. Only when stops is given are the 2-grams
@@ -115,10 +95,10 @@ def count_tokens(
                 gram for gram in zip(kept, kept[1:])
                 if filter_term.matches(gram[0]) or filter_term.matches(gram[1])
             )
-    return surfaces, CountTable(grams)
+    return surfaces, grams
 
 
-def ranked(table: CountTable) -> list[tuple[Key, int]]:
+def ranked(counts: Mapping[Key, int]) -> list[tuple[Key, int]]:
     """Every entry: descending count, ties ascending lexicographically.
 
     Keys are grouped by count and each group sorts in the keys' own order,
@@ -129,7 +109,7 @@ def ranked(table: CountTable) -> list[tuple[Key, int]]:
     sorted, and the sort of each group is one linear pass.
     """
     buckets: dict[int, list[Key]] = {}
-    for key, count in table.entries.items():
+    for key, count in counts.items():
         bucket = buckets.get(count)
         if bucket is None:
             buckets[count] = [key]

@@ -51,7 +51,6 @@ from .corpus import (
 )
 from .errors import DataError, UsageError
 from .ngrams import (
-    CountTable,
     count_tag_pairs,
     count_tags,
     count_tokens,
@@ -222,7 +221,7 @@ class Context:
         return [series_by_tag[tag] for tag in sorted(series_by_tag)]
 
     @cached_property
-    def token_counts(self) -> tuple[Counter, CountTable]:
+    def token_counts(self) -> tuple[Counter, Counter]:
         """The surface counts, and the 2-gram table when sentiment runs:
         one tokenize of each document, which coding, pronouns and
         sentiment all read. Without sentiment in run.stages no 2-gram is
@@ -287,7 +286,7 @@ def _stage_ingest(ctx: Context, run_dir: Path) -> Rendered:
         "records_read": load_report.records_read,
         "records_kept": load_report.records_kept,
         "dropped": dict(sorted(load_report.dropped.items())),
-        "documents": len(corpus),
+        "documents": len(corpus.documents),
         "window": [_iso_utc(start), _iso_utc(end)],
     }
     return ["corpus.jsonl"], summary

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import functools
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DataError
-from .ngrams import CountTable, _csv_text, ranked
-from .record import Record
+from .ngrams import _csv_text, ranked
 from .resources import read_rows
 from .text import KeywordFamily, StemIndex, tokenize
 
@@ -34,19 +33,15 @@ class LexiconEntry(NamedTuple):
     match_mode: str = "prefix"
 
 
-class SentimentLexicon(Record):
-    __slots__ = ("entries", "__dict__")
+SentimentLexicon = tuple[LexiconEntry, ...]
 
-    def __init__(self, entries: tuple[LexiconEntry, ...]) -> None:
-        self._set(entries)
 
-    @functools.cached_property
-    def index(self) -> StemIndex[tuple[str, int]]:
-        """Each entry as a keyword family valued (polarity, boost)."""
-        return StemIndex(
-            (KeywordFamily(entry.stem, entry.match_mode), (entry.polarity, entry.boost))
-            for entry in self.entries
-        )
+def _index(lexicon: SentimentLexicon) -> StemIndex[tuple[str, int]]:
+    """Each entry as a keyword family valued (polarity, boost)."""
+    return StemIndex(
+        (KeywordFamily(entry.stem, entry.match_mode), (entry.polarity, entry.boost))
+        for entry in lexicon
+    )
 
 
 def load_lexicon(path: str | Path) -> SentimentLexicon:
@@ -77,13 +72,13 @@ def load_lexicon(path: str | Path) -> SentimentLexicon:
         if stem in entries:
             raise DataError(f"line {line_no}: duplicate stems in lexicon: {stem!r}")
         entries[stem] = LexiconEntry(stem, polarity, boost, mode)
-    return SentimentLexicon(entries=tuple(entries.values()))
+    return tuple(entries.values())
 
 
-def _halves(surface: str, lexicon: SentimentLexicon) -> tuple[int, int]:
+def _halves(surface: str, index: StemIndex[tuple[str, int]]) -> tuple[int, int]:
     """The (positive, negative) halves of one surface: (1, -1) when no entry matches."""
     boosts = {"positive": 0, "negative": 0}
-    for polarity, boost in lexicon.index.lookup(surface):
+    for polarity, boost in index.lookup(surface):
         boosts[polarity] = max(boosts[polarity], boost)
     return 1 + boosts["positive"], -1 - boosts["negative"]
 
@@ -98,7 +93,8 @@ def _strength(halves: Iterable[tuple[int, int]]) -> int:
 
 
 def score_text(text: str, lexicon: SentimentLexicon) -> int:
-    return _strength(_halves(surface, lexicon) for surface in tokenize(text))
+    index = _index(lexicon)
+    return _strength(_halves(surface, index) for surface in tokenize(text))
 
 
 class ScoredNGram(NamedTuple):
@@ -117,7 +113,7 @@ class PowerReport(NamedTuple):
 
 
 def power_report(
-    table: CountTable, lexicon: SentimentLexicon, min_freq: int = 1
+    counts: Mapping[tuple[str, ...], int], lexicon: SentimentLexicon, min_freq: int = 1
 ) -> PowerReport:
     """Score every counted n-gram with frequency >= min_freq.
 
@@ -128,12 +124,12 @@ def power_report(
     """
     if min_freq < 1:
         raise ValueError(f"min_freq must be >= 1, got {min_freq}")
-    kept = {key: count for key, count in table.entries.items() if count >= min_freq}
+    kept = {key: count for key, count in counts.items() if count >= min_freq}
     # Distinct surfaces are far fewer than n-gram slots: look each one up
     # once, for this call only.
-    halves_of = functools.cache(functools.partial(_halves, lexicon=lexicon))
+    halves_of = functools.cache(functools.partial(_halves, index=_index(lexicon)))
     rows = []
-    for ngram, freq in ranked(CountTable(kept)):
+    for ngram, freq in ranked(kept):
         strength = _strength(map(halves_of, ngram))
         rows.append(ScoredNGram(ngram, freq, strength, freq * strength))
     return PowerReport(rows=tuple(rows))

@@ -10,10 +10,9 @@ from __future__ import annotations
 import re
 import sys
 from pathlib import Path
-from typing import Generic, Iterable, TypeVar
+from typing import Generic, Iterable, NamedTuple, TypeVar
 
 from .errors import DataError
-from .record import Record
 from .resources import read_rows
 
 # Word = maximal run of Unicode letters/digits. Underscore is excluded on
@@ -25,7 +24,7 @@ _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 MIN_PREFIX_STEM = 3
 
 
-class KeywordFamily(Record):
+class KeywordFamily(NamedTuple("KeywordFamily", [("stem", str), ("match_mode", str)])):
     """A stem plus match rule standing in for the inflected forms of a word.
 
     match_mode 'exact' matches the stem only; 'prefix' matches every
@@ -33,9 +32,9 @@ class KeywordFamily(Record):
     could match no surface.
     """
 
-    __slots__ = ("stem", "match_mode")
+    __slots__ = ()
 
-    def __init__(self, stem: str, match_mode: str = "prefix") -> None:
+    def __new__(cls, stem: str, match_mode: str = "prefix") -> "KeywordFamily":
         if not stem:
             raise ValueError("keyword family stem must be non-empty")
         if stem != stem.lower():
@@ -46,7 +45,7 @@ class KeywordFamily(Record):
             raise ValueError(f"unknown match mode: {match_mode!r}")
         if match_mode == "prefix" and len(stem) < MIN_PREFIX_STEM:
             raise ValueError(f"prefix stem {stem!r} shorter than {MIN_PREFIX_STEM} characters")
-        self._set(stem, match_mode)
+        return super().__new__(cls, stem, match_mode)
 
     def matches(self, surface: str) -> bool:
         if self.match_mode == "exact":

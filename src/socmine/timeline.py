@@ -13,7 +13,6 @@ from datetime import date, timedelta
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus
-from .record import Record
 
 # Thresholds calibrated on the synthetic fixtures.
 STEP_THRESHOLD = 0.4
@@ -23,18 +22,11 @@ LINEAR_R2 = 0.95
 MIN_TOTAL = 10
 
 
-class CumulativeSeries(Record):
+class CumulativeSeries(NamedTuple):
     """Running total of a tag's daily usage across the corpus window."""
 
-    __slots__ = ("tag", "buckets")
-
-    def __init__(self, tag: str, buckets: tuple[tuple[date, int], ...]) -> None:
-        previous = 0
-        for _, cumulative in buckets:
-            if cumulative < previous:
-                raise ValueError("cumulative counts must be non-decreasing")
-            previous = cumulative
-        self._set(tag, buckets)
+    tag: str
+    buckets: tuple[tuple[date, int], ...]
 
     @property
     def total(self) -> int:
@@ -73,7 +65,7 @@ def cumulative_series_bulk(corpus: Corpus, tags: Iterable[str]) -> dict[str, Cum
     days = _window_days(corpus)
     day_index = {day: i for i, day in enumerate(days)}
     increments: dict[str, list[int]] = {tag: [0] * len(days) for tag in wanted}
-    for doc in corpus:
+    for doc in corpus.documents:
         for tag in set(doc.hashtags) & wanted:
             increments[tag][day_index[doc.timestamp.date()]] += 1
 

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 
 from socmine.errors import DataError
 from socmine.graph import CooccurrenceGraph
-from socmine.ngrams import CountTable, ranked
+from socmine.ngrams import ranked
 
 _DOT_GRAPH_RE = re.compile(r"graph \[threshold=(\d+)\];")
 _DOT_NODE_RE = re.compile(r'^"((?:[^"\\]|\\.)*)";$')
@@ -50,7 +50,7 @@ def _checked_graph(
             raise DataError(f"edge {a!r} -- {b!r} weight {weight} below threshold {threshold}")
         checked[a, b] = weight
     return CooccurrenceGraph(
-        nodes=frozenset(nodes), edges=dict(ranked(CountTable(checked))), threshold=threshold
+        nodes=frozenset(nodes), edges=dict(ranked(checked)), threshold=threshold
     )
 
 

@@ -39,6 +39,6 @@ def write_csv_corpus(corpus: Corpus, path: Path) -> None:
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["id", "ts", "text", "tags", "lang", "source"])
-        for doc in corpus:
+        for doc in corpus.documents:
             row = [doc.id, _iso_utc(doc.timestamp), doc.text, "|".join(doc.hashtags)]
             writer.writerow([*row, doc.lang or "", doc.source])

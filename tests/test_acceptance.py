@@ -36,7 +36,6 @@ from socmine.report import run_pipeline
 from socmine.resources import STOPWORDS, TAXONOMY, default_data_path
 from socmine.sentiment import (
     LexiconEntry,
-    SentimentLexicon,
     load_lexicon,
     power_report,
     score_text,
@@ -103,9 +102,9 @@ def test_criterion_1_tag_ranking_replay():
     top20 = ranked(table)[:20]
     elapsed = perf_counter() - started
     assert top20 == EXPECTED_TOP20
-    assert table.entries["svpol"] == 3897
-    assert table.entries["sthlmriots"] == 1319
-    assert table.entries["migpol"] == 436
+    assert table["svpol"] == 3897
+    assert table["sthlmriots"] == 1319
+    assert table["migpol"] == 436
     assert elapsed < 5.0
     print(
         "PASS: criterion 1 - top-20 tag ranking matches the planted totals "
@@ -116,7 +115,7 @@ def test_criterion_1_tag_ranking_replay():
 def test_criterion_2_pair_weights_and_thresholds(twitter):
     pairs = count_tag_pairs(twitter)
     for pair, weight in EXPECTED_PAIRS.items():
-        assert pairs.entries[pair] == weight, pair
+        assert pairs[pair] == weight, pair
 
     loose = build_graph(ranked(pairs), threshold=2)
     for pair in EXPECTED_PAIRS:
@@ -185,10 +184,10 @@ def test_criterion_3_parallel_counting_matches_brute_force():
         expect_pairs = _oracle_pairs(corpus.documents)
         expect_grams = _oracle_2grams(corpus.documents, stop_set)
         for jobs in (1, 2, 8):
-            assert dict(count_tags(corpus, jobs=jobs).entries) == expect_tags
-            assert dict(count_tag_pairs(corpus, jobs=jobs).entries) == expect_pairs
+            assert dict(count_tags(corpus, jobs=jobs)) == expect_tags
+            assert dict(count_tag_pairs(corpus, jobs=jobs)) == expect_pairs
             _, got = count_tokens(corpus.documents, stop_list, jobs=jobs)
-            assert dict(got.entries) == expect_grams
+            assert dict(got) == expect_grams
     print(
         "PASS: criterion 3 - tag, pair and 2-gram counts match a brute-force "
         "oracle on 100 random corpora for jobs in {1, 2, 8}"
@@ -197,9 +196,9 @@ def test_criterion_3_parallel_counting_matches_brute_force():
 
 def test_criterion_4_timeline_endpoints_and_shapes(twitter):
     table = count_tags(twitter)
-    series = cumulative_series_bulk(twitter, table.entries.keys())
+    series = cumulative_series_bulk(twitter, table.keys())
     for tag, item in series.items():
-        assert item.total == table.entries[tag], tag
+        assert item.total == table[tag], tag
 
     # synthetic references for each shape
     days = [BASE.date() + timedelta(days=i) for i in range(60)]
@@ -317,7 +316,7 @@ def test_criterion_7_power_rows_replay(forum, stops):
                     match_mode=rng.choice(("prefix", "exact")),
                 )
             )
-        lex = SentimentLexicon(entries=tuple(entries))
+        lex = tuple(entries)
         words = [
             "".join(rng.choices(alphabet, k=rng.randint(1, 8)))
             for _ in range(rng.randint(0, 10))

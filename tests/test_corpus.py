@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import io
 import json
+import re
 import sys
 from datetime import datetime, timedelta, timezone
 
@@ -44,7 +46,7 @@ def test_tag_rule_adds_only_what_xml_cannot_carry():
 def test_corpus_sorting_and_window_inference():
     docs = [make_doc("b", day=2), make_doc("a", day=0), make_doc("c", day=1)]
     corpus = Corpus.from_documents(docs)
-    assert [d.id for d in corpus] == ["a", "c", "b"]
+    assert [d.id for d in corpus.documents] == ["a", "c", "b"]
     assert corpus.window == (docs[1].timestamp, docs[0].timestamp)
 
 
@@ -125,7 +127,7 @@ def test_load_corpus_jsonl(tmp_path):
         ],
     )
     corpus, report = load_corpus(path)
-    assert len(corpus) == 2
+    assert len(corpus.documents) == 2
     assert corpus.documents[0].hashtags == ("svpol", "husby")
     assert corpus.documents[1].source == "forum_post"
     assert report.records_read == 2
@@ -144,7 +146,7 @@ def test_load_corpus_window_drops_and_reports(tmp_path):
     )
     window = parse_window("2013-05-15..2013-07-15")
     corpus, report = load_corpus(path, window=window)
-    assert [d.id for d in corpus] == ["a"]
+    assert [d.id for d in corpus.documents] == ["a"]
     assert report.dropped["out_of_window"] == 1
     assert "out_of_window" in report.as_table()
     assert corpus.window == window
@@ -275,10 +277,103 @@ def test_every_json_object_record_loads_or_names_its_line(tmp_path_factory, blan
             "lang": doc.lang,
             "source": doc.source,
         }
-        for doc in corpus
+        for doc in corpus.documents
     ]
     assert out.read_bytes().decode("utf-8") == "".join(encode(r) + "\n" for r in records)
     assert load_corpus(out, window=corpus.window)[0] == corpus
+
+
+_CSV_COLUMNS = ("id", "ts", "text", "tags", "lang", "source", "note")
+# Each column's values, good and bad; "note" is a column the loader ignores.
+_csv_values = st.fixed_dictionaries({
+    "id": st.sampled_from(["a", "b", " c", "d", ""]),
+    "ts": st.sampled_from(["2013-05-20T10:00:00Z", "2013-05-21", " 2013-05-22 10:00+02:00", "", "1369000000"]),
+    "text": st.text(st.sampled_from('ab ,"|\n\r\té\ufeff'), max_size=6),
+    "tags": st.lists(st.sampled_from(["svpol", "#Husby", "", "Ö", "a b"]), max_size=3).map("|".join),
+    "lang": st.sampled_from(["", "sv", "pl"]),
+    "source": st.sampled_from(["", "tweet", "forum_post", "blog"]),
+    "note": st.text(st.sampled_from('x,"\n'), max_size=3),
+})
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
+def _csv_header(drawn):
+    """Every column in drawn order, minus the dropped ones, plus the repeated."""
+    order, dropped, repeated = drawn
+    return [c for c in order if c not in dropped] + repeated
+
+
+def _csv_row(fields, quoting, terminator):
+    """One CSV row. csv.writer quotes a field only for a character of its own
+    line terminator, so the row is written with "\r\n", then given its end."""
+    buffer = io.StringIO()
+    csv.writer(buffer, quoting=quoting, lineterminator="\r\n").writerow(fields)
+    return buffer.getvalue()[:-2] + terminator
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(
+        st.permutations(_CSV_COLUMNS),
+        st.just(()) | st.sets(st.sampled_from(_CSV_COLUMNS), max_size=2),
+        st.just([]) | st.lists(st.sampled_from(_CSV_COLUMNS), max_size=1),
+    ).map(_csv_header),
+    # Per row: its values, a field count short of or past the header's,
+    # and whether a blank line comes before it.
+    st.lists(st.tuples(_csv_values, st.sampled_from([0, 0, 0, -1, -3, 1]), st.booleans()),
+             min_size=1, max_size=4),
+    st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+)
+def test_every_csv_text_loads_as_its_jsonl_twin_or_names_its_line(
+    tmp_path_factory, header, rows, quoting, terminator, bom
+):
+    missing = [c for c in ("id", "ts", "text", "tags") if c not in header]
+    if missing:
+        header_fault = f"line 1: CSV header missing columns {missing}"
+    elif len(set(header)) != len(header):
+        header_fault = f"line 1: CSV header names column {header[-1]!r} twice"
+    else:
+        header_fault = None
+    text = _csv_row(header, quoting, terminator)
+    ends, records, too_long = [], [], None  # ends: the line each row ends on
+    for values, extra, blank in rows:
+        if blank:
+            text += terminator
+        fields = [values[c] for c in header]
+        fields = fields[: max(1, len(fields) + extra)] + ["extra"] * extra
+        text += _csv_row(fields, quoting, terminator)
+        ends.append(len(_LINE_BREAK.findall(text)))
+        if header_fault or too_long:
+            continue
+        if len(fields) > len(header):
+            too_long = f"line {ends[-1]}: row has {len(fields)} fields, the header {len(header)}"
+        else:
+            # The row as a JSON record: a missing field null, the tags a list.
+            record = dict.fromkeys(header) | dict(zip(header, fields))
+            if record["tags"] is not None:
+                record["tags"] = [t for t in record["tags"].split("|") if t]
+            records.append(record)
+
+    directory = tmp_path_factory.mktemp("csv")
+    expect, want = header_fault, None
+    if records:
+        _write_jsonl(directory / "c.jsonl", records)
+        try:
+            want = load_corpus(directory / "c.jsonl")[0]
+        except DataError as exc:
+            # The same fault; each line it names is the CSV line its row ends on.
+            expect = re.sub(r"line (\d+)", lambda m: f"line {ends[int(m[1]) - 1]}", str(exc))
+    expect = expect or too_long
+    path = directory / "c.csv"
+    path.write_text(("\ufeff" if bom else "") + text, encoding="utf-8", newline="")
+    if expect is None:
+        assert load_corpus(path, fmt="csv")[0] == want
+    else:
+        with pytest.raises(DataError) as raised:
+            load_corpus(path, fmt="csv")
+        assert str(raised.value) == expect
 
 
 def test_load_corpus_escaped_backslash_before_u_is_text(tmp_path):
@@ -457,6 +552,21 @@ def test_csv_row_with_more_fields_than_its_header_exits_2(tmp_path, capsys):
     assert "line 2" in captured.err
 
 
+def test_jsonl_tags_string_exits_2(tmp_path, capsys):
+    # A pipe-delimited string is the CSV form of tags; a JSONL record gives a list.
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        '{"id":"a","ts":"2013-05-01T00:00:00Z","text":"x","tags":"police|riots"}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError, match=r"^line 1: malformed field 'tags'"):
+        load_corpus(path)
+    assert main(["tags", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 1" in captured.err
+
+
 def test_csv_header_that_names_a_column_twice_exits_2(tmp_path, capsys):
     # The last `tags` column would win, and `police` would be dropped.
     path = tmp_path / "c.csv"
@@ -555,13 +665,13 @@ def test_load_corpus_min_tags_drops_after_the_window(tmp_path):
     )
     window = parse_window("2013-05-15..2013-07-15")
     corpus, report = load_corpus(path, window=window, min_tags=2)
-    assert [d.id for d in corpus] == ["b", "c"]
+    assert [d.id for d in corpus.documents] == ["b", "c"]
     assert corpus.window == window
     assert report.dropped == {"out_of_window": 1, "below_min_tags": 2}
     assert (report.records_read, report.records_kept) == (5, 2)
     # Without a window, the one inferred still spans the dropped documents.
     corpus, report = load_corpus(path, min_tags=2)
-    assert [d.id for d in corpus] == ["b", "c", "e"]
+    assert [d.id for d in corpus.documents] == ["b", "c", "e"]
     span = ("2013-05-20T10:00:00Z", "2013-08-01T10:00:00Z")
     assert corpus.window == tuple(map(parse_timestamp, span))
     assert report.dropped == {"below_min_tags": 2}

@@ -17,15 +17,13 @@ from socmine.graph import (
     export_graph,
     _quoteattr,
 )
-from socmine.ngrams import CountTable, ranked
+from socmine.ngrams import ranked
 
-PAIRS = CountTable(
-    {
-        ("police", "riots"): 5,
-        ("husby", "riots"): 2,
-        ("nyheter", "police"): 1,
-    }
-)
+PAIRS = {
+    ("police", "riots"): 5,
+    ("husby", "riots"): 2,
+    ("nyheter", "police"): 1,
+}
 
 
 def test_build_graph_threshold_drops_weak_edges():
@@ -49,20 +47,18 @@ def test_build_graph_whitelist_and_isolates():
 
 
 def test_build_graph_accepts_plain_tuples_and_rejects_bad_threshold():
-    graph = build_graph(ranked(CountTable({("a", "b"): 3})), threshold=1)
+    graph = build_graph(ranked({("a", "b"): 3}), threshold=1)
     assert graph.edges == {("a", "b"): 3}
     with pytest.raises(ValueError):
         build_graph(ranked(PAIRS), threshold=0)
 
 
 def test_components_ordering():
-    edges = CountTable(
-        {
-            ("a", "b"): 2,
-            ("b", "c"): 2,
-            ("x", "y"): 2,
-        }
-    )
+    edges = {
+        ("a", "b"): 2,
+        ("b", "c"): 2,
+        ("x", "y"): 2,
+    }
     graph = build_graph(ranked(edges), threshold=2)
     assert components(graph) == [{"a", "b", "c"}, {"x", "y"}]
 
@@ -137,7 +133,7 @@ def test_parse_rejects_edited_edges(fmt, old, new, match):
 
 
 def test_dot_quoting_survives_odd_names():
-    table = CountTable({("pla\\in", 'we"ird'): 2})
+    table = {("pla\\in", 'we"ird'): 2}
     graph = build_graph(ranked(table), threshold=2)
     parsed = parse_graph(export_graph(graph, fmt="dot"), fmt="dot")
     assert parsed.nodes == graph.nodes
@@ -158,7 +154,7 @@ TAGS = st.text("abc", min_size=1, max_size=2)
     st.booleans(),
 )
 def test_build_graph_and_dyad_report_match_brute_force(entries, threshold, whitelist, retain_isolates):
-    graph = build_graph(ranked(CountTable(entries)), threshold, whitelist, retain_isolates)
+    graph = build_graph(ranked(entries), threshold, whitelist, retain_isolates)
 
     want = {
         (a, b): n
@@ -172,7 +168,7 @@ def test_build_graph_and_dyad_report_match_brute_force(entries, threshold, white
     assert graph.nodes == want_nodes
     assert all(type(pair) is tuple for pair in graph.edges)
 
-    order = ranked(CountTable(want))
+    order = ranked(want)
     assert list(graph.edges.items()) == order
     assert list(csv.reader(io.StringIO(dyads_csv(graph))))[1:] == [
         [a, b, str(weight), f"{weight / order[0][1]:.4f}"] for (a, b), weight in order
@@ -196,7 +192,7 @@ CSV_TAGS = st.text(st.sampled_from('ab,"'), min_size=1, max_size=3)
     )
 )
 def test_dyads_csv_equals_csv_writer(entries):
-    graph = build_graph(ranked(CountTable(entries)), threshold=1)
+    graph = build_graph(ranked(entries), threshold=1)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["tag_a", "tag_b", "weight", "ratio"])

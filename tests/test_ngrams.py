@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from helpers import make_corpus, make_doc
 from socmine.corpus import Corpus, normalize_tag
 from socmine.ngrams import (
-    CountTable,
     count_tag_pairs,
     count_tags,
     count_tokens,
@@ -27,16 +26,6 @@ def _grams(documents, stops, filter_term=None, jobs=1):
     return count_tokens(documents, stops, filter_term=filter_term, jobs=jobs)[1]
 
 
-def test_count_table_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        CountTable({"a": 0})
-    with pytest.raises(ValueError):
-        CountTable({"a": -3})
-    # The first offending key in the table's order is named.
-    with pytest.raises(ValueError, match=r"^count for 'b' must be >= 1, got 0$"):
-        CountTable({"a": 2, "b": 0, "c": -1})
-
-
 def test_count_tags_distinct_per_document():
     # duplicate tag inside one doc must count once
     corpus = Corpus.from_documents(
@@ -47,9 +36,9 @@ def test_count_tags_distinct_per_document():
         ]
     )
     table = count_tags(corpus)
-    assert table.entries["svpol"] == 3
-    assert table.entries["husby"] == 1
-    assert sum(table.entries.values()) == 4
+    assert table["svpol"] == 3
+    assert table["husby"] == 1
+    assert sum(table.values()) == 4
 
 
 def test_count_tag_pairs_hand_counted():
@@ -60,12 +49,12 @@ def test_count_tag_pairs_hand_counted():
         ("d", 3, ()),
     )
     table = count_tag_pairs(corpus)
-    assert table.entries[("police", "riots")] == 2
-    assert table.entries[("husby", "riots")] == 1
-    assert table.entries[("husby", "police")] == 1
+    assert table[("police", "riots")] == 2
+    assert table[("husby", "riots")] == 1
+    assert table[("husby", "police")] == 1
     assert len(table) == 3
     # every key must already be canonical
-    assert all(a < b for a, b in table.entries)
+    assert all(a < b for a, b in table)
 
 
 # Spellings an alias folds together, so a document can name one tag twice.
@@ -80,7 +69,7 @@ def test_count_tag_pairs_entries_are_in_key_order(tag_lists):
     # Documents with repeated, aliased and single tags, and with none.
     tag_lists = [[normalize_tag(tag, PAIR_ALIASES) for tag in tags] for tags in tag_lists]
     corpus = make_corpus(*[(f"d{i}", i, tuple(tags)) for i, tags in enumerate(tag_lists)])
-    entries = count_tag_pairs(corpus).entries
+    entries = count_tag_pairs(corpus)
     # Key order is what lets ranked sort each count's keys in one pass.
     assert list(entries) == sorted(entries)
     assert entries == Counter(
@@ -94,26 +83,26 @@ def test_count_token_2grams_ordered_and_bounded():
         ("b", 1, (), "gazu policja"),
     )
     table = _grams(corpus.documents, EMPTY_STOPS)
-    assert table.entries[("policja", "używa")] == 1
-    assert table.entries[("używa", "gazu")] == 1
-    assert table.entries[("gazu", "policja")] == 1
+    assert table[("policja", "używa")] == 1
+    assert table[("używa", "gazu")] == 1
+    assert table[("gazu", "policja")] == 1
     # no pair across the document boundary, no reversed duplicates merged
-    assert ("gazu", "gazu") not in table.entries
+    assert ("gazu", "gazu") not in table
     assert len(table) == 3
 
 
 def test_count_token_2grams_counts_occurrences():
     corpus = make_corpus(("a", 0, (), "raz dwa raz dwa"))
     table = _grams(corpus.documents, EMPTY_STOPS)
-    assert table.entries[("raz", "dwa")] == 2
-    assert table.entries[("dwa", "raz")] == 1
+    assert table[("raz", "dwa")] == 2
+    assert table[("dwa", "raz")] == 1
 
 
 def test_count_token_2grams_stopwords_bridge_gaps():
     stops = frozenset({"i"})
     corpus = make_corpus(("a", 0, (), "kamienie i butelki"))
     table = _grams(corpus.documents, stops)
-    assert table.entries[("kamienie", "butelki")] == 1
+    assert table[("kamienie", "butelki")] == 1
     assert len(table) == 1
 
 
@@ -123,9 +112,9 @@ def test_count_token_2grams_filter_term():
         ("a", 0, (), "szwedzka policja używa gazu"),
     )
     table = _grams(corpus.documents, EMPTY_STOPS, filter_term=family)
-    assert table.entries[("szwedzka", "policja")] == 1
-    assert table.entries[("policja", "używa")] == 1
-    assert ("używa", "gazu") not in table.entries
+    assert table[("szwedzka", "policja")] == 1
+    assert table[("policja", "używa")] == 1
+    assert ("używa", "gazu") not in table
 
 
 @given(st.integers(min_value=1, max_value=16))
@@ -136,11 +125,11 @@ def test_jobs_never_change_counts(jobs):
             for i in range(23)
         ]
     )
-    assert count_tags(corpus, jobs=jobs).entries == count_tags(corpus).entries
-    assert count_tag_pairs(corpus, jobs=jobs).entries == count_tag_pairs(corpus).entries
+    assert count_tags(corpus, jobs=jobs) == count_tags(corpus)
+    assert count_tag_pairs(corpus, jobs=jobs) == count_tag_pairs(corpus)
     seq = _grams(corpus.documents, EMPTY_STOPS)
     par = _grams(corpus.documents, EMPTY_STOPS, jobs=jobs)
-    assert par.entries == seq.entries
+    assert par == seq
 
 
 WORDS = st.sampled_from(["Policja", "policja", "i", "gazu", "używa", "ulicy", "my", "policjanci"])
@@ -173,7 +162,7 @@ def test_count_tokens_matches_a_per_document_oracle(texts, stops, filter_term):
     if stops is None:
         assert len(grams) == 0
     else:
-        assert dict(grams.entries) == _oracle_2grams(documents, stops, filter_term)
+        assert dict(grams) == _oracle_2grams(documents, stops, filter_term)
 
 
 def test_jobs_must_be_positive():
@@ -187,9 +176,9 @@ def test_jobs_must_be_positive():
 
 
 def test_ranked_tie_break_is_lexicographic():
-    table = CountTable({"b": 2, "a": 2, "c": 5, "d": 1})
+    table = {"b": 2, "a": 2, "c": 5, "d": 1}
     assert ranked(table) == [("c", 5), ("a", 2), ("b", 2), ("d", 1)]
-    assert ranked(CountTable()) == []
+    assert ranked({}) == []
 
 
 def _reference_order(entries):
@@ -202,7 +191,7 @@ TAGS = st.text("ab", min_size=1, max_size=4)
 
 @given(st.dictionaries(TAGS, st.integers(1, 4), max_size=30))
 def test_ranked_tag_keys_match_reference_order(entries):
-    assert ranked(CountTable(entries)) == _reference_order(entries)
+    assert ranked(entries) == _reference_order(entries)
 
 
 @given(
@@ -213,17 +202,17 @@ def test_ranked_tag_keys_match_reference_order(entries):
     )
 )
 def test_ranked_pair_keys_match_reference_order(entries):
-    assert ranked(CountTable(entries)) == _reference_order(entries)
+    assert ranked(entries) == _reference_order(entries)
 
 
 def test_counts_to_csv_scalar_and_pair_keys():
-    assert counts_to_csv(ranked(CountTable({"svpol": 2, "husby": 1})), pairs=False) == (
+    assert counts_to_csv(ranked({"svpol": 2, "husby": 1}), pairs=False) == (
         "key,count\nsvpol,2\nhusby,1\n"
     )
-    pairs = CountTable({("a", "b"): 3, ("x", "y"): 1})
+    pairs = {("a", "b"): 3, ("x", "y"): 1}
     assert counts_to_csv(ranked(pairs), pairs=True) == "key,key2,count\na,b,3\nx,y,1\n"
-    assert counts_to_csv(ranked(CountTable()), pairs=False) == "key,count\n"
-    assert counts_to_csv(ranked(CountTable()), pairs=True) == "key,key2,count\n"
+    assert counts_to_csv(ranked({}), pairs=False) == "key,count\n"
+    assert counts_to_csv(ranked({}), pairs=True) == "key,key2,count\n"
 
 
 def _writer_csv(header, rows):
@@ -247,7 +236,7 @@ CSV_KEYS = st.text(st.sampled_from(['a', 'b', ',', '"', "\r", "\n", " ", "é"]),
 )
 def test_counts_to_csv_equals_csv_writer(drawn):
     pairs, entries = drawn
-    rows = ranked(CountTable(entries))
+    rows = ranked(entries)
     if pairs:
         want = _writer_csv(["key", "key2", "count"], [(a, b, n) for (a, b), n in rows])
     else:

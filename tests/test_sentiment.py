@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from helpers import GOLDEN
 from socmine.errors import DataError
-from socmine.ngrams import CountTable, ranked
+from socmine.ngrams import ranked
 from socmine.sentiment import (
     LexiconEntry,
     PowerReport,
     ScoredNGram,
-    SentimentLexicon,
     load_lexicon,
     power_csv,
     power_report,
@@ -20,13 +19,11 @@ from socmine.sentiment import (
 )
 from socmine.text import MIN_PREFIX_STEM, tokenize
 
-LEXICON = SentimentLexicon(
-    entries=(
-        LexiconEntry(stem="dobr", polarity="positive", boost=1),
+LEXICON = (
+    LexiconEntry(stem="dobr", polarity="positive", boost=1),
         LexiconEntry(stem="wspania", polarity="positive", boost=3),
         LexiconEntry(stem="fatal", polarity="negative", boost=2),
         LexiconEntry(stem="mordować", polarity="negative", boost=3, match_mode="exact"),
-    )
 )
 
 
@@ -37,9 +34,9 @@ def test_load_lexicon(tmp_path):
         encoding="utf-8",
     )
     lexicon = load_lexicon(path)
-    assert len(lexicon.entries) == 3
-    assert lexicon.entries[2].match_mode == "exact"
-    assert lexicon.entries[0].boost == 1
+    assert len(lexicon) == 3
+    assert lexicon[2].match_mode == "exact"
+    assert lexicon[0].boost == 1
 
 
 @pytest.mark.parametrize(
@@ -90,11 +87,9 @@ def test_score_exact_mode_does_not_prefix_match():
 
 
 def test_score_bounds():
-    strongest = SentimentLexicon(
-        entries=(
-            LexiconEntry(stem="sup", polarity="positive", boost=4, match_mode="exact"),
-            LexiconEntry(stem="dno", polarity="negative", boost=4, match_mode="exact"),
-        )
+    strongest = (
+        LexiconEntry(stem="sup", polarity="positive", boost=4, match_mode="exact"),
+        LexiconEntry(stem="dno", polarity="negative", boost=4, match_mode="exact"),
     )
     assert score_text("sup", strongest) == 4
     assert score_text("dno", strongest) == -4
@@ -109,7 +104,7 @@ def test_score_always_in_range(text):
 def _scan_halves(surface, lexicon):
     """Frozen copy of the linear scan _halves made before it used StemIndex."""
     pos_boost = neg_boost = 0
-    for entry in lexicon.entries:
+    for entry in lexicon:
         if entry.match_mode == "exact":
             matched = surface == entry.stem
         else:
@@ -147,7 +142,7 @@ ENTRIES = st.builds(
     st.lists(st.text(STEM_ALPHABET + "ŁŻ", min_size=1, max_size=8), max_size=6),
 )
 def test_score_text_equals_linear_scan(entries, words):
-    lexicon = SentimentLexicon(entries=tuple(entries))
+    lexicon = tuple(entries)
     # Each stem, one character short of it and one longer; then whole texts.
     words += [w for e in entries for w in (e.stem, e.stem[:-1], e.stem + "a")]
     for text in [*words, " ".join(words), " ".join(words[::2])]:
@@ -155,14 +150,12 @@ def test_score_text_equals_linear_scan(entries, words):
 
 
 def test_power_report_ordering_and_min_freq():
-    table = CountTable(
-        {
-            ("fatalna", "noc"): 3,
-            ("dobra", "noc"): 3,
-            ("cicha", "noc"): 7,
-            ("rzadki", "widok"): 1,
-        }
-    )
+    table = {
+        ("fatalna", "noc"): 3,
+        ("dobra", "noc"): 3,
+        ("cicha", "noc"): 7,
+        ("rzadki", "widok"): 1,
+    }
     report = power_report(table, LEXICON, min_freq=2)
     assert [r.ngram for r in report.rows] == [
         ("cicha", "noc"),
@@ -178,20 +171,18 @@ def test_power_report_ordering_and_min_freq():
 def test_power_report_scores_the_ngram_own_surfaces():
     # "i̇stanbul" carries U+0307, a non-word mark: re-tokenizing the joined
     # 2-gram would split off "stanbul", which the prefix stem "stan" matches.
-    lexicon = SentimentLexicon(entries=(LexiconEntry("stan", "positive", 2),))
-    table = CountTable({("i\u0307stanbul", "policja"): 1, ("stanowczo", "policja"): 1})
+    lexicon = (LexiconEntry("stan", "positive", 2),)
+    table = {("i\u0307stanbul", "policja"): 1, ("stanowczo", "policja"): 1}
     strengths = {row.ngram: row.strength for row in power_report(table, lexicon).rows}
     assert strengths == {("i\u0307stanbul", "policja"): 0, ("stanowczo", "policja"): 2}
 
 
 def test_power_csv_golden():
-    lexicon = SentimentLexicon(
-        entries=(
-            LexiconEntry(stem="bad", polarity="negative", boost=2, match_mode="exact"),
-            LexiconEntry(stem="good", polarity="positive", boost=1, match_mode="exact"),
-        )
+    lexicon = (
+        LexiconEntry(stem="bad", polarity="negative", boost=2, match_mode="exact"),
+        LexiconEntry(stem="good", polarity="positive", boost=1, match_mode="exact"),
     )
-    table = CountTable({("bad", "news"): 3, ("good", "news"): 2, ("plain", "news"): 2})
+    table = {("bad", "news"): 3, ("good", "news"): 2, ("plain", "news"): 2}
     assert power_csv(power_report(table, lexicon)) == (GOLDEN / "power_small.csv").read_text(encoding="utf-8")
 
 
@@ -199,8 +190,8 @@ def _scan_power_rows(table, lexicon, min_freq):
     """Frozen copy of power_report's old per-row code: each key's parts made
     strings, then _strength over a generator of halves."""
     rows = []
-    kept = {key: count for key, count in table.entries.items() if count >= min_freq}
-    for key, freq in ranked(CountTable(kept)):
+    kept = {key: count for key, count in table.items() if count >= min_freq}
+    for key, freq in ranked(kept):
         ngram = tuple(str(part) for part in key) if isinstance(key, tuple) else (str(key),)
         positive, negative = 1, -1
         for pos, neg in (_scan_halves(surface, lexicon) for surface in ngram):
@@ -225,8 +216,7 @@ POWER_TABLES = st.one_of(
 
 
 @given(POWER_TABLES, st.sampled_from([1, 3]))
-def test_power_report_equals_per_row_scan(entries, min_freq):
-    table = CountTable(entries)
+def test_power_report_equals_per_row_scan(table, min_freq):
     rows = power_report(table, LEXICON, min_freq=min_freq).rows
     assert rows == tuple(_scan_power_rows(table, LEXICON, min_freq))
     assert all(type(row.ngram) is tuple for row in rows)

@@ -95,13 +95,6 @@ def test_remove_stopwords_keeps_order():
     assert remove_stopwords(tokenize("a policja i do domu"), stops) == ["policja", "domu"]
 
 
-def test_stopword_list_contains_and_len():
-    stops = frozenset({"och", "att"})
-    assert "och" in stops
-    assert "polis" not in stops
-    assert len(stops) == 2
-
-
 def test_keyword_family_prefix_and_exact():
     prefix = KeywordFamily(stem="polic", match_mode="prefix")
     assert prefix.matches("police")

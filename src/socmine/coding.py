@@ -28,13 +28,8 @@ class Category(NamedTuple):
     families: tuple[KeywordFamily, ...] = ()
 
 
-class Taxonomy(NamedTuple):
-    """Ordered category tree; file order decides first-match assignment."""
-
-    categories: tuple[Category, ...]
-
-    def top_level(self) -> list[Category]:
-        return [c for c in self.categories if c.parent is None]
+# Ordered category tree; file order decides first-match assignment.
+Taxonomy = tuple[Category, ...]
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
@@ -76,7 +71,7 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
         if parent is not None and parent not in declared:
             raise DataError(f"line {line_no}: orphan subcategory id: {cat_id!r}")
         categories.append(Category(cat_id, label, parent, tuple(families)))
-    return Taxonomy(categories=tuple(categories))
+    return tuple(categories)
 
 
 class CategoryCount(NamedTuple):
@@ -117,10 +112,10 @@ def code_vocabulary(
 
     index = StemIndex(
         (family, category.id)
-        for category in taxonomy.categories
+        for category in taxonomy
         for family in category.families
     )
-    assigned: dict[str, set[str]] = {c.id: set() for c in taxonomy.categories}
+    assigned: dict[str, set[str]] = {c.id: set() for c in taxonomy}
     uncategorized: set[str] = set()
     multi: dict[str, tuple[str, ...]] = {}
     for surface in vocabulary:
@@ -134,7 +129,7 @@ def code_vocabulary(
             multi[surface] = deduped
 
     per_category: dict[str, CategoryCount] = {}
-    for category in taxonomy.categories:
+    for category in taxonomy:
         words = frozenset(assigned[category.id])
         count = sum(freq[w] for w in words) if count_occurrences else len(words)
         per_category[category.id] = CategoryCount(unique_words=words, count=count)
@@ -148,12 +143,9 @@ def code_vocabulary(
 
 def rollup(result: CodingResult, taxonomy: Taxonomy) -> dict[str, int]:
     """Parent categories roll up their own count plus all subcategory counts."""
-    own = {
-        c.id: result.per_category[c.id].count if c.id in result.per_category else 0
-        for c in taxonomy.categories
-    }
+    own = {c.id: result.per_category[c.id].count for c in taxonomy}
     rolled = dict(own)
-    for category in taxonomy.categories:
+    for category in taxonomy:
         if category.parent is not None:
             rolled[category.parent] += own[category.id]
     return rolled
@@ -162,11 +154,8 @@ def rollup(result: CodingResult, taxonomy: Taxonomy) -> dict[str, int]:
 GroupEntry = tuple[str, tuple[str, ...]]  # (label, surfaces)
 
 
-class PronounGroups(NamedTuple):
-    """Observer-orientation word groups: 'them' vs 'us' surfaces."""
-
-    them_group: tuple[GroupEntry, ...]
-    us_group: tuple[GroupEntry, ...]
+# Observer-orientation word groups, keyed "them" then "us".
+PronounGroups = dict[str, tuple[GroupEntry, ...]]
 
 
 def load_pronoun_groups(path: str | Path) -> PronounGroups:
@@ -196,7 +185,7 @@ def load_pronoun_groups(path: str | Path) -> PronounGroups:
                 )
             seen.add(surface)
         groups[group].append((label, surfaces))
-    return PronounGroups(them_group=tuple(groups["them"]), us_group=tuple(groups["us"]))
+    return {name: tuple(entries) for name, entries in groups.items()}
 
 
 class PronounRow(NamedTuple):
@@ -222,7 +211,7 @@ def pronoun_orientation(freq: Mapping[str, int], groups: PronounGroups) -> Prono
     """
     rows: list[PronounRow] = []
     totals = {"them": 0, "us": 0}
-    for group_name, entries in (("them", groups.them_group), ("us", groups.us_group)):
+    for group_name, entries in groups.items():
         for label, surfaces in entries:
             for surface in surfaces:
                 count = freq.get(surface, 0)
@@ -247,8 +236,8 @@ def coding_csv(result: CodingResult, rolled: Mapping[str, int], taxonomy: Taxono
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["category_id", "label", "unique_words", "count", "rolled_up"])
-    for category in taxonomy.categories:
-        counted = result.per_category.get(category.id, CategoryCount(frozenset(), 0))
+    for category in taxonomy:
+        counted = result.per_category[category.id]
         writer.writerow(
             [category.id, category.label, len(counted.unique_words), counted.count,
              rolled[category.id]]

@@ -251,30 +251,34 @@ def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, obje
     elif fmt == "csv":
         with path.open(encoding="utf-8-sig", newline="") as handle:
             reader = csv.DictReader(handle)
-            header = reader.fieldnames
-            if header is None:
-                return
-            missing = [f for f in _CSV_REQUIRED if f not in header]
-            if missing:
-                raise DataError(f"line 1: CSV header missing columns {missing}")
-            # A row holds one value per column name, so a second column of
-            # the same name would silently replace the first.
-            if len(set(header)) != len(header):
-                twice = next(f for i, f in enumerate(header) if f in header[:i])
-                raise DataError(f"line 1: CSV header names column {twice!r} twice")
-            for record in reader:
-                # DictReader keeps a row's fields past the header under None.
-                if None in record:
-                    width = len(header)
-                    raise DataError(
-                        f"line {reader.line_num}: row has {width + len(record[None])} fields, "
-                        f"the header {width}"
-                    )
-                # DictReader gives a short row's missing fields None.
-                tags = record["tags"]
-                if tags is not None:
-                    record["tags"] = [t for t in tags.split("|") if t]
-                yield reader.line_num, record, False
+            try:
+                header = reader.fieldnames
+                if header is None:
+                    return
+                missing = [f for f in _CSV_REQUIRED if f not in header]
+                if missing:
+                    raise DataError(f"line 1: CSV header missing columns {missing}")
+                # A row holds one value per column name, so a second column of
+                # the same name would silently replace the first.
+                if len(set(header)) != len(header):
+                    twice = next(f for i, f in enumerate(header) if f in header[:i])
+                    raise DataError(f"line 1: CSV header names column {twice!r} twice")
+                for record in reader:
+                    # DictReader keeps a row's fields past the header under None.
+                    if None in record:
+                        width = len(header)
+                        raise DataError(
+                            f"line {reader.line_num}: row has {width + len(record[None])} fields, "
+                            f"the header {width}"
+                        )
+                    # DictReader gives a short row's missing fields None.
+                    tags = record["tags"]
+                    if tags is not None:
+                        record["tags"] = [t for t in tags.split("|") if t]
+                    yield reader.line_num, record, False
+            except csv.Error as exc:
+                # line_num is still the line the last record ended on.
+                raise DataError(f"line {reader.line_num + 1}: {exc}") from exc
     else:
         raise ValueError(f"unknown corpus format: {fmt!r}")
 

@@ -3,12 +3,8 @@
 `ranked` defines rank order for every ranked table, artifact and graph:
 descending count, ties ascending by key. A top-N is a prefix of it.
 
-Each count runs in one thread. The counters accept `jobs` and reject
-values below 1, but do not use it, and the run context never passes it: a
-thread pool only added overhead, because the interpreter lock lets one
-thread at a time run the Python that does the counting. `socmine run` at
-jobs 2 counts tags in one process and tokens in another (see report), but
-splits no count.
+`socmine run` at jobs 2 counts tags in one process and tokens in another
+(see report), but splits no count.
 """
 
 from __future__ import annotations
@@ -25,20 +21,14 @@ from .text import KeywordFamily, remove_stopwords, tokenize
 Key = Hashable
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-
-def count_tags(corpus: Corpus, jobs: int = 1) -> Counter:
+def count_tags(corpus: Corpus) -> Counter:
     """Per-document distinct hashtag counts: each tag counts once per
     document. Returns the Counter it counted in."""
-    _check_jobs(jobs)
     tag_sets = (set(d.hashtags) for d in corpus.documents)
     return Counter(chain.from_iterable(tag_sets))
 
 
-def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> Counter:
+def count_tag_pairs(corpus: Corpus) -> Counter:
     """Unordered pairs of distinct tags co-occurring in one document.
 
     Each document contributes one count per distinct pair; documents with
@@ -50,7 +40,6 @@ def count_tag_pairs(corpus: Corpus, jobs: int = 1) -> Counter:
     of every earlier one; the partner lists are sorted, and the pairs are
     counted in the order of their first tag.
     """
-    _check_jobs(jobs)
     partners: dict[str, list[str]] = {}
     for d in corpus.documents:
         if len(d.hashtags) > 1:
@@ -68,7 +57,6 @@ def count_tokens(
     documents: Iterable[Document],
     stops: frozenset[str] | None = None,
     filter_term: KeywordFamily | None = None,
-    jobs: int = 1,
 ) -> tuple[Counter, Counter]:
     """Tokenize each document once; the Counters of the surfaces and the 2-grams.
 
@@ -79,7 +67,6 @@ def count_tokens(
     filter_term only the pairs where at least one member matches the
     family. No token list outlives its document.
     """
-    _check_jobs(jobs)
     surfaces: Counter = Counter()
     grams: Counter = Counter()
     for doc in documents:

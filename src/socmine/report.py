@@ -358,7 +358,7 @@ def _stage_coding(ctx: Context, run_dir: Path) -> Rendered:
         "vocabulary_size": result.vocabulary_size,
         "uncategorized": len(result.uncategorized),
         "multi_matched": len(result.multi_matched),
-        "top_level": {c.id: rolled[c.id] for c in taxonomy.top_level()},
+        "top_level": {c.id: rolled[c.id] for c in taxonomy if c.parent is None},
     }
     return [artifact], summary
 

@@ -37,7 +37,9 @@ def make_corpus(*specs) -> Corpus:
 def write_csv_corpus(corpus: Corpus, path: Path) -> None:
     """Write a corpus as a CSV file that load_corpus(fmt="csv") reads back equal."""
     with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        # Quote every field: the minimal quoting of lineterminator "\n"
+        # leaves a lone "\r" bare, and the reader ends a row at it.
+        writer = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(["id", "ts", "text", "tags", "lang", "source"])
         for doc in corpus.documents:
             row = [doc.id, _iso_utc(doc.timestamp), doc.text, "|".join(doc.hashtags)]

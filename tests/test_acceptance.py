@@ -24,7 +24,7 @@ from socmine.coding import (
     rollup,
 )
 from socmine.config import make_config
-from socmine.corpus import Corpus, load_corpus, parse_window
+from socmine.corpus import Corpus, load_corpus, parse_window, write_corpus
 from socmine.graph import build_graph
 from socmine.ngrams import (
     count_tag_pairs,
@@ -163,13 +163,21 @@ def _oracle_2grams(docs, stop_set):
     return counts
 
 
-def test_criterion_3_parallel_counting_matches_brute_force():
+def _artifact_rows(run_dir, name):
+    """The fields of each row of a CSV artifact, below its header and
+    without its comment lines; no field here holds a comma."""
+    lines = (Path(run_dir) / name).read_text(encoding="utf-8").splitlines()[1:]
+    return [line.split(",") for line in lines if not line.startswith("#")]
+
+
+def test_criterion_3_parallel_counting_matches_brute_force(tmp_path):
     rng = random.Random(20130522)
     tag_pool = [f"tag{i}" for i in range(10)]
     word_pool = ["och", "polis", "husby", "bilar", "natt", "sten", "unga",
                  "men", "varfor", "igen", "stan", "brand"]
     stop_set = {"och", "men"}
-    stop_list = frozenset(stop_set)
+    stopwords = tmp_path / "stops.txt"
+    stopwords.write_text("och\nmen\n", encoding="utf-8")
 
     for round_no in range(100):
         docs = []
@@ -180,14 +188,38 @@ def test_criterion_3_parallel_counting_matches_brute_force():
                 make_doc(f"d{round_no}_{i}", day=rng.randint(0, 9), text=text, tags=tags)
             )
         corpus = Corpus.from_documents(docs)
+        corpus_path = tmp_path / f"corpus{round_no}.jsonl"
+        write_corpus(corpus, corpus_path)
         expect_tags = _oracle_tags(corpus.documents)
         expect_pairs = _oracle_pairs(corpus.documents)
         expect_grams = _oracle_2grams(corpus.documents, stop_set)
+        # At jobs 2 and 8 the tag stages render in a forked child.
         for jobs in (1, 2, 8):
-            assert dict(count_tags(corpus, jobs=jobs)) == expect_tags
-            assert dict(count_tag_pairs(corpus, jobs=jobs)) == expect_pairs
-            _, got = count_tokens(corpus.documents, stop_list, jobs=jobs)
-            assert dict(got) == expect_grams
+            config = make_config(
+                {
+                    "corpus": {"path": str(corpus_path)},
+                    "text": {"stopwords": str(stopwords)},
+                    "run": {
+                        "stages": ["tags", "pairs", "sentiment"],
+                        "jobs": jobs,
+                        "out_dir": str(tmp_path / f"runs{round_no}_{jobs}"),
+                    },
+                    "sentiment": {"min_freq": 1},
+                },
+                base_dir=tmp_path,
+            )
+            run_dir = run_pipeline(config).run_dir
+            tags = {key: int(count) for key, count in _artifact_rows(run_dir, "tags.csv")}
+            pairs = {
+                (a, b): int(count) for a, b, count in _artifact_rows(run_dir, "pairs.csv")
+            }
+            grams = {
+                tuple(ngram.split(" ")): int(freq)
+                for ngram, freq, _, _ in _artifact_rows(run_dir, "power.csv")
+            }
+            assert tags == expect_tags
+            assert pairs == expect_pairs
+            assert grams == expect_grams
     print(
         "PASS: criterion 3 - tag, pair and 2-gram counts match a brute-force "
         "oracle on 100 random corpora for jobs in {1, 2, 8}"
@@ -255,8 +287,8 @@ def test_criterion_5_pronoun_orientation_replay(forum):
 
 def test_criterion_6_coding_conservation_and_rollup(forum, stops):
     taxonomy = load_taxonomy(default_data_path(TAXONOMY))
-    assert len(taxonomy.top_level()) == 10
-    assert sum(c.parent is not None for c in taxonomy.categories) == 14
+    assert len([c for c in taxonomy if c.parent is None]) == 10
+    assert sum(c.parent is not None for c in taxonomy) == 14
 
     result = code_vocabulary(count_tokens(forum.documents)[0], taxonomy, stops)
     assigned = sum(len(c.unique_words) for c in result.per_category.values())
@@ -276,7 +308,7 @@ def test_criterion_6_coding_conservation_and_rollup(forum, stops):
         "1": 4, "2": 1, "3": 1, "4": 1, "5": 1,
         "6": 4, "7": 3, "8": 3, "9": 2, "10": 0,
     }
-    assert {c.id: rolled[c.id] for c in taxonomy.top_level()} == hand_summed
+    assert {c.id: rolled[c.id] for c in taxonomy if c.parent is None} == hand_summed
     assert coded.vocabulary_size == 20
     assert coded.uncategorized == frozenset()
     print(

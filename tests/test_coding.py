@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from helpers import GOLDEN, make_corpus
 from socmine.coding import (
     Category,
-    Taxonomy,
     code_vocabulary,
     coding_csv,
     format_ratio,
@@ -49,12 +48,12 @@ def test_load_taxonomy_small(tmp_path):
         encoding="utf-8",
     )
     taxonomy = load_taxonomy(path)
-    assert [c.id for c in taxonomy.categories] == ["1", "1.1", "2"]
-    by_id = {c.id: c for c in taxonomy.categories}
+    assert [c.id for c in taxonomy] == ["1", "1.1", "2"]
+    by_id = {c.id: c for c in taxonomy}
     assert by_id["1.1"].parent == "1"
     assert by_id["1"].parent is None
-    assert [c.id for c in taxonomy.top_level()] == ["1", "2"]
-    assert [c.id for c in taxonomy.categories if c.parent is not None] == ["1.1"]
+    assert [c.id for c in taxonomy if c.parent is None] == ["1", "2"]
+    assert [c.id for c in taxonomy if c.parent is not None] == ["1.1"]
     assert by_id["2"].families[0].match_mode == "exact"
 
 
@@ -84,27 +83,25 @@ def test_load_taxonomy_errors(tmp_path, body, message):
 def test_load_taxonomy_declares_parents_in_any_order(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text(_taxonomy("1.1\tEmployment", "1\tWork"), encoding="utf-8")
-    assert [(c.id, c.parent) for c in load_taxonomy(path).categories] == [("1.1", "1"), ("1", None)]
+    assert [(c.id, c.parent) for c in load_taxonomy(path)] == [("1.1", "1"), ("1", None)]
 
 
 def test_bundled_taxonomy_structure():
     taxonomy = load_taxonomy(default_data_path("taxonomy.tsv"))
-    assert len(taxonomy.top_level()) == 10
-    assert sum(c.parent is not None for c in taxonomy.categories) == 14
+    assert len([c for c in taxonomy if c.parent is None]) == 10
+    assert sum(c.parent is not None for c in taxonomy) == 14
 
 
 def _small_taxonomy():
-    return Taxonomy(
-        categories=(
-            Category(id="1", label="Police", families=(KeywordFamily("polic", "prefix"),)),
-            Category(
-                id="1.1",
-                label="Violence",
-                parent="1",
-                families=(KeywordFamily("gaz", "prefix"), KeywordFamily("bić", "exact")),
-            ),
-            Category(id="2", label="Riots", families=(KeywordFamily("riot", "prefix"),)),
-        )
+    return (
+        Category(id="1", label="Police", families=(KeywordFamily("polic", "prefix"),)),
+        Category(
+            id="1.1",
+            label="Violence",
+            parent="1",
+            families=(KeywordFamily("gaz", "prefix"), KeywordFamily("bić", "exact")),
+        ),
+        Category(id="2", label="Riots", families=(KeywordFamily("riot", "prefix"),)),
     )
 
 
@@ -123,11 +120,9 @@ def test_code_vocabulary_first_match_and_conservation():
 
 
 def test_code_vocabulary_multi_match_reports_all_hits():
-    taxonomy = Taxonomy(
-        categories=(
-            Category(id="1", label="A", families=(KeywordFamily("poli", "prefix"),)),
-            Category(id="2", label="B", families=(KeywordFamily("polic", "prefix"),)),
-        )
+    taxonomy = (
+        Category(id="1", label="A", families=(KeywordFamily("poli", "prefix"),)),
+        Category(id="2", label="B", families=(KeywordFamily("polic", "prefix"),)),
     )
     corpus = make_corpus(("a", 0, (), "policja"))
     result = code_vocabulary(_surfaces(corpus), taxonomy, NO_STOPS)
@@ -199,8 +194,8 @@ def test_load_pronoun_groups(tmp_path):
         encoding="utf-8",
     )
     groups = load_pronoun_groups(path)
-    assert groups.them_group == (("them", ("im", "nich")), ("they", ("oni",)))
-    assert groups.us_group == (("we", ("my",)),)
+    assert groups["them"] == (("them", ("im", "nich")), ("they", ("oni",)))
+    assert groups["us"] == (("we", ("my",)),)
 
 
 @pytest.mark.parametrize(

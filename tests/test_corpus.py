@@ -552,6 +552,22 @@ def test_csv_row_with_more_fields_than_its_header_exits_2(tmp_path, capsys):
     assert "line 2" in captured.err
 
 
+def test_csv_field_the_csv_module_refuses_exits_2(tmp_path, capsys):
+    # The csv module caps a field at 131,072 characters; the failing record
+    # starts on line 3.
+    path = tmp_path / "big.csv"
+    path.write_text(
+        "id,ts,text,tags\n"
+        "a,2013-05-01T00:00:00Z,x,police\n"
+        f"b,2013-05-02T00:00:00Z,{'x' * 200_000},police\n",
+        encoding="utf-8",
+    )
+    assert main(["tags", str(path), "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 3: field larger than field limit (131072)" in captured.err
+
+
 def test_jsonl_tags_string_exits_2(tmp_path, capsys):
     # A pipe-delimited string is the CSV form of tags; a JSONL record gives a list.
     path = tmp_path / "c.jsonl"
@@ -600,6 +616,9 @@ def test_write_corpus_round_trip(tmp_path, fmt):
     docs = [
         make_doc("a", day=0, text="żółć på gatan", tags=("svpol", "husby"), lang="sv"),
         make_doc("b", day=1, text="x", tags=(), source="forum_post"),
+        # csv.writer quotes a field for \n, so only "c" tests a lone \r.
+        make_doc("c", day=2, text="a\rb\r", tags=("riots",)),
+        make_doc("d", day=3, text="a\r\nb", tags=("riots",)),
     ]
     corpus = Corpus.from_documents(docs)
     path = tmp_path / f"out.{fmt}"

@@ -3,7 +3,6 @@ import io
 from collections import Counter
 from itertools import combinations
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,9 +20,9 @@ from socmine.text import KeywordFamily, tokenize
 EMPTY_STOPS = frozenset()
 
 
-def _grams(documents, stops, filter_term=None, jobs=1):
+def _grams(documents, stops, filter_term=None):
     """The 2-gram table of the one token count."""
-    return count_tokens(documents, stops, filter_term=filter_term, jobs=jobs)[1]
+    return count_tokens(documents, stops, filter_term=filter_term)[1]
 
 
 def test_count_tags_distinct_per_document():
@@ -117,21 +116,6 @@ def test_count_token_2grams_filter_term():
     assert ("używa", "gazu") not in table
 
 
-@given(st.integers(min_value=1, max_value=16))
-def test_jobs_never_change_counts(jobs):
-    corpus = make_corpus(
-        *[
-            (f"d{i}", i % 5, ("a", "b", "c")[: 1 + i % 3], f"w{i % 4} w{(i + 1) % 4} w{i % 3}")
-            for i in range(23)
-        ]
-    )
-    assert count_tags(corpus, jobs=jobs) == count_tags(corpus)
-    assert count_tag_pairs(corpus, jobs=jobs) == count_tag_pairs(corpus)
-    seq = _grams(corpus.documents, EMPTY_STOPS)
-    par = _grams(corpus.documents, EMPTY_STOPS, jobs=jobs)
-    assert par == seq
-
-
 WORDS = st.sampled_from(["Policja", "policja", "i", "gazu", "używa", "ulicy", "my", "policjanci"])
 TEXTS = st.lists(WORDS, max_size=8).map(" ".join) | st.text(max_size=12)
 
@@ -163,16 +147,6 @@ def test_count_tokens_matches_a_per_document_oracle(texts, stops, filter_term):
         assert len(grams) == 0
     else:
         assert dict(grams) == _oracle_2grams(documents, stops, filter_term)
-
-
-def test_jobs_must_be_positive():
-    corpus = make_corpus(("a", 0, ("x",)))
-    with pytest.raises(ValueError):
-        count_tags(corpus, jobs=0)
-    with pytest.raises(ValueError):
-        count_tag_pairs(corpus, jobs=0)
-    with pytest.raises(ValueError):
-        count_tokens(corpus.documents, jobs=0)
 
 
 def test_ranked_tie_break_is_lexicographic():

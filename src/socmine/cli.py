@@ -13,8 +13,9 @@ so `code` and `pronouns` count no 2-grams. Only `ingest --out`, `timeline
 This module imports no analysis module: each cmd_* imports its own
 serializer and _context imports report, so a subcommand loads only the
 modules it runs, and only `run` loads PyYAML.
-Exit codes: 0 success, 1 bad usage, 2 bad data or values, 3 unexpected
-internal failure.
+Exit codes: 0 success, 1 bad usage, 2 a DataError, which names the line,
+config key, flag or file at fault, 3 any other exception, an internal
+failure.
 
 main runs each command with the cyclic garbage collector off, and turns it
 back on when it returns if it was on. Documents, token lists, tuples,
@@ -81,12 +82,17 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     from .corpus import _iso_utc, write_corpus
 
     corpus, report = _context(args).loaded
+    # Written before the summary, so an --out that fails prints nothing.
+    if args.out:
+        try:
+            write_corpus(corpus, args.out)
+        except OSError as exc:
+            raise DataError(f"--out: {exc}") from exc
     print(report.as_table())
     start, end = corpus.window
     print(f"documents: {len(corpus.documents)}")
     print(f"window: {_iso_utc(start)} .. {_iso_utc(end)}")
     if args.out:
-        write_corpus(corpus, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -276,7 +282,7 @@ def _main(argv: Sequence[str] | None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, ValueError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

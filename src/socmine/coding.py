@@ -106,8 +106,6 @@ def code_vocabulary(
     Each surface goes to the first category (in taxonomy order) whose
     family matches it.
     """
-    if min_freq < 1:
-        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
     vocabulary = sorted(s for s, n in freq.items() if n >= min_freq and s not in stops)
 
     index = StemIndex(

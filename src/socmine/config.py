@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 from typing import Any, Mapping
 
-from .corpus import _check_tag, normalize_tag, parse_window
+from .corpus import _SURROGATE, _check_tag, normalize_tag, parse_window
 from .errors import DataError
 from .resources import utf8_fault
 from .text import KeywordFamily
@@ -214,13 +214,22 @@ def _resolve_paths(values: dict[str, Any], base_dir: Path) -> dict[str, Any]:
         section, key = name.split(".")
         value = resolved[section][key]
         if value:
-            resolved[section][key] = str((base_dir / value).resolve())
+            try:
+                resolved[section][key] = str((base_dir / value).resolve())
+            except ValueError as exc:  # a NUL, or what the file system cannot encode
+                raise DataError(f"{name}: {exc}") from exc
     return resolved
 
 
 def make_config(overrides: Mapping[str, Any], base_dir: str | Path = ".") -> Config:
     base = Path(base_dir).resolve()
     raw = merge_config(overrides)
+    # The digest and the manifest write these values as UTF-8, which cannot
+    # hold a lone surrogate, such as the YAML escape "\udc80".
+    for section, values in digest_view(raw).items():
+        for key, value in values.items():
+            if _SURROGATE.search(json.dumps(value, ensure_ascii=False)):
+                raise DataError(f"{section}.{key} holds a lone surrogate")
     return Config(values=_resolve_paths(raw, base), raw=raw, base_dir=base)
 
 
@@ -236,7 +245,8 @@ def load_config(path: str | Path) -> Config:
         raise DataError(f"config file {path}: {utf8_fault(exc)}") from exc
     try:
         loaded = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    # Also a constructor's ValueError (the date 2013-13-45) and deep nesting.
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise DataError(f"invalid YAML in {path}: {exc}") from exc
     if loaded is None:
         loaded = {}

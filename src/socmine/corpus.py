@@ -12,6 +12,7 @@ import json
 import re
 from collections import Counter
 from datetime import datetime, timezone
+from itertools import zip_longest
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -82,8 +83,6 @@ class Corpus(NamedTuple):
         """Sort documents and infer the window from them when not given."""
         docs = sorted(documents, key=lambda d: (d.timestamp, d.id))
         if window is None:
-            if not docs:
-                raise ValueError("cannot infer a window from an empty corpus")
             window = (docs[0].timestamp, docs[-1].timestamp)
         return cls(documents=tuple(docs), window=window)
 
@@ -233,7 +232,9 @@ def _undecodable(path: Path) -> DataError:
 
 
 def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, object], bool]]:
-    """(line number, record, whether its line holds a backslash-u) per record."""
+    """(line number, record, whether its line holds a backslash-u) per record
+    of a "jsonl" or "csv" file. A CSV record may span lines; its number is
+    the line it starts on."""
     if fmt == "jsonl":
         with path.open(encoding="utf-8-sig") as handle:
             for line_no, line in enumerate(handle, start=1):
@@ -243,44 +244,46 @@ def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, obje
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
+                # JSONDecodeError, a number too long, or nesting too deep.
+                except (ValueError, RecursionError) as exc:
                     raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
                 if not isinstance(record, dict):
                     raise DataError(f"line {line_no}: record is not a JSON object")
                 yield line_no, record, "\\u" in line
-    elif fmt == "csv":
-        with path.open(encoding="utf-8-sig", newline="") as handle:
-            reader = csv.DictReader(handle)
-            try:
-                header = reader.fieldnames
-                if header is None:
-                    return
-                missing = [f for f in _CSV_REQUIRED if f not in header]
-                if missing:
-                    raise DataError(f"line 1: CSV header missing columns {missing}")
-                # A row holds one value per column name, so a second column of
-                # the same name would silently replace the first.
-                if len(set(header)) != len(header):
-                    twice = next(f for i, f in enumerate(header) if f in header[:i])
-                    raise DataError(f"line 1: CSV header names column {twice!r} twice")
-                for record in reader:
-                    # DictReader keeps a row's fields past the header under None.
-                    if None in record:
-                        width = len(header)
+        return
+    with path.open(encoding="utf-8-sig", newline="") as handle:
+        rows = csv.reader(handle)
+        start = 1  # the line the next record starts on
+        try:
+            header = next(rows, None)
+            if header is None:
+                return
+            missing = [f for f in _CSV_REQUIRED if f not in header]
+            if missing:
+                raise DataError(f"line 1: CSV header missing columns {missing}")
+            # A row holds one value per column name, so a second column of
+            # the same name would silently replace the first.
+            if len(set(header)) != len(header):
+                twice = next(f for i, f in enumerate(header) if f in header[:i])
+                raise DataError(f"line 1: CSV header names column {twice!r} twice")
+            width = len(header)
+            start = rows.line_num + 1
+            for row in rows:
+                # A blank line reads as an empty row, and holds no record.
+                if row:
+                    if len(row) > width:
                         raise DataError(
-                            f"line {reader.line_num}: row has {width + len(record[None])} fields, "
-                            f"the header {width}"
+                            f"line {start}: row has {len(row)} fields, the header {width}"
                         )
-                    # DictReader gives a short row's missing fields None.
+                    # A short row's missing fields are None.
+                    record = dict(zip_longest(header, row))
                     tags = record["tags"]
                     if tags is not None:
                         record["tags"] = [t for t in tags.split("|") if t]
-                    yield reader.line_num, record, False
-            except csv.Error as exc:
-                # line_num is still the line the last record ended on.
-                raise DataError(f"line {reader.line_num + 1}: {exc}") from exc
-    else:
-        raise ValueError(f"unknown corpus format: {fmt!r}")
+                    yield start, record, False
+                start = rows.line_num + 1
+        except csv.Error as exc:
+            raise DataError(f"line {start}: {exc}") from exc
 
 
 def load_corpus(

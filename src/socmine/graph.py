@@ -37,8 +37,6 @@ def build_graph(
     the endpoints of surviving edges; whitelisted nodes without edges are
     retained only when retain_isolates is set.
     """
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
     whitelist = set(node_whitelist) if node_whitelist is not None else None
 
     # Each edge key is a new plain tuple, whatever tuple type the rows hold.
@@ -98,17 +96,13 @@ def _dot_quote(name: str) -> str:
 
 
 def export_graph(graph: CooccurrenceGraph, fmt: str = "dot", cap: int = 0) -> str:
-    """Emit the graph as DOT or GraphML text.
+    """Emit the graph as DOT (fmt "dot") or GraphML text.
 
     The drawn edge width is capped at `cap`, 0 for no cap (the true weight
     is always carried as a data attribute), mirroring plots that thin their
     dominant edges so the rest of the network stays visible.
     """
-    if fmt == "dot":
-        return _export_dot(graph, cap)
-    if fmt == "graphml":
-        return _export_graphml(graph, cap)
-    raise ValueError(f"unsupported graph format: {fmt!r}")
+    return _export_dot(graph, cap) if fmt == "dot" else _export_graphml(graph, cap)
 
 
 def _sorted_edges(graph: CooccurrenceGraph) -> list[tuple[str, str, int]]:

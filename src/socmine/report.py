@@ -261,12 +261,10 @@ class Context:
 
     @cached_property
     def power(self) -> PowerReport:
-        """The power report of the counted 2-grams. A context whose
-        run.stages lacks sentiment counts none, so it has no power report."""
+        """The power report of the counted 2-grams, which are counted only
+        when run.stages selects sentiment."""
         from .sentiment import load_lexicon, power_report
 
-        if "sentiment" not in self.sections["run"]["stages"]:
-            raise ValueError("no 2-grams are counted: run.stages does not select sentiment")
         cfg = self.sections["sentiment"]
         _, grams = self.token_counts
         lexicon = self._load_data("sentiment.lexicon", resources.LEXICON, load_lexicon)
@@ -408,13 +406,11 @@ _TEXT_STAGES = ("coding", "pronouns", "sentiment")
 
 
 def _in_stage(name: str, step: Callable[[], Any]) -> Any:
-    """step(), a DataError or ValueError it raises prefixed with the stage name."""
+    """step(), a DataError it raises prefixed with the stage name."""
     try:
         return step()
     except DataError as exc:
         raise DataError(f"stage {name}: {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"stage {name}: {exc}") from exc
 
 
 def _render(
@@ -517,10 +513,13 @@ def run_pipeline(config: Config) -> RunManifest:
     run_id = config.digest
     out_dir = Path(run_cfg["out_dir"])
     run_dir = out_dir / run_id
-    out_dir.mkdir(parents=True, exist_ok=True)
     # Stages write into staging/<run_id>, renamed to run_dir once the
     # manifest is written; whatever is left in staging is deleted.
-    staging = Path(tempfile.mkdtemp(prefix=".building-", dir=out_dir))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".building-", dir=out_dir))
+    except OSError as exc:
+        raise DataError(f"run.out_dir: {exc}") from exc
     try:
         build_dir = staging / run_id
         build_dir.mkdir()

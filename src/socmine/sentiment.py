@@ -122,8 +122,6 @@ def power_report(
     frequency, ties broken by the n-gram itself ascending, so equally
     frequent n-grams list alphabetically.
     """
-    if min_freq < 1:
-        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
     kept = {key: count for key, count in counts.items() if count >= min_freq}
     # Distinct surfaces are far fewer than n-gram slots: look each one up
     # once, for this call only.

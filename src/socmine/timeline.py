@@ -23,22 +23,21 @@ MIN_TOTAL = 10
 
 
 class CumulativeSeries(NamedTuple):
-    """Running total of a tag's daily usage across the corpus window."""
+    """Running total of a tag's daily usage across the corpus window, which
+    holds at least one day."""
 
     tag: str
     buckets: tuple[tuple[date, int], ...]
 
     @property
     def total(self) -> int:
-        return self.buckets[-1][1] if self.buckets else 0
+        return self.buckets[-1][1]
 
     @property
     def days(self) -> tuple[date, ...]:
         return tuple(day for day, _ in self.buckets)
 
     def increments(self) -> list[int]:
-        if not self.buckets:
-            return []
         values = [cumulative for _, cumulative in self.buckets]
         return [values[0]] + [b - a for a, b in zip(values, values[1:])]
 
@@ -109,9 +108,6 @@ def classify_shape(series: CumulativeSeries) -> ShapeVerdict:
     total = series.total
     increments = series.increments()
 
-    if not days:
-        return ShapeVerdict("other", 0.0, 0.0, 0.0, (date.min, date.min), "empty series")
-
     window = min(BURST_DAYS, len(increments))
     mass = sum(increments[:window])
     best_mass, best_start = mass, 0
@@ -144,27 +140,14 @@ def classify_shape(series: CumulativeSeries) -> ShapeVerdict:
     return ShapeVerdict(shape, r2, max_step, burst_mass, burst_window)
 
 
-def _check_common_axis(series: Sequence[CumulativeSeries]) -> tuple[date, ...]:
-    if not series:
-        raise ValueError("no series to export")
-    axis = series[0].days
-    for s in series[1:]:
-        if s.days != axis:
-            raise ValueError(f"series {s.tag!r} covers a different window")
-    return axis
-
-
 def export_timeline(series: Sequence[CumulativeSeries], fmt: str = "csv") -> str:
-    """Render series as CSV (date column + one column per tag) or an SVG chart."""
-    if fmt == "csv":
-        return _export_csv(series)
-    if fmt == "svg":
-        return _export_svg(series)
-    raise ValueError(f"unsupported timeline format: {fmt!r}")
+    """Render series, one or more over one window, as CSV (date column + one
+    column per tag) or an SVG chart (fmt "svg")."""
+    return _export_csv(series) if fmt == "csv" else _export_svg(series)
 
 
 def _export_csv(series: Sequence[CumulativeSeries]) -> str:
-    axis = _check_common_axis(series)
+    axis = series[0].days
     ordered = sorted(series, key=lambda s: s.tag)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -189,7 +172,7 @@ def _escape(text: str) -> str:
 
 
 def _export_svg(series: Sequence[CumulativeSeries]) -> str:
-    axis = _check_common_axis(series)
+    axis = series[0].days
     ordered = sorted(series, key=lambda s: s.tag)
     max_value = max(1, max(s.total for s in ordered))
     span_x = _PLOT["right"] - _PLOT["left"]

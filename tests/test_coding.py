@@ -141,8 +141,6 @@ def test_code_vocabulary_min_freq_and_occurrences():
         freq, _small_taxonomy(), NO_STOPS, min_freq=2, count_occurrences=True
     )
     assert by_occurrence.per_category["1"].count == 2
-    with pytest.raises(ValueError):
-        code_vocabulary(freq, _small_taxonomy(), NO_STOPS, min_freq=0)
 
 
 def test_code_vocabulary_applies_stopwords():

@@ -337,18 +337,18 @@ def test_every_csv_text_loads_as_its_jsonl_twin_or_names_its_line(
     else:
         header_fault = None
     text = _csv_row(header, quoting, terminator)
-    ends, records, too_long = [], [], None  # ends: the line each row ends on
+    starts, records, too_long = [], [], None  # starts: the line each row starts on
     for values, extra, blank in rows:
         if blank:
             text += terminator
+        starts.append(len(_LINE_BREAK.findall(text)) + 1)
         fields = [values[c] for c in header]
         fields = fields[: max(1, len(fields) + extra)] + ["extra"] * extra
         text += _csv_row(fields, quoting, terminator)
-        ends.append(len(_LINE_BREAK.findall(text)))
         if header_fault or too_long:
             continue
         if len(fields) > len(header):
-            too_long = f"line {ends[-1]}: row has {len(fields)} fields, the header {len(header)}"
+            too_long = f"line {starts[-1]}: row has {len(fields)} fields, the header {len(header)}"
         else:
             # The row as a JSON record: a missing field null, the tags a list.
             record = dict.fromkeys(header) | dict(zip(header, fields))
@@ -363,8 +363,8 @@ def test_every_csv_text_loads_as_its_jsonl_twin_or_names_its_line(
         try:
             want = load_corpus(directory / "c.jsonl")[0]
         except DataError as exc:
-            # The same fault; each line it names is the CSV line its row ends on.
-            expect = re.sub(r"line (\d+)", lambda m: f"line {ends[int(m[1]) - 1]}", str(exc))
+            # The same fault; each line it names is the CSV line its row starts on.
+            expect = re.sub(r"line (\d+)", lambda m: f"line {starts[int(m[1]) - 1]}", str(exc))
     expect = expect or too_long
     path = directory / "c.csv"
     path.write_text(("\ufeff" if bom else "") + text, encoding="utf-8", newline="")
@@ -550,6 +550,27 @@ def test_csv_row_with_more_fields_than_its_header_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "line 2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ('a,2013-05-01T00:00:00Z,"hello\nthere",world,police', "row has 5 fields, the header 4"),
+        ('a,2013-05-01T00:00:00Z,"hello\nthere",#',
+         "malformed field 'tags': hashtag is empty after normalization"),
+        ('a,2013-05-01T00:00:00Z,"hello\nthere",x\n\n\na,2013-05-02,"\n",y',
+         "duplicate id 'a' (first seen at line 2)"),
+    ],
+)
+def test_a_csv_record_is_named_by_the_line_it_starts_on(tmp_path, record, message):
+    # The faulty record is the last one, and starts on line 2, or on line
+    # 6 after three lines of the first record and two blank lines.
+    path = tmp_path / "c.csv"
+    path.write_text(f"id,ts,text,tags\n{record}\n", encoding="utf-8")
+    line = 6 if "duplicate" in message else 2
+    with pytest.raises(DataError) as raised:
+        load_corpus(path, fmt="csv")
+    assert str(raised.value) == f"line {line}: {message}"
 
 
 def test_csv_field_the_csv_module_refuses_exits_2(tmp_path, capsys):

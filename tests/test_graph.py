@@ -46,11 +46,9 @@ def test_build_graph_whitelist_and_isolates():
     assert kept.nodes == frozenset(whitelist)
 
 
-def test_build_graph_accepts_plain_tuples_and_rejects_bad_threshold():
+def test_build_graph_accepts_plain_tuples():
     graph = build_graph(ranked({("a", "b"): 3}), threshold=1)
     assert graph.edges == {("a", "b"): 3}
-    with pytest.raises(ValueError):
-        build_graph(ranked(PAIRS), threshold=0)
 
 
 def test_components_ordering():
@@ -108,8 +106,6 @@ def test_parse_rejects_garbage():
         parse_graph("digraph nope {}", fmt="dot")
     with pytest.raises(DataError):
         parse_graph("<not xml", fmt="graphml")
-    with pytest.raises(ValueError):
-        export_graph(build_graph(ranked(PAIRS), threshold=2), fmt="gexf")
 
 
 # Hand edits of the golden exports (threshold 2, nodes husby, police, riots).

@@ -192,12 +192,9 @@ def test_coding_and_pronouns_count_no_2grams(workspace, monkeypatch, capsys):
     )
 
 
-def test_power_without_sentiment_in_run_stages_raises(workspace):
+def test_context_without_sentiment_counts_no_2grams(workspace):
     config = _config(workspace, run={"stages": ["ingest", "coding", "pronouns"]})
     ctx = Context(config.values)
-    with pytest.raises(ValueError, match="run.stages does not select sentiment"):
-        ctx.power
-    # The counts the other stages read are still there, without 2-grams.
     surfaces, grams = ctx.token_counts
     assert surfaces["policja"] == 3 and len(grams) == 0
 

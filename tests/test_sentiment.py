@@ -164,8 +164,6 @@ def test_power_report_ordering_and_min_freq():
     ]
     assert [r.power for r in report.rows] == [0, 3, -6]
     assert report.sum_power == -3
-    with pytest.raises(ValueError):
-        power_report(table, LEXICON, min_freq=0)
 
 
 def test_power_report_scores_the_ngram_own_surfaces():

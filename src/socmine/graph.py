@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple
 
-from .ngrams import _csv_text
+from .ngrams import _csv_text, _rows_text
 
 
 class CooccurrenceGraph(NamedTuple):
@@ -82,13 +82,17 @@ def dyads_csv(graph: CooccurrenceGraph) -> str:
     """Every edge as a tag_a,tag_b,weight,ratio row in rank order: the ratio
     is to the first, heaviest edge's weight, written with 4 decimals."""
     top = next(iter(graph.edges.values()), 1)
-    lines = [f"{a},{b},{weight},{weight / top:.4f}\n" for (a, b), weight in graph.edges.items()]
-    fields = ((a, b, weight, f"{weight / top:.4f}") for (a, b), weight in graph.edges.items())
-    return _csv_text("tag_a,tag_b,weight,ratio", lines, fields)
+    edges = graph.edges.items()
+    body = _rows_text(edges, ",".join, lambda weight: f",{weight},{weight / top:.4f}\n")
+    fields = ((a, b, weight, f"{weight / top:.4f}") for (a, b), weight in edges)
+    return _csv_text("tag_a,tag_b,weight,ratio", body, len(edges), fields)
 
 
-def _render_width(weight: int, cap: int) -> int:
-    return min(weight, cap) if cap else weight
+def _per_weight(graph: CooccurrenceGraph, cap: int, text: str) -> dict[int, str]:
+    """Each distinct edge weight -> text formatted with it and its drawn
+    width, so that an export formats each weight once."""
+    weights = set(graph.edges.values())
+    return {w: text.format(weight=w, width=min(w, cap) if cap else w) for w in weights}
 
 
 def _dot_quote(name: str) -> str:
@@ -116,11 +120,9 @@ def _export_dot(graph: CooccurrenceGraph, cap: int) -> str:
     lines = ["graph cooccurrence {", f"  graph [threshold={graph.threshold}];"]
     for node in sorted(graph.nodes):
         lines.append(f"  {quoted[node]};")
+    attrs = _per_weight(graph, cap, "[weight={weight}, penwidth={width}];")
     for a, b, weight in _sorted_edges(graph):
-        width = _render_width(weight, cap)
-        lines.append(
-            f"  {quoted[a]} -- {quoted[b]} [weight={weight}, penwidth={width}];"
-        )
+        lines.append(f"  {quoted[a]} -- {quoted[b]} {attrs[weight]}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -149,11 +151,10 @@ def _export_graphml(graph: CooccurrenceGraph, cap: int) -> str:
     ]
     for node in sorted(graph.nodes):
         lines.append(f"    <node id={quoted[node]}/>")
+    data = _per_weight(graph, cap, '      <data key="weight">{weight}</data>\n'
+                                   '      <data key="render_width">{width}</data>\n')
     lines += [
-        f"    <edge source={quoted[a]} target={quoted[b]}>\n"
-        f'      <data key="weight">{weight}</data>\n'
-        f'      <data key="render_width">{_render_width(weight, cap)}</data>\n'
-        "    </edge>"
+        f"    <edge source={quoted[a]} target={quoted[b]}>\n{data[weight]}    </edge>"
         for a, b, weight in _sorted_edges(graph)
     ]
     lines.append("  </graph>")

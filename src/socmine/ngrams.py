@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from itertools import chain, repeat
-from typing import Hashable, Iterable, Mapping, Sequence
+from itertools import chain, groupby, repeat
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .corpus import Corpus, Document
 from .text import KeywordFamily, remove_stopwords, tokenize
@@ -28,17 +29,18 @@ def count_tags(corpus: Corpus) -> Counter:
     return Counter(chain.from_iterable(tag_sets))
 
 
-def count_tag_pairs(corpus: Corpus) -> Counter:
+def count_tag_pairs(corpus: Corpus) -> dict[tuple[str, str], int]:
     """Unordered pairs of distinct tags co-occurring in one document.
 
     Each document contributes one count per distinct pair; documents with
     fewer than two distinct tags contribute nothing. Keys are plain (a, b)
-    tuples with a < b. Returns the Counter it counted in.
+    tuples with a < b.
 
     Entries are in ascending key order, so `ranked` finds each count's keys
     already sorted. Each document adds its later tags to the partner list
-    of every earlier one; the partner lists are sorted, and the pairs are
-    counted in the order of their first tag.
+    of every earlier one; each first tag's partners are counted as strings,
+    and its pairs follow its distinct partners in sorted order, so no pair
+    tuple is built for a repeat.
     """
     partners: dict[str, list[str]] = {}
     for d in corpus.documents:
@@ -46,11 +48,12 @@ def count_tag_pairs(corpus: Corpus) -> Counter:
             tags = sorted(set(d.hashtags))
             for i in range(1, len(tags)):
                 partners.setdefault(tags[i - 1], []).extend(tags[i:])
-    for later in partners.values():
-        later.sort()
-    # A Counter keeps its keys in the order it first meets them.
-    pairs = (zip(repeat(a), partners[a]) for a in sorted(partners))
-    return Counter(chain.from_iterable(pairs))
+    pairs: dict[tuple[str, str], int] = {}
+    for a in sorted(partners):
+        later = Counter(partners[a])
+        keys = sorted(later)
+        pairs.update(zip(zip(repeat(a), keys), map(later.__getitem__, keys)))
+    return pairs
 
 
 def count_tokens(
@@ -113,23 +116,32 @@ def ranked(counts: Mapping[Key, int]) -> list[tuple[Key, int]]:
 def counts_to_csv(rows: Sequence[tuple[Key, int]], *, pairs: bool) -> str:
     """Ranked rows as CSV, in their order. The rows of a pairs table have
     (a, b) keys and become three columns, also when there are none."""
+    end = ",{}\n".format
     if pairs:
-        lines = [f"{a},{b},{count}\n" for (a, b), count in rows]
         fields = ((a, b, count) for (a, b), count in rows)
-        return _csv_text("key,key2,count", lines, fields)
-    return _csv_text("key,count", [f"{key},{count}\n" for key, count in rows], rows)
+        return _csv_text("key,key2,count", _rows_text(rows, ",".join, end), len(rows), fields)
+    return _csv_text("key,count", _rows_text(rows, str, end), len(rows), rows)
 
 
-def _csv_text(header: str, lines: list[str], fields: Iterable[Sequence]) -> str:
-    """The header line, then each row: its line, its fields joined by
-    commas, when no field holds a quote, comma or line break, so that no
-    field needs quoting; else csv.writer's text of the fields."""
-    body = "".join(lines)
+def _rows_text(rows: Iterable[tuple[Key, int]], key_text: Callable, end: Callable) -> str:
+    """Each row's line, key_text(key) + end(count). Rank order puts the rows
+    of one count together, and end is called once per run of equal counts."""
+    parts = []
+    for count, run in groupby(rows, itemgetter(1)):
+        tail = end(count)
+        parts += (tail.join(map(key_text, map(itemgetter(0), run))), tail)
+    return "".join(parts)
+
+
+def _csv_text(header: str, body: str, rows: int, fields: Iterable[Sequence]) -> str:
+    """The header line, then the body, the rows' lines with their fields
+    joined by commas, when no field holds a quote, comma or line break, so
+    that no field needs quoting; else csv.writer's text of the fields."""
     if (
         '"' not in body
         and "\r" not in body
-        and body.count(",") == header.count(",") * len(lines)
-        and body.count("\n") == len(lines)
+        and body.count(",") == header.count(",") * rows
+        and body.count("\n") == rows
     ):
         return f"{header}\n{body}"
     buffer = io.StringIO()

@@ -34,6 +34,7 @@ import json
 import os
 from collections import Counter
 from functools import cached_property, partial
+from operator import itemgetter
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
@@ -49,7 +50,7 @@ from .corpus import (
     parse_window,
     write_corpus,
 )
-from .errors import DataError, UsageError
+from .errors import DataError
 from .ngrams import (
     count_tag_pairs,
     count_tags,
@@ -298,7 +299,7 @@ def _stage_counts(name: str, ctx: Context, run_dir: Path) -> Rendered:
     artifact = _write_text(run_dir, f"{name}.csv", text)
     summary = {
         "distinct": len(rows),
-        "total": sum(count for _, count in rows),
+        "total": sum(map(itemgetter(1), rows)),
         "top": _summary_rows(ctx.top_rows(name)),
     }
     return [artifact], summary
@@ -507,7 +508,7 @@ def run_pipeline(config: Config) -> RunManifest:
     corpus_cfg = config["corpus"]
     run_cfg = config["run"]
     if not corpus_cfg["path"]:
-        raise UsageError("corpus.path is required")
+        raise DataError("corpus.path is required")
     enabled = [s for s in STAGES if s in run_cfg["stages"]]
 
     run_id = config.digest

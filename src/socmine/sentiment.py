@@ -142,5 +142,5 @@ def power_csv(report: PowerReport) -> str:
     fields = (
         (" ".join(ngram), freq, strength, power) for ngram, freq, strength, power in report.rows
     )
-    table = _csv_text("ngram,freq,strength,power", lines, fields)
+    table = _csv_text("ngram,freq,strength,power", "".join(lines), len(lines), fields)
     return f"{table}# sum_power,{report.sum_power}\n"

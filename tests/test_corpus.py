@@ -16,8 +16,11 @@ from socmine.cli import main
 from socmine.config import file_digest
 from socmine.corpus import (
     _BAD_TAG_CHAR,
+    _check_tag,
     _iso_utc,
     Corpus,
+    Document,
+    SOURCES,
     load_corpus,
     normalize_tag,
     parse_timestamp,
@@ -626,6 +629,113 @@ def test_load_corpus_aliases_merge_tags(tmp_path):
     )
     corpus, _ = load_corpus(path, aliases={"stkhlmriot": "sthlmriot"})
     assert corpus.documents[0].hashtags == ("sthlmriot", "svpol")
+
+
+# Tag items as a record can hold them: spellings that normalize to one tag
+# ('#', case, an alias), tags that _check_tag refuses, and items that are
+# no string, hashable or not.
+_TAG_ALIASES = {"policja": "police"}
+_TAG_SPELLINGS = ["svpol", "#SvPol", "SVPOL", "##svpol", "policja", "#Policja", "police", "É",
+                  'a"b', "a\\b", "#", "##", "", "a b", "x#y", "a\tb", "a\x01b", "a\ufffeb"]
+_TAG_ITEMS = st.sampled_from(_TAG_SPELLINGS) | st.sampled_from(
+    ["\ud800", 5, 0, 1.5, None, True, False, [], ["a"], [["a"]], {}, {"a": "b"}]
+)
+
+
+def _reference_tags(items, line, known):
+    """Frozen copy of the loader's per-occurrence tag loop: the reference any
+    faster tag path of load_corpus must match, item for item."""
+    tags = []
+    for item in items:
+        if not isinstance(item, str):
+            raise DataError(f"line {line}: malformed field 'tags': tag {item!r} is not a string")
+        tag = known.get(item)
+        if tag is None:
+            tag = normalize_tag(item, _TAG_ALIASES)
+            try:
+                _check_tag(tag)
+            except ValueError as exc:
+                raise DataError(f"line {line}: malformed field 'tags': {exc}") from exc
+            known[item] = tag
+        tags.append(tag)
+    return tuple(tags)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["jsonl", "csv"]), st.lists(st.lists(_TAG_ITEMS, max_size=6), min_size=1, max_size=5))
+def test_each_tag_item_loads_or_fails_as_the_per_item_loop_did(tmp_path_factory, fmt, tag_lists):
+    if fmt == "csv":
+        # A CSV record holds its tags as one pipe-delimited string.
+        tag_lists = [[t for t in tags if t in _TAG_SPELLINGS] for tags in tag_lists]
+    records = [
+        {"id": f"d{i}", "ts": _iso_utc(BASE + timedelta(minutes=i)), "text": "x", "tags": tags}
+        for i, tags in enumerate(tag_lists)
+    ]
+    path = tmp_path_factory.mktemp("tags") / f"c.{fmt}"
+    if fmt == "jsonl":
+        # ensure_ascii writes a lone surrogate as its escape.
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        lines = range(1, len(records) + 1)
+    else:
+        with path.open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            writer.writerow(["id", "ts", "text", "tags"])
+            writer.writerows([r["id"], r["ts"], r["text"], "|".join(r["tags"])] for r in records)
+        tag_lists = [[t for t in "|".join(tags).split("|") if t] for tags in tag_lists]
+        lines = range(2, len(records) + 2)
+    known, want = {}, []
+    try:
+        for record, tags, line in zip(records, tag_lists, lines):
+            tags = _reference_tags(tags, line, known)
+            want.append(Document(record["id"], parse_timestamp(record["ts"]), "x", tags))
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
+            load_corpus(path, fmt=fmt, aliases=_TAG_ALIASES)
+        assert str(raised.value) == str(exc)
+        return
+    assert load_corpus(path, fmt=fmt, aliases=_TAG_ALIASES)[0].documents == tuple(want)
+
+
+# Strings as the writer may meet them: JSON's escapes, non-ASCII, and the
+# texts "null" and "tweet", which must stay apart from null and a source.
+_WRITTEN = st.text(st.sampled_from('ab"\\/\x00\x1f\n\t é\u2028'), max_size=4) | st.sampled_from(
+    ["null", "tweet", "forum_post"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            Document,
+            id=_WRITTEN,
+            timestamp=st.datetimes(
+                min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)
+            ).map(lambda dt: dt.replace(microsecond=0, tzinfo=UTC)),
+            text=_WRITTEN,
+            hashtags=st.lists(_WRITTEN, max_size=4).map(tuple),
+            lang=st.none() | _WRITTEN,
+            source=st.sampled_from(SOURCES),
+        ),
+        max_size=6,
+    )
+)
+def test_each_written_line_is_the_json_encoder_text_of_its_record(tmp_path_factory, documents):
+    path = tmp_path_factory.mktemp("written") / "c.jsonl"
+    write_corpus(Corpus(tuple(documents), (BASE, BASE)), path)
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    want = "".join(
+        encode({
+            "id": d.id,
+            "ts": d.timestamp.replace(tzinfo=None).isoformat(timespec="seconds") + "Z",
+            "text": d.text,
+            "tags": list(d.hashtags),
+            "lang": d.lang,
+            "source": d.source,
+        }) + "\n"
+        for d in documents
+    )
+    assert path.read_bytes().decode("utf-8") == want
 
 
 # write_corpus writes JSONL only; the CSV writer is the tests' own.

@@ -50,6 +50,14 @@ def _config_case(body, message):
     return build
 
 
+def _config_text(text):
+    def build(tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(text, encoding="utf-8")
+        return ["run", "--config", path], "error: corpus.path is required"
+    return build
+
+
 def _ingest_out(out):
     def build(tmp_path):
         return ["ingest", TWITTER, "--out", tmp_path / out], "error: --out: "
@@ -70,10 +78,12 @@ def _ingest_out(out):
         _config_case("run:\n  out_dir: afile/runs\n", "error: run.out_dir: "),
         _ingest_out("missing/c.jsonl"),
         _ingest_out("afile/c.jsonl"),
+        _config_text('corpus:\n  path: ""\n'),
+        _config_text("run:\n  out_dir: runs\n"),
     ],
     ids=["ts-5000-digits", "jsonl-nested-200000", "yaml-impossible-date", "nul-in-path",
          "surrogate-in-digest", "yaml-nested-100000", "out-dir-under-a-file",
-         "out-in-a-missing-dir", "out-under-a-file"],
+         "out-in-a-missing-dir", "out-under-a-file", "empty-corpus-path", "no-corpus-path"],
 )
 def test_bad_input_exits_2_naming_where(tmp_path, case):
     (tmp_path / "afile").write_text("x", encoding="utf-8")
@@ -210,12 +220,110 @@ def test_every_config_exits_0_or_2_naming_a_key_or_a_file(tmp_path_factory, data
     path = directory / "run.yaml"
     path.write_text(data.draw(_configs(corpus)), encoding="utf-8")
     code, _, err = _main(["run", "--config", path])
-    if code == 1:
-        # `run` needs a corpus, and a config that sets corpus.path to "" has none.
-        assert err == "error: corpus.path is required\n"
-        return
     assert code in (0, 2), err
     if code == 2:
         # A file here, such as the config or a path key's file, a line, or a key.
         named = [str(directory), "section '", "corpus.extra", *_KEYS]
         assert re.search(r"line \d+", err) or any(name in err for name in named), err
+
+
+# CSV corpus texts: headers that miss or repeat a column, and fields good
+# and bad, joined by bare commas, so that a quote or comma in a field can
+# break its row, as a hand-edited file does.
+_CSV_HEADERS = st.sampled_from([
+    "id,ts,text,tags", "id,ts,text,tags,lang,source", "tags,text,id,ts", "id,ts,text",
+    "id,ts,text,tags,tags", "", "id,ts,text,tags,", '"id",ts,"text",tags',
+])
+_CSV_FIELDS = st.sampled_from([
+    "a", "b", "", "riots|#Police", "|||", "#", "a b", "x#y", "Ö", "policja na ulicy",
+    "2013-05-20T10:00:00Z", "2013-05-21", "1369000000", "x", "2013-13-45", "1" * 5000,
+    "9999-12-31T23:59:59-05:00", "pl", "tweet", "forum_post", "blog",
+    '"quoted, comma"', '"open', 'mid"quote', '"a\nb"', '"a""b"', "x" * 140_000,
+])
+
+
+@st.composite
+def _csv_texts(draw):
+    rows = [draw(_CSV_HEADERS)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.append(",".join(draw(st.lists(_CSV_FIELDS, min_size=1, max_size=7))))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(rows) + "\n"
+    for char in draw(st.lists(st.sampled_from(["\ufeff", "\x00", "\r", '"']), max_size=2)):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + char + text[at:]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_texts(), st.sampled_from(_COMMANDS))
+def test_every_csv_exits_0_or_2_naming_its_line(tmp_path_factory, text, command):
+    path = tmp_path_factory.mktemp("csv") / "c.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    code, _, err = _main([command[0], path, *command[1:], "--format", "csv"])
+    assert code in (0, 2), err
+    if code == 2:
+        assert re.match(rf"error: (line \d+: |.*{re.escape(str(path))})", err), err
+
+
+# Each data file's flag, its config key, the commands that read it, and
+# lines for it: good ones, and ones that break each of its rules.
+_DATA_FILES = {
+    "--stopwords": ("text.stopwords", ["code", "sentiment"], [
+        "a", "nie", "Nie", "İ", "nie_", "dwa słowa", "a\tb", "poli-cja", "# a comment",
+    ]),
+    "--taxonomy": ("coding.taxonomy", ["code"], [
+        "1\tWork", "2\tPolice", "1.1\tSub", "3.1\tOrphan", ".1\tDot", "1..2\tDots",
+        "1\tpolicj\tprefix", "2\tdobr\texact", "1\tpo\tprefix", "9\tfatal\tprefix",
+        "1\tPolicj\tprefix", "1\tpoli cja\tprefix", "1\tpolicj\tfuzzy", "1\tx\ty\tz", "1",
+    ]),
+    "--groups": ("pronouns.groups", ["pronouns"], [
+        "them\tthey\toni|im", "us\twe\tmy|nas", "them\tthey\tONI", "us\twe\tmy", "them\tx\t",
+        "them\tx\t|", "they\tx\ty", "us\twe\tmy-x", "us\twe", "us\tcomma, label\tnasz",
+    ]),
+    "--lexicon": ("sentiment.lexicon", ["sentiment"], [
+        "dobr\tpositive\t1", "fatal\tnegative\t2\tprefix", "zł\tnegative\t1\texact",
+        "zł\tnegative\t1", "dobr\tpositive\t9", "dobr\tneutral\t1", "dobr\tpositive\tx",
+        "dobr\tpositive\t" + "1" * 5000, "dobr\tpositive\t-1", "dobr\tpositive\t1_0",
+        "wspania\tpositive\t٣", "Dobr\tpositive\t1", "dobr\tpositive\t1\tfuzzy", "a\tb",
+    ]),
+}
+_TEXTS = ["dobra wiadomość", "fatalna policja na ulicy", "oni im my nas", "szwedzka policja",
+          "wspaniała noc", "zło i dobro", "Nie ma nas"]
+
+
+@st.composite
+def _data_files(draw):
+    flag = draw(st.sampled_from(sorted(_DATA_FILES)))
+    _, commands, pool = _DATA_FILES[flag]
+    lines = draw(st.lists(st.sampled_from(pool) | st.sampled_from(["", "  ", "# note"]),
+                          max_size=6))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    for char in draw(st.lists(st.sampled_from(["\ufeff", "\x00", "\r", "\t"]), max_size=2)):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + char + text[at:]
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    return draw(st.sampled_from(commands)), flag, data
+
+
+@settings(max_examples=150, deadline=None)
+@given(_data_files())
+def test_every_data_file_exits_0_or_2_naming_its_line(tmp_path_factory, drawn):
+    command, flag, data = drawn
+    directory = tmp_path_factory.mktemp("data")
+    corpus = directory / "c.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"d{i}", "ts": f"2013-05-2{i % 10}T10:00:00Z", "text": text}) + "\n"
+        for i, text in enumerate(_TEXTS)
+    ), encoding="utf-8")
+    path = directory / "data.tsv"
+    path.write_bytes(data)
+    argv = [command, corpus, flag, path]
+    code, _, err = _main(argv + (["--min-freq", "1"] if command == "sentiment" else []))
+    assert code in (0, 2), err
+    if code == 2:
+        # The file's config key, then its line, or the file itself.
+        key = _DATA_FILES[flag][0]
+        assert re.match(rf"error: {key}: (line \d+: |.*{re.escape(str(path))})", err), err

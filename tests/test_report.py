@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import socmine.report
 from helpers import FIXTURES
 from socmine.config import STAGES, make_config
-from socmine.errors import DataError, UsageError
+from socmine.errors import DataError
 from socmine.cli import main
 from socmine.report import MANIFEST_NAME, Context, run_pipeline
 
@@ -273,7 +273,7 @@ def test_dyads_csv_quotes_tags_with_commas(workspace):
 
 
 def test_pipeline_requires_corpus_and_stages(workspace):
-    with pytest.raises(UsageError, match="corpus.path"):
+    with pytest.raises(DataError, match="^corpus.path is required$"):
         run_pipeline(make_config({}, base_dir=workspace))
     with pytest.raises(DataError, match="no stages"):
         _config(workspace, run={"stages": []})

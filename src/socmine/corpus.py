@@ -46,6 +46,9 @@ _SURROGATE = re.compile(r"[\ud800-\udfff]")
 # What the surrogateescape error handler makes of bytes that are not UTF-8.
 _UNDECODED = re.compile(r"[\udc80-\udcff]")
 
+# The C scanner that json.loads wraps, with json.loads's default settings.
+_scan_json = json.JSONDecoder().scan_once
+
 
 def _check_tag(tag: str) -> None:
     if not tag:
@@ -231,10 +234,25 @@ def _undecodable(path: Path) -> DataError:
     return DataError(f"{path}: invalid UTF-8")
 
 
+def _loads_line(line: str) -> object:
+    """json.loads(line): the same value, or the same exception. A line that
+    is one JSON value and then its newline, as a JSONL line is, skips
+    json.loads's checks for a byte-order mark and for whitespace around the
+    value; any other line, or one the scanner fails on, goes to json.loads."""
+    try:
+        value, end = _scan_json(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return json.loads(line)
+    if line[end:] in ("\n", ""):
+        return value
+    return json.loads(line)
+
+
 def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, object], bool]]:
     """(line number, record, whether its line holds a backslash-u) per record
-    of a "jsonl" or "csv" file. A CSV record may span lines; its number is
-    the line it starts on."""
+    of a "jsonl" or "csv" file. A JSONL line reads as json.loads reads it
+    (see _loads_line). A CSV record may span lines; its number is the line
+    it starts on."""
     if fmt == "jsonl":
         with path.open(encoding="utf-8-sig") as handle:
             for line_no, line in enumerate(handle, start=1):
@@ -243,7 +261,7 @@ def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, obje
                 if line.isspace():
                     continue
                 try:
-                    record = json.loads(line)
+                    record = _loads_line(line)
                 # JSONDecodeError, a number too long, or nesting too deep.
                 except (ValueError, RecursionError) as exc:
                     raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc

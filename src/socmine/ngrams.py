@@ -29,18 +29,16 @@ def count_tags(corpus: Corpus) -> Counter:
     return Counter(chain.from_iterable(tag_sets))
 
 
-def count_tag_pairs(corpus: Corpus) -> dict[tuple[str, str], int]:
-    """Unordered pairs of distinct tags co-occurring in one document.
+def count_tag_pairs(corpus: Corpus) -> list[tuple[tuple[str, str], int]]:
+    """Unordered pairs of distinct tags co-occurring in one document, as
+    ((a, b), count) rows in ascending key order, a < b in each key.
 
     Each document contributes one count per distinct pair; documents with
-    fewer than two distinct tags contribute nothing. Keys are plain (a, b)
-    tuples with a < b.
-
-    Entries are in ascending key order, so `ranked` finds each count's keys
-    already sorted. Each document adds its later tags to the partner list
-    of every earlier one; each first tag's partners are counted as strings,
-    and its pairs follow its distinct partners in sorted order, so no pair
-    tuple is built for a repeat.
+    fewer than two distinct tags contribute nothing. Key order is what lets
+    `ranked` rank the rows with one stable sort. Each document adds its
+    later tags to the partner list of every earlier one; each first tag's
+    partners are counted as strings, and its rows follow its distinct
+    partners in sorted order, so no pair tuple is built for a repeat.
     """
     partners: dict[str, list[str]] = {}
     for d in corpus.documents:
@@ -48,12 +46,12 @@ def count_tag_pairs(corpus: Corpus) -> dict[tuple[str, str], int]:
             tags = sorted(set(d.hashtags))
             for i in range(1, len(tags)):
                 partners.setdefault(tags[i - 1], []).extend(tags[i:])
-    pairs: dict[tuple[str, str], int] = {}
+    rows: list[tuple[tuple[str, str], int]] = []
     for a in sorted(partners):
         later = Counter(partners[a])
         keys = sorted(later)
-        pairs.update(zip(zip(repeat(a), keys), map(later.__getitem__, keys)))
-    return pairs
+        rows += zip(zip(repeat(a), keys), map(later.__getitem__, keys))
+    return rows
 
 
 def count_tokens(
@@ -88,16 +86,18 @@ def count_tokens(
     return surfaces, grams
 
 
-def ranked(counts: Mapping[Key, int]) -> list[tuple[Key, int]]:
+def ranked(counts: Mapping[Key, int] | list[tuple[Key, int]]) -> list[tuple[Key, int]]:
     """Every entry: descending count, ties ascending lexicographically.
 
-    Keys are grouped by count and each group sorts in the keys' own order,
-    which costs far less than building a rank key for every entry: most
-    entries of a long-tailed table share the few smallest counts. The
-    result is right for entries in any order; a table whose entries are in
-    key order, as count_tag_pairs writes them, fills every group already
-    sorted, and the sort of each group is one linear pass.
+    A list is taken as (key, count) rows in ascending key order, as
+    count_tag_pairs returns them, and one stable sort by count ranks it.
+    A Mapping's keys, in any order, are grouped by count and each group
+    sorts in the keys' own order, which costs far less than building a rank
+    key for every entry: most entries of a long-tailed table share the few
+    smallest counts.
     """
+    if isinstance(counts, list):
+        return sorted(counts, key=itemgetter(1), reverse=True)
     buckets: dict[int, list[Key]] = {}
     for key, count in counts.items():
         bucket = buckets.get(count)

@@ -500,6 +500,61 @@ def test_load_corpus_invalid_json_and_missing_file(tmp_path):
         load_corpus(tmp_path / "nope.jsonl")
 
 
+# A JSONL line's value: a record or any JSON value, NaN and Infinity
+# included, and raw texts too long or too deep for json.loads.
+_RAW_VALUES = st.sampled_from(["1" * 5000, "-" + "9" * 5000 + ".5", "[" * 5000 + "]" * 5000])
+_LINE_VALUES = (
+    st.dictionaries(_text, _json_values, max_size=3).map(json.dumps)
+    | _json_values.map(json.dumps)
+    | _RAW_VALUES
+    | _RAW_VALUES.map('{{"id": {}}}'.format)
+)
+# What may stand before a value: JSON whitespace and a byte-order mark; and
+# after it: JSON whitespace, whitespace JSON does not allow, trailing text
+# and a second value. A "\r" in the file ends a line.
+_BEFORE = st.text(st.sampled_from([" ", "\t", "\r", "\ufeff"]), max_size=2)
+_AFTER = st.lists(
+    st.sampled_from([" ", "\t", "\r", "\x0b", "\xa0", "\u2028", " x", "{}"]), max_size=2
+).map("".join)
+
+
+def _reference_records(path):
+    """The JSONL reader as json.loads defines it: each record up to the
+    first line that fails, and that line's message."""
+    records = []
+    with path.open(encoding="utf-8-sig") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if line.isspace():
+                continue
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                return records, f"line {line_no}: invalid JSON: {exc}"
+            if not isinstance(record, dict):
+                return records, f"line {line_no}: record is not a JSON object"
+            records.append((line_no, record, "\\u" in line))
+    return records, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_BEFORE, _LINE_VALUES, _AFTER), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_each_jsonl_line_reads_as_json_loads_reads_it(tmp_path_factory, lines, last_newline):
+    path = tmp_path_factory.mktemp("lines") / "c.jsonl"
+    # A first line, so that a mark on any drawn line is mid-file.
+    text = '{"id": "a"}\n' + "\n".join(map("".join, lines)) + ("\n" if last_newline else "")
+    path.write_text(text, encoding="utf-8")
+    records, error = [], None
+    try:
+        records.extend(socmine.corpus._iter_records(path, "jsonl"))
+    except DataError as exc:
+        error = str(exc)
+    # repr, because a NaN is not equal to itself.
+    assert repr((records, error)) == repr(_reference_records(path))
+
+
 def test_load_corpus_empty_after_filter(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_jsonl(path, [{"id": "a", "ts": "2013-01-01T00:00:00Z", "text": ""}])

@@ -47,7 +47,7 @@ def test_count_tag_pairs_hand_counted():
         ("c", 2, ("husby",)),
         ("d", 3, ()),
     )
-    table = count_tag_pairs(corpus)
+    table = dict(count_tag_pairs(corpus))
     assert table[("police", "riots")] == 2
     assert table[("husby", "riots")] == 1
     assert table[("husby", "police")] == 1
@@ -70,10 +70,11 @@ def test_count_tag_pairs_entries_are_in_key_order(tag_lists):
     # Documents with repeated, aliased and single tags, and with none.
     tag_lists = [[normalize_tag(tag, PAIR_ALIASES) for tag in tags] for tags in tag_lists]
     corpus = make_corpus(*[(f"d{i}", i, tuple(tags)) for i, tags in enumerate(tag_lists)])
-    entries = count_tag_pairs(corpus)
-    # Key order is what lets ranked sort each count's keys in one pass.
-    assert list(entries) == sorted(entries)
-    assert entries == Counter(
+    rows = count_tag_pairs(corpus)
+    # Strict key order is what lets ranked rank the rows with one stable sort.
+    keys = [key for key, _ in rows]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert dict(rows) == Counter(
         pair for tags in tag_lists for pair in combinations(sorted(set(tags)), 2)
     )
 
@@ -167,7 +168,9 @@ TAGS = st.text("ab", min_size=1, max_size=4)
 
 @given(st.dictionaries(TAGS, st.integers(1, 4), max_size=30))
 def test_ranked_tag_keys_match_reference_order(entries):
-    assert ranked(entries) == _reference_order(entries)
+    # A table in any order, and its rows in key order as count_tag_pairs
+    # returns them, rank alike.
+    assert ranked(sorted(entries.items())) == ranked(entries) == _reference_order(entries)
 
 
 @given(
@@ -178,7 +181,7 @@ def test_ranked_tag_keys_match_reference_order(entries):
     )
 )
 def test_ranked_pair_keys_match_reference_order(entries):
-    assert ranked(entries) == _reference_order(entries)
+    assert ranked(sorted(entries.items())) == ranked(entries) == _reference_order(entries)
 
 
 def test_counts_to_csv_scalar_and_pair_keys():

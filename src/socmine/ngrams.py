@@ -29,13 +29,17 @@ def count_tags(corpus: Corpus) -> Counter:
     return Counter(chain.from_iterable(tag_sets))
 
 
-def count_tag_pairs(corpus: Corpus) -> list[tuple[tuple[str, str], int]]:
+class KeyOrderedRows(list):
+    """(key, count) rows in strictly ascending key order. `ranked` takes
+    their order as given; a plain list of rows is not taken as ordered."""
+
+
+def count_tag_pairs(corpus: Corpus) -> KeyOrderedRows:
     """Unordered pairs of distinct tags co-occurring in one document, as
     ((a, b), count) rows in ascending key order, a < b in each key.
 
     Each document contributes one count per distinct pair; documents with
-    fewer than two distinct tags contribute nothing. Key order is what lets
-    `ranked` rank the rows with one stable sort. Each document adds its
+    fewer than two distinct tags contribute nothing. Each document adds its
     later tags to the partner list of every earlier one; each first tag's
     partners are counted as strings, and its rows follow its distinct
     partners in sorted order, so no pair tuple is built for a repeat.
@@ -46,7 +50,7 @@ def count_tag_pairs(corpus: Corpus) -> list[tuple[tuple[str, str], int]]:
             tags = sorted(set(d.hashtags))
             for i in range(1, len(tags)):
                 partners.setdefault(tags[i - 1], []).extend(tags[i:])
-    rows: list[tuple[tuple[str, str], int]] = []
+    rows = KeyOrderedRows()
     for a in sorted(partners):
         later = Counter(partners[a])
         keys = sorted(later)
@@ -86,31 +90,16 @@ def count_tokens(
     return surfaces, grams
 
 
-def ranked(counts: Mapping[Key, int] | list[tuple[Key, int]]) -> list[tuple[Key, int]]:
+def ranked(counts: Mapping[Key, int] | KeyOrderedRows) -> list[tuple[Key, int]]:
     """Every entry: descending count, ties ascending lexicographically.
 
-    A list is taken as (key, count) rows in ascending key order, as
-    count_tag_pairs returns them, and one stable sort by count ranks it.
-    A Mapping's keys, in any order, are grouped by count and each group
-    sorts in the keys' own order, which costs far less than building a rank
-    key for every entry: most entries of a long-tailed table share the few
-    smallest counts.
+    One stable sort by count ranks rows that are in ascending key order,
+    as the keys of one count keep their order. A Mapping's entries are
+    sorted by key first; KeyOrderedRows, such as count_tag_pairs returns,
+    already are.
     """
-    if isinstance(counts, list):
-        return sorted(counts, key=itemgetter(1), reverse=True)
-    buckets: dict[int, list[Key]] = {}
-    for key, count in counts.items():
-        bucket = buckets.get(count)
-        if bucket is None:
-            buckets[count] = [key]
-        else:
-            bucket.append(key)
-    rows: list[tuple[Key, int]] = []
-    for count in sorted(buckets, reverse=True):
-        keys = buckets[count]
-        keys.sort()
-        rows.extend(zip(keys, repeat(count)))
-    return rows
+    rows = counts if isinstance(counts, KeyOrderedRows) else sorted(counts.items())
+    return sorted(rows, key=itemgetter(1), reverse=True)
 
 
 def counts_to_csv(rows: Sequence[tuple[Key, int]], *, pairs: bool) -> str:

@@ -3,12 +3,14 @@ import io
 from collections import Counter
 from itertools import combinations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import make_corpus, make_doc
 from socmine.corpus import Corpus, normalize_tag
 from socmine.ngrams import (
+    KeyOrderedRows,
     count_tag_pairs,
     count_tags,
     count_tokens,
@@ -158,6 +160,13 @@ def test_ranked_tie_break_is_lexicographic():
     assert ranked({}) == []
 
 
+def test_ranked_takes_no_plain_list_as_in_key_order():
+    # Rows in a plain list may be in any order, so ranked does not take
+    # them, rather than break ties by their order.
+    with pytest.raises(AttributeError):
+        ranked([("b", 1), ("a", 1)])
+
+
 def _reference_order(entries):
     return sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
 
@@ -170,7 +179,8 @@ TAGS = st.text("ab", min_size=1, max_size=4)
 def test_ranked_tag_keys_match_reference_order(entries):
     # A table in any order, and its rows in key order as count_tag_pairs
     # returns them, rank alike.
-    assert ranked(sorted(entries.items())) == ranked(entries) == _reference_order(entries)
+    rows = KeyOrderedRows(sorted(entries.items()))
+    assert ranked(rows) == ranked(entries) == _reference_order(entries)
 
 
 @given(
@@ -181,7 +191,8 @@ def test_ranked_tag_keys_match_reference_order(entries):
     )
 )
 def test_ranked_pair_keys_match_reference_order(entries):
-    assert ranked(sorted(entries.items())) == ranked(entries) == _reference_order(entries)
+    rows = KeyOrderedRows(sorted(entries.items()))
+    assert ranked(rows) == ranked(entries) == _reference_order(entries)
 
 
 def test_counts_to_csv_scalar_and_pair_keys():

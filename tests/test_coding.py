@@ -19,7 +19,7 @@ from socmine.coding import (
 from socmine.errors import DataError
 from socmine.ngrams import count_tokens
 from socmine.resources import default_data_path
-from socmine.text import KeywordFamily
+from socmine.text import MIN_PREFIX_STEM, KeywordFamily
 
 NO_STOPS = frozenset()
 
@@ -159,6 +159,78 @@ def test_conservation_property(words):
     result = code_vocabulary(_surfaces(corpus), _small_taxonomy(), NO_STOPS)
     assigned = sum(len(c.unique_words) for c in result.per_category.values())
     assert assigned + len(result.uncategorized) == result.vocabulary_size
+
+
+def _scan_coding(freq, taxonomy, stops, min_freq, count_occurrences):
+    """A first-match linear scan of KeywordFamily.matches in taxonomy order."""
+    vocabulary = sorted(s for s, n in freq.items() if n >= min_freq and s not in stops)
+    assigned = {c.id: set() for c in taxonomy}
+    uncategorized = set()
+    multi = {}
+    for surface in vocabulary:
+        hits = [c.id for c in taxonomy for family in c.families if family.matches(surface)]
+        if not hits:
+            uncategorized.add(surface)
+            continue
+        assigned[hits[0]].add(surface)
+        if len(hits) > 1:
+            multi[surface] = tuple(dict.fromkeys(hits))
+    per_category = {
+        cid: (words, sum(freq[w] for w in words) if count_occurrences else len(words))
+        for cid, words in assigned.items()
+    }
+    return per_category, uncategorized, len(vocabulary), multi
+
+
+# Few letters, one of them not Latin-1, so that stems nest and surfaces
+# share heads with stems they do not match.
+CODING_ALPHABET = "abż"
+CODING_FAMILIES = st.one_of(
+    st.builds(KeywordFamily, st.text(CODING_ALPHABET, min_size=1, max_size=2), st.just("exact")),
+    st.builds(KeywordFamily, st.text(CODING_ALPHABET, min_size=3, max_size=5), st.just("exact")),
+    st.builds(
+        KeywordFamily,
+        st.text(CODING_ALPHABET, min_size=MIN_PREFIX_STEM, max_size=5),
+        st.just("prefix"),
+    ),
+)
+
+
+@given(
+    st.lists(st.lists(CODING_FAMILIES, max_size=3), max_size=4),
+    st.lists(st.text(CODING_ALPHABET, min_size=1, max_size=6), max_size=10),
+    st.data(),
+)
+def test_code_vocabulary_equals_first_match_scan(family_lists, extra, data):
+    taxonomy = tuple(
+        Category(id=str(i), label=f"C{i}", families=tuple(families))
+        for i, families in enumerate(family_lists, 1)
+    )
+    stems = [family.stem for families in family_lists for family in families]
+    # Each stem, shorter than it (down to under MIN_PREFIX_STEM) and longer.
+    surfaces = sorted({
+        *extra,
+        *(s for stem in stems for s in (stem, stem[:-1], stem[:2], stem[:1], stem + "a", stem + "ż")),
+    } - {""})
+    counts = data.draw(st.lists(st.integers(1, 3), min_size=len(surfaces), max_size=len(surfaces)))
+    # Counted surfaces come in corpus order, not sorted.
+    freq = dict(zip(data.draw(st.permutations(surfaces)), counts))
+    stops = frozenset(data.draw(st.lists(st.sampled_from(surfaces), max_size=3)) if surfaces else ())
+    min_freq = data.draw(st.integers(1, 3))
+    count_occurrences = data.draw(st.booleans())
+
+    result = code_vocabulary(freq, taxonomy, stops, min_freq, count_occurrences)
+    per_category, uncategorized, size, multi = _scan_coding(
+        freq, taxonomy, stops, min_freq, count_occurrences
+    )
+    assert list(result.per_category) == [c.id for c in taxonomy]
+    assert {
+        cid: (set(counted.unique_words), counted.count)
+        for cid, counted in result.per_category.items()
+    } == per_category
+    assert result.uncategorized == uncategorized
+    assert result.vocabulary_size == size
+    assert list(result.multi_matched.items()) == list(multi.items())
 
 
 def test_rollup_sums_children_into_parents():

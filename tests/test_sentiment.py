@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from helpers import GOLDEN
 from socmine.errors import DataError
-from socmine.ngrams import ranked
 from socmine.sentiment import (
     LexiconEntry,
     PowerReport,
@@ -186,10 +185,12 @@ def test_power_csv_golden():
 
 def _scan_power_rows(table, lexicon, min_freq):
     """Frozen copy of power_report's old per-row code: each key's parts made
-    strings, then _strength over a generator of halves."""
+    strings, then _strength over a generator of halves. Rows in rank order,
+    sorted here rather than by ngrams.ranked, so that a rank-order fault
+    there cannot pass on both sides."""
     rows = []
     kept = {key: count for key, count in table.items() if count >= min_freq}
-    for key, freq in ranked(kept):
+    for key, freq in sorted(kept.items(), key=lambda kv: (-kv[1], kv[0])):
         ngram = tuple(str(part) for part in key) if isinstance(key, tuple) else (str(key),)
         positive, negative = 1, -1
         for pos, neg in (_scan_halves(surface, lexicon) for surface in ngram):

@@ -11,6 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+from functools import partial
+from itertools import compress
+from operator import le
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -106,7 +109,8 @@ def code_vocabulary(
     Each surface goes to the first category (in taxonomy order) whose
     family matches it.
     """
-    vocabulary = sorted(s for s, n in freq.items() if n >= min_freq and s not in stops)
+    frequent = compress(freq, map(partial(le, min_freq), freq.values()))
+    vocabulary = set(frequent).difference(stops)
 
     index = StemIndex(
         (family, category.id)
@@ -114,26 +118,24 @@ def code_vocabulary(
         for family in category.families
     )
     assigned: dict[str, set[str]] = {c.id: set() for c in taxonomy}
-    uncategorized: set[str] = set()
     multi: dict[str, tuple[str, ...]] = {}
-    for surface in vocabulary:
+    # Only the surfaces a family could match are looked up, in sorted order;
+    # every other one is uncategorized.
+    for surface in sorted(index.candidates(list(vocabulary))):
         hits = index.lookup(surface)
-        if not hits:
-            uncategorized.add(surface)
-            continue
-        assigned[hits[0]].add(surface)
-        if len(hits) > 1:
-            deduped = tuple(dict.fromkeys(hits))
-            multi[surface] = deduped
+        if hits:
+            assigned[hits[0]].add(surface)
+            if len(hits) > 1:
+                multi[surface] = tuple(dict.fromkeys(hits))
 
     per_category: dict[str, CategoryCount] = {}
     for category in taxonomy:
         words = frozenset(assigned[category.id])
-        count = sum(freq[w] for w in words) if count_occurrences else len(words)
+        count = sum(map(freq.__getitem__, words)) if count_occurrences else len(words)
         per_category[category.id] = CategoryCount(unique_words=words, count=count)
     return CodingResult(
         per_category=per_category,
-        uncategorized=frozenset(uncategorized),
+        uncategorized=frozenset(vocabulary.difference(*assigned.values())),
         vocabulary_size=len(vocabulary),
         multi_matched=multi,
     )

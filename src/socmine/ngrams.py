@@ -96,9 +96,14 @@ def ranked(counts: Mapping[Key, int] | KeyOrderedRows) -> list[tuple[Key, int]]:
     One stable sort by count ranks rows that are in ascending key order,
     as the keys of one count keep their order. A Mapping's entries are
     sorted by key first; KeyOrderedRows, such as count_tag_pairs returns,
-    already are.
+    already are. A Mapping's keys are distinct, so sorting its entries by
+    key alone gives the order of sorting them whole, and the sort compares
+    keys of one type on its type-specialised path, not entry tuples.
     """
-    rows = counts if isinstance(counts, KeyOrderedRows) else sorted(counts.items())
+    if isinstance(counts, KeyOrderedRows):
+        rows = counts
+    else:
+        rows = sorted(counts.items(), key=itemgetter(0))
     return sorted(rows, key=itemgetter(1), reverse=True)
 
 

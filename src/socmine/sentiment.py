@@ -13,7 +13,9 @@ n-gram is scored from its own surfaces, which are never re-tokenized.
 
 from __future__ import annotations
 
-import functools
+from functools import partial
+from itertools import chain, compress, count, repeat
+from operator import itemgetter, mul, not_
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -75,8 +77,12 @@ def load_lexicon(path: str | Path) -> SentimentLexicon:
     return tuple(entries.values())
 
 
+# The halves of a surface no entry matches.
+NEUTRAL = (1, -1)
+
+
 def _halves(surface: str, index: StemIndex[tuple[str, int]]) -> tuple[int, int]:
-    """The (positive, negative) halves of one surface: (1, -1) when no entry matches."""
+    """The (positive, negative) halves of one surface: NEUTRAL when no entry matches."""
     boosts = {"positive": 0, "negative": 0}
     for polarity, boost in index.lookup(surface):
         boosts[polarity] = max(boosts[polarity], boost)
@@ -109,7 +115,7 @@ class PowerReport(NamedTuple):
 
     @property
     def sum_power(self) -> int:
-        return sum(row.power for row in self.rows)
+        return sum(map(itemgetter(3), self.rows))
 
 
 def power_report(
@@ -122,25 +128,37 @@ def power_report(
     frequency, ties broken by the n-gram itself ascending, so equally
     frequent n-grams list alphabetically.
     """
-    kept = {key: count for key, count in counts.items() if count >= min_freq}
+    rows = ranked({key: n for key, n in counts.items() if n >= min_freq})
+    ngrams = list(map(itemgetter(0), rows))
+    freqs = list(map(itemgetter(1), rows))
     # Distinct surfaces are far fewer than n-gram slots: look each one up
-    # once, for this call only.
-    halves_of = functools.cache(functools.partial(_halves, index=_index(lexicon)))
-    rows = []
-    for ngram, freq in ranked(kept):
-        strength = _strength(map(halves_of, ngram))
-        rows.append(ScoredNGram(ngram, freq, strength, freq * strength))
-    return PowerReport(rows=tuple(rows))
+    # once, and keep the halves of those some entry matches.
+    index = _index(lexicon)
+    halves: dict[str, tuple[int, int]] = {}
+    for surface in index.candidates(list(set(chain.from_iterable(ngrams)))):
+        if (scored := _halves(surface, index)) != NEUTRAL:
+            halves[surface] = scored
+    # An n-gram that holds none of them scores 1 - 1 = 0; the others are
+    # scored from their surfaces' halves.
+    strengths = [0] * len(ngrams)
+    for i in compress(count(), map(not_, map(halves.keys().isdisjoint, ngrams))):
+        strengths[i] = _strength(map(halves.get, ngrams[i], repeat(NEUTRAL)))
+    columns = zip(ngrams, freqs, strengths, map(mul, freqs, strengths))
+    # tuple.__new__ makes each row from its fields without a Python-level call.
+    return PowerReport(rows=tuple(map(partial(tuple.__new__, ScoredNGram), columns)))
 
 
 def power_csv(report: PowerReport) -> str:
-    """One row per scored n-gram in rank order, then the power sum as a comment line."""
-    lines = [
-        f"{' '.join(ngram)},{freq},{strength},{power}\n"
-        for ngram, freq, strength, power in report.rows
-    ]
-    fields = (
-        (" ".join(ngram), freq, strength, power) for ngram, freq, strength, power in report.rows
-    )
-    table = _csv_text("ngram,freq,strength,power", "".join(lines), len(lines), fields)
+    """One row per scored n-gram in rank order, then the power sum as a comment line.
+
+    Each distinct (freq, strength, power) line ending is formatted once, and
+    each n-gram's text is joined to its ending.
+    """
+    rows = report.rows
+    texts = list(map(" ".join, map(itemgetter(0), rows)))
+    numbers = list(map(itemgetter(1, 2, 3), rows))
+    ends = {key: ",{},{},{}\n".format(*key) for key in set(numbers)}
+    body = "".join(chain.from_iterable(zip(texts, map(ends.__getitem__, numbers))))
+    fields = ((text, *number) for text, number in zip(texts, numbers))
+    table = _csv_text("ngram,freq,strength,power", body, len(rows), fields)
     return f"{table}# sum_power,{report.sum_power}\n"

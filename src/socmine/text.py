@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import re
 import sys
+from itertools import compress
+from operator import itemgetter, or_
 from pathlib import Path
-from typing import Generic, Iterable, NamedTuple, TypeVar
+from typing import Generic, Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import DataError
 from .resources import read_rows
@@ -75,6 +77,14 @@ class StemIndex(Generic[V]):
             stems.setdefault(family.stem, []).append((rank, value))
         self._lengths = sorted({len(stem) for stem in self._prefix})
         self._heads = frozenset(stem[:MIN_PREFIX_STEM] for stem in self._prefix)
+
+    def candidates(self, surfaces: Sequence[str]) -> list[str]:
+        """The surfaces, in their order, that some family could match: each
+        that equals an exact stem, or whose first MIN_PREFIX_STEM characters
+        begin a prefix stem. lookup finds no family for any other surface."""
+        exact = map(self._exact.__contains__, surfaces)
+        heads = map(self._heads.__contains__, map(itemgetter(slice(MIN_PREFIX_STEM)), surfaces))
+        return list(compress(surfaces, map(or_, exact, heads)))
 
     def lookup(self, surface: str) -> list[V]:
         exact = self._exact.get(surface, ())

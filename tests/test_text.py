@@ -175,6 +175,10 @@ def test_stem_index_orders_hits_like_the_families():
     assert index.lookup("polityka") == ["c"]
     assert index.lookup("po") == []
     assert index.lookup("") == []
+    # "polo" begins no prefix stem past its head "pol"; "pa" begins none.
+    assert index.candidates(["police", "pa", "polo", "", "policeman"]) == [
+        "police", "polo", "policeman"
+    ]
 
 
 # Lowercase letters, non-ASCII ones included, few enough that stems nest,
@@ -201,3 +205,7 @@ def test_stem_index_equals_linear_scan(families, extra_surfaces):
     for surface in surfaces:
         expected = [value for family, value in pairs if family.matches(surface)]
         assert index.lookup(surface) == expected
+    # The candidates keep their order and hold every surface that matches.
+    candidates = index.candidates(surfaces)
+    assert candidates == [s for s in surfaces if s in set(candidates)]
+    assert [s for s in surfaces if index.lookup(s)] == [s for s in candidates if index.lookup(s)]

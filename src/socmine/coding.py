@@ -11,9 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from functools import partial
-from itertools import compress
-from operator import le
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -109,8 +106,7 @@ def code_vocabulary(
     Each surface goes to the first category (in taxonomy order) whose
     family matches it.
     """
-    frequent = compress(freq, map(partial(le, min_freq), freq.values()))
-    vocabulary = set(frequent).difference(stops)
+    vocabulary = {s for s, n in freq.items() if n >= min_freq and s not in stops}
 
     index = StemIndex(
         (family, category.id)
@@ -121,7 +117,7 @@ def code_vocabulary(
     multi: dict[str, tuple[str, ...]] = {}
     # Only the surfaces a family could match are looked up, in sorted order;
     # every other one is uncategorized.
-    for surface in sorted(index.candidates(list(vocabulary))):
+    for surface in sorted(index.candidates(vocabulary)):
         hits = index.lookup(surface)
         if hits:
             assigned[hits[0]].add(surface)

@@ -13,7 +13,6 @@ n-gram is scored from its own surfaces, which are never re-tokenized.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import chain, compress, count, repeat
 from operator import itemgetter, mul, not_
 from pathlib import Path
@@ -131,11 +130,11 @@ def power_report(
     rows = ranked({key: n for key, n in counts.items() if n >= min_freq})
     ngrams = list(map(itemgetter(0), rows))
     freqs = list(map(itemgetter(1), rows))
-    # Distinct surfaces are far fewer than n-gram slots: look each one up
-    # once, and keep the halves of those some entry matches.
+    # Distinct surfaces are far fewer than n-gram slots: look up once each
+    # one that an entry could match, and keep its halves if not NEUTRAL.
     index = _index(lexicon)
     halves: dict[str, tuple[int, int]] = {}
-    for surface in index.candidates(list(set(chain.from_iterable(ngrams)))):
+    for surface in index.candidates(set(chain.from_iterable(ngrams))):
         if (scored := _halves(surface, index)) != NEUTRAL:
             halves[surface] = scored
     # An n-gram that holds none of them scores 1 - 1 = 0; the others are
@@ -144,8 +143,7 @@ def power_report(
     for i in compress(count(), map(not_, map(halves.keys().isdisjoint, ngrams))):
         strengths[i] = _strength(map(halves.get, ngrams[i], repeat(NEUTRAL)))
     columns = zip(ngrams, freqs, strengths, map(mul, freqs, strengths))
-    # tuple.__new__ makes each row from its fields without a Python-level call.
-    return PowerReport(rows=tuple(map(partial(tuple.__new__, ScoredNGram), columns)))
+    return PowerReport(rows=tuple(map(ScoredNGram._make, columns)))
 
 
 def power_csv(report: PowerReport) -> str:

@@ -12,7 +12,7 @@ import sys
 from itertools import compress
 from operator import itemgetter, or_
 from pathlib import Path
-from typing import Generic, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Collection, Generic, Iterable, NamedTuple, TypeVar
 
 from .errors import DataError
 from .resources import read_rows
@@ -78,10 +78,11 @@ class StemIndex(Generic[V]):
         self._lengths = sorted({len(stem) for stem in self._prefix})
         self._heads = frozenset(stem[:MIN_PREFIX_STEM] for stem in self._prefix)
 
-    def candidates(self, surfaces: Sequence[str]) -> list[str]:
-        """The surfaces, in their order, that some family could match: each
+    def candidates(self, surfaces: Collection[str]) -> list[str]:
+        """The surfaces that some family could match, in their order: each
         that equals an exact stem, or whose first MIN_PREFIX_STEM characters
-        begin a prefix stem. lookup finds no family for any other surface."""
+        begin a prefix stem. lookup finds no family for any other surface.
+        surfaces is read three times, so it is a collection, not an iterator."""
         exact = map(self._exact.__contains__, surfaces)
         heads = map(self._heads.__contains__, map(itemgetter(slice(MIN_PREFIX_STEM)), surfaces))
         return list(compress(surfaces, map(or_, exact, heads)))

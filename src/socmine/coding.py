@@ -115,8 +115,8 @@ def code_vocabulary(
     )
     assigned: dict[str, set[str]] = {c.id: set() for c in taxonomy}
     multi: dict[str, tuple[str, ...]] = {}
-    # Only the surfaces a family could match are looked up, in sorted order;
-    # every other one is uncategorized.
+    # Only the surfaces a family could match are looked up, in sorted order
+    # so that multi_matched lists them sorted; every other one is uncategorized.
     for surface in sorted(index.candidates(vocabulary)):
         hits = index.lookup(surface)
         if hits:

@@ -208,14 +208,15 @@ def test_code_vocabulary_equals_first_match_scan(family_lists, extra, data):
     )
     stems = [family.stem for families in family_lists for family in families]
     # Each stem, shorter than it (down to under MIN_PREFIX_STEM) and longer.
-    surfaces = sorted({
-        *extra,
-        *(s for stem in stems for s in (stem, stem[:-1], stem[:2], stem[:1], stem + "a", stem + "ż")),
-    } - {""})
-    counts = data.draw(st.lists(st.integers(1, 3), min_size=len(surfaces), max_size=len(surfaces)))
+    variants = (
+        s for stem in stems for s in (stem, stem[:-1], stem[:2], stem[:1], stem + "a", stem + "ż")
+    )
+    surfaces = sorted({*extra, *variants} - {""})
+    n = len(surfaces)
+    counts = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     # Counted surfaces come in corpus order, not sorted.
     freq = dict(zip(data.draw(st.permutations(surfaces)), counts))
-    stops = frozenset(data.draw(st.lists(st.sampled_from(surfaces), max_size=3)) if surfaces else ())
+    stops = frozenset(data.draw(st.lists(st.sampled_from(surfaces), max_size=3)) if n else ())
     min_freq = data.draw(st.integers(1, 3))
     count_occurrences = data.draw(st.booleans())
 

@@ -242,7 +242,7 @@ def load_config(path: str | Path) -> Config:
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise DataError(f"config file {path}: {utf8_fault(exc)}") from exc
+        raise DataError(f"config file {path}: {utf8_fault(path)}") from exc
     try:
         loaded = yaml.safe_load(text)
     # Also a constructor's ValueError (the date 2013-13-45) and deep nesting.

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DataError
+from .resources import utf8_fault
 
 SOURCES = ("tweet", "forum_post")
 
@@ -42,9 +43,6 @@ _BAD_TAG_CHAR = re.compile(r"[#\s\x00-\x1f\ud800-\udfff\ufffe\uffff]")
 # UTF-8 writer can encode. Both formats are decoded strictly, so a record
 # can hold one only when its JSONL line holds a backslash-u.
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
-
-# What the surrogateescape error handler makes of bytes that are not UTF-8.
-_UNDECODED = re.compile(r"[\udc80-\udcff]")
 
 # The C scanner that json.loads wraps, with json.loads's default settings.
 _scan_json = json.JSONDecoder().scan_once
@@ -223,17 +221,6 @@ def _record_to_document(
     return Document(doc_id, timestamp, text, tuple(tags), lang, source)
 
 
-def _undecodable(path: Path) -> DataError:
-    """The error naming the first line of path that is not valid UTF-8."""
-    with path.open(encoding="utf-8-sig", errors="surrogateescape") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            bad = _UNDECODED.search(line)
-            if bad:
-                byte = ord(bad.group()) - 0xDC00
-                return DataError(f"line {line_no}: invalid UTF-8 byte 0x{byte:02x}")
-    return DataError(f"{path}: invalid UTF-8")
-
-
 def _loads_line(line: str) -> object:
     """json.loads(line): the same value, or the same exception. A line that
     is one JSON value and then its newline, as a JSONL line is, skips
@@ -337,7 +324,9 @@ def load_corpus(
             seen_ids[doc.id] = line_no
             documents.append(doc)
     except UnicodeDecodeError as exc:
-        raise _undecodable(path) from exc
+        raise DataError(utf8_fault(path)) from exc
+    except OSError as exc:
+        raise DataError(f"cannot read corpus file {path}: {exc}") from exc
     # Every record read is a document now, or the load has raised.
     records_read = len(documents)
 

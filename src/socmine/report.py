@@ -73,6 +73,7 @@ class StageResult(NamedTuple):
     name: str
     artifacts: tuple[str, ...]
     summary: Mapping[str, Any]
+    headline: str
     seconds: float
 
 
@@ -98,31 +99,9 @@ class RunManifest(NamedTuple):
     def console_summary(self) -> str:
         lines = [f"run {self.run_id[:12]} -> {self.run_dir}"]
         for stage in self.stages:
-            lines.append(f"  {stage.name:<10} {stage.seconds:7.3f}s  {_headline(stage)}")
+            lines.append(f"  {stage.name:<10} {stage.seconds:7.3f}s  {stage.headline}")
         lines.append(f"manifest: {self.run_dir / MANIFEST_NAME}")
         return "\n".join(lines)
-
-
-def _headline(stage: StageResult) -> str:
-    s = stage.summary
-    if stage.name == "ingest":
-        return f"{s['records_kept']} of {s['records_read']} records kept"
-    if stage.name == "tags":
-        return f"{s['distinct']} distinct tags"
-    if stage.name == "pairs":
-        return f"{s['distinct']} distinct pairs"
-    if stage.name == "graph":
-        return f"{s['nodes']} nodes, {s['edges']} edges"
-    if stage.name == "timeline":
-        shapes = sorted(s["shapes"].items())
-        return ", ".join(f"{tag}:{v['shape']}" for tag, v in shapes) or "no tags to plot"
-    if stage.name == "coding":
-        return f"{s['vocabulary_size']} words, {s['uncategorized']} uncategorized"
-    if stage.name == "pronouns":
-        return f"them {s['them_total']} / us {s['us_total']} (ratio {s['ratio']})"
-    if stage.name == "sentiment":
-        return f"{s['rows']} n-grams, sum power {s['sum_power']}"
-    return ""
 
 
 def _write_text(run_dir: Path, name: str, content: str) -> str:
@@ -273,8 +252,8 @@ class Context:
 
 
 # Stage renderers: each writes its artifacts into run_dir and returns their
-# names and the stage summary.
-Rendered = tuple[list[str], dict[str, Any]]
+# names, the stage summary and the stage's console line.
+Rendered = tuple[list[str], dict[str, Any], str]
 
 
 def _stage_ingest(ctx: Context, run_dir: Path) -> Rendered:
@@ -288,7 +267,8 @@ def _stage_ingest(ctx: Context, run_dir: Path) -> Rendered:
         "documents": len(corpus.documents),
         "window": [_iso_utc(start), _iso_utc(end)],
     }
-    return ["corpus.jsonl"], summary
+    line = f"{load_report.records_kept} of {load_report.records_read} records kept"
+    return ["corpus.jsonl"], summary, line
 
 
 def _stage_counts(name: str, ctx: Context, run_dir: Path) -> Rendered:
@@ -302,7 +282,7 @@ def _stage_counts(name: str, ctx: Context, run_dir: Path) -> Rendered:
         "total": sum(map(itemgetter(1), rows)),
         "top": _summary_rows(ctx.top_rows(name)),
     }
-    return [artifact], summary
+    return [artifact], summary, f"{len(rows)} distinct {name}"
 
 
 def _stage_graph(ctx: Context, run_dir: Path) -> Rendered:
@@ -320,7 +300,7 @@ def _stage_graph(ctx: Context, run_dir: Path) -> Rendered:
         "threshold": cfg["threshold"],
         "components": len(components(graph)),
     }
-    return artifacts, summary
+    return artifacts, summary, f"{len(graph.nodes)} nodes, {len(graph.edges)} edges"
 
 
 def _stage_timeline(ctx: Context, run_dir: Path) -> Rendered:
@@ -345,7 +325,9 @@ def _stage_timeline(ctx: Context, run_dir: Path) -> Rendered:
             "reason": verdict.reason,
         }
     summary = {"tags": [s.tag for s in series], "shapes": shapes}
-    return artifacts, summary
+    # The series are in tag order, and so are the shapes.
+    line = ", ".join(f"{tag}:{v['shape']}" for tag, v in shapes.items())
+    return artifacts, summary, line or "no tags to plot"
 
 
 def _stage_coding(ctx: Context, run_dir: Path) -> Rendered:
@@ -353,13 +335,14 @@ def _stage_coding(ctx: Context, run_dir: Path) -> Rendered:
 
     taxonomy, result, rolled = ctx.coding
     artifact = _write_text(run_dir, "coding.csv", coding_csv(result, rolled, taxonomy))
+    uncategorized = len(result.uncategorized)
     summary = {
         "vocabulary_size": result.vocabulary_size,
-        "uncategorized": len(result.uncategorized),
+        "uncategorized": uncategorized,
         "multi_matched": len(result.multi_matched),
         "top_level": {c.id: rolled[c.id] for c in taxonomy if c.parent is None},
     }
-    return [artifact], summary
+    return [artifact], summary, f"{result.vocabulary_size} words, {uncategorized} uncategorized"
 
 
 def _stage_pronouns(ctx: Context, run_dir: Path) -> Rendered:
@@ -367,12 +350,9 @@ def _stage_pronouns(ctx: Context, run_dir: Path) -> Rendered:
 
     report = ctx.pronouns
     artifact = _write_text(run_dir, "pronouns.csv", pronouns_csv(report))
-    summary = {
-        "them_total": report.them_total,
-        "us_total": report.us_total,
-        "ratio": format_ratio(report.ratio),
-    }
-    return [artifact], summary
+    them, us, ratio = report.them_total, report.us_total, format_ratio(report.ratio)
+    summary = {"them_total": them, "us_total": us, "ratio": ratio}
+    return [artifact], summary, f"them {them} / us {us} (ratio {ratio})"
 
 
 def _stage_sentiment(ctx: Context, run_dir: Path) -> Rendered:
@@ -385,7 +365,7 @@ def _stage_sentiment(ctx: Context, run_dir: Path) -> Rendered:
         "distinct_2grams": len(ctx.token_counts[1]),
         "sum_power": report.sum_power,
     }
-    return [artifact], summary
+    return [artifact], summary, f"{len(report.rows)} n-grams, sum power {report.sum_power}"
 
 
 _STAGES: dict[str, Callable[[Context, Path], Rendered]] = {
@@ -422,9 +402,9 @@ def _render(
     results = []
     start = perf_counter() if start is None else start
     for name in names:
-        artifacts, summary = _in_stage(name, partial(_STAGES[name], ctx, build_dir))
+        artifacts, summary, headline = _in_stage(name, partial(_STAGES[name], ctx, build_dir))
         end = perf_counter()
-        results.append(StageResult(name, tuple(artifacts), summary, end - start))
+        results.append(StageResult(name, tuple(artifacts), summary, headline, end - start))
         start = end
     return results
 

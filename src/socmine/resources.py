@@ -1,10 +1,11 @@
 """The data files bundled with the package (default stopword list,
 taxonomy, pronoun groups, demonstration lexicon), the one reader every
 data-file loader uses, and the text naming a byte that is not UTF-8,
-which the config loader shares."""
+which the corpus and config loaders share."""
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Iterator
 
@@ -38,14 +39,22 @@ def read_rows(path: str | Path, kind: str) -> Iterator[tuple[int, list[str]]]:
     except OSError as exc:
         raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise DataError(utf8_fault(exc)) from exc
+        raise DataError(utf8_fault(path)) from exc
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield line_no, line.split("\t")
 
 
-def utf8_fault(exc: UnicodeDecodeError) -> str:
-    """`line N: invalid UTF-8 byte 0xXX`, for a whole file that failed to decode."""
-    line_no = exc.object.count(b"\n", 0, exc.start) + 1
-    return f"line {line_no}: invalid UTF-8 byte 0x{exc.object[exc.start]:02x}"
+def utf8_fault(path: str | Path) -> str:
+    """`line N: invalid UTF-8 byte 0xXX`, for the first such byte of a file
+    that failed to decode, its lines counted as a text-mode reader ends
+    them: at LF, CRLF or a lone CR."""
+    # surrogateescape reads each undecodable byte as U+DC80-U+DCFF; the
+    # pattern is compiled on this error path alone, not at import.
+    with Path(path).open(encoding="utf-8-sig", errors="surrogateescape") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            bad = re.search("[\udc80-\udcff]", line)
+            if bad:
+                return f"line {line_no}: invalid UTF-8 byte 0x{ord(bad.group()) - 0xDC00:02x}"
+    return "invalid UTF-8"

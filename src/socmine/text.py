@@ -62,9 +62,8 @@ class StemIndex(Generic[V]):
     """Finds every family a surface matches with dict probes, not a scan.
 
     Built once from (family, value) pairs. A lookup probes the exact stems
-    once and, when the surface's first MIN_PREFIX_STEM characters begin
-    some prefix stem, the prefix stems once per distinct prefix-stem length
-    that fits the surface. It returns the values of the matching families in
+    once and the prefix stems once per distinct prefix-stem length that
+    fits the surface. It returns the values of the matching families in
     the order they were given, the order a scan of KeywordFamily.matches
     over the pairs gives.
     """
@@ -88,12 +87,7 @@ class StemIndex(Generic[V]):
         return list(compress(surfaces, map(or_, exact, heads)))
 
     def lookup(self, surface: str) -> list[V]:
-        exact = self._exact.get(surface, ())
-        # Every prefix stem has at least MIN_PREFIX_STEM characters, so a
-        # surface whose head starts no prefix stem matches none of them.
-        if surface[:MIN_PREFIX_STEM] not in self._heads:
-            return [value for _, value in exact]
-        hits = list(exact)
+        hits = list(self._exact.get(surface, ()))
         for n in self._lengths:
             if n > len(surface):
                 break

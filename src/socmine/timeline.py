@@ -142,18 +142,18 @@ def classify_shape(series: CumulativeSeries) -> ShapeVerdict:
 
 def export_timeline(series: Sequence[CumulativeSeries], fmt: str = "csv") -> str:
     """Render series, one or more over one window, as CSV (date column + one
-    column per tag) or an SVG chart (fmt "svg")."""
+    column per tag) or an SVG chart (fmt "svg"). Columns, lines and legend
+    entries keep the order of series."""
     return _export_csv(series) if fmt == "csv" else _export_svg(series)
 
 
 def _export_csv(series: Sequence[CumulativeSeries]) -> str:
     axis = series[0].days
-    ordered = sorted(series, key=lambda s: s.tag)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["date"] + [s.tag for s in ordered])
+    writer.writerow(["date"] + [s.tag for s in series])
     for i, day in enumerate(axis):
-        writer.writerow([day.isoformat()] + [s.buckets[i][1] for s in ordered])
+        writer.writerow([day.isoformat()] + [s.buckets[i][1] for s in series])
     return buffer.getvalue()
 
 
@@ -173,8 +173,7 @@ def _escape(text: str) -> str:
 
 def _export_svg(series: Sequence[CumulativeSeries]) -> str:
     axis = series[0].days
-    ordered = sorted(series, key=lambda s: s.tag)
-    max_value = max(1, max(s.total for s in ordered))
+    max_value = max(1, max(s.total for s in series))
     span_x = _PLOT["right"] - _PLOT["left"]
     span_y = _PLOT["bottom"] - _PLOT["top"]
     steps = max(1, len(axis) - 1)
@@ -199,7 +198,7 @@ def _export_svg(series: Sequence[CumulativeSeries]) -> str:
         f'<text x="4" y="{_PLOT["top"] + 4}" font-size="11">{max_value}</text>',
         f'<text x="4" y="{_PLOT["bottom"] + 4}" font-size="11">0</text>',
     ]
-    for idx, s in enumerate(ordered):
+    for idx, s in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         points = " ".join(
             f"{x_of(i):.2f},{y_of(cum):.2f}" for i, (_, cum) in enumerate(s.buckets)

@@ -12,6 +12,9 @@ UTC = timezone.utc
 BASE = datetime(2013, 5, 20, 12, 0, 0, tzinfo=UTC)
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+# The line ends a text-mode reader splits at, keyed by the suffix each adds
+# to a test id; LF adds none.
+LINE_ENDS = {"": b"\n", "-cr": b"\r", "-crlf": b"\r\n"}
 
 
 def make_doc(doc_id: str, day: int = 0, text: str = "", tags=(), **kwargs) -> Document:

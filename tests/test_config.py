@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import socmine
+from helpers import LINE_ENDS
 from socmine.config import (
     DEFAULTS,
     RULES,
@@ -180,12 +181,13 @@ def test_load_config_errors(tmp_path):
     with pytest.raises(DataError, match="must be a mapping"):
         load_config(scalar)
     # Data files name the line of a byte that is not UTF-8; a config file
-    # names its path too.
+    # names its path too. A lone CR ends a line, as it does for YAML.
     undecodable = tmp_path / "undecodable.yaml"
-    undecodable.write_bytes(b'corpus:\n  path: "x\xff.jsonl"\n')
-    with pytest.raises(DataError) as raised:
-        load_config(undecodable)
-    assert str(raised.value) == f"config file {undecodable}: line 2: invalid UTF-8 byte 0xff"
+    for eol in LINE_ENDS.values():
+        undecodable.write_bytes(b"corpus:" + eol + b'  path: "x\xff.jsonl"' + eol)
+        with pytest.raises(DataError) as raised:
+            load_config(undecodable)
+        assert str(raised.value) == f"config file {undecodable}: line 2: invalid UTF-8 byte 0xff"
     empty = tmp_path / "empty.yaml"
     empty.write_text("", encoding="utf-8")
     assert load_config(empty)["tags"]["top"] == DEFAULTS["tags"]["top"]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socmine.corpus
-from helpers import BASE, FIXTURES, UTC, make_doc, write_csv_corpus
+from helpers import BASE, FIXTURES, LINE_ENDS, UTC, make_doc, write_csv_corpus
 from socmine.cli import main
 from socmine.config import file_digest
 from socmine.corpus import (
@@ -456,17 +456,19 @@ def test_load_corpus_checks_each_tag_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "fmt,header,good,bad",
-    [
-        ("jsonl", b"", b'{"id": "%d", "ts": 0}\n', b'{"id": "bad", "ts": 0, "text": "\xff"}\n'),
-        ("csv", b"id,ts,text,tags\n", b"%d,2013-05-20,x,\n", b"bad,2013-05-20,\xff,\n"),
-    ],
-    ids=["jsonl", "csv"],
+    "fmt,header,good,bad,eol",
+    [pytest.param(fmt, header, good, bad, eol, id=fmt + suffix)
+     for suffix, eol in LINE_ENDS.items()
+     for fmt, header, good, bad in [
+         ("jsonl", b"", b'{"id": "%d", "ts": 0}\n', b'{"id": "bad", "ts": 0, "text": "\xff"}\n'),
+         ("csv", b"id,ts,text,tags\n", b"%d,2013-05-20,x,\n", b"bad,2013-05-20,\xff,\n"),
+     ]],
 )
-def test_load_corpus_invalid_utf8_names_its_line(tmp_path, fmt, header, good, bad):
+def test_load_corpus_invalid_utf8_names_its_line(tmp_path, fmt, header, good, bad, eol):
     path = tmp_path / f"c.{fmt}"
     # Valid records that span several read buffers come before the bad byte.
-    path.write_bytes(header + b"".join(good % i for i in range(3000)) + bad)
+    body = header + b"".join(good % i for i in range(3000)) + bad
+    path.write_bytes(body.replace(b"\n", eol))
     line = header.count(b"\n") + 3001
     with pytest.raises(DataError, match=rf"^line {line}: invalid UTF-8 byte 0xff$"):
         load_corpus(path, fmt=fmt)

@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +95,25 @@ def test_bad_input_exits_2_naming_where(tmp_path, case):
     assert err.startswith(message) and err.count("\n") == 1, err
     # A failed command leaves nothing behind, a run directory least of all.
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", [["tags"], ["ingest", "--format", "csv"]],
+                         ids=["tags", "ingest-csv"])
+def test_an_unreadable_corpus_exits_2(tmp_path, monkeypatch, command):
+    # A mode-000 file does not stop root, so the corpus refuses to open here.
+    corpus = tmp_path / "locked.jsonl"
+    corpus.write_bytes(TWITTER.read_bytes())
+    opened = Path.open
+
+    def locked(path, *args, **kwargs):
+        if path == corpus:
+            raise PermissionError(13, "Permission denied")
+        return opened(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", locked)
+    assert _main([command[0], corpus, *command[1:]]) == (
+        2, "", f"error: cannot read corpus file {corpus}: [Errno 13] Permission denied\n"
+    )
 
 
 def test_a_stray_value_error_is_an_internal_fault(tmp_path, monkeypatch):

@@ -75,6 +75,51 @@ def test_manifest_embeds_no_jobs_or_timings(workspace):
     assert "manifest:" in manifest.console_summary()
 
 
+# The console line of each stage of the default run on the two fixtures;
+# forum.jsonl has no hashtags, so its timeline has nothing to plot.
+CONSOLE = {
+    "twitter": [
+        "6320 of 6320 records kept",
+        "5217 distinct tags",
+        "5204 distinct pairs",
+        "6 nodes, 7 edges",
+        "migpol:linear, sthlmriot:linear, sthlmriots:linear, stockholm:linear, svpol:linear",
+        "1 words, 1 uncategorized",
+        "them 0 / us 0 (ratio inf)",
+        "0 n-grams, sum power 0",
+    ],
+    "forum": [
+        "525 of 525 records kept",
+        "0 distinct tags",
+        "0 distinct pairs",
+        "0 nodes, 0 edges",
+        "no tags to plot",
+        "34 words, 31 uncategorized",
+        "them 170 / us 18 (ratio 9.4444)",
+        "32 n-grams, sum power -8",
+    ],
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("fixture", sorted(CONSOLE))
+def test_console_summary_gives_each_stage_its_line(tmp_path, fixture, jobs):
+    config = make_config(
+        {"corpus": {"path": str(FIXTURES / f"{fixture}.jsonl")},
+         "run": {"out_dir": "runs", "jobs": jobs}},
+        base_dir=tmp_path,
+    )
+    manifest = run_pipeline(config)
+    # Each stage's own seconds stand in for the timings, which vary.
+    assert manifest.console_summary().splitlines() == [
+        f"run {manifest.run_id[:12]} -> {manifest.run_dir}",
+        *(f"  {stage.name:<10} {stage.seconds:7.3f}s  {line}"
+          for stage, line in zip(manifest.stages, CONSOLE[fixture], strict=True)),
+        f"manifest: {manifest.run_dir / MANIFEST_NAME}",
+    ]
+    assert [stage.name for stage in manifest.stages] == list(STAGES)
+
+
 def test_rerun_is_byte_identical_across_jobs(workspace):
     first = run_pipeline(_config(workspace, run={"jobs": 1, "out_dir": "runs_a"}))
     second = run_pipeline(_config(workspace, run={"jobs": 7, "out_dir": "runs_b"}))
@@ -478,7 +523,7 @@ def test_jobs_2_renders_the_tag_side_in_a_child(workspace, monkeypatch):
     blob = "x" * (1 << 20)
 
     def big(ctx, run_dir):
-        return [], {"blob": blob}
+        return [], {"blob": blob}, "big"
 
     monkeypatch.setitem(socmine.report._STAGES, "timeline", logged("timeline", big))
 

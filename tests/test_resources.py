@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import LINE_ENDS
 from socmine.coding import load_pronoun_groups, load_taxonomy
 from socmine.errors import DataError
 from socmine.resources import read_rows
@@ -38,10 +39,16 @@ def test_every_loader_skips_a_byte_order_mark(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
-@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
-def test_every_loader_names_the_line_of_a_bad_byte(tmp_path, name, bom):
+@pytest.mark.parametrize(
+    "bom,eol",
+    [pytest.param(bom, eol, id=kind + suffix)
+     for suffix, eol in LINE_ENDS.items()
+     for kind, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf"))],
+)
+def test_every_loader_names_the_line_of_a_bad_byte(tmp_path, name, bom, eol):
+    # Lines are counted as the reader splits them: a lone CR ends one too.
     load, body = LOADERS[name]
     path = tmp_path / "bad"
-    path.write_bytes(bom + body.encode("utf-8") + b"x\xff\n")
+    path.write_bytes(bom + body.encode("utf-8").replace(b"\n", eol) + b"x\xff" + eol)
     with pytest.raises(DataError, match=r"^line 3: invalid UTF-8 byte 0xff$"):
         load(path)

@@ -275,14 +275,15 @@ def config_digest(raw_values: Mapping[str, Any]) -> str:
 
 
 def file_digest(path: str | Path) -> str:
-    """SHA-256 of a file's bytes; used to fingerprint corpus inputs."""
+    """SHA-256 of a corpus file's bytes, its fingerprint in the manifest; an
+    unreadable file gets load_corpus's wording."""
     import hashlib
 
     digest = hashlib.sha256()
     try:
-        with open(path, "rb") as handle:
+        with Path(path).open("rb") as handle:
             for chunk in iter(lambda: handle.read(1 << 16), b""):
                 digest.update(chunk)
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read corpus file {path}: {exc}") from exc
     return digest.hexdigest()

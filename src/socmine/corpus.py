@@ -2,7 +2,9 @@
 
 load_corpus is where records are checked, filtered and counted, each
 fault named by its line; Document and Corpus trust what they are given.
-A loaded Corpus is immutable and sorted.
+A loaded Corpus is immutable and sorted. Times are UTC epoch seconds as
+ints: parse_timestamp checks each through datetime and floors it to its
+second, and _iso_utc writes one back as YYYY-MM-DDTHH:MM:SSZ.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ import csv
 import json
 import re
 from collections import Counter
-from datetime import datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from itertools import zip_longest
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -47,6 +50,11 @@ _SURROGATE = re.compile(r"[\ud800-\udfff]")
 # The C scanner that json.loads wraps, with json.loads's default settings.
 _scan_json = json.JSONDecoder().scan_once
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
+_SECOND = timedelta(seconds=1)
+_DAY = 86400
+
 
 def _check_tag(tag: str) -> None:
     if not tag:
@@ -62,7 +70,7 @@ class Document(NamedTuple):
     """One social-media record (tweet or forum post)."""
 
     id: str
-    timestamp: datetime
+    timestamp: int  # UTC epoch seconds
     text: str
     hashtags: tuple[str, ...] = ()
     lang: str | None = None
@@ -70,19 +78,20 @@ class Document(NamedTuple):
 
 
 class Corpus(NamedTuple):
-    """Documents sorted by (timestamp, id) inside a closed time window."""
+    """Documents sorted by (timestamp, id) inside a closed time window of
+    UTC epoch seconds."""
 
     documents: tuple[Document, ...]
-    window: tuple[datetime, datetime]
+    window: tuple[int, int]
 
     @classmethod
     def from_documents(
         cls,
         documents: Iterable[Document],
-        window: tuple[datetime, datetime] | None = None,
+        window: tuple[int, int] | None = None,
     ) -> "Corpus":
         """Sort documents and infer the window from them when not given."""
-        docs = sorted(documents, key=lambda d: (d.timestamp, d.id))
+        docs = sorted(documents, key=itemgetter(1, 0))
         if window is None:
             window = (docs[0].timestamp, docs[-1].timestamp)
         return cls(documents=tuple(docs), window=window)
@@ -113,20 +122,40 @@ class LoadReport(NamedTuple):
         return "\n".join(lines)
 
 
+class _DayPrefixes(dict):
+    """Each day's "YYYY-MM-DDT", keyed by days since 1970-01-01, made on
+    first use; an entry depends on its key alone, so one memo serves every
+    caller. date.isoformat writes the year with four digits, where
+    strftime("%Y") writes year 5 as "5", which parse_timestamp rejects."""
+
+    def __missing__(self, day: int) -> str:
+        if not _HH_MM:
+            # Filled for the first time written, not at import, which every
+            # command would pay for.
+            _HH_MM.extend(f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60))
+            _SS_Z.extend(f"{s:02d}Z" for s in range(60))
+        prefix = self[day] = date.fromordinal(_EPOCH_ORDINAL + day).isoformat() + "T"
+        return prefix
+
+
+_DAY_PREFIXES = _DayPrefixes()
+_HH_MM: list[str] = []  # "HH:MM:" of each minute of a day
+_SS_Z: list[str] = []  # "SSZ" of each second of a minute
+
+
 # Per-document helper: private, so a tracer wrapping public functions
 # leaves it alone.
-def _iso_utc(dt: datetime) -> str:
-    """A UTC time as YYYY-MM-DDTHH:MM:SSZ, the year always four digits.
-
-    strftime("%Y") writes year 5 as "5", which parse_timestamp rejects.
-    isoformat's first 19 characters are that text with or without a
-    tzinfo or a microsecond.
-    """
-    return dt.isoformat()[:19] + "Z"
+def _iso_utc(ts: int) -> str:
+    """UTC epoch seconds as YYYY-MM-DDTHH:MM:SSZ, the year always four digits."""
+    day, second = divmod(ts, _DAY)
+    prefix = _DAY_PREFIXES[day]  # first, as it builds the two tables
+    minute, second = divmod(second, 60)
+    return prefix + _HH_MM[minute] + _SS_Z[second]
 
 
-def parse_timestamp(value: str | int | float) -> datetime:
-    """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
+def parse_timestamp(value: str | int | float) -> int:
+    """Parse an ISO-8601 timestamp or epoch seconds into UTC epoch seconds,
+    floored to the second; naive values are taken as UTC."""
     if isinstance(value, (int, float)):
         ts = datetime.fromtimestamp(float(value), tz=timezone.utc)
     else:
@@ -136,19 +165,21 @@ def parse_timestamp(value: str | int | float) -> datetime:
         ts = datetime.fromisoformat(text)
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    ts = ts.astimezone(timezone.utc)
-    return ts.replace(microsecond=0) if ts.microsecond else ts
+    # astimezone raises for a local time whose UTC time is out of range.
+    return (ts.astimezone(timezone.utc) - _EPOCH) // _SECOND
 
 
-def parse_window(spec: str) -> tuple[datetime, datetime]:
-    """Parse 'START..END'; a bare date means the whole day on either side."""
+def parse_window(spec: str) -> tuple[int, int]:
+    """Parse 'START..END' into UTC epoch seconds; a bare date means the
+    whole day on either side, so a bare END is the last second of its UTC
+    day."""
     parts = spec.split("..")
     if len(parts) != 2 or not parts[0] or not parts[1]:
         raise ValueError(f"window must look like START..END, got {spec!r}")
     start = parse_timestamp(parts[0])
     end = parse_timestamp(parts[1])
     if "T" not in parts[1] and " " not in parts[1].strip():
-        end = end.replace(hour=23, minute=59, second=59)
+        end += _DAY - 1 - end % _DAY
     if start > end:
         raise ValueError(f"window start after end: {spec!r}")
     return (start, end)
@@ -218,7 +249,8 @@ def _record_to_document(
     elif source not in SOURCES:
         raise _malformed(line, "source", f"must be one of {SOURCES}, got {source!r}")
 
-    return Document(doc_id, timestamp, text, tuple(tags), lang, source)
+    # tuple.__new__ skips the NamedTuple constructor, which is Python code.
+    return tuple.__new__(Document, (doc_id, timestamp, text, tuple(tags), lang, source))
 
 
 def _loads_line(line: str) -> object:
@@ -294,7 +326,7 @@ def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, obje
 def load_corpus(
     path: str | Path,
     fmt: str = "jsonl",
-    window: tuple[datetime, datetime] | None = None,
+    window: tuple[int, int] | None = None,
     aliases: Mapping[str, str] | None = None,
     min_tags: int = 0,
 ) -> tuple[Corpus, LoadReport]:
@@ -359,11 +391,23 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """
     quote = encode_basestring
     with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
-        for doc in corpus.documents:
-            tags = ", ".join([quote(tag) for tag in doc.hashtags])
-            lang = "null" if doc.lang is None else quote(doc.lang)
+        for doc_id, timestamp, text, hashtags, lang, source in corpus.documents:
+            joined = " ".join(hashtags)
+            # No tag holds a space when the joined text has one per gap, and
+            # none needs a JSON escape when it is printable and holds no '"'
+            # or '\\'. Document trusts its caller, so this is checked each time.
+            if (
+                joined.count(" ") == len(hashtags) - 1
+                and joined.isprintable()
+                and '"' not in joined
+                and "\\" not in joined
+            ):
+                tags = '"' + joined.replace(" ", '", "') + '"'
+            else:
+                tags = ", ".join([quote(tag) for tag in hashtags])
+            lang = "null" if lang is None else quote(lang)
             handle.write(
-                f'{{"id": {quote(doc.id)}, "ts": "{_iso_utc(doc.timestamp)}", '
-                f'"text": {quote(doc.text)}, "tags": [{tags}], "lang": {lang}, '
-                f'"source": {quote(doc.source)}}}\n'
+                f'{{"id": {quote(doc_id)}, "ts": "{_iso_utc(timestamp)}", '
+                f'"text": {quote(text)}, "tags": [{tags}], "lang": {lang}, '
+                f'"source": {quote(source)}}}\n'
             )

@@ -504,7 +504,10 @@ def run_pipeline(config: Config) -> RunManifest:
     try:
         build_dir = staging / run_id
         build_dir.mkdir()
-        corpus_digest = file_digest(corpus_cfg["path"])
+        try:
+            corpus_digest = file_digest(corpus_cfg["path"])
+        except DataError as exc:
+            raise DataError(f"corpus.path: {exc}") from exc
         ctx = Context(config.values)
         tag_side = [name for name in enabled if name not in _TEXT_STAGES]
         text_side = [name for name in enabled if name in _TEXT_STAGES]

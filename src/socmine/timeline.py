@@ -2,17 +2,19 @@
 
 Shapes: 'linear' (constant use over the whole window), 'stepwise' (one or
 few dominant single-day jumps, typical for media accounts), 'burst' (mass
-concentrated around one event), 'other'.
+concentrated around one event), 'other'. A document counts on the UTC day
+of its epoch-second timestamp, floored, so a time before 1970 falls on
+the day it names.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from datetime import date, timedelta
+from datetime import date
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Corpus
+from .corpus import _DAY, _EPOCH_ORDINAL, Corpus
 
 # Thresholds calibrated on the synthetic fixtures.
 STEP_THRESHOLD = 0.4
@@ -51,22 +53,16 @@ class ShapeVerdict(NamedTuple):
     reason: str | None = None
 
 
-def _window_days(corpus: Corpus) -> list[date]:
-    start = corpus.window[0].date()
-    end = corpus.window[1].date()
-    return [start + timedelta(days=i) for i in range((end - start).days + 1)]
-
-
 def cumulative_series_bulk(corpus: Corpus, tags: Iterable[str]) -> dict[str, CumulativeSeries]:
     """Build series for many tags in one corpus pass (one increment per
     document carrying the tag, bucketed on the document's UTC day)."""
     wanted = set(tags)
-    days = _window_days(corpus)
-    day_index = {day: i for i, day in enumerate(days)}
+    first_day, last_day = (ts // _DAY for ts in corpus.window)
+    days = [date.fromordinal(_EPOCH_ORDINAL + day) for day in range(first_day, last_day + 1)]
     increments: dict[str, list[int]] = {tag: [0] * len(days) for tag in wanted}
     for doc in corpus.documents:
-        for tag in set(doc.hashtags) & wanted:
-            increments[tag][day_index[doc.timestamp.date()]] += 1
+        for tag in wanted.intersection(doc.hashtags):
+            increments[tag][doc.timestamp // _DAY - first_day] += 1
 
     result: dict[str, CumulativeSeries] = {}
     for tag in wanted:

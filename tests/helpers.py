@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import csv
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from socmine.corpus import Corpus, Document, _iso_utc
+from socmine.corpus import Corpus, Document, _iso_utc, parse_timestamp
 
-UTC = timezone.utc
-BASE = datetime(2013, 5, 20, 12, 0, 0, tzinfo=UTC)
+# Timestamps are UTC epoch seconds.
+BASE = parse_timestamp("2013-05-20T12:00:00Z")
+DAY = 86400
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 # The line ends a text-mode reader splits at, keyed by the suffix each adds
@@ -20,7 +20,7 @@ LINE_ENDS = {"": b"\n", "-cr": b"\r", "-crlf": b"\r\n"}
 def make_doc(doc_id: str, day: int = 0, text: str = "", tags=(), **kwargs) -> Document:
     return Document(
         id=doc_id,
-        timestamp=BASE + timedelta(days=day),
+        timestamp=BASE + day * DAY,
         text=text,
         hashtags=tuple(tags),
         **kwargs,

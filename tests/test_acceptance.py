@@ -9,13 +9,13 @@ produce it, the test pins the reconstructable value instead.
 import random
 import re
 import string
-from datetime import timedelta
+from datetime import date, timedelta
 from pathlib import Path
 from time import perf_counter
 
 import pytest
 
-from helpers import BASE, FIXTURES, GOLDEN, make_doc
+from helpers import FIXTURES, GOLDEN, make_doc
 from socmine.coding import (
     code_vocabulary,
     load_pronoun_groups,
@@ -234,7 +234,7 @@ def test_criterion_4_timeline_endpoints_and_shapes(twitter):
         assert item.total == table[tag], tag
 
     # synthetic references for each shape
-    days = [BASE.date() + timedelta(days=i) for i in range(60)]
+    days = [date(2013, 5, 20) + timedelta(days=i) for i in range(60)]
     uniform = CumulativeSeries(
         tag="uniform", buckets=tuple((d, 2 * (i + 1)) for i, d in enumerate(days))
     )

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socmine.corpus
-from helpers import BASE, FIXTURES, LINE_ENDS, UTC, make_doc, write_csv_corpus
+from helpers import BASE, DAY, FIXTURES, LINE_ENDS, make_doc, write_csv_corpus
 from socmine.cli import main
 from socmine.config import file_digest
 from socmine.corpus import (
@@ -28,6 +28,17 @@ from socmine.corpus import (
     write_corpus,
 )
 from socmine.errors import DataError
+
+UTC = timezone.utc
+EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
+SECOND = timedelta(seconds=1)
+# The first and last second of years 1-9999, in epoch seconds.
+FIRST_TS = (datetime(1, 1, 1, tzinfo=UTC) - EPOCH) // SECOND
+LAST_TS = (datetime(9999, 12, 31, 23, 59, 59, tzinfo=UTC) - EPOCH) // SECOND
+
+
+def _reference_iso_utc(ts):
+    return (EPOCH + timedelta(seconds=ts)).isoformat()[:19] + "Z"
 
 
 def test_normalize_tag():
@@ -54,13 +65,20 @@ def test_corpus_sorting_and_window_inference():
 
 
 def test_parse_timestamp_forms():
-    expected = datetime(2013, 5, 20, 10, 30, 0, tzinfo=UTC)
+    expected = 1369045800  # 2013-05-20T10:30:00Z in UTC epoch seconds
     assert parse_timestamp("2013-05-20T10:30:00Z") == expected
     assert parse_timestamp("2013-05-20T10:30:00+00:00") == expected
     assert parse_timestamp("2013-05-20T12:30:00+02:00") == expected
     assert parse_timestamp("2013-05-20 10:30:00") == expected
     assert parse_timestamp("2013-05-20T10:30:00.654321Z") == expected
-    assert parse_timestamp(expected.timestamp()) == expected
+    assert parse_timestamp(float(expected)) == expected
+    assert parse_timestamp(expected) == expected
+    assert type(parse_timestamp("2013-05-20T10:30:00.500Z")) is int
+    # A fraction of a second floors, also before 1970.
+    assert parse_timestamp("1969-12-31T23:59:59.500Z") == -1
+    assert parse_timestamp(-0.5) == -1
+    assert parse_timestamp("0001-01-01T00:00:00Z") == FIRST_TS
+    assert parse_timestamp("9999-12-31T23:59:59.999999Z") == LAST_TS
 
 
 def _reference_parse_timestamp(value):
@@ -73,7 +91,8 @@ def _reference_parse_timestamp(value):
         ts = datetime.fromisoformat(text)
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc).replace(microsecond=0)
+    ts = ts.astimezone(timezone.utc).replace(microsecond=0)
+    return (ts - EPOCH) // SECOND
 
 
 def _outcome(parse, value):
@@ -95,16 +114,21 @@ def _outcome(parse, value):
     | st.integers(min_value=-(10**11), max_value=10**11)
 )
 def test_parse_timestamp_matches_its_reference(value):
-    # parse_timestamp drops a microsecond only when there is one.
+    # Epoch seconds of the UTC time without its microsecond, or the same
+    # exception type.
     assert _outcome(parse_timestamp, value) == _outcome(_reference_parse_timestamp, value)
 
 
 def test_parse_window_bare_date_end_covers_the_day():
     start, end = parse_window("2013-05-15..2013-07-15")
-    assert start == datetime(2013, 5, 15, 0, 0, 0, tzinfo=UTC)
-    assert end == datetime(2013, 7, 15, 23, 59, 59, tzinfo=UTC)
+    assert start == parse_timestamp("2013-05-15T00:00:00Z")
+    assert end == parse_timestamp("2013-07-15T23:59:59Z")
     _, precise = parse_window("2013-05-15..2013-07-15T12:00:00Z")
-    assert precise == datetime(2013, 7, 15, 12, 0, 0, tzinfo=UTC)
+    assert precise == parse_timestamp("2013-07-15T12:00:00Z")
+    # The last second of the UTC day that holds the bare end, also before
+    # 1970 and at either end of the range.
+    assert parse_window("1969-12-31..1969-12-31") == (-DAY, -1)
+    assert parse_window("0001-01-01..9999-12-31") == (FIRST_TS, LAST_TS)
 
 
 def test_parse_window_rejects_bad_specs():
@@ -153,6 +177,19 @@ def test_load_corpus_window_drops_and_reports(tmp_path):
     assert report.dropped["out_of_window"] == 1
     assert "out_of_window" in report.as_table()
     assert corpus.window == window
+
+
+def test_a_repeated_jsonl_key_keeps_its_last_value(tmp_path):
+    # As json.loads reads an object; checking each key would cost every line.
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        '{"id": "a", "ts": "2013-05-20T10:00:00Z", "tags": ["police"], "tags": ["Riots"]}\n'
+        '{"id": "b", "ts": "2013-05-21T10:00:00Z", "id": "c", "tags": []}\n',
+        encoding="utf-8",
+    )
+    corpus, report = load_corpus(path)
+    assert [(d.id, d.hashtags) for d in corpus.documents] == [("a", ("riots",)), ("c", ())]
+    assert (report.records_read, report.records_kept) == (2, 2)
 
 
 def test_load_corpus_duplicate_id_names_both_lines(tmp_path):
@@ -725,7 +762,7 @@ def test_each_tag_item_loads_or_fails_as_the_per_item_loop_did(tmp_path_factory,
         # A CSV record holds its tags as one pipe-delimited string.
         tag_lists = [[t for t in tags if t in _TAG_SPELLINGS] for tags in tag_lists]
     records = [
-        {"id": f"d{i}", "ts": _iso_utc(BASE + timedelta(minutes=i)), "text": "x", "tags": tags}
+        {"id": f"d{i}", "ts": _iso_utc(BASE + 60 * i), "text": "x", "tags": tags}
         for i, tags in enumerate(tag_lists)
     ]
     path = tmp_path_factory.mktemp("tags") / f"c.{fmt}"
@@ -753,9 +790,11 @@ def test_each_tag_item_loads_or_fails_as_the_per_item_loop_did(tmp_path_factory,
     assert load_corpus(path, fmt=fmt, aliases=_TAG_ALIASES)[0].documents == tuple(want)
 
 
-# Strings as the writer may meet them: JSON's escapes, non-ASCII, and the
-# texts "null" and "tweet", which must stay apart from null and a source.
-_WRITTEN = st.text(st.sampled_from('ab"\\/\x00\x1f\n\t é\u2028'), max_size=4) | st.sampled_from(
+# Strings as the writer may meet them: JSON's escapes, spaces, what is not
+# printable but needs no escape, non-ASCII, and the texts "null" and
+# "tweet", which must stay apart from null and a source. Joined, tags of
+# these may pass for more or fewer tags.
+_WRITTEN = st.text(st.sampled_from('ab"\\/\x00\x1f\n\t \x7f\x85\xa0é\u2028'), max_size=4) | st.sampled_from(
     ["null", "tweet", "forum_post"]
 )
 
@@ -766,11 +805,9 @@ _WRITTEN = st.text(st.sampled_from('ab"\\/\x00\x1f\n\t é\u2028'), max_size=4) |
         st.builds(
             Document,
             id=_WRITTEN,
-            timestamp=st.datetimes(
-                min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)
-            ).map(lambda dt: dt.replace(microsecond=0, tzinfo=UTC)),
+            timestamp=st.integers(FIRST_TS, LAST_TS),
             text=_WRITTEN,
-            hashtags=st.lists(_WRITTEN, max_size=4).map(tuple),
+            hashtags=st.lists(_WRITTEN, max_size=5).map(tuple),
             lang=st.none() | _WRITTEN,
             source=st.sampled_from(SOURCES),
         ),
@@ -784,7 +821,7 @@ def test_each_written_line_is_the_json_encoder_text_of_its_record(tmp_path_facto
     want = "".join(
         encode({
             "id": d.id,
-            "ts": d.timestamp.replace(tzinfo=None).isoformat(timespec="seconds") + "Z",
+            "ts": _reference_iso_utc(d.timestamp),
             "text": d.text,
             "tags": list(d.hashtags),
             "lang": d.lang,
@@ -823,7 +860,8 @@ def test_write_corpus_round_trip(tmp_path, fmt):
     ).map(lambda dt: dt.replace(microsecond=0, tzinfo=UTC))
 )
 def test_write_corpus_round_trips_any_year(tmp_path_factory, fmt, when):
-    corpus = Corpus.from_documents([make_doc("a", text="x")._replace(timestamp=when)])
+    ts = (when - EPOCH) // SECOND
+    corpus = Corpus.from_documents([make_doc("a", text="x")._replace(timestamp=ts)])
     path = tmp_path_factory.mktemp("years") / f"out.{fmt}"
     WRITERS[fmt](corpus, path)
     loaded, _ = load_corpus(path, fmt=fmt, window=corpus.window)
@@ -833,16 +871,20 @@ def test_write_corpus_round_trips_any_year(tmp_path_factory, fmt, when):
         assert when.strftime("%Y-%m-%dT%H:%M:%SZ") in path.read_text(encoding="utf-8")
 
 
-@settings(max_examples=300)
+@settings(max_examples=500)
 @given(
-    st.datetimes(
-        timezones=st.none()
-        | st.builds(timezone, st.timedeltas(min_value=timedelta(hours=-23), max_value=timedelta(hours=23)))
+    st.integers(FIRST_TS, LAST_TS)
+    # The seconds at and next to a day boundary, on either side of 1970.
+    | st.builds(
+        lambda day, second: day * DAY + second,
+        st.integers(FIRST_TS // DAY, LAST_TS // DAY),
+        st.sampled_from([0, 1, 59, 60, 3599, 3600, DAY - 1]),
     )
+    | st.integers(-2 * DAY, 2 * DAY)
 )
-def test_iso_utc_matches_its_reference(when):
-    # Naive and aware, years 1-9999, any microsecond.
-    assert _iso_utc(when) == when.replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
+def test_iso_utc_matches_its_reference(ts):
+    # Years 1-9999, negative epoch seconds included.
+    assert _iso_utc(ts) == _reference_iso_utc(ts)
 
 
 def test_document_is_a_slotted_frozen_value():
@@ -900,12 +942,12 @@ def test_load_report_counts_match_brute_force_in_both_formats(
     tmp_path_factory, specs, window_days, min_tags
 ):
     records = [
-        {"id": f"d{i}", "ts": _iso_utc(BASE + timedelta(days=day)), "text": "", "tags": tags}
+        {"id": f"d{i}", "ts": _iso_utc(BASE + day * DAY), "text": "", "tags": tags}
         for i, (day, tags) in enumerate(specs)
     ]
     window = None
     if window_days is not None:
-        window = tuple(BASE + timedelta(days=day) for day in window_days)
+        window = tuple(BASE + day * DAY for day in window_days)
     inside = [tags for day, tags in specs if window is None or window_days[0] <= day <= window_days[1]]
     kept = [tags for tags in inside if len(tags) >= min_tags]
     brute = {"out_of_window": len(specs) - len(inside), "below_min_tags": len(inside) - len(kept)}

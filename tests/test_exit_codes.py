@@ -97,12 +97,18 @@ def test_bad_input_exits_2_naming_where(tmp_path, case):
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("command", [["tags"], ["ingest", "--format", "csv"]],
-                         ids=["tags", "ingest-csv"])
+@pytest.mark.parametrize("command", [["tags"], ["ingest", "--format", "csv"], ["run"]],
+                         ids=["tags", "ingest-csv", "run"])
 def test_an_unreadable_corpus_exits_2(tmp_path, monkeypatch, command):
     # A mode-000 file does not stop root, so the corpus refuses to open here.
     corpus = tmp_path / "locked.jsonl"
     corpus.write_bytes(TWITTER.read_bytes())
+    argv, key = [command[0], corpus, *command[1:]], ""
+    if command == ["run"]:
+        # One message; a run reads the path from its config, so it names the key.
+        config = tmp_path / "run.yaml"
+        config.write_text(f"corpus:\n  path: {json.dumps(str(corpus))}\n", encoding="utf-8")
+        argv, key = ["run", "--config", config], "corpus.path: "
     opened = Path.open
 
     def locked(path, *args, **kwargs):
@@ -111,8 +117,8 @@ def test_an_unreadable_corpus_exits_2(tmp_path, monkeypatch, command):
         return opened(path, *args, **kwargs)
 
     monkeypatch.setattr(Path, "open", locked)
-    assert _main([command[0], corpus, *command[1:]]) == (
-        2, "", f"error: cannot read corpus file {corpus}: [Errno 13] Permission denied\n"
+    assert _main(argv) == (
+        2, "", f"error: {key}cannot read corpus file {corpus}: [Errno 13] Permission denied\n"
     )
 
 

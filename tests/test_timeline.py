@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import GOLDEN, make_corpus
+from helpers import DAY, GOLDEN, make_corpus, make_doc
+from socmine.corpus import Corpus, parse_window
 from socmine.ngrams import count_tags
 from socmine.timeline import (
     CumulativeSeries,
@@ -38,6 +39,17 @@ def test_cumulative_series_covers_whole_window():
     assert [cum for _, cum in series.buckets] == [2, 2, 2, 3]
     # a tag absent from the corpus still gets a flat zero series
     assert cumulative_series_bulk(corpus, ["ghost"])["ghost"].total == 0
+
+
+def test_series_window_crosses_1970():
+    # A negative epoch second belongs to the day before 1970-01-01.
+    times = {"a": -2 * DAY + 5, "b": -1, "c": 0, "d": DAY - 1}
+    docs = [make_doc(doc_id, tags=("x",))._replace(timestamp=ts) for doc_id, ts in times.items()]
+    window = parse_window("1969-12-30T00:00:05Z..1970-01-02")
+    corpus = Corpus.from_documents(docs, window)
+    assert cumulative_series_bulk(corpus, ["x"])["x"].buckets == (
+        (date(1969, 12, 30), 1), (date(1969, 12, 31), 2), (date(1970, 1, 1), 4), (date(1970, 1, 2), 4)
+    )
 
 
 def test_bulk_series_share_one_axis():

@@ -160,6 +160,15 @@ def parse_timestamp(value: str | int | float) -> int:
         ts = datetime.fromtimestamp(float(value), tz=timezone.utc)
     else:
         text = value.strip()
+        # fromisoformat takes any character after a date for the date-time
+        # separator, so it reads the offset of a date alone, as in
+        # "2013-05-20+02:00", as a time of day. ISO 8601 gives a date no
+        # zone. A date alone is at most 10 characters; a time follows a T
+        # or a space.
+        if "T" not in text and len(text) > 10 and " " not in text and "t" not in text:
+            raise ValueError(
+                f"a time follows T or a space, and a date alone takes no offset: {value!r}"
+            )
         if text.endswith(("Z", "z")):
             text = text[:-1] + "+00:00"
         ts = datetime.fromisoformat(text)
@@ -178,7 +187,8 @@ def parse_window(spec: str) -> tuple[int, int]:
         raise ValueError(f"window must look like START..END, got {spec!r}")
     start = parse_timestamp(parts[0])
     end = parse_timestamp(parts[1])
-    if "T" not in parts[1] and " " not in parts[1].strip():
+    end_text = parts[1].strip()
+    if "T" not in end_text and " " not in end_text and "t" not in end_text:
         end += _DAY - 1 - end % _DAY
     if start > end:
         raise ValueError(f"window start after end: {spec!r}")

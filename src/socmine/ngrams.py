@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby, islice, pairwise, repeat
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -20,6 +20,9 @@ from .corpus import Corpus, Document
 from .text import KeywordFamily, remove_stopwords, tokenize
 
 Key = Hashable
+
+# Documents per Counter update in count_tokens.
+_CHUNK = 512
 
 
 def count_tags(corpus: Corpus) -> Counter:
@@ -70,23 +73,26 @@ def count_tokens(
     counted: adjacent ordered token pairs in the stopword-filtered text of
     each document, never crossing a document boundary, and with
     filter_term only the pairs where at least one member matches the
-    family. No token list outlives its document.
+    family. Documents are counted in chunks of _CHUNK, one update of each
+    Counter per chunk, in document order, so each Counter's keys are in
+    the order a per-document walk inserts them. The token lists of one
+    chunk are held at once; none outlives its chunk.
     """
     surfaces: Counter = Counter()
     grams: Counter = Counter()
-    for doc in documents:
-        tokens = tokenize(doc.text)
-        surfaces.update(tokens)
+    docs = iter(documents)
+    while token_lists := [tokenize(doc.text) for doc in islice(docs, _CHUNK)]:
+        surfaces.update(chain.from_iterable(token_lists))
         if stops is None:
             continue
-        kept = remove_stopwords(tokens, stops)
-        if filter_term is None:
-            grams.update(zip(kept, kept[1:]))
-        else:
-            grams.update(
-                gram for gram in zip(kept, kept[1:])
+        kept_lists = map(remove_stopwords, token_lists, repeat(stops))
+        pairs = chain.from_iterable(map(pairwise, kept_lists))
+        if filter_term is not None:
+            pairs = (
+                gram for gram in pairs
                 if filter_term.matches(gram[0]) or filter_term.matches(gram[1])
             )
+        grams.update(pairs)
     return surfaces, grams
 
 

@@ -53,6 +53,25 @@ def test_bad_window_value_is_a_data_error(corpus_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_date_with_an_offset_is_malformed(tmp_path, corpus_file, capsys):
+    # fromisoformat reads "+02:00" after a date as the time 02:00.
+    path = tmp_path / "offset.jsonl"
+    path.write_text('{"id": "a", "ts": "2013-05-20+02:00"}\n', encoding="utf-8")
+    assert main(["tags", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: malformed field 'ts': ")
+    assert main(["tags", str(corpus_file), "--window", "2013-05-01..2013-05-20+02:00"]) == 2
+    assert capsys.readouterr().err.startswith("error: corpus.window: ")
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        f"corpus:\n  path: {json.dumps(str(corpus_file))}\n  window: 2013-05-20Z..2013-06-01\n"
+        f"run:\n  out_dir: {json.dumps(str(tmp_path / 'runs'))}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: corpus.window: ")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_tags_ranked_csv(corpus_file, capsys):
     assert main(["tags", str(corpus_file)]) == 0
     out = capsys.readouterr().out

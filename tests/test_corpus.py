@@ -5,6 +5,7 @@ import json
 import re
 import sys
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,8 @@ def test_parse_window_bare_date_end_covers_the_day():
     assert end == parse_timestamp("2013-07-15T23:59:59Z")
     _, precise = parse_window("2013-05-15..2013-07-15T12:00:00Z")
     assert precise == parse_timestamp("2013-07-15T12:00:00Z")
+    # fromisoformat takes "t" for "T", so this end is a time, not a day.
+    assert parse_window("2013-05-15..2013-07-15t12:00:00z")[1] == precise
     # The last second of the UTC day that holds the bare end, also before
     # 1970 and at either end of the range.
     assert parse_window("1969-12-31..1969-12-31") == (-DAY, -1)
@@ -136,6 +139,60 @@ def test_parse_window_rejects_bad_specs():
         parse_window("2013-05-15")
     with pytest.raises(ValueError):
         parse_window("2013-07-15..2013-05-15")
+
+
+# A date with a UTC offset and no time: fromisoformat takes the sign for
+# the date-time separator and the offset for a time of day.
+DATES_WITH_AN_OFFSET = ["2013-05-20+02:00", "2013-05-20-02:00", "2013-05-20Z", "2013-05-20z",
+                        "2013-05-20+00:00", " 2013-05-20Z "]
+
+
+@pytest.mark.parametrize("value", DATES_WITH_AN_OFFSET)
+def test_a_date_alone_takes_no_offset(value):
+    # ISO 8601 gives a calendar date no zone, so the offset is malformed.
+    with pytest.raises(ValueError, match="no offset"):
+        parse_timestamp(value)
+    for spec in (f"{value}..2013-06-01", f"2013-05-01..{value}"):
+        with pytest.raises(ValueError, match="no offset"):
+            parse_window(spec)
+
+
+# The forms README's "Corpus format" lists as loading on every supported
+# Python, each at 2013-05-20T10:30:00Z but the date alone.
+PORTABLE_TS = {
+    "2013-05-20": 1369008000,
+    "2013-05-20T10:30": 1369045800,
+    "2013-05-20T10:30:00": 1369045800,
+    "2013-05-20T10:30:00.500000": 1369045800,
+    "2013-05-20T10:30Z": 1369045800,
+    "2013-05-20T10:30:00Z": 1369045800,
+    "2013-05-20T10:30:00.500000Z": 1369045800,
+    "2013-05-20T12:30+02:00": 1369045800,
+    "2013-05-20T12:30:00+02:00": 1369045800,
+    "2013-05-20T07:00:00.500000-03:30": 1369045800,
+    "2013-05-20 10:30:00": 1369045800,
+    "2013-05-20 12:30:00+02:00": 1369045800,
+    1369045800: 1369045800,
+    1369045800.5: 1369045800,
+}
+
+
+def _readme_portable_ts_examples():
+    """The examples in README's list of the ts forms every supported Python loads."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Corpus format\n", 1)[1].split("\n## ", 1)[0]
+    forms = section.split("load on every supported Python", 1)[1].split("\n\n", 2)[1]
+    return re.findall(r"`(\d{4}-\d\d-\d\d[^`]*)`", forms)
+
+
+def test_every_portable_ts_form_loads(tmp_path):
+    examples = _readme_portable_ts_examples()
+    assert len(examples) >= 5 and set(examples) <= set(PORTABLE_TS)
+    path = tmp_path / "c.jsonl"
+    _write_jsonl(path, [{"id": f"d{i}", "ts": ts} for i, ts in enumerate(PORTABLE_TS)])
+    corpus, _ = load_corpus(path)
+    by_id = {d.id: d.timestamp for d in corpus.documents}
+    assert [by_id[f"d{i}"] for i in range(len(PORTABLE_TS))] == list(PORTABLE_TS.values())
 
 
 def _write_jsonl(path, records):

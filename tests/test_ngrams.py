@@ -1,12 +1,13 @@
 import csv
 import io
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, pairwise
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import socmine.ngrams
 from helpers import make_corpus, make_doc
 from socmine.corpus import Corpus, normalize_tag
 from socmine.ngrams import (
@@ -152,6 +153,41 @@ def test_count_tokens_matches_a_per_document_oracle(texts, stops, filter_term):
         assert len(grams) == 0
     else:
         assert dict(grams) == _oracle_2grams(documents, stops, filter_term)
+
+
+# Five texts: at chunk 2 a chunk ends on the empty text and the last chunk
+# is partial; at chunk 3 the partial last chunk ends on an empty text.
+CHUNK_TEXTS = ["Policja i gazu", "", "używa gazu policjanci", "ulicy my i Policja", ""]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@example(CHUNK_TEXTS, frozenset({"i"}), None)
+@example(CHUNK_TEXTS, frozenset(), KeywordFamily("policj"))
+@given(
+    st.lists(TEXTS, max_size=8),
+    st.none() | st.frozensets(WORDS.map(str.lower)),
+    st.none() | st.sampled_from([KeywordFamily("policj"), KeywordFamily("gazu", "exact")]),
+)
+def test_count_tokens_across_chunks_matches_the_per_document_walk(chunk, texts, stops, filter_term):
+    documents = [make_doc(f"d{i}", text=text) for i, text in enumerate(texts)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(socmine.ngrams, "_CHUNK", chunk)
+        surfaces, grams = count_tokens(documents, stops, filter_term=filter_term)
+    # The per-document walk: its Counters' keys in the order it inserts them.
+    expected_surfaces = Counter()
+    for doc in documents:
+        expected_surfaces.update(tokenize(doc.text))
+    expected_grams = Counter() if stops is None else _oracle_2grams(documents, stops, filter_term)
+    assert surfaces == expected_surfaces
+    assert grams == expected_grams
+    # The same keys in the same insertion order, so every table built from
+    # them iterates alike.
+    assert list(surfaces) == list(expected_surfaces)
+    assert list(grams) == list(expected_grams)
+    # No 2-gram joins the last kept token of one document to the first of
+    # the next.
+    kept_lists = [[t for t in tokenize(doc.text) if t not in (stops or ())] for doc in documents]
+    assert set(grams) <= {gram for kept in kept_lists for gram in pairwise(kept)}
 
 
 def test_ranked_tie_break_is_lexicographic():

@@ -5,6 +5,7 @@ Exports are byte-deterministic: nodes and edges are emitted in sorted order.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .ngrams import _csv_text, _rows_text
@@ -109,10 +110,10 @@ def export_graph(graph: CooccurrenceGraph, fmt: str = "dot", cap: int = 0) -> st
     return _export_dot(graph, cap) if fmt == "dot" else _export_graphml(graph, cap)
 
 
-def _sorted_edges(graph: CooccurrenceGraph) -> list[tuple[str, str, int]]:
-    # Flat (a, b, weight) tuples sort on list.sort's fast path; pairs are
-    # distinct, so the weight never decides the order.
-    return sorted((a, b, weight) for (a, b), weight in graph.edges.items())
+def _sorted_edges(graph: CooccurrenceGraph) -> list[tuple[tuple[str, str], int]]:
+    # Sorted by pair alone, as ngrams.ranked sorts a Mapping: no tuple is
+    # built per edge, and pairs are distinct, so the weight never decides.
+    return sorted(graph.edges.items(), key=itemgetter(0))
 
 
 def _export_dot(graph: CooccurrenceGraph, cap: int) -> str:
@@ -121,7 +122,7 @@ def _export_dot(graph: CooccurrenceGraph, cap: int) -> str:
     for node in sorted(graph.nodes):
         lines.append(f"  {quoted[node]};")
     attrs = _per_weight(graph, cap, "[weight={weight}, penwidth={width}];")
-    for a, b, weight in _sorted_edges(graph):
+    for (a, b), weight in _sorted_edges(graph):
         lines.append(f"  {quoted[a]} -- {quoted[b]} {attrs[weight]}")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -155,7 +156,7 @@ def _export_graphml(graph: CooccurrenceGraph, cap: int) -> str:
                                    '      <data key="render_width">{width}</data>\n')
     lines += [
         f"    <edge source={quoted[a]} target={quoted[b]}>\n{data[weight]}    </edge>"
-        for a, b, weight in _sorted_edges(graph)
+        for (a, b), weight in _sorted_edges(graph)
     ]
     lines.append("  </graph>")
     lines.append("</graphml>")

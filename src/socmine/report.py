@@ -481,7 +481,8 @@ def _render_beside(
     return theirs + own
 
 
-def run_pipeline(config: Config) -> RunManifest:
+def run_pipeline(config: Config, ctx: Context | None = None) -> RunManifest:
+    """Render config's stages in ctx, a Context of config.values, or a new one."""
     import shutil
     import tempfile
 
@@ -508,7 +509,7 @@ def run_pipeline(config: Config) -> RunManifest:
             corpus_digest = file_digest(corpus_cfg["path"])
         except DataError as exc:
             raise DataError(f"corpus.path: {exc}") from exc
-        ctx = Context(config.values)
+        ctx = Context(config.values) if ctx is None else ctx
         tag_side = [name for name in enabled if name not in _TEXT_STAGES]
         text_side = [name for name in enabled if name in _TEXT_STAGES]
         if run_cfg["jobs"] >= 2 and tag_side and text_side and hasattr(os, "fork"):

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -654,12 +655,13 @@ def test_each_flag_reaches_its_config_key(tmp_path, capsys, stage):
     assert printed == (manifest.run_dir / artifact).read_bytes()
 
 
-# main runs each command with the cyclic garbage collector off, and freezes
-# the heap at exit when it runs the process's own command (see the cli
-# module docstring). The tests below check that an in-process caller gets
-# the collector's state back and no exit hook, that a fresh process is
-# frozen when it exits, that stages run with collection off, and that the
-# cyclic garbage a run leaves does not grow with the corpus.
+# main runs each command with the cyclic garbage collector off, and ends
+# the process with os._exit when it runs the process's own command (see the
+# cli module docstring). The tests below check that an in-process caller
+# gets the collector's state back and no exit hook, that the process entry
+# prints what main(argv) prints and exits without running a hook or freeing
+# its Context, that stages run with collection off, and that the cyclic
+# garbage a run leaves does not grow with the corpus.
 
 
 @pytest.fixture()
@@ -687,30 +689,113 @@ def test_main_gives_back_the_collector_state(corpus_file, collector_on):
     assert gc.isenabled()
 
 
-# A hook registered before main runs after main's own: it sees the heap
-# as shutdown will.
+# Runs `socmine ARGV...` through the process entry. A normal exit would
+# run the hook registered here, and the finalizer of each Context main
+# makes, whether or not the Context is freed by then; either prints a line.
 EXIT_PROBE = """\
-import atexit, gc, sys
+import atexit, sys, weakref
+from socmine import report
 from socmine.cli import main
-atexit.register(lambda: print(f"frozen: {gc.get_freeze_count() > 0}", file=sys.stderr))
+init = report.Context.__init__
+def spy(self, sections):
+    init(self, sections)
+    weakref.finalize(self, print, "context finalized", file=sys.stderr)
+report.Context.__init__ = spy
+atexit.register(print, "atexit hook ran", file=sys.stderr)
 sys.exit(main())
 """
 
 
-def test_the_process_entry_freezes_the_heap_at_exit(corpus_file, tmp_path, capsys):
+def _entry_env() -> dict:
+    """_env_with_src, with stdout block-buffered as it is by default, so a
+    buffer that is not flushed before exit loses output."""
     env = _env_with_src()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _seconds_masked(text: str) -> str:
+    """A run's console summary without its stage timings."""
+    return re.sub(r" +\d+\.\d{3}s ", " ", text)
+
+
+def test_the_process_entry_exits_with_its_output_and_nothing_freed(corpus_file, tmp_path, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text("corpus:\n  path: c.jsonl\nrun:\n  out_dir: runs\n", encoding="utf-8")
+    twitter = str(FIXTURES / "twitter.jsonl")
     for argv, code in (
         (["tags", str(corpus_file)], 0),
         (["tags"], 1),
         (["tags", str(tmp_path / "gone.jsonl")], 2),
+        # 86 KB: more than one stdio buffer.
+        (["pairs", twitter, "--top", "0"], 0),
+        (["run", "--config", str(config), "--jobs", "1"], 0),
+        (["run", "--config", str(config), "--jobs", "2"], 0),
     ):
         result = subprocess.run(
-            [sys.executable, "-c", EXIT_PROBE, *argv], env=env, capture_output=True, text=True
+            [sys.executable, "-c", EXIT_PROBE, *argv], env=_entry_env(), capture_output=True, text=True
         )
+        if argv[0] == "run":
+            manifest = result.stdout.rsplit("manifest: ", 1)[-1].strip()
+            assert Path(manifest).is_file(), result.stderr
         assert main(argv) == code
         out, err = capsys.readouterr()
-        assert (result.returncode, result.stdout) == (code, out), argv
-        assert result.stderr == err + "frozen: True\n", argv
+        assert result.returncode == code, (argv, result.stderr)
+        assert _seconds_masked(result.stdout) == _seconds_masked(out), argv
+        assert result.stderr == err, argv
+
+
+def test_the_process_entry_prints_version_and_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    for flag in ("--version", "--help"):
+        result = subprocess.run(
+            [sys.executable, "-m", "socmine.cli", flag], env=_entry_env(), capture_output=True, text=True
+        )
+        with pytest.raises(SystemExit):
+            main([flag])
+        assert (result.returncode, result.stdout, result.stderr) == (0, capsys.readouterr().out, "")
+        assert result.stdout.startswith("socmine " if flag == "--version" else "usage: socmine")
+
+
+def test_the_process_entry_exits_0_when_the_reader_has_gone(corpus_file):
+    # A reader that leaves after one line of 86 KB meets the command
+    # mid-write; one that is gone from the start meets the final flush.
+    twitter = str(FIXTURES / "twitter.jsonl")
+    for argv, lines in ((["pairs", twitter, "--top", "0"], 1), (["tags", str(corpus_file), "--top", "5"], 0)):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "socmine.cli", *argv],
+            env=_entry_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        for _ in range(lines):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (0, b""), argv
+
+
+def test_the_process_entry_runs_with_stdout_closed(corpus_file):
+    # With no file descriptor 1, sys.stdout is None: print writes nothing,
+    # and there is no stdout to flush.
+    entry = [sys.executable, "-m", "socmine.cli", "ingest", str(corpus_file)]
+    result = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *entry], env=_entry_env(), capture_output=True)
+    assert (result.returncode, result.stderr) == (0, b"")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_the_process_entry_exits_3_when_stdout_is_full(corpus_file):
+    # tags fills no buffer, so the write first fails at the final flush;
+    # pairs fails inside the command.
+    twitter = str(FIXTURES / "twitter.jsonl")
+    for argv in (["tags", str(corpus_file), "--top", "5"], ["pairs", twitter, "--top", "0"]):
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "socmine.cli", *argv], env=_entry_env(), stdout=full, stderr=subprocess.PIPE
+            )
+        assert result.returncode == 3, argv
+        assert result.stderr.decode() == "internal error: OSError(28, 'No space left on device')\n", argv
 
 
 def test_stages_run_with_the_collector_off(corpus_file, collector_on, tmp_path, monkeypatch):

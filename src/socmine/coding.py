@@ -8,13 +8,12 @@ counting is available behind a flag for sensitivity analysis.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .errors import DataError
+from .ngrams import _writer_text
 from .resources import read_rows
 # tokenize is not called here (ngrams.count_tokens calls it) but stays
 # bound: the benchmark tracer's self-test reads coding.tokenize.
@@ -229,27 +228,17 @@ def format_ratio(ratio: float) -> str:
 def coding_csv(result: CodingResult, rolled: Mapping[str, int], taxonomy: Taxonomy) -> str:
     """One row per category in taxonomy order, then the uncategorized and
     vocabulary counts as comment lines."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["category_id", "label", "unique_words", "count", "rolled_up"])
+    rows = [("category_id", "label", "unique_words", "count", "rolled_up")]
     for category in taxonomy:
-        counted = result.per_category[category.id]
-        writer.writerow(
-            [category.id, category.label, len(counted.unique_words), counted.count,
-             rolled[category.id]]
-        )
-    buffer.write(f"# uncategorized,{len(result.uncategorized)}\n")
-    buffer.write(f"# vocabulary_size,{result.vocabulary_size}\n")
-    return buffer.getvalue()
+        words, count = result.per_category[category.id]
+        rows.append((category.id, category.label, len(words), count, rolled[category.id]))
+    return _writer_text(
+        rows, uncategorized=len(result.uncategorized), vocabulary_size=result.vocabulary_size
+    )
 
 
 def pronouns_csv(report: PronounReport) -> str:
     """One row per group surface, then the totals and ratio as comment lines."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["label", "group", "surface", "count"])
-    writer.writerows(report.rows)
-    buffer.write(f"# them_total,{report.them_total}\n")
-    buffer.write(f"# us_total,{report.us_total}\n")
-    buffer.write(f"# ratio,{format_ratio(report.ratio)}\n")
-    return buffer.getvalue()
+    rows = [("label", "group", "surface", "count"), *report.rows]
+    ratio = format_ratio(report.ratio)
+    return _writer_text(rows, them_total=report.them_total, us_total=report.us_total, ratio=ratio)

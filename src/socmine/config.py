@@ -177,6 +177,11 @@ def _validate(values: dict[str, Any]) -> None:
     unknown = [s for s in stages if s not in STAGES]
     if unknown:
         raise DataError(f"unknown stages in run.stages: {unknown}")
+    formats = values["timeline"]["formats"]
+    for name, entries in (("run.stages", stages), ("timeline.formats", formats)):
+        for i, entry in enumerate(entries):
+            if entry in entries[:i]:
+                raise DataError(f"{name} names {entry!r} twice")
     aliases = values["corpus"]["aliases"].items()
     if not all(isinstance(k, str) and isinstance(v, str) for k, v in aliases):
         raise DataError("corpus.aliases must map strings to strings")

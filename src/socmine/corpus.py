@@ -153,6 +153,11 @@ def _iso_utc(ts: int) -> str:
     return prefix + _HH_MM[minute] + _SS_Z[second]
 
 
+def _names_a_time(text: str) -> bool:
+    """Whether a timestamp text holds a time of day: after a T, t or space."""
+    return "T" in text or " " in text or "t" in text
+
+
 def parse_timestamp(value: str | int | float) -> int:
     """Parse an ISO-8601 timestamp or epoch seconds into UTC epoch seconds,
     floored to the second; naive values are taken as UTC."""
@@ -163,9 +168,8 @@ def parse_timestamp(value: str | int | float) -> int:
         # fromisoformat takes any character after a date for the date-time
         # separator, so it reads the offset of a date alone, as in
         # "2013-05-20+02:00", as a time of day. ISO 8601 gives a date no
-        # zone. A date alone is at most 10 characters; a time follows a T
-        # or a space.
-        if "T" not in text and len(text) > 10 and " " not in text and "t" not in text:
+        # zone. A date alone is at most 10 characters.
+        if not _names_a_time(text) and len(text) > 10:
             raise ValueError(
                 f"a time follows T or a space, and a date alone takes no offset: {value!r}"
             )
@@ -187,8 +191,7 @@ def parse_window(spec: str) -> tuple[int, int]:
         raise ValueError(f"window must look like START..END, got {spec!r}")
     start = parse_timestamp(parts[0])
     end = parse_timestamp(parts[1])
-    end_text = parts[1].strip()
-    if "T" not in end_text and " " not in end_text and "t" not in end_text:
+    if not _names_a_time(parts[1].strip()):
         end += _DAY - 1 - end % _DAY
     if start > end:
         raise ValueError(f"window start after end: {spec!r}")

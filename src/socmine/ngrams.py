@@ -1,4 +1,4 @@
-"""Tag frequencies, hashtag pair co-occurrence, and the one token count.
+"""Tag frequencies, hashtag pair co-occurrence, the one token count and CSV writer.
 
 `ranked` defines rank order for every ranked table, artifact and graph:
 descending count, ties ascending by key. A top-N is a prefix of it.
@@ -133,18 +133,24 @@ def _rows_text(rows: Iterable[tuple[Key, int]], key_text: Callable, end: Callabl
     return "".join(parts)
 
 
-def _csv_text(header: str, body: str, rows: int, fields: Iterable[Sequence]) -> str:
+def _csv_text(header: str, body: str, rows: int, fields: Iterable[Sequence], **notes) -> str:
     """The header line, then the body, the rows' lines with their fields
     joined by commas, when no field holds a quote, comma or line break, so
-    that no field needs quoting; else csv.writer's text of the fields."""
+    that no field needs quoting, else _writer_text's; then the notes' lines."""
     if (
         '"' not in body
         and "\r" not in body
         and body.count(",") == header.count(",") * rows
         and body.count("\n") == rows
     ):
-        return f"{header}\n{body}"
+        return f"{header}\n{body}{_writer_text((), **notes)}"
+    return f"{header}\n{_writer_text(fields, **notes)}"
+
+
+def _writer_text(rows: Iterable[Sequence], **notes: object) -> str:
+    """csv.writer's text of the rows, lines ending in a newline, then one
+    `# name,value` line per note, in keyword order."""
     buffer = io.StringIO()
-    buffer.write(f"{header}\n")
-    csv.writer(buffer, lineterminator="\n").writerows(fields)
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    buffer.writelines(f"# {name},{value}\n" for name, value in notes.items())
     return buffer.getvalue()

@@ -158,5 +158,5 @@ def power_csv(report: PowerReport) -> str:
     ends = {key: ",{},{},{}\n".format(*key) for key in set(numbers)}
     body = "".join(chain.from_iterable(zip(texts, map(ends.__getitem__, numbers))))
     fields = ((text, *number) for text, number in zip(texts, numbers))
-    table = _csv_text("ngram,freq,strength,power", body, len(rows), fields)
-    return f"{table}# sum_power,{report.sum_power}\n"
+    header = "ngram,freq,strength,power"
+    return _csv_text(header, body, len(rows), fields, sum_power=report.sum_power)

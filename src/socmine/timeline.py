@@ -9,12 +9,12 @@ the day it names.
 
 from __future__ import annotations
 
-import csv
-import io
 from datetime import date
+from itertools import accumulate, chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import _DAY, _EPOCH_ORDINAL, Corpus
+from .ngrams import _writer_text
 
 # Thresholds calibrated on the synthetic fixtures.
 STEP_THRESHOLD = 0.4
@@ -64,15 +64,10 @@ def cumulative_series_bulk(corpus: Corpus, tags: Iterable[str]) -> dict[str, Cum
         for tag in wanted.intersection(doc.hashtags):
             increments[tag][doc.timestamp // _DAY - first_day] += 1
 
-    result: dict[str, CumulativeSeries] = {}
-    for tag in wanted:
-        running = 0
-        buckets = []
-        for day, inc in zip(days, increments[tag]):
-            running += inc
-            buckets.append((day, running))
-        result[tag] = CumulativeSeries(tag=tag, buckets=tuple(buckets))
-    return result
+    return {
+        tag: CumulativeSeries(tag, tuple(zip(days, accumulate(increments[tag]))))
+        for tag in wanted
+    }
 
 
 def _r_squared(values: Sequence[int]) -> float:
@@ -144,13 +139,9 @@ def export_timeline(series: Sequence[CumulativeSeries], fmt: str = "csv") -> str
 
 
 def _export_csv(series: Sequence[CumulativeSeries]) -> str:
-    axis = series[0].days
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["date"] + [s.tag for s in series])
-    for i, day in enumerate(axis):
-        writer.writerow([day.isoformat()] + [s.buckets[i][1] for s in series])
-    return buffer.getvalue()
+    dates = (day.isoformat() for day in series[0].days)
+    columns = ([cumulative for _, cumulative in s.buckets] for s in series)
+    return _writer_text(chain([["date", *(s.tag for s in series)]], zip(dates, *columns)))
 
 
 _PALETTE = (

@@ -347,6 +347,29 @@ def test_run_jobs_0_exits_2_before_staging(run_config, capsys):
     assert list(Path.cwd().iterdir()) == []
 
 
+# Unchecked, [csv, csv] would write timeline.csv twice and list it twice
+# in the manifest, and [tags, tags] render what [tags] renders under
+# another run id.
+@pytest.mark.parametrize(
+    "section,message",
+    [
+        ("run:\n  stages: [ingest, tags, tags]\n", "run.stages names 'tags' twice"),
+        ("timeline:\n  formats: [csv, svg, csv]\n", "timeline.formats names 'csv' twice"),
+    ],
+)
+def test_a_list_entry_named_twice_exits_2_before_staging(
+    corpus_file, tmp_path, capsys, section, message
+):
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        f"corpus:\n  path: {json.dumps(str(corpus_file))}\n{section}", encoding="utf-8"
+    )
+    out_dir = tmp_path / "runs"
+    assert main(["run", "--config", str(config), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
 # A config's `run.out_dir: ""` also means the working directory.
 @pytest.mark.parametrize("out_dir,under", [("out", "out"), ("", ".")])
 def test_run_out_dir_resolves_against_working_directory(run_config, capsys, out_dir, under):

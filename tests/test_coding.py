@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import pytest
@@ -7,12 +9,16 @@ from hypothesis import strategies as st
 from helpers import GOLDEN, make_corpus
 from socmine.coding import (
     Category,
+    CategoryCount,
     code_vocabulary,
     coding_csv,
+    CodingResult,
     format_ratio,
     load_pronoun_groups,
     load_taxonomy,
     pronoun_orientation,
+    PronounReport,
+    PronounRow,
     pronouns_csv,
     rollup,
 )
@@ -322,3 +328,65 @@ def test_pronouns_csv_footer():
     assert "# them_total,1\n" in text
     assert "# us_total,1\n" in text
     assert text.endswith("# ratio,1.0000\n")
+
+
+# The two serializers as they were written before ngrams._writer_text,
+# frozen as references for the bytes they must keep.
+def _frozen_coding_csv(result, rolled, taxonomy):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["category_id", "label", "unique_words", "count", "rolled_up"])
+    for category in taxonomy:
+        counted = result.per_category[category.id]
+        writer.writerow(
+            [category.id, category.label, len(counted.unique_words), counted.count,
+             rolled[category.id]]
+        )
+    buffer.write(f"# uncategorized,{len(result.uncategorized)}\n")
+    buffer.write(f"# vocabulary_size,{result.vocabulary_size}\n")
+    return buffer.getvalue()
+
+
+def _frozen_pronouns_csv(report):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["label", "group", "surface", "count"])
+    writer.writerows(report.rows)
+    buffer.write(f"# them_total,{report.them_total}\n")
+    buffer.write(f"# us_total,{report.us_total}\n")
+    buffer.write(f"# ratio,{format_ratio(report.ratio)}\n")
+    return buffer.getvalue()
+
+
+# Labels with and without what CSV must quote: a comma, a quote, line breaks.
+CSV_LABELS = st.text(st.sampled_from(["a", ",", '"', "\r", "\n", " ", "é", "ł"]), max_size=5)
+WORD_SETS = st.frozensets(st.sampled_from(["policja", "okna", "a,b", '"q"']))
+
+
+@given(
+    st.lists(st.tuples(CSV_LABELS, WORD_SETS, st.integers(0, 9), st.integers(0, 20)), max_size=6),
+    WORD_SETS,
+    st.integers(0, 50),
+)
+def test_coding_csv_gives_the_frozen_writers_bytes(entries, uncategorized, vocabulary_size):
+    ids = [str(i) for i in range(len(entries))]
+    taxonomy = tuple(Category(cat_id, label) for cat_id, (label, *_) in zip(ids, entries))
+    counts = {cat_id: CategoryCount(words, n) for cat_id, (_, words, n, _) in zip(ids, entries)}
+    result = CodingResult(counts, uncategorized, vocabulary_size, multi_matched={})
+    rolled = {cat_id: rolled for cat_id, (*_, rolled) in zip(ids, entries)}
+    assert coding_csv(result, rolled, taxonomy) == _frozen_coding_csv(result, rolled, taxonomy)
+
+
+@given(
+    st.lists(
+        st.builds(PronounRow, CSV_LABELS, st.sampled_from(["them", "us"]), CSV_LABELS,
+                  st.integers(0, 9)),
+        max_size=6,
+    ),
+    st.integers(0, 30),
+    st.integers(0, 30),
+    st.just(math.inf) | st.floats(0, 30),
+)
+def test_pronouns_csv_gives_the_frozen_writers_bytes(rows, them_total, us_total, ratio):
+    report = PronounReport(tuple(rows), them_total, us_total, ratio)
+    assert pronouns_csv(report) == _frozen_pronouns_csv(report)

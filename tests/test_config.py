@@ -101,6 +101,9 @@ def test_merge_rejects_unknowns_and_bad_types(overrides, message):
             {"sentiment": {"filter_stem": "poli cja"}},
             "sentiment.filter_stem: keyword family stem must be one token: 'poli cja'",
         ),
+        # A repeated entry would render or write its stage or file twice.
+        ({"run": {"stages": ["ingest", "tags", "tags"]}}, "run.stages names 'tags' twice"),
+        ({"timeline": {"formats": ["csv", "csv"]}}, "timeline.formats names 'csv' twice"),
     ],
 )
 def test_validation_errors(overrides, message):

@@ -1,3 +1,5 @@
+import csv
+import io
 from datetime import date
 
 import pytest
@@ -162,3 +164,32 @@ def test_series_endpoint_matches_tag_count():
     counts = count_tags(corpus)
     for tag in ("riots", "husby"):
         assert cumulative_series_bulk(corpus, [tag])[tag].total == counts[tag]
+
+
+def _frozen_export_csv(series):
+    """export_timeline's CSV as written before ngrams._writer_text, frozen as
+    the reference for the bytes it must keep."""
+    axis = series[0].days
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["date"] + [s.tag for s in series])
+    for i, day in enumerate(axis):
+        writer.writerow([day.isoformat()] + [s.buckets[i][1] for s in series])
+    return buffer.getvalue()
+
+
+# A tag may hold a comma or a quote, which CSV must quote.
+CSV_TAGS = st.text(st.sampled_from(["a", ",", '"', "é", "#", "'"]), min_size=1, max_size=5)
+
+
+@given(
+    st.lists(CSV_TAGS, min_size=1, max_size=4, unique=True),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_timeline_csv_gives_the_frozen_writers_bytes(tags, days, data):
+    series = [
+        _series(tag, data.draw(st.lists(st.integers(0, 99), min_size=days, max_size=days)))
+        for tag in tags
+    ]
+    assert export_timeline(series, fmt="csv") == _frozen_export_csv(series)

@@ -18,7 +18,7 @@ from itertools import zip_longest
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DataError
 from .resources import utf8_fault
@@ -342,20 +342,24 @@ def load_corpus(
     window: tuple[int, int] | None = None,
     aliases: Mapping[str, str] | None = None,
     min_tags: int = 0,
+    on_kept: Callable[[str], object] | None = None,
 ) -> tuple[Corpus, LoadReport]:
     """Load and validate a corpus file; returns the corpus and its load report.
 
-    Records outside the window, then documents with fewer than min_tags
-    hashtags, are dropped and counted in the report. Without a window, the
-    one inferred spans every record before the min_tags drop. Duplicate
-    ids and malformed records are hard errors.
+    A record is kept when it is inside the window and has at least
+    min_tags hashtags; the others are dropped and counted in the report.
+    Without a window, the one inferred spans every record. Duplicate ids
+    and malformed records are hard errors. Each kept record's text is
+    passed to on_kept, in file order, as soon as the record is checked, so
+    a load that fails at a later line has passed some texts already.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"corpus file not found: {path}")
     dropped: Counter = Counter()
 
-    documents: list[Document] = []
+    inside: list[int] = []  # the timestamps of the records in the window
+    kept: list[Document] = []
     seen_ids: dict[str, int] = {}
     known_tags: dict[str, str] = {}
     try:
@@ -367,32 +371,29 @@ def load_corpus(
                     f"(first seen at line {seen_ids[doc.id]})"
                 )
             seen_ids[doc.id] = line_no
-            documents.append(doc)
+            if window is None or window[0] <= doc.timestamp <= window[1]:
+                inside.append(doc.timestamp)
+                if len(doc.hashtags) >= min_tags:
+                    kept.append(doc)
+                    if on_kept is not None:
+                        on_kept(doc.text)
     except UnicodeDecodeError as exc:
         raise DataError(utf8_fault(path)) from exc
     except OSError as exc:
         raise DataError(f"cannot read corpus file {path}: {exc}") from exc
-    # Every record read is a document now, or the load has raised.
-    records_read = len(documents)
+    # Every record read has an id now, or the load has raised.
+    records_read = len(seen_ids)
 
-    if window is not None:
-        inside = [d for d in documents if window[0] <= d.timestamp <= window[1]]
-        if len(inside) != len(documents):
-            dropped["out_of_window"] += len(documents) - len(inside)
-        documents = inside
-    if not documents:
+    if len(inside) != records_read:
+        dropped["out_of_window"] += records_read - len(inside)
+    if not inside:
         raise DataError(f"empty corpus after filtering: {path}")
-    corpus = Corpus.from_documents(documents, window)
-
-    if min_tags:
-        kept = tuple(d for d in corpus.documents if len(d.hashtags) >= min_tags)
-        if not kept:
-            raise DataError(f"empty corpus after filtering: {path} (corpus.min_tags {min_tags})")
-        if len(kept) != len(corpus.documents):
-            dropped["below_min_tags"] += len(corpus.documents) - len(kept)
-        corpus = Corpus(documents=kept, window=corpus.window)
-
-    return corpus, LoadReport(str(path), fmt, records_read, len(corpus.documents), dropped)
+    if not kept:
+        raise DataError(f"empty corpus after filtering: {path} (corpus.min_tags {min_tags})")
+    if len(kept) != len(inside):
+        dropped["below_min_tags"] += len(inside) - len(kept)
+    corpus = Corpus.from_documents(kept, window or (min(inside), max(inside)))
+    return corpus, LoadReport(str(path), fmt, records_read, len(kept), dropped)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:

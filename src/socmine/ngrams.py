@@ -16,12 +16,12 @@ from itertools import chain, groupby, islice, pairwise, repeat
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .corpus import Corpus, Document
+from .corpus import Corpus
 from .text import KeywordFamily, remove_stopwords, tokenize
 
 Key = Hashable
 
-# Documents per Counter update in count_tokens.
+# Texts per Counter update in count_tokens.
 _CHUNK = 512
 
 
@@ -62,26 +62,27 @@ def count_tag_pairs(corpus: Corpus) -> KeyOrderedRows:
 
 
 def count_tokens(
-    documents: Iterable[Document],
+    texts: Iterable[str],
     stops: frozenset[str] | None = None,
     filter_term: KeywordFamily | None = None,
 ) -> tuple[Counter, Counter]:
-    """Tokenize each document once; the Counters of the surfaces and the 2-grams.
+    """Tokenize each document's text once; the Counters of the surfaces and the 2-grams.
 
     Every token surface is counted, stopwords kept, so each analysis of
     them filters for itself. Only when stops is given are the 2-grams
     counted: adjacent ordered token pairs in the stopword-filtered text of
     each document, never crossing a document boundary, and with
     filter_term only the pairs where at least one member matches the
-    family. Documents are counted in chunks of _CHUNK, one update of each
-    Counter per chunk, in document order, so each Counter's keys are in
+    family. Texts are counted in chunks of _CHUNK, one update of each
+    Counter per chunk, in the order given, so each Counter's keys are in
     the order a per-document walk inserts them. The token lists of one
-    chunk are held at once; none outlives its chunk.
+    chunk are held at once; none outlives its chunk. The order of the
+    texts changes the order of the Counters' keys, and no count.
     """
     surfaces: Counter = Counter()
     grams: Counter = Counter()
-    docs = iter(documents)
-    while token_lists := [tokenize(doc.text) for doc in islice(docs, _CHUNK)]:
+    texts = iter(texts)
+    while token_lists := list(map(tokenize, islice(texts, _CHUNK))):
         surfaces.update(chain.from_iterable(token_lists))
         if stops is None:
             continue

@@ -10,15 +10,20 @@ them, so a subcommand or a run loads only the analyses it runs.
 
 At run.jobs 2 or more, a run with both a tag stage (ingest's corpus
 write, tags, pairs, graph, timeline) and a text stage (coding, pronouns,
-sentiment) loads the corpus once and forks. The child renders the tag
-stages into the same build directory and sends their StageResults, or
-the exception they raised, back down a pipe as a pickle; the parent
-renders the text stages meanwhile, reads the pipe to EOF and reaps the
-child. The two sides share nothing but the loaded corpus, so nothing else
-crosses the pipe, and the tag side's error wins when both fail, as it
-would in serial order. Any other run renders its stages one after
-another in this process. The fork costs memory, since the child copies
-each page of the corpus it reads, so it waits for run.jobs 2.
+sentiment) forks before the corpus is loaded. The child loads it, and
+sends the text of each kept document down a pipe as soon as its record
+is checked, then an end mark; it renders the tag stages into the same
+build directory and sends their StageResults, or the exception its load
+or stages raised, back down a second pipe as a pickle. The parent never
+loads the corpus: the text stages read nothing of it but the kept texts,
+and its first text stage runs the token walk over them as they arrive,
+while the child is still parsing. It then reads the result pipe to EOF
+and reaps the child. The tag side's error wins when both fail, as it
+would in serial order, and a stream that ends before its end mark is
+never counted. A text side that fails before its walk closes its end of
+the stream at once, and the child loads on without it. Any other run
+renders its stages one after another in this process. The split pays
+only when a second CPU is free, so it waits for run.jobs 2.
 
 Reruns of the same config over the same inputs produce byte-identical
 artifacts and manifest, whatever run.jobs says: the manifest embeds the
@@ -31,13 +36,14 @@ place after its manifest, so a failed run leaves an earlier one as it was.
 from __future__ import annotations
 
 import json
+import marshal
 import os
 from collections import Counter
 from functools import cached_property, partial
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import resources
 from .config import STAGES, Config, digest_view, file_digest
@@ -120,11 +126,17 @@ class Context:
 
     Each analysis reads the corpus before its data files, so a bad corpus
     is the error reported first.
+
+    At jobs 2 (see _render_beside) the loading process passes each kept
+    text to `on_kept`, and the other process, which loads no corpus, sets
+    `texts` to the texts it receives.
     """
 
     def __init__(self, sections: Mapping[str, Mapping[str, Any]]) -> None:
         self.sections = sections
         self._rankings: dict[str, list[tuple[Any, int]]] = {}
+        self.on_kept: Callable[[str], object] | None = None
+        self.texts: Iterable[str] | None = None
 
     @cached_property
     def loaded(self) -> tuple[Corpus, LoadReport]:
@@ -136,6 +148,7 @@ class Context:
             window=window,
             aliases=cfg["aliases"] or None,
             min_tags=cfg["min_tags"],
+            on_kept=self.on_kept,
         )
 
     @property
@@ -203,17 +216,21 @@ class Context:
     @cached_property
     def token_counts(self) -> tuple[Counter, Counter]:
         """The surface counts, and the 2-gram table when sentiment runs:
-        one tokenize of each document, which coding, pronouns and
+        one tokenize of each kept document, which coding, pronouns and
         sentiment all read. Without sentiment in run.stages no 2-gram is
-        counted and no stopword file is read."""
-        documents = self.corpus.documents
+        counted and no stopword file is read. The texts are the loaded
+        corpus's, or `texts` when set; a bad stopword file fails before
+        the walk reads a text."""
+        texts = self.texts
+        if texts is None:
+            texts = map(attrgetter("text"), self.corpus.documents)
         if "sentiment" not in self.sections["run"]["stages"]:
-            return count_tokens(documents)
+            return count_tokens(texts)
         cfg = self.sections["sentiment"]
         filter_term = None
         if cfg["filter_stem"]:
             filter_term = KeywordFamily(stem=cfg["filter_stem"], match_mode=cfg["filter_mode"])
-        return count_tokens(documents, self.stops, filter_term=filter_term)
+        return count_tokens(texts, self.stops, filter_term=filter_term)
 
     @cached_property
     def coding(self) -> tuple[Taxonomy, CodingResult, dict[str, int]]:
@@ -381,8 +398,8 @@ _STAGES: dict[str, Callable[[Context, Path], Rendered]] = {
 
 
 # The stages that tokenize document text. The rest read tags, or write the
-# corpus, and share nothing with these but the loaded corpus. These come
-# last in STAGES, so a serial run renders every other stage first.
+# corpus, and share nothing with these but the kept documents' texts. These
+# come last in STAGES, so a serial run renders every other stage first.
 _TEXT_STAGES = ("coding", "pronouns", "sentiment")
 
 
@@ -431,17 +448,77 @@ def _reap(pid: int, kill: bool) -> int:
         return status
 
 
+# The kept texts cross from the loading process at jobs 2 in chunks, each
+# an 8-byte length and a marshalled list of texts; a length of 0 ends them.
+# marshal, which the interpreter has always loaded, as pickle costs every
+# command its import.
+_TEXTS_PER_CHUNK = 256
+_LENGTH = 8
+
+
+class _TextSender:
+    """Sends the texts it is called with down the pipe fd, a chunk at a
+    time. Once the reader has closed its end, it drops the rest."""
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        self.texts: list[str] = []
+
+    def __call__(self, text: str) -> None:
+        self.texts.append(text)
+        if len(self.texts) == _TEXTS_PER_CHUNK:
+            self._send(marshal.dumps(self.texts))
+            self.texts = []
+
+    def end(self) -> None:
+        """Send the texts not yet sent, then the end mark."""
+        if self.texts:
+            self._send(marshal.dumps(self.texts))
+        self._send(b"")
+
+    def _send(self, chunk: bytes) -> None:
+        if self.fd < 0:
+            return
+        frame = memoryview(len(chunk).to_bytes(_LENGTH, "little") + chunk)
+        try:
+            while frame:
+                frame = frame[os.write(self.fd, frame):]
+        except BrokenPipeError:
+            self.close()
+
+    def close(self) -> None:
+        if self.fd >= 0:
+            os.close(self.fd)
+            self.fd = -1
+
+
+def _received_texts(pipe: BinaryIO) -> Iterator[str]:
+    """The texts a _TextSender sent down pipe. A stream that ends before
+    its end mark raises, so its texts are never counted whole."""
+    while True:
+        head = pipe.read(_LENGTH)
+        size = int.from_bytes(head, "little")
+        chunk = pipe.read(size)
+        if len(head) < _LENGTH or len(chunk) < size:
+            raise RuntimeError("the corpus texts ended before their end mark")
+        if not size:
+            return
+        yield from marshal.loads(chunk)
+
+
 def _render_beside(
     ctx: Context, build_dir: Path, tag_side: list[str], text_side: list[str]
 ) -> list[StageResult]:
-    """Render tag_side in a forked child while this process renders
-    text_side. Returns the results in stage order, or raises the error a
-    serial run would have raised first: the tag side's, as it runs first."""
+    """Render tag_side in a forked child, which loads the corpus and
+    streams its kept texts to this process, while this process renders
+    text_side over them. Returns the results in stage order, or raises the
+    error a serial run would have raised first: the tag side's, as it runs
+    first."""
     import pickle
 
-    # Loaded once, before the fork; its time and faults are the first stage's.
+    # The child's load is timed, and its faults named, as the first stage.
     start = perf_counter()
-    _in_stage(tag_side[0], lambda: ctx.loaded)
+    texts_fd, texts_write_fd = os.pipe()
     read_fd, write_fd = os.pipe()
     payload = None
     pid = os.fork()
@@ -451,7 +528,15 @@ def _render_beside(
         exit_code = 1
         try:
             os.close(read_fd)
+            os.close(texts_fd)
             try:
+                # A load that raises closes the stream without its end mark.
+                sender = ctx.on_kept = _TextSender(texts_write_fd)
+                try:
+                    _in_stage(tag_side[0], lambda: ctx.loaded)
+                    sender.end()
+                finally:
+                    sender.close()
                 outcome: Any = _render(tag_side, ctx, build_dir, start)
             except BaseException as exc:
                 outcome = exc
@@ -462,11 +547,16 @@ def _render_beside(
             os._exit(exit_code)
     try:
         os.close(write_fd)
+        os.close(texts_write_fd)
         with os.fdopen(read_fd, "rb") as pipe:
-            try:
-                own: Any = _render(text_side, ctx, build_dir)
-            except Exception as exc:
-                own = exc
+            # Closed as soon as the text side is done, or has failed, so a
+            # child still sending stops.
+            with os.fdopen(texts_fd, "rb") as texts:
+                ctx.texts = _received_texts(texts)
+                try:
+                    own: Any = _render(text_side, ctx, build_dir)
+                except Exception as exc:
+                    own = exc
             # Read to EOF before waiting, so a result larger than the pipe
             # buffer cannot block the child.
             payload = pipe.read()
@@ -482,7 +572,8 @@ def _render_beside(
 
 
 def run_pipeline(config: Config, ctx: Context | None = None) -> RunManifest:
-    """Render config's stages in ctx, a Context of config.values, or a new one."""
+    """Render config's stages in ctx, a Context of config.values that has
+    computed nothing yet, or a new one."""
     import shutil
     import tempfile
 

@@ -273,7 +273,7 @@ def test_criterion_4_timeline_endpoints_and_shapes(twitter):
 
 def test_criterion_5_pronoun_orientation_replay(forum):
     groups = load_pronoun_groups(default_data_path("pronouns.tsv"))
-    report = pronoun_orientation(count_tokens(forum.documents)[0], groups)
+    report = pronoun_orientation(count_tokens([d.text for d in forum.documents])[0], groups)
     counts = {row.surface: row.count for row in report.rows}
     assert counts == {"im": 79, "oni": 53, "nich": 38, "nam": 4, "nas": 13, "my": 1}
     assert report.them_total == 170
@@ -291,7 +291,7 @@ def test_criterion_6_coding_conservation_and_rollup(forum, stops):
     assert len([c for c in taxonomy if c.parent is None]) == 10
     assert sum(c.parent is not None for c in taxonomy) == 14
 
-    result = code_vocabulary(count_tokens(forum.documents)[0], taxonomy, stops)
+    result = code_vocabulary(count_tokens([d.text for d in forum.documents])[0], taxonomy, stops)
     assigned = sum(len(c.unique_words) for c in result.per_category.values())
     assert assigned + len(result.uncategorized) == result.vocabulary_size
 
@@ -302,7 +302,7 @@ def test_criterion_6_coding_conservation_and_rollup(forum, stops):
     )
     twenty = Corpus.from_documents([make_doc("w1", text=text20)])
     coded = code_vocabulary(
-        count_tokens(twenty.documents)[0], taxonomy, frozenset()
+        count_tokens([d.text for d in twenty.documents])[0], taxonomy, frozenset()
     )
     rolled = rollup(coded, taxonomy)
     hand_summed = {
@@ -321,7 +321,7 @@ def test_criterion_6_coding_conservation_and_rollup(forum, stops):
 def test_criterion_7_power_rows_replay(forum, stops):
     lexicon = load_lexicon(default_data_path("lexicon.tsv"))
     _, grams = count_tokens(
-        forum.documents, stops, filter_term=KeywordFamily("policj", "prefix")
+        [d.text for d in forum.documents], stops, filter_term=KeywordFamily("policj", "prefix")
     )
     report = power_report(grams, lexicon, min_freq=2)
     assert [row.power for row in report.rows] == [0, 0, -2, 0, 0, -6]

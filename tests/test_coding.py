@@ -32,7 +32,7 @@ NO_STOPS = frozenset()
 
 def _surfaces(corpus):
     """The corpus surface counts, stopwords kept."""
-    return count_tokens(corpus.documents)[0]
+    return count_tokens([d.text for d in corpus.documents])[0]
 
 
 def _taxonomy(*lines):

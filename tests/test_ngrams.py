@@ -25,7 +25,7 @@ EMPTY_STOPS = frozenset()
 
 def _grams(documents, stops, filter_term=None):
     """The 2-gram table of the one token count."""
-    return count_tokens(documents, stops, filter_term=filter_term)[1]
+    return count_tokens([d.text for d in documents], stops, filter_term=filter_term)[1]
 
 
 def test_count_tags_distinct_per_document():
@@ -144,7 +144,7 @@ def _oracle_2grams(documents, stops, filter_term):
 )
 def test_count_tokens_matches_a_per_document_oracle(texts, stops, filter_term):
     documents = [make_doc(f"d{i}", text=text) for i, text in enumerate(texts)]
-    surfaces, grams = count_tokens(documents, stops, filter_term=filter_term)
+    surfaces, grams = count_tokens(texts, stops, filter_term=filter_term)
     expected = Counter()
     for doc in documents:
         expected.update(Counter(tokenize(doc.text)))
@@ -172,7 +172,7 @@ def test_count_tokens_across_chunks_matches_the_per_document_walk(chunk, texts, 
     documents = [make_doc(f"d{i}", text=text) for i, text in enumerate(texts)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(socmine.ngrams, "_CHUNK", chunk)
-        surfaces, grams = count_tokens(documents, stops, filter_term=filter_term)
+        surfaces, grams = count_tokens(texts, stops, filter_term=filter_term)
     # The per-document walk: its Counters' keys in the order it inserts them.
     expected_surfaces = Counter()
     for doc in documents:

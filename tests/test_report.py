@@ -4,6 +4,7 @@ import json
 import os
 import signal
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -183,20 +184,27 @@ def test_text_stages_tokenize_each_document_once(workspace, monkeypatch):
 
     calls = {"tokenize": 0, "score_text": 0}
     # ngrams.count_tokens calls its module's binding; the others must stay
-    # unused.
+    # unused. At jobs 2 the walk runs in this process, over the texts the
+    # process that loads the corpus streams to it.
     for module in (socmine.coding, socmine.ngrams, socmine.sentiment):
         monkeypatch.setattr(module, "tokenize", _counting(calls, "tokenize", module.tokenize))
     monkeypatch.setattr(
         socmine.sentiment, "score_text", _counting(calls, "score_text", socmine.sentiment.score_text)
     )
-    for stages in (["ingest", "coding", "pronouns", "sentiment"], ["ingest", "sentiment"]):
+    for jobs, stages in product(
+        (1, 2), (["ingest", "coding", "pronouns", "sentiment"], ["ingest", "sentiment"])
+    ):
         calls.update(tokenize=0, score_text=0)
-        manifest = run_pipeline(_config(workspace, run={"stages": stages}))
+        config = _config(workspace, run={"stages": stages, "jobs": jobs})
+        ctx = Context(config.values)
+        manifest = run_pipeline(config, ctx)
         documents = manifest.stages[0].summary["documents"]
         assert documents == 4
         # Surface counts and 2-grams come from the same one walk.
-        assert calls == {"tokenize": 1 * documents, "score_text": 0}, stages
+        assert calls == {"tokenize": 1 * documents, "score_text": 0}, (jobs, stages)
         assert manifest.stages[-1].summary["distinct_2grams"] > 0
+        # The text side never holds the corpus.
+        assert ("loaded" in ctx.__dict__) == (jobs == 1)
 
 
 def test_coding_and_pronouns_count_no_2grams(workspace, monkeypatch, capsys):
@@ -481,6 +489,86 @@ def test_a_failed_run_fails_alike_at_jobs_1_and_2(workspace, monkeypatch, capsys
     assert outcomes[0] == outcomes[1]
     status, stderr = outcomes[0]
     assert status == code and stderr.startswith(err), stderr
+
+
+def _large_corpus(path, last_line=""):
+    """1,000 records holding 160 KB of text, more than a pipe buffer, then last_line."""
+    text = "Policja używa gazu na ulicy, oni i my. " * 4
+    with path.open("w", encoding="utf-8") as handle:
+        for i in range(1000):
+            record = {"id": f"d{i}", "ts": f"2013-05-{20 + i % 5}T10:00:00Z", "text": text,
+                      "tags": ["riots", f"t{i % 7}"]}
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        handle.write(last_line)
+
+
+DUPLICATE = '{"id": "d0", "ts": "2013-05-20T10:00:00Z", "text": "x", "tags": ["riots"]}\n'
+
+# Each case: a config line, the corpus's last line, and the start of stderr.
+LARGE_FAILURES = {
+    "missing stopword file": (
+        "text:\n  stopwords: missing.txt\n", "",
+        "error: stage coding: text.stopwords: cannot read stopword file ",
+    ),
+    "invalid JSON on the last line": (
+        "", "not json\n", "error: stage ingest: line 1001: invalid JSON",
+    ),
+    "duplicate id on the last line": (
+        "", DUPLICATE, "error: stage ingest: line 1001: duplicate id 'd0'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LARGE_FAILURES)
+def test_a_run_whose_texts_outgrow_a_pipe_fails_alike_at_jobs_1_and_2(
+    workspace, monkeypatch, capsys, case
+):
+    # At jobs 2 the loading process streams its kept texts to the text
+    # side. A text side that fails before its walk must not leave it
+    # blocked on a full pipe, nor turn its load into an error; a stream cut
+    # short by a bad line must never be counted.
+    config_line, last_line, err = LARGE_FAILURES[case]
+    _large_corpus(workspace / "corpus.jsonl", last_line)
+    (workspace / "run.yaml").write_text(
+        "corpus:\n  path: corpus.jsonl\n" + config_line, encoding="utf-8"
+    )
+    written = []
+    write_text = socmine.report._write_text
+
+    def logged(run_dir, name, content):
+        written.append(name)
+        return write_text(run_dir, name, content)
+
+    monkeypatch.setattr(socmine.report, "_write_text", logged)
+
+    def hung(signum, frame):
+        raise TimeoutError("the run did not finish: a process blocked on a pipe")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    outcomes = []
+    try:
+        for jobs in (1, 2):
+            out_dir = workspace / f"jobs{jobs}"
+            argv = ["run", "--config", str(workspace / "run.yaml"), "--jobs", str(jobs)]
+            written.clear()
+            signal.alarm(60)
+            try:
+                status = main([*argv, "--out-dir", str(out_dir)])
+            finally:
+                signal.alarm(0)
+            captured = capsys.readouterr()
+            outcomes.append((status, captured.err))
+            # The text stages run in this process at jobs 1 and 2.
+            assert "coding.csv" not in written
+            # No run directory, no staging directory, and no process left.
+            assert list(out_dir.iterdir()) == []
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert outcomes[0] == outcomes[1]
+    status, stderr = outcomes[0]
+    assert status == 2 and stderr.startswith(err), stderr
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,5 +1,7 @@
 import atexit
+import contextlib
 import csv
+import io
 import json
 import os
 import signal
@@ -593,6 +595,142 @@ def test_a_run_is_the_same_whatever_jobs_and_stages(tmp_path_factory, stages, jo
     assert [name for name, _, _ in serial] == [s for s in STAGES if s in stages]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# Words the bundled stopword, taxonomy, pronoun and lexicon files know, and tags.
+VOCABULARY = ("policja", "gazu", "oni", "my", "nas", "im", "dobry", "wspaniały", "fatalny",
+              "work", "school", "rodzina", "i", "na", "nie", "szwedzka", "ulicy", "Husby")
+TAGS = ("riots", "police", "husby", "svpol", "Riots")
+
+
+@st.composite
+def _records(draw):
+    """Valid records with distinct ids; a corpus whose texts are repeated
+    400 times may hold more text than a pipe buffer."""
+    repeat = draw(st.sampled_from([1, 1, 400]))
+    return [
+        {
+            "id": f"d{i}",
+            "ts": f"2013-05-2{draw(st.integers(0, 3))}T1{draw(st.integers(0, 2))}:00:00Z",
+            "text": " ".join(draw(st.lists(st.sampled_from(VOCABULARY), max_size=10)) * repeat),
+            "tags": draw(st.lists(st.sampled_from(TAGS), max_size=3)),
+        }
+        for i in range(draw(st.integers(1, 30)))
+    ]
+
+
+def _jsonl(records):
+    return "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+
+
+BAD_LINES = {
+    "invalid JSON": '{"id": "bad", "ts": ',
+    "duplicate id": '{"id": "d0", "ts": "2013-05-20T10:00:00Z"}',
+    "bad ts": '{"id": "bad", "ts": "2013-13-45T10:00:00Z"}',
+    "non-string tag": '{"id": "bad", "ts": "2013-05-20T10:00:00Z", "tags": [5]}',
+}
+DATA_KEYS = ("text.stopwords", "coding.taxonomy", "pronouns.groups", "sentiment.lexicon")
+
+
+def _cli_run(config_path, jobs, out_dir):
+    """The exit code, stderr and out_dir contents (None for a directory) of
+    one `socmine run`."""
+    argv = ["run", "--config", str(config_path), "--jobs", str(jobs), "--out-dir", str(out_dir)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = main(argv)
+    files = {
+        str(path.relative_to(out_dir)): path.read_bytes() if path.is_file() else None
+        for path in out_dir.rglob("*")
+    }
+    return status, err.getvalue(), files
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    _records(),
+    st.none() | st.tuples(st.sampled_from(sorted(BAD_LINES)), st.integers(0, 30)),
+    st.sets(st.sampled_from(DATA_KEYS)),
+    st.integers(0, 3),
+    st.just(set(STAGES)) | st.sets(st.sampled_from(STAGES), min_size=1),
+)
+def test_a_drawn_run_ends_alike_at_jobs_1_and_2(
+    tmp_path_factory, records, bad, missing, min_tags, stages
+):
+    # A bad line at a drawn place, missing data files, a min_tags that may
+    # drop every document: the forked run exits, reports and leaves files
+    # as the serial run does.
+    workspace = tmp_path_factory.mktemp("drawn")
+    lines = [_jsonl([record]) for record in records]
+    if bad is not None:
+        kind, at = bad
+        lines.insert(at, BAD_LINES[kind] + "\n")
+    (workspace / "corpus.jsonl").write_text("".join(lines), encoding="utf-8")
+    config = {
+        "corpus": {"path": "corpus.jsonl", "min_tags": min_tags},
+        "run": {"stages": sorted(stages)},
+        "sentiment": {"min_freq": 1},
+    }
+    for key in missing:
+        section, name = key.split(".")
+        config.setdefault(section, {})[name] = "missing.txt"
+    (workspace / "run.yaml").write_text(json.dumps(config), encoding="utf-8")
+    serial, forked = (
+        _cli_run(workspace / "run.yaml", jobs, workspace / f"jobs{jobs}") for jobs in (1, 2)
+    )
+    assert forked == serial
+    assert serial[0] in (0, 2), serial[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_records().flatmap(lambda records: st.tuples(st.just(records), st.permutations(records))))
+def test_the_order_of_corpus_lines_changes_no_artifact(tmp_path_factory, drawn):
+    # The forked walk reads the texts in file order, the serial walk in
+    # the loaded corpus's sorted order: neither order may show.
+    workspace = tmp_path_factory.mktemp("order")
+    runs = []
+    for name, records in zip(("given", "permuted"), drawn):
+        (workspace / name).mkdir()
+        (workspace / name / "corpus.jsonl").write_text(_jsonl(records), encoding="utf-8")
+        for jobs in (1, 2):
+            run = {"jobs": jobs, "out_dir": f"jobs{jobs}"}
+            # Timeline plots the top tags, as the drawn ones may be missing.
+            manifest = run_pipeline(_config(workspace / name, run=run, timeline={"tags": []}))
+            files = {p.name: p.read_bytes() for p in Path(manifest.run_dir).iterdir()}
+            # Only the corpus file's digest may differ.
+            payload = json.loads(files.pop(MANIFEST_NAME))
+            del payload["corpus_digest"]
+            runs.append((files, payload))
+    assert all(run == runs[0] for run in runs)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_loading_process_that_dies_mid_stream_fails_the_run(workspace, monkeypatch, capsys):
+    _large_corpus(workspace / "corpus.jsonl")
+    send = socmine.report._TextSender._send
+
+    def dies(self, chunk):
+        send(self, chunk)
+        os._exit(1)
+
+    # The child sends its first chunk of texts, then exits without a word.
+    monkeypatch.setattr(socmine.report._TextSender, "_send", dies)
+    with pytest.raises(RuntimeError, match="the tag stages' process sent no result"):
+        run_pipeline(_config(workspace, run={"jobs": 2}))
+    # No run directory, no staging directory, and no process left.
+    assert list((workspace / "runs").iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    (workspace / "run.yaml").write_text("corpus:\n  path: corpus.jsonl\n", encoding="utf-8")
+    argv = ["run", "--config", str(workspace / "run.yaml"), "--jobs", "2"]
+    assert main([*argv, "--out-dir", str(workspace / "cli")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: RuntimeError(")
+    assert "the tag stages' process sent no result" in captured.err
+    assert list((workspace / "cli").iterdir()) == []
 
 
 def test_jobs_2_renders_the_tag_side_in_a_child(workspace, monkeypatch):

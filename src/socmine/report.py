@@ -10,20 +10,21 @@ them, so a subcommand or a run loads only the analyses it runs.
 
 At run.jobs 2 or more, a run with both a tag stage (ingest's corpus
 write, tags, pairs, graph, timeline) and a text stage (coding, pronouns,
-sentiment) forks before the corpus is loaded. The child loads it, and
-sends the text of each kept document down a pipe as soon as its record
-is checked, then an end mark; it renders the tag stages into the same
-build directory and sends their StageResults, or the exception its load
-or stages raised, back down a second pipe as a pickle. The parent never
-loads the corpus: the text stages read nothing of it but the kept texts,
-and its first text stage runs the token walk over them as they arrive,
-while the child is still parsing. It then reads the result pipe to EOF
-and reaps the child. The tag side's error wins when both fail, as it
-would in serial order, and a stream that ends before its end mark is
-never counted. A text side that fails before its walk closes its end of
-the stream at once, and the child loads on without it. Any other run
-renders its stages one after another in this process. The split pays
-only when a second CPU is free, so it waits for run.jobs 2.
+sentiment) forks before the corpus is loaded, and the child writes to
+the parent down one pipe, in one order. The child loads the corpus and
+sends the text of each kept document as soon as its record is checked;
+then an end mark, or a cut mark if its load raised; then, once it has
+rendered the tag stages into the same build directory, their
+StageResults, or the exception its load or stages raised, as a pickle
+up to EOF. The parent never loads the corpus: the text stages read
+nothing of it but the kept texts, and its first text stage runs the
+token walk over them as they arrive, while the child is still parsing.
+After its text stages, done or failed, the parent reads past any texts
+they did not walk, reads the child's outcome to EOF and reaps the child.
+The tag side's error wins when both fail, as it would in serial order,
+and a stream that ends before its end mark is never counted. Any other
+run renders its stages one after another in this process. The split
+pays only when a second CPU is free, so it waits for run.jobs 2.
 
 Reruns of the same config over the same inputs produce byte-identical
 artifacts and manifest, whatever run.jobs says: the manifest embeds the
@@ -38,8 +39,10 @@ from __future__ import annotations
 import json
 import marshal
 import os
-from collections import Counter
+from collections import Counter, deque
+from contextlib import suppress
 from functools import cached_property, partial
+from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from time import perf_counter
@@ -449,16 +452,26 @@ def _reap(pid: int, kill: bool) -> int:
 
 
 # The kept texts cross from the loading process at jobs 2 in chunks, each
-# an 8-byte length and a marshalled list of texts; a length of 0 ends them.
-# marshal, which the interpreter has always loaded, as pickle costs every
-# command its import.
+# an 8-byte length and a marshalled list of texts; a length of 0 ends them
+# after a load that returned, and _CUT after one that raised. marshal,
+# which the interpreter has always loaded, as pickle costs every command
+# its import.
 _TEXTS_PER_CHUNK = 256
 _LENGTH = 8
+_END = bytes(_LENGTH)
+_CUT = b"\xff" * _LENGTH
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """Write data to fd whole, however little of it each os.write takes."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 class _TextSender:
     """Sends the texts it is called with down the pipe fd, a chunk at a
-    time. Once the reader has closed its end, it drops the rest."""
+    time, each chunk in one frame."""
 
     def __init__(self, fd: int) -> None:
         self.fd = fd
@@ -477,33 +490,18 @@ class _TextSender:
         self._send(b"")
 
     def _send(self, chunk: bytes) -> None:
-        if self.fd < 0:
-            return
-        frame = memoryview(len(chunk).to_bytes(_LENGTH, "little") + chunk)
-        try:
-            while frame:
-                frame = frame[os.write(self.fd, frame):]
-        except BrokenPipeError:
-            self.close()
-
-    def close(self) -> None:
-        if self.fd >= 0:
-            os.close(self.fd)
-            self.fd = -1
+        _write_all(self.fd, len(chunk).to_bytes(_LENGTH, "little") + chunk)
 
 
-def _received_texts(pipe: BinaryIO) -> Iterator[str]:
-    """The texts a _TextSender sent down pipe. A stream that ends before
-    its end mark raises, so its texts are never counted whole."""
-    while True:
-        head = pipe.read(_LENGTH)
+def _frames(pipe: BinaryIO) -> Iterator[bytes]:
+    """The chunks a _TextSender sent down pipe, up to its end mark. A
+    stream that ends otherwise, at a cut mark or at EOF, raises, so its
+    texts are never counted whole."""
+    while (head := pipe.read(_LENGTH)) != _END:
         size = int.from_bytes(head, "little")
-        chunk = pipe.read(size)
-        if len(head) < _LENGTH or len(chunk) < size:
+        if len(head) < _LENGTH or head == _CUT or len(chunk := pipe.read(size)) < size:
             raise RuntimeError("the corpus texts ended before their end mark")
-        if not size:
-            return
-        yield from marshal.loads(chunk)
+        yield chunk
 
 
 def _render_beside(
@@ -518,7 +516,6 @@ def _render_beside(
 
     # The child's load is timed, and its faults named, as the first stage.
     start = perf_counter()
-    texts_fd, texts_write_fd = os.pipe()
     read_fd, write_fd = os.pipe()
     payload = None
     pid = os.fork()
@@ -528,37 +525,35 @@ def _render_beside(
         exit_code = 1
         try:
             os.close(read_fd)
-            os.close(texts_fd)
             try:
-                # A load that raises closes the stream without its end mark.
-                sender = ctx.on_kept = _TextSender(texts_write_fd)
+                sender = ctx.on_kept = _TextSender(write_fd)
                 try:
                     _in_stage(tag_side[0], lambda: ctx.loaded)
-                    sender.end()
-                finally:
-                    sender.close()
+                except BaseException:
+                    _write_all(write_fd, _CUT)
+                    raise
+                sender.end()
                 outcome: Any = _render(tag_side, ctx, build_dir, start)
             except BaseException as exc:
                 outcome = exc
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(outcome))
+            _write_all(write_fd, pickle.dumps(outcome))
             exit_code = 0
         finally:
             os._exit(exit_code)
     try:
         os.close(write_fd)
-        os.close(texts_write_fd)
         with os.fdopen(read_fd, "rb") as pipe:
-            # Closed as soon as the text side is done, or has failed, so a
-            # child still sending stops.
-            with os.fdopen(texts_fd, "rb") as texts:
-                ctx.texts = _received_texts(texts)
-                try:
-                    own: Any = _render(text_side, ctx, build_dir)
-                except Exception as exc:
-                    own = exc
-            # Read to EOF before waiting, so a result larger than the pipe
-            # buffer cannot block the child.
+            frames = _frames(pipe)
+            ctx.texts = chain.from_iterable(map(marshal.loads, frames))
+            try:
+                own: Any = _render(text_side, ctx, build_dir)
+            except Exception as exc:
+                own = exc
+            # Read past any texts the text stages did not walk, then the
+            # outcome to EOF before waiting, so the child never blocks on a
+            # full pipe. A stream cut short leaves its error to the outcome.
+            with suppress(RuntimeError):
+                deque(frames, 0)
             payload = pipe.read()
     finally:
         status = _reap(pid, kill=payload is None)

@@ -453,9 +453,9 @@ def _reap(pid: int, kill: bool) -> int:
 
 # The kept texts cross from the loading process at jobs 2 in chunks, each
 # an 8-byte length and a marshalled list of texts; a length of 0 ends them
-# after a load that returned, and _CUT after one that raised. marshal,
-# which the interpreter has always loaded, as pickle costs every command
-# its import.
+# after a load that returned, and _CUT after one that raised. The pickled
+# outcome follows, up to EOF. marshal, which the interpreter has always
+# loaded, as pickle costs every command its import.
 _TEXTS_PER_CHUNK = 256
 _LENGTH = 8
 _END = bytes(_LENGTH)

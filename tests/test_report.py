@@ -3,10 +3,11 @@ import contextlib
 import csv
 import io
 import json
+import marshal
 import os
 import signal
 import time
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -597,7 +598,8 @@ def test_a_run_is_the_same_whatever_jobs_and_stages(tmp_path_factory, stages, jo
         os.waitpid(-1, os.WNOHANG)
 
 
-# Words the bundled stopword, taxonomy, pronoun and lexicon files know, and tags.
+# Drawn text words, among them words of the bundled stopword, taxonomy,
+# pronoun and lexicon files, and drawn tags.
 VOCABULARY = ("policja", "gazu", "oni", "my", "nas", "im", "dobry", "wspaniały", "fatalny",
               "work", "school", "rodzina", "i", "na", "nie", "szwedzka", "ulicy", "Husby")
 TAGS = ("riots", "police", "husby", "svpol", "Riots")
@@ -706,6 +708,40 @@ def test_the_order_of_corpus_lines_changes_no_artifact(tmp_path_factory, drawn):
     assert all(run == runs[0] for run in runs)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _stream(texts, mark, outcome=b"outcome"):
+    """A pipe holding texts as a _TextSender sends them, then mark (None for
+    the sender's end mark), then outcome, read back from its start."""
+    read_fd, write_fd = os.pipe()
+    sender = socmine.report._TextSender(write_fd)
+    for text in texts:
+        sender(text)
+    if mark is None:
+        sender.end()
+    else:
+        os.write(write_fd, mark)
+    os.write(write_fd, outcome)
+    os.close(write_fd)
+    return os.fdopen(read_fd, "rb")
+
+
+def test_the_text_stream_ends_at_its_end_mark_and_nowhere_else():
+    texts = [f"text {i}" for i in range(300)]
+    with _stream(texts, None) as pipe:
+        frames = socmine.report._frames(pipe)
+        assert list(chain.from_iterable(map(marshal.loads, frames))) == texts
+        assert pipe.read() == b"outcome"
+    # A cut mark, an EOF or a short chunk ends the texts early: the walk
+    # raises, and a cut mark leaves the outcome behind it to read.
+    head = (100).to_bytes(8, "little")
+    for mark, outcome, rest in [
+        (socmine.report._CUT, b"outcome", b"outcome"), (b"", b"", b""), (head, b"short", b""),
+    ]:
+        with _stream(texts[:256], mark, outcome) as pipe:
+            with pytest.raises(RuntimeError, match="the corpus texts ended before their end mark"):
+                list(socmine.report._frames(pipe))
+            assert pipe.read() == rest
 
 
 def test_a_loading_process_that_dies_mid_stream_fails_the_run(workspace, monkeypatch, capsys):

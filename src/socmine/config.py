@@ -47,7 +47,7 @@ DEFAULTS: dict[str, dict[str, Any]] = {
     "run": {
         "stages": list(STAGES),
         "out_dir": "runs",
-        "jobs": 1,
+        "jobs": 2,
     },
     "text": {
         "stopwords": "",

@@ -88,12 +88,10 @@ class Corpus(NamedTuple):
     def from_documents(
         cls,
         documents: Iterable[Document],
-        window: tuple[int, int] | None = None,
+        window: tuple[int, int],
     ) -> "Corpus":
-        """Sort documents and infer the window from them when not given."""
+        """The documents, sorted, as a corpus of window."""
         docs = sorted(documents, key=itemgetter(1, 0))
-        if window is None:
-            window = (docs[0].timestamp, docs[-1].timestamp)
         return cls(documents=tuple(docs), window=window)
 
 

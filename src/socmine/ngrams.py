@@ -3,8 +3,8 @@
 `ranked` defines rank order for every ranked table, artifact and graph:
 descending count, ties ascending by key. A top-N is a prefix of it.
 
-`socmine run` at jobs 2 counts tags in one process and tokens in another
-(see report), but splits no count.
+`socmine run` may count tags in one process and tokens in another (see
+report), but splits no count.
 """
 
 from __future__ import annotations

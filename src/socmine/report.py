@@ -8,23 +8,24 @@ property rests on are imported with this module; coding, graph, timeline
 and sentiment are imported by the properties and stage renderers that use
 them, so a subcommand or a run loads only the analyses it runs.
 
-At run.jobs 2 or more, a run with both a tag stage (ingest's corpus
-write, tags, pairs, graph, timeline) and a text stage (coding, pronouns,
-sentiment) forks before the corpus is loaded, and the child writes to
-the parent down one pipe, in one order. The child loads the corpus and
-sends the text of each kept document as soon as its record is checked;
-then an end mark, or a cut mark if its load raised; then, once it has
-rendered the tag stages into the same build directory, their
-StageResults, or the exception its load or stages raised, as a pickle
-up to EOF. The parent never loads the corpus: the text stages read
-nothing of it but the kept texts, and its first text stage runs the
-token walk over them as they arrive, while the child is still parsing.
-After its text stages, done or failed, the parent reads past any texts
-they did not walk, reads the child's outcome to EOF and reaps the child.
-The tag side's error wins when both fail, as it would in serial order,
-and a stream that ends before its end mark is never counted. Any other
-run renders its stages one after another in this process. The split
-pays only when a second CPU is free, so it waits for run.jobs 2.
+A run with both a tag stage (ingest's corpus write, tags, pairs, graph,
+timeline) and a text stage (coding, pronouns, sentiment) forks before
+the corpus is loaded when run.jobs allows two processes and this process
+may run on a second CPU, and the child writes to the parent down one
+pipe, in one order. The child loads the corpus and sends the text of
+each kept document as soon as its record is checked; then an end mark,
+or a cut mark if its load raised; then, once it has rendered the tag
+stages into the same build directory, their StageResults, or the
+exception its load or stages raised, as a pickle up to EOF. The parent
+never loads the corpus: the text stages read nothing of it but the kept
+texts, and its first text stage runs the token walk over them as they
+arrive, while the child is still parsing. After its text stages, done or
+failed, the parent reads past any texts they did not walk, reads the
+child's outcome to EOF and reaps the child. The tag side's error wins
+when both fail, as it would in serial order, and a stream that ends
+before its end mark is never counted. Any other run, and one whose fork
+fails, renders its stages one after another in this process: on one CPU
+the split costs more than it saves.
 
 Reruns of the same config over the same inputs produce byte-identical
 artifacts and manifest, whatever run.jobs says: the manifest embeds the
@@ -130,9 +131,9 @@ class Context:
     Each analysis reads the corpus before its data files, so a bad corpus
     is the error reported first.
 
-    At jobs 2 (see _render_beside) the loading process passes each kept
-    text to `on_kept`, and the other process, which loads no corpus, sets
-    `texts` to the texts it receives.
+    In a forked run (see _render_beside) the loading process passes each
+    kept text to `on_kept`, and the other process, which loads no corpus,
+    sets `texts` to the texts it receives.
     """
 
     def __init__(self, sections: Mapping[str, Mapping[str, Any]]) -> None:
@@ -451,7 +452,7 @@ def _reap(pid: int, kill: bool) -> int:
         return status
 
 
-# The kept texts cross from the loading process at jobs 2 in chunks, each
+# The kept texts cross from the loading process of a fork in chunks, each
 # an 8-byte length and a marshalled list of texts; a length of 0 ends them
 # after a load that returned, and _CUT after one that raised. The pickled
 # outcome follows, up to EOF. marshal, which the interpreter has always
@@ -509,16 +510,21 @@ def _render_beside(
 ) -> list[StageResult]:
     """Render tag_side in a forked child, which loads the corpus and
     streams its kept texts to this process, while this process renders
-    text_side over them. Returns the results in stage order, or raises the
-    error a serial run would have raised first: the tag side's, as it runs
-    first."""
+    text_side over them, or renders both here when the fork fails. Returns
+    the results in stage order, or raises the error a serial run would
+    have raised first: the tag side's, as it runs first."""
     import pickle
 
     # The child's load is timed, and its faults named, as the first stage.
     start = perf_counter()
     read_fd, write_fd = os.pipe()
     payload = None
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare, as under a pid limit
+        os.close(read_fd)
+        os.close(write_fd)
+        return _render(tag_side + text_side, ctx, build_dir, start)
     if pid == 0:
         # The child leaves through os._exit alone, so it runs none of the
         # caller's cleanup or atexit hooks and flushes none of its stdio.
@@ -598,7 +604,9 @@ def run_pipeline(config: Config, ctx: Context | None = None) -> RunManifest:
         ctx = Context(config.values) if ctx is None else ctx
         tag_side = [name for name in enabled if name not in _TEXT_STAGES]
         text_side = [name for name in enabled if name in _TEXT_STAGES]
-        if run_cfg["jobs"] >= 2 and tag_side and text_side and hasattr(os, "fork"):
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        if run_cfg["jobs"] >= 2 and cpus >= 2 and tag_side and text_side and hasattr(os, "fork"):
             results = _render_beside(ctx, build_dir, tag_side, text_side)
         else:
             results = _render(enabled, ctx, build_dir)

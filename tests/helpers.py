@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import os
 from pathlib import Path
 
 from socmine.corpus import Corpus, Document, _iso_utc, parse_timestamp
@@ -34,7 +35,19 @@ def make_corpus(*specs) -> Corpus:
         doc_id, day, tags = spec[0], spec[1], spec[2]
         text = spec[3] if len(spec) > 3 else ""
         docs.append(make_doc(doc_id, day=day, text=text, tags=tags))
-    return Corpus.from_documents(docs)
+    return corpus_of(docs)
+
+
+def corpus_of(docs) -> Corpus:
+    """The corpus of docs, windowed from their first to their last timestamp."""
+    times = [doc.timestamp for doc in docs]
+    return Corpus.from_documents(docs, (min(times), max(times)))
+
+
+def pin_cpus(monkeypatch, count: int) -> None:
+    """Show `socmine run`'s fork decision `count` CPUs, so a test of the
+    fork or of the serial path runs the same on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def write_csv_corpus(corpus: Corpus, path: Path) -> None:

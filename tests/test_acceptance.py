@@ -15,7 +15,7 @@ from time import perf_counter
 
 import pytest
 
-from helpers import FIXTURES, GOLDEN, make_doc
+from helpers import FIXTURES, GOLDEN, corpus_of, make_doc, pin_cpus
 from socmine.coding import (
     code_vocabulary,
     load_pronoun_groups,
@@ -24,7 +24,7 @@ from socmine.coding import (
     rollup,
 )
 from socmine.config import make_config
-from socmine.corpus import Corpus, load_corpus, parse_window, write_corpus
+from socmine.corpus import load_corpus, parse_window, write_corpus
 from socmine.graph import build_graph
 from socmine.ngrams import (
     count_tag_pairs,
@@ -171,7 +171,9 @@ def _artifact_rows(run_dir, name):
     return [line.split(",") for line in lines if not line.startswith("#")]
 
 
-def test_criterion_3_parallel_counting_matches_brute_force(tmp_path):
+def test_criterion_3_parallel_counting_matches_brute_force(tmp_path, monkeypatch):
+    # Two CPUs, so jobs 2 and 8 fork on any host.
+    pin_cpus(monkeypatch, 2)
     rng = random.Random(20130522)
     tag_pool = [f"tag{i}" for i in range(10)]
     word_pool = ["och", "polis", "husby", "bilar", "natt", "sten", "unga",
@@ -188,7 +190,7 @@ def test_criterion_3_parallel_counting_matches_brute_force(tmp_path):
             docs.append(
                 make_doc(f"d{round_no}_{i}", day=rng.randint(0, 9), text=text, tags=tags)
             )
-        corpus = Corpus.from_documents(docs)
+        corpus = corpus_of(docs)
         corpus_path = tmp_path / f"corpus{round_no}.jsonl"
         write_corpus(corpus, corpus_path)
         expect_tags = _oracle_tags(corpus.documents)
@@ -300,7 +302,7 @@ def test_criterion_6_coding_conservation_and_rollup(forum, stops):
         "government politicians tolerance racism nation immigrants swedes "
         "police bullets law riots fires"
     )
-    twenty = Corpus.from_documents([make_doc("w1", text=text20)])
+    twenty = corpus_of([make_doc("w1", text=text20)])
     coded = code_vocabulary(
         count_tokens([d.text for d in twenty.documents])[0], taxonomy, frozenset()
     )
@@ -362,7 +364,10 @@ def test_criterion_7_power_rows_replay(forum, stops):
     )
 
 
-def test_criterion_8_reruns_are_byte_identical(tmp_path):
+def test_criterion_8_reruns_are_byte_identical(tmp_path, monkeypatch):
+    # Two CPUs, so jobs 8 forks on any host.
+    pin_cpus(monkeypatch, 2)
+
     def run(jobs, out_dir):
         config = make_config(
             {

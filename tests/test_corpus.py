@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socmine.corpus
-from helpers import BASE, DAY, FIXTURES, LINE_ENDS, make_doc, write_csv_corpus
+from helpers import BASE, DAY, FIXTURES, LINE_ENDS, corpus_of, make_doc, write_csv_corpus
 from socmine.cli import main
 from socmine.config import file_digest
 from socmine.corpus import (
@@ -58,11 +58,12 @@ def test_tag_rule_adds_only_what_xml_cannot_carry():
     assert set(_BAD_TAG_CHAR.findall(every)) == expected
 
 
-def test_corpus_sorting_and_window_inference():
-    docs = [make_doc("b", day=2), make_doc("a", day=0), make_doc("c", day=1)]
-    corpus = Corpus.from_documents(docs)
-    assert [d.id for d in corpus.documents] == ["a", "c", "b"]
-    assert corpus.window == (docs[1].timestamp, docs[0].timestamp)
+def test_corpus_sorts_by_timestamp_then_id_and_keeps_its_window():
+    docs = [make_doc("b", day=2), make_doc("a", day=0), make_doc("c", day=1), make_doc("0", day=1)]
+    window = (BASE - DAY, BASE + 5 * DAY)
+    corpus = Corpus.from_documents(docs, window)
+    assert [d.id for d in corpus.documents] == ["a", "0", "c", "b"]
+    assert corpus.window == window
 
 
 def test_parse_timestamp_forms():
@@ -902,7 +903,7 @@ def test_write_corpus_round_trip(tmp_path, fmt):
         make_doc("c", day=2, text="a\rb\r", tags=("riots",)),
         make_doc("d", day=3, text="a\r\nb", tags=("riots",)),
     ]
-    corpus = Corpus.from_documents(docs)
+    corpus = corpus_of(docs)
     path = tmp_path / f"out.{fmt}"
     WRITERS[fmt](corpus, path)
     loaded, _ = load_corpus(path, fmt=fmt, window=corpus.window)
@@ -918,7 +919,7 @@ def test_write_corpus_round_trip(tmp_path, fmt):
 )
 def test_write_corpus_round_trips_any_year(tmp_path_factory, fmt, when):
     ts = (when - EPOCH) // SECOND
-    corpus = Corpus.from_documents([make_doc("a", text="x")._replace(timestamp=ts)])
+    corpus = corpus_of([make_doc("a", text="x")._replace(timestamp=ts)])
     path = tmp_path_factory.mktemp("years") / f"out.{fmt}"
     WRITERS[fmt](corpus, path)
     loaded, _ = load_corpus(path, fmt=fmt, window=corpus.window)

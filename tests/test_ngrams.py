@@ -8,8 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import socmine.ngrams
-from helpers import make_corpus, make_doc
-from socmine.corpus import Corpus, normalize_tag
+from helpers import corpus_of, make_corpus, make_doc
+from socmine.corpus import normalize_tag
 from socmine.ngrams import (
     KeyOrderedRows,
     count_tag_pairs,
@@ -30,7 +30,7 @@ def _grams(documents, stops, filter_term=None):
 
 def test_count_tags_distinct_per_document():
     # duplicate tag inside one doc must count once
-    corpus = Corpus.from_documents(
+    corpus = corpus_of(
         [
             make_doc("a", tags=("svpol", "husby")),
             make_doc("b", day=1, tags=("svpol",)),

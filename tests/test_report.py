@@ -1,6 +1,7 @@
 import atexit
 import contextlib
 import csv
+import errno
 import io
 import json
 import marshal
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import socmine.report
-from helpers import FIXTURES
+from helpers import FIXTURES, pin_cpus
 from socmine.config import STAGES, make_config
 from socmine.errors import DataError
 from socmine.cli import main
@@ -34,6 +35,15 @@ def workspace(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(SMALL, encoding="utf-8")
     return tmp_path
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _two_cpus():
+    # A jobs-2 run here tests the fork, which a run on one CPU does not
+    # take; the decision's own tests pin their CPUs themselves.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        pin_cpus(monkeypatch, 2)
+        yield
 
 
 def _config(workspace, **sections):
@@ -767,6 +777,51 @@ def test_a_loading_process_that_dies_mid_stream_fails_the_run(workspace, monkeyp
     assert captured.err.startswith("internal error: RuntimeError(")
     assert "the tag stages' process sent no result" in captured.err
     assert list((workspace / "cli").iterdir()) == []
+
+
+def _files(manifest):
+    return {p.name: p.read_bytes() for p in Path(manifest.run_dir).iterdir()}
+
+
+def test_a_failed_fork_renders_serially_and_leaks_no_descriptor(workspace, monkeypatch):
+    serial = run_pipeline(_config(workspace, run={"jobs": 1, "out_dir": "serial"}))
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    descriptors = len(os.listdir("/dev/fd"))
+    for attempt in range(3):
+        manifest = run_pipeline(_config(workspace, run={"jobs": 2, "out_dir": f"try{attempt}"}))
+        assert _files(manifest) == _files(serial)
+    assert len(os.listdir("/dev/fd")) == descriptors
+
+
+def _forked(config):
+    """Whether run_pipeline forked for config: a process that forks never
+    loads the corpus."""
+    ctx = Context(config.values)
+    run_pipeline(config, ctx)
+    return "loaded" not in ctx.__dict__
+
+
+@pytest.mark.parametrize(
+    ("jobs", "cpus", "forks"),
+    [(None, 2, True), (None, 1, False), (1, 2, False), (1, 8, False), (2, 1, False), (8, 2, True)],
+)
+def test_a_run_forks_when_jobs_allows_it_and_a_second_cpu_is_free(
+    workspace, monkeypatch, jobs, cpus, forks
+):
+    pin_cpus(monkeypatch, cpus)
+    run = {} if jobs is None else {"jobs": jobs}
+    assert _forked(_config(workspace, run=run)) == forks
+
+
+@pytest.mark.parametrize(("count", "forks"), [(2, True), (1, False), (None, False)])
+def test_without_an_affinity_mask_the_cpu_count_decides(workspace, monkeypatch, count, forks):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert _forked(_config(workspace)) == forks
 
 
 def test_jobs_2_renders_the_tag_side_in_a_child(workspace, monkeypatch):

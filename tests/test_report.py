@@ -58,6 +58,11 @@ def _config(workspace, **sections):
     return make_config(overrides, base_dir=workspace)
 
 
+def _files(manifest):
+    """The run directory's files and their bytes."""
+    return {p.name: p.read_bytes() for p in Path(manifest.run_dir).iterdir()}
+
+
 def test_pipeline_writes_all_artifacts_and_manifest(workspace):
     manifest = run_pipeline(_config(workspace))
     run_dir = Path(manifest.run_dir)
@@ -595,9 +600,7 @@ def test_a_run_is_the_same_whatever_jobs_and_stages(tmp_path_factory, stages, jo
         ))
         for n in (1, jobs)
     ]
-    serial, forked = (
-        {p.name: p.read_bytes() for p in Path(m.run_dir).iterdir()} for m in manifests
-    )
+    serial, forked = map(_files, manifests)
     assert forked == serial
     serial, forked = (
         [(s.name, s.artifacts, s.summary) for s in m.stages] for m in manifests
@@ -710,7 +713,7 @@ def test_the_order_of_corpus_lines_changes_no_artifact(tmp_path_factory, drawn):
             run = {"jobs": jobs, "out_dir": f"jobs{jobs}"}
             # Timeline plots the top tags, as the drawn ones may be missing.
             manifest = run_pipeline(_config(workspace / name, run=run, timeline={"tags": []}))
-            files = {p.name: p.read_bytes() for p in Path(manifest.run_dir).iterdir()}
+            files = _files(manifest)
             # Only the corpus file's digest may differ.
             payload = json.loads(files.pop(MANIFEST_NAME))
             del payload["corpus_digest"]
@@ -777,10 +780,6 @@ def test_a_loading_process_that_dies_mid_stream_fails_the_run(workspace, monkeyp
     assert captured.err.startswith("internal error: RuntimeError(")
     assert "the tag stages' process sent no result" in captured.err
     assert list((workspace / "cli").iterdir()) == []
-
-
-def _files(manifest):
-    return {p.name: p.read_bytes() for p in Path(manifest.run_dir).iterdir()}
 
 
 def test_a_failed_fork_renders_serially_and_leaks_no_descriptor(workspace, monkeypatch):

@@ -431,9 +431,10 @@ def _render(
 
 
 def _reap(pid: int, kill: bool) -> int:
-    """The wait status of child pid, killed first if `kill`. A signal
-    handler that raises during the wait (Ctrl-C) does not leave the child
-    behind: it is killed and waited for again, then the exception goes on."""
+    """The exit code of child pid, or minus the signal that ended it; pid
+    is killed first if `kill`. A signal handler that raises during the
+    wait (Ctrl-C) does not leave the child behind: it is killed and waited
+    for again, then the exception goes on."""
     import signal
 
     interrupt: BaseException | None = None
@@ -449,7 +450,7 @@ def _reap(pid: int, kill: bool) -> int:
             continue
         if interrupt is not None:
             raise interrupt
-        return status
+        return os.waitstatus_to_exitcode(status)
 
 
 # The kept texts cross from the loading process of a fork in chunks, each
@@ -562,9 +563,10 @@ def _render_beside(
                 deque(frames, 0)
             payload = pipe.read()
     finally:
-        status = _reap(pid, kill=payload is None)
+        code = _reap(pid, kill=payload is None)
     if not payload:
-        raise RuntimeError(f"the tag stages' process sent no result (wait status {status})")
+        cause = f"exit code {code}" if code >= 0 else f"killed by signal {-code}"
+        raise RuntimeError(f"the tag stages' process sent no result ({cause})")
     theirs = pickle.loads(payload)
     for outcome in (theirs, own):
         if isinstance(outcome, BaseException):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import socmine
 from helpers import FIXTURES, write_csv_corpus
 from socmine.cli import build_parser, main
 from socmine.config import RULES, STAGES, load_config, make_config
@@ -140,18 +141,20 @@ def test_min_tags_that_drops_every_document_exits_2(tmp_path, capsys, command):
 
 
 def test_ingest_out_round_trips_early_years(tmp_path, capsys):
+    # Both ends of years 1-9999, before 1970 (an epoch number and a fraction
+    # of a second, floored) and an offset; what ingest writes reads back to
+    # the same bytes.
+    stamps = ['"0001-01-01T00:00:00Z"', "-1", '"1969-12-31T23:59:59.500Z"',
+              '"2013-05-22T01:30:00+02:00"', '"9999-12-31T23:59:59Z"']
     path = tmp_path / "c.jsonl"
-    path.write_text(
-        '{"id": "a", "ts": "0005-01-01T00:00:00Z", "text": "x"}\n'
-        '{"id": "b", "ts": "0999-12-31T23:59:59Z", "text": "y"}\n',
-        encoding="utf-8",
-    )
-    out_path = tmp_path / "out.jsonl"
-    assert main(["ingest", str(path), "--out", str(out_path)]) == 0
-    first = capsys.readouterr().out
-    assert "window: 0005-01-01T00:00:00Z .. 0999-12-31T23:59:59Z" in first
-    assert main(["ingest", str(out_path)]) == 0
-    assert "window: 0005-01-01T00:00:00Z .. 0999-12-31T23:59:59Z" in capsys.readouterr().out
+    path.write_text("".join(
+        f'{{"id": "d{n}", "ts": {ts}, "text": "x", "tags": ["svpol"]}}\n' for n, ts in enumerate(stamps)
+    ), encoding="utf-8")
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    for source, out_path in ((path, first), (first, second)):
+        assert main(["ingest", str(source), "--out", str(out_path)]) == 0
+        assert "\nwindow: 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59Z\n" in capsys.readouterr().out
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_graph_dot_output(corpus_file, capsys):
@@ -418,15 +421,20 @@ def test_version(capsys):
 HEAVY = {"xml.sax", "urllib.request", "http.client", "xml.etree", "dataclasses", "inspect"}
 
 
-def _env_with_src() -> dict:
-    """The environment with this checkout's src/ first on PYTHONPATH."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    paths = [src, os.environ.get("PYTHONPATH", "")]
+# The directory this suite imports socmine from: src/ in a checkout, or
+# site-packages when the package is installed and src/ is not on the path.
+# A fresh interpreter is given it first, so it runs the same package.
+PACKAGE_PARENT = str(Path(socmine.__file__).parent.parent)
+
+
+def _env_with_package() -> dict:
+    """The environment with PACKAGE_PARENT first on PYTHONPATH."""
+    paths = [PACKAGE_PARENT, os.environ.get("PYTHONPATH", "")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def test_cli_import_loads_no_xml_or_network_modules():
-    env = _env_with_src()
+    env = _env_with_package()
     # cli.py imports the analysis modules lazily, so the probe imports every
     # module of the package itself. It lists them with pathlib, because
     # pkgutil.iter_modules imports inspect to name them.
@@ -470,8 +478,7 @@ def _modules_at_exit(tmp_path, argv):
     # one, before socmine runs; PyYAML's own directory stands in for
     # site-packages.
     site_dir = Path(importlib.util.find_spec("yaml").origin).parent.parent
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(site_dir)])}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([PACKAGE_PARENT, str(site_dir)])}
     out = tmp_path / "modules.txt"
     result = subprocess.run(
         [sys.executable, "-S", "-c", MODULES_PROBE, str(out), *argv],
@@ -730,9 +737,9 @@ sys.exit(main())
 
 
 def _entry_env() -> dict:
-    """_env_with_src, with stdout block-buffered as it is by default, so a
-    buffer that is not flushed before exit loses output."""
-    env = _env_with_src()
+    """_env_with_package, with stdout block-buffered as it is by default,
+    so a buffer that is not flushed before exit loses output."""
+    env = _env_with_package()
     env.pop("PYTHONUNBUFFERED", None)
     return env
 

@@ -9,6 +9,7 @@ other exception to exit 3, an internal fault.
 import contextlib
 import io
 import json
+import os
 import re
 from pathlib import Path
 
@@ -35,12 +36,20 @@ def _nested(depth: int) -> str:
     return "[" * depth + "]" * depth
 
 
-def _jsonl_case(line):
+def _file_case(data: bytes, argv, message):
+    """A command over a file of data bytes; argv names that file "FILE"."""
     def build(tmp_path):
-        path = tmp_path / "c.jsonl"
-        path.write_text(line + "\n", encoding="utf-8")
-        return ["ingest", path], "error: line 1: invalid JSON: "
+        path = tmp_path / "data"
+        path.write_bytes(data)
+        return [path if arg == "FILE" else arg for arg in argv], message
     return build
+
+
+def _jsonl_case(text, command="ingest", message="error: line 1: invalid JSON: "):
+    return _file_case(text.encode("utf-8"), [command, "FILE"], message)
+
+
+RECORD = '{"id": "a", "ts": "2013-05-01T00:00:00Z"'
 
 
 def _config_case(body, message):
@@ -68,8 +77,17 @@ def _ingest_out(out):
 @pytest.mark.parametrize(
     "case",
     [
-        _jsonl_case('{"id": "a", "ts": ' + "1" * 5000 + ', "text": "x"}'),
-        _jsonl_case(_nested(200_000)),
+        _jsonl_case('{"id": "a", "ts": ' + "1" * 5000 + ', "text": "x"}\n'),
+        _jsonl_case(_nested(200_000) + "\n"),
+        # The C scanner's fast path hands these lines back to json.loads.
+        _jsonl_case(f"{RECORD}}}\n{RECORD}}} x\n", message="error: line 2: invalid JSON: "),
+        _jsonl_case(f"{RECORD}}}\n\ufeff{RECORD}}}\n", message="error: line 2: invalid JSON: "),
+        _jsonl_case(f'{RECORD}, "tags": [["a"]]}}\n', "tags", "error: line 1: malformed field 'tags': "),
+        _jsonl_case(f'{RECORD}, "tags": [5]}}\n', "tags", "error: line 1: malformed field 'tags': "),
+        # A lone CR ends a line, so the bad byte is on line 3.
+        _file_case(b"alpha\rbeta\r\xffgamma\r",
+                   ["code", FIXTURES / "forum.jsonl", "--stopwords", "FILE"],
+                   "error: text.stopwords: line 3: invalid UTF-8 byte 0xff"),
         _config_case("  window: 2013-13-45\n",
                      "error: invalid YAML in {path}: month must be in 1..12"),
         _config_case('text:\n  stopwords: "a\\0b"\n', "error: text.stopwords: embedded null byte"),
@@ -82,7 +100,9 @@ def _ingest_out(out):
         _config_text('corpus:\n  path: ""\n'),
         _config_text("run:\n  out_dir: runs\n"),
     ],
-    ids=["ts-5000-digits", "jsonl-nested-200000", "yaml-impossible-date", "nul-in-path",
+    ids=["ts-5000-digits", "jsonl-nested-200000", "jsonl-trailing-text", "jsonl-mid-file-mark",
+         "tag-that-is-a-list", "tag-that-is-a-number", "stopwords-lone-cr-bad-byte",
+         "yaml-impossible-date", "nul-in-path",
          "surrogate-in-digest", "yaml-nested-100000", "out-dir-under-a-file",
          "out-in-a-missing-dir", "out-under-a-file", "empty-corpus-path", "no-corpus-path"],
 )
@@ -97,10 +117,9 @@ def test_bad_input_exits_2_naming_where(tmp_path, case):
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("command", [["tags"], ["ingest", "--format", "csv"], ["run"]],
-                         ids=["tags", "ingest-csv", "run"])
-def test_an_unreadable_corpus_exits_2(tmp_path, monkeypatch, command):
-    # A mode-000 file does not stop root, so the corpus refuses to open here.
+def _unreadable_corpus_case(tmp_path, command):
+    """A copy of the twitter fixture, the argv of command over it, and the
+    start of the one line of stderr when it cannot be read."""
     corpus = tmp_path / "locked.jsonl"
     corpus.write_bytes(TWITTER.read_bytes())
     argv, key = [command[0], corpus, *command[1:]], ""
@@ -109,6 +128,14 @@ def test_an_unreadable_corpus_exits_2(tmp_path, monkeypatch, command):
         config = tmp_path / "run.yaml"
         config.write_text(f"corpus:\n  path: {json.dumps(str(corpus))}\n", encoding="utf-8")
         argv, key = ["run", "--config", config], "corpus.path: "
+    return corpus, argv, f"error: {key}cannot read corpus file {corpus}: [Errno 13] Permission denied"
+
+
+@pytest.mark.parametrize("command", [["tags"], ["ingest", "--format", "csv"], ["run"]],
+                         ids=["tags", "ingest-csv", "run"])
+def test_an_unreadable_corpus_exits_2(tmp_path, monkeypatch, command):
+    # A mode-000 file does not stop root, so the corpus refuses to open here.
+    corpus, argv, err = _unreadable_corpus_case(tmp_path, command)
     opened = Path.open
 
     def locked(path, *args, **kwargs):
@@ -117,9 +144,16 @@ def test_an_unreadable_corpus_exits_2(tmp_path, monkeypatch, command):
         return opened(path, *args, **kwargs)
 
     monkeypatch.setattr(Path, "open", locked)
-    assert _main(argv) == (
-        2, "", f"error: {key}cannot read corpus file {corpus}: [Errno 13] Permission denied\n"
-    )
+    assert _main(argv) == (2, "", err + "\n")
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="a mode-000 file does not stop root")
+@pytest.mark.parametrize("command", [["tags"], ["run"]], ids=["tags", "run"])
+def test_a_mode_000_corpus_exits_2(tmp_path, command):
+    corpus, argv, err = _unreadable_corpus_case(tmp_path, command)
+    corpus.chmod(0)
+    # The operating system's error also names the file.
+    assert _main(argv) == (2, "", f"{err}: {str(corpus)!r}\n")
 
 
 def test_a_stray_value_error_is_an_internal_fault(tmp_path, monkeypatch):

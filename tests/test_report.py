@@ -443,6 +443,21 @@ def test_pipeline_on_bundled_fixture_corpus(tmp_path):
     assert dyads.splitlines()[1] == "sthlmriots,svpol,533,1.0000"
 
 
+def test_a_run_over_its_own_corpus_jsonl_writes_the_same_artifacts(tmp_path):
+    first = run_pipeline(make_config(
+        {"corpus": {"path": str(FIXTURES / "twitter.jsonl")}, "run": {"out_dir": "runs"}},
+        base_dir=tmp_path,
+    ))
+    again = run_pipeline(make_config(
+        {"corpus": {"path": str(first.run_dir / "corpus.jsonl")}, "run": {"out_dir": "again"}},
+        base_dir=tmp_path,
+    ))
+    # Only the manifest, which holds the corpus path and digest, differs.
+    written, rewritten = _files(first), _files(again)
+    del written[MANIFEST_NAME], rewritten[MANIFEST_NAME]
+    assert rewritten == written
+
+
 def _raising(kind, message):
     def render(ctx, run_dir):
         raise kind(message)
@@ -465,6 +480,10 @@ FAILURES = {
     "text side bad taxonomy": (
         {}, BAD_TAXONOMY, None, "", 2,
         "error: stage coding: coding.taxonomy: line 2: unknown category id",
+    ),
+    "text side stem not one token": (
+        {}, "1\tPolice\n1\tpoli cja\tprefix\n", None, "", 2,
+        "error: stage coding: coding.taxonomy: line 2: keyword family stem must be one token: 'poli cja'\n",
     ),
     # In serial order the tag side fails first, so its error wins.
     "both sides": (
@@ -767,7 +786,8 @@ def test_a_loading_process_that_dies_mid_stream_fails_the_run(workspace, monkeyp
 
     # The child sends its first chunk of texts, then exits without a word.
     monkeypatch.setattr(socmine.report._TextSender, "_send", dies)
-    with pytest.raises(RuntimeError, match="the tag stages' process sent no result"):
+    # The message names the child's exit code, not its raw wait status.
+    with pytest.raises(RuntimeError, match=r"the tag stages' process sent no result \(exit code 1\)$"):
         run_pipeline(_config(workspace, run={"jobs": 2}))
     # No run directory, no staging directory, and no process left.
     assert list((workspace / "runs").iterdir()) == []
@@ -780,6 +800,15 @@ def test_a_loading_process_that_dies_mid_stream_fails_the_run(workspace, monkeyp
     assert captured.err.startswith("internal error: RuntimeError(")
     assert "the tag stages' process sent no result" in captured.err
     assert list((workspace / "cli").iterdir()) == []
+
+    def killed(self, chunk):
+        send(self, chunk)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    # A child that a signal ends is named by the signal.
+    monkeypatch.setattr(socmine.report._TextSender, "_send", killed)
+    with pytest.raises(RuntimeError, match=rf"sent no result \(killed by signal {signal.SIGKILL:d}\)$"):
+        run_pipeline(_config(workspace, run={"jobs": 2}))
 
 
 def test_a_failed_fork_renders_serially_and_leaks_no_descriptor(workspace, monkeypatch):
@@ -814,6 +843,17 @@ def test_a_run_forks_when_jobs_allows_it_and_a_second_cpu_is_free(
     pin_cpus(monkeypatch, cpus)
     run = {} if jobs is None else {"jobs": jobs}
     assert _forked(_config(workspace, run=run)) == forks
+
+
+def test_without_os_fork_a_run_renders_serially(workspace, monkeypatch):
+    serial = run_pipeline(_config(workspace, run={"jobs": 1, "out_dir": "serial"}))
+    pin_cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork")
+    config = _config(workspace)
+    ctx = Context(config.values)
+    manifest = run_pipeline(config, ctx)
+    assert "loaded" in ctx.__dict__
+    assert _files(manifest) == _files(serial)
 
 
 @pytest.mark.parametrize(("count", "forks"), [(2, True), (1, False), (None, False)])

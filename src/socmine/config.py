@@ -22,7 +22,7 @@ from typing import Any, Mapping
 
 from .corpus import _SURROGATE, _check_tag, normalize_tag, parse_window
 from .errors import DataError
-from .resources import utf8_fault
+from .resources import cannot_read, utf8_fault
 from .text import KeywordFamily
 
 STAGES = (
@@ -245,7 +245,7 @@ def load_config(path: str | Path) -> Config:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
+        raise cannot_read("config", path, exc) from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"config file {path}: {utf8_fault(path)}") from exc
     try:
@@ -290,5 +290,5 @@ def file_digest(path: str | Path) -> str:
             for chunk in iter(lambda: handle.read(1 << 16), b""):
                 digest.update(chunk)
     except OSError as exc:
-        raise DataError(f"cannot read corpus file {path}: {exc}") from exc
+        raise cannot_read("corpus", path, exc) from exc
     return digest.hexdigest()

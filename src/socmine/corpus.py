@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DataError
-from .resources import utf8_fault
+from .resources import cannot_read, utf8_fault
 
 SOURCES = ("tweet", "forum_post")
 
@@ -378,7 +378,7 @@ def load_corpus(
     except UnicodeDecodeError as exc:
         raise DataError(utf8_fault(path)) from exc
     except OSError as exc:
-        raise DataError(f"cannot read corpus file {path}: {exc}") from exc
+        raise cannot_read("corpus", path, exc) from exc
     # Every record read has an id now, or the load has raised.
     records_read = len(seen_ids)
 

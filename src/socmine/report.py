@@ -9,23 +9,23 @@ and sentiment are imported by the properties and stage renderers that use
 them, so a subcommand or a run loads only the analyses it runs.
 
 A run with both a tag stage (ingest's corpus write, tags, pairs, graph,
-timeline) and a text stage (coding, pronouns, sentiment) forks before
-the corpus is loaded when run.jobs allows two processes and this process
-may run on a second CPU, and the child writes to the parent down one
-pipe, in one order. The child loads the corpus and sends the text of
-each kept document as soon as its record is checked; then an end mark,
-or a cut mark if its load raised; then, once it has rendered the tag
-stages into the same build directory, their StageResults, or the
-exception its load or stages raised, as a pickle up to EOF. The parent
-never loads the corpus: the text stages read nothing of it but the kept
-texts, and its first text stage runs the token walk over them as they
-arrive, while the child is still parsing. After its text stages, done or
-failed, the parent reads past any texts they did not walk, reads the
-child's outcome to EOF and reaps the child. The tag side's error wins
-when both fail, as it would in serial order, and a stream that ends
-before its end mark is never counted. Any other run, and one whose fork
-fails, renders its stages one after another in this process: on one CPU
-the split costs more than it saves.
+timeline) and a text stage (coding, pronouns, sentiment) forks before the
+corpus is loaded when run.jobs allows two processes and this process may
+run on a second CPU, and the child writes to the parent down one pipe, in
+one order. The child loads the corpus and sends the text of each kept
+document as soon as its record is checked; then an end mark, or a cut mark
+if its load raised; then, once it has rendered the tag stages into the
+same build directory, their StageResults, or the exception its load or
+stages raised, as a pickle up to EOF. The parent never loads the corpus:
+the text stages read nothing of it but the kept texts, and its first text
+stage runs the token walk over them as they arrive, while the child is
+still parsing. The two keep to disjoint halves of the run's CPUs till the
+child is reaped. After its text stages, done or failed, the parent reads
+past any texts they did not walk, reads the child's outcome to EOF and
+reaps the child. The tag side's error wins when both fail, as it would in
+serial order, and a stream that ends before its end mark is never counted.
+Any other run, and one whose fork fails, renders its stages one after
+another in this process: on one CPU the split costs more than it saves.
 
 Reruns of the same config over the same inputs produce byte-identical
 artifacts and manifest, whatever run.jobs says: the manifest embeds the
@@ -506,14 +506,20 @@ def _frames(pipe: BinaryIO) -> Iterator[bytes]:
         yield chunk
 
 
+def _keep_to(cpus: list[int]) -> None:
+    """Run this process on cpus alone, where the platform and host allow."""
+    with suppress(AttributeError, OSError):
+        os.sched_setaffinity(0, cpus)
+
+
 def _render_beside(
-    ctx: Context, build_dir: Path, tag_side: list[str], text_side: list[str]
+    ctx: Context, build_dir: Path, tag_side: list[str], text_side: list[str], cpus: list[int]
 ) -> list[StageResult]:
-    """Render tag_side in a forked child, which loads the corpus and
-    streams its kept texts to this process, while this process renders
-    text_side over them, or renders both here when the fork fails. Returns
-    the results in stage order, or raises the error a serial run would
-    have raised first: the tag side's, as it runs first."""
+    """Render tag_side in a forked child, which loads the corpus and streams
+    its kept texts to this process, while this process renders text_side
+    over them, each on its own half of cpus, or renders both here when the
+    fork fails. Returns the results in stage order, or raises the error a
+    serial run would have raised first: the tag side's, as it runs first."""
     import pickle
 
     # The child's load is timed, and its faults named, as the first stage.
@@ -532,6 +538,7 @@ def _render_beside(
         exit_code = 1
         try:
             os.close(read_fd)
+            _keep_to(cpus[len(cpus) // 2 :])
             try:
                 sender = ctx.on_kept = _TextSender(write_fd)
                 try:
@@ -549,6 +556,7 @@ def _render_beside(
             os._exit(exit_code)
     try:
         os.close(write_fd)
+        _keep_to(cpus[: len(cpus) // 2])
         with os.fdopen(read_fd, "rb") as pipe:
             frames = _frames(pipe)
             ctx.texts = chain.from_iterable(map(marshal.loads, frames))
@@ -563,6 +571,7 @@ def _render_beside(
                 deque(frames, 0)
             payload = pipe.read()
     finally:
+        _keep_to(cpus)
         code = _reap(pid, kill=payload is None)
     if not payload:
         cause = f"exit code {code}" if code >= 0 else f"killed by signal {-code}"
@@ -607,9 +616,9 @@ def run_pipeline(config: Config, ctx: Context | None = None) -> RunManifest:
         tag_side = [name for name in enabled if name not in _TEXT_STAGES]
         text_side = [name for name in enabled if name in _TEXT_STAGES]
         affinity = getattr(os, "sched_getaffinity", None)
-        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-        if run_cfg["jobs"] >= 2 and cpus >= 2 and tag_side and text_side and hasattr(os, "fork"):
-            results = _render_beside(ctx, build_dir, tag_side, text_side)
+        cpus = sorted(affinity(0)) if affinity else list(range(os.cpu_count() or 1))
+        if min(run_cfg["jobs"], len(cpus)) > 1 and tag_side and text_side and hasattr(os, "fork"):
+            results = _render_beside(ctx, build_dir, tag_side, text_side, cpus)
         else:
             results = _render(enabled, ctx, build_dir)
         manifest = RunManifest(

@@ -1,7 +1,7 @@
 """The data files bundled with the package (default stopword list,
 taxonomy, pronoun groups, demonstration lexicon), the one reader every
-data-file loader uses, and the text naming a byte that is not UTF-8,
-which the corpus and config loaders share."""
+data-file loader uses, and the texts naming a file that did not open or
+a byte that is not UTF-8, which the corpus and config loaders share."""
 
 from __future__ import annotations
 
@@ -27,6 +27,12 @@ def default_data_path(name: str) -> Path:
     return path
 
 
+def cannot_read(kind: str, path: str | Path, exc: OSError) -> DataError:
+    """The error of a file that did not open, naming its path once."""
+    reason = str(exc).removesuffix(f": {exc.filename!r}")
+    return DataError(f"cannot read {kind} file {path}: {reason}")
+
+
 def read_rows(path: str | Path, kind: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, tab-separated fields) for each line of a data file.
 
@@ -37,7 +43,7 @@ def read_rows(path: str | Path, kind: str) -> Iterator[tuple[int, list[str]]]:
     try:
         lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     except OSError as exc:
-        raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
+        raise cannot_read(kind, path, exc) from exc
     except UnicodeDecodeError as exc:
         raise DataError(utf8_fault(path)) from exc
     for line_no, raw in enumerate(lines, start=1):

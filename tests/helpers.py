@@ -46,8 +46,11 @@ def corpus_of(docs) -> Corpus:
 
 def pin_cpus(monkeypatch, count: int) -> None:
     """Show `socmine run`'s fork decision `count` CPUs, so a test of the
-    fork or of the serial path runs the same on any host."""
+    fork or of the serial path runs the same on any host. A forked run's
+    split of them is not applied: they need not be this host's CPUs, and
+    the test process keeps its own mask."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
 
 
 def write_csv_corpus(corpus: Corpus, path: Path) -> None:

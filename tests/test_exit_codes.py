@@ -136,15 +136,28 @@ def _unreadable_corpus_case(tmp_path, command):
 def test_an_unreadable_corpus_exits_2(tmp_path, monkeypatch, command):
     # A mode-000 file does not stop root, so the corpus refuses to open here.
     corpus, argv, err = _unreadable_corpus_case(tmp_path, command)
+    _lock(monkeypatch, corpus)
+    assert _main(argv) == (2, "", err + "\n")
+
+
+@pytest.mark.parametrize("command", [["tags"], ["run"]], ids=["tags", "run"])
+def test_an_unreadable_corpus_is_named_once(tmp_path, monkeypatch, command):
+    # The operating system's error names the file too, as for a mode-000 file.
+    corpus, argv, err = _unreadable_corpus_case(tmp_path, command)
+    _lock(monkeypatch, corpus, str(corpus))
+    assert _main(argv) == (2, "", err + "\n")
+
+
+def _lock(monkeypatch, corpus, *filename):
+    """Make corpus refuse to open, with a PermissionError of filename."""
     opened = Path.open
 
     def locked(path, *args, **kwargs):
         if path == corpus:
-            raise PermissionError(13, "Permission denied")
+            raise PermissionError(13, "Permission denied", *filename)
         return opened(path, *args, **kwargs)
 
     monkeypatch.setattr(Path, "open", locked)
-    assert _main(argv) == (2, "", err + "\n")
 
 
 @pytest.mark.skipif(os.geteuid() == 0, reason="a mode-000 file does not stop root")
@@ -152,8 +165,33 @@ def test_an_unreadable_corpus_exits_2(tmp_path, monkeypatch, command):
 def test_a_mode_000_corpus_exits_2(tmp_path, command):
     corpus, argv, err = _unreadable_corpus_case(tmp_path, command)
     corpus.chmod(0)
-    # The operating system's error also names the file.
-    assert _main(argv) == (2, "", f"{err}: {str(corpus)!r}\n")
+    # The operating system's error also names the file; the message names it once.
+    assert _main(argv) == (2, "", err + "\n")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda missing: (["code", TWITTER, "--stopwords", missing],
+                         "text.stopwords: cannot read stopword file"),
+        lambda missing: (["run", "--config", missing], "cannot read config file"),
+        lambda missing: (["run", "--config", _config_naming(missing)],
+                         "corpus.path: cannot read corpus file"),
+    ],
+    ids=["stopwords", "config", "run-corpus"],
+)
+def test_a_missing_file_is_named_once(tmp_path, case):
+    missing = tmp_path / "missing.txt"
+    argv, message = case(missing)
+    expected = f"error: {message} {missing}: [Errno 2] No such file or directory\n"
+    assert _main(argv) == (2, "", expected)
+
+
+def _config_naming(corpus: Path) -> Path:
+    """A run config beside corpus that names it as corpus.path."""
+    config = corpus.with_name("run.yaml")
+    config.write_text(f"corpus:\n  path: {json.dumps(str(corpus))}\n", encoding="utf-8")
+    return config
 
 
 def test_a_stray_value_error_is_an_internal_fault(tmp_path, monkeypatch):

@@ -37,6 +37,10 @@ def workspace(tmp_path):
     return tmp_path
 
 
+# The host's own calls, read before _two_cpus replaces them.
+_HOST_AFFINITY = (getattr(os, "sched_getaffinity", None), getattr(os, "sched_setaffinity", None))
+
+
 @pytest.fixture(autouse=True, scope="module")
 def _two_cpus():
     # A jobs-2 run here tests the fork, which a run on one CPU does not
@@ -908,6 +912,99 @@ def test_jobs_2_renders_the_tag_side_in_a_child(workspace, monkeypatch):
                 assert len(set(pids.values())) == 2
     finally:
         signal.signal(signal.SIGALRM, previous)
+
+
+def _log_affinity(monkeypatch, log, refuse=False):
+    """Log each os.sched_setaffinity call to log as its pid and CPUs; each
+    is refused with OSError when `refuse`."""
+
+    def logged(pid, cpus):
+        with log.open("a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {','.join(map(str, cpus))}\n")
+        if refuse:
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+    monkeypatch.setattr(os, "sched_setaffinity", logged, raising=False)
+
+
+def _affinity_calls(log):
+    """The logged calls, as this process's CPU lists and the others'."""
+    mine, theirs = [], []
+    for line in log.read_text(encoding="utf-8").splitlines():
+        pid, cpus = line.split()
+        (mine if int(pid) == os.getpid() else theirs).append([int(cpu) for cpu in cpus.split(",")])
+    return mine, theirs
+
+
+@pytest.mark.parametrize("mask", [{0, 1}, {7, 2, 5}, set(range(8))], ids=["2", "3", "8"])
+def test_the_forked_processes_keep_to_disjoint_halves_of_the_mask(workspace, monkeypatch, mask):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
+    log = workspace / "affinity.txt"
+    _log_affinity(monkeypatch, log)
+    run_pipeline(_config(workspace, run={"jobs": 2}))
+    (parent, restored), (child,) = _affinity_calls(log)
+    assert not set(parent) & set(child)
+    assert parent + child == restored == sorted(mask)
+    assert len(parent) == len(mask) // 2
+
+
+@pytest.mark.parametrize("failure", ["bad last line", "missing stopword file"])
+def test_a_failed_forked_run_restores_the_mask(workspace, monkeypatch, failure):
+    log = workspace / "affinity.txt"
+    _log_affinity(monkeypatch, log)
+    if failure == "bad last line":
+        with (workspace / "corpus.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write("not json\n")
+        config = _config(workspace, run={"jobs": 2})
+    else:
+        config = _config(workspace, run={"jobs": 2}, text={"stopwords": "missing.txt"})
+    with pytest.raises(DataError):
+        run_pipeline(config)
+    mine, theirs = _affinity_calls(log)
+    assert mine == [[0], [0, 1]] and theirs == [[1]]
+
+
+@pytest.mark.parametrize("split", ["refused", "missing"])
+def test_a_run_without_the_split_writes_the_jobs_1_bytes(workspace, monkeypatch, split):
+    serial = run_pipeline(_config(workspace, run={"jobs": 1, "out_dir": "serial"}))
+    log = workspace / "affinity.txt"
+    if split == "refused":
+        _log_affinity(monkeypatch, log, refuse=True)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    manifest = run_pipeline(_config(workspace, run={"jobs": 2}))
+    assert _files(manifest) == _files(serial)
+    if split == "refused":
+        mine, theirs = _affinity_calls(log)
+        assert (len(mine), len(theirs)) == (2, 1)
+
+
+@pytest.mark.skipif(_HOST_AFFINITY[0] is None, reason="no CPU mask on this platform")
+def test_a_run_on_the_host_mask_splits_it_and_gives_it_back(workspace, monkeypatch):
+    get, set_ = _HOST_AFFINITY
+    monkeypatch.setattr(os, "sched_getaffinity", get)
+    monkeypatch.setattr(os, "sched_setaffinity", set_)
+    serial = run_pipeline(_config(workspace, run={"jobs": 1, "out_dir": "serial"}))
+    log = workspace / "masks.txt"
+
+    def logged(name, render):
+        def wrapper(ctx, run_dir):
+            with log.open("a", encoding="utf-8") as handle:
+                handle.write(f"{name} {sorted(get(0))}\n")
+            return render(ctx, run_dir)
+        return wrapper
+
+    for name in ("tags", "coding"):
+        monkeypatch.setitem(socmine.report._STAGES, name, logged(name, socmine.report._STAGES[name]))
+    before = get(0)
+    manifest = run_pipeline(_config(workspace))
+    assert _files(manifest) == _files(serial)
+    assert get(0) == before
+    masks = dict(line.split(" ", 1) for line in log.read_text(encoding="utf-8").splitlines())
+    if len(before) >= 2:
+        # On a host with a second CPU the run forks, and each side keeps to its half.
+        tags, coding = (set(json.loads(masks[name])) for name in ("tags", "coding"))
+        assert tags and coding and not tags & coding and tags | coding == before
 
 
 def test_the_child_runs_no_atexit_hook_and_flushes_no_buffer(workspace):

@@ -382,11 +382,11 @@ def _stage_sentiment(ctx: Context, run_dir: Path) -> Rendered:
     report = ctx.power
     artifact = _write_text(run_dir, "power.csv", power_csv(report))
     summary = {
-        "rows": len(report.rows),
+        "rows": len(report.ngrams),
         "distinct_2grams": len(ctx.token_counts[1]),
         "sum_power": report.sum_power,
     }
-    return [artifact], summary, f"{len(report.rows)} n-grams, sum power {report.sum_power}"
+    return [artifact], summary, f"{len(report.ngrams)} n-grams, sum power {report.sum_power}"
 
 
 _STAGES: dict[str, Callable[[Context, Path], Rendered]] = {
@@ -524,14 +524,16 @@ def _render_beside(
 
     # The child's load is timed, and its faults named, as the first stage.
     start = perf_counter()
-    read_fd, write_fd = os.pipe()
+    pipe_fds: tuple[int, ...] = ()
     payload = None
     try:
+        pipe_fds = os.pipe()
         pid = os.fork()
-    except OSError:  # no process to spare, as under a pid limit
-        os.close(read_fd)
-        os.close(write_fd)
+    except OSError:  # no descriptor or process to spare, as under a limit
+        for fd in pipe_fds:
+            os.close(fd)
         return _render(tag_side + text_side, ctx, build_dir, start)
+    read_fd, write_fd = pipe_fds
     if pid == 0:
         # The child leaves through os._exit alone, so it runs none of the
         # caller's cleanup or atexit hooks and flushes none of its stdio.

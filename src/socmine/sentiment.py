@@ -8,7 +8,9 @@ strength, so a text with no matches scores 0 and a lone negative word
 with boost b scores -b.
 
 The power of a counted n-gram is its frequency times its strength. An
-n-gram is scored from its own surfaces, which are never re-tokenized.
+n-gram is scored from its own surfaces, which are never re-tokenized. A
+power report holds four aligned columns, one entry per n-gram in rank
+order, which power.csv writes a row at a time.
 """
 
 from __future__ import annotations
@@ -102,19 +104,18 @@ def score_text(text: str, lexicon: SentimentLexicon) -> int:
     return _strength(_halves(surface, index) for surface in tokenize(text))
 
 
-class ScoredNGram(NamedTuple):
-    ngram: tuple[str, ...]
-    freq: int
-    strength: int
-    power: int
-
-
 class PowerReport(NamedTuple):
-    rows: tuple[ScoredNGram, ...]
+    """Scored n-grams as aligned columns in rank order: entry i of each
+    column belongs to ngrams[i], and powers[i] is freqs[i] * strengths[i]."""
+
+    ngrams: list[tuple[str, ...]]
+    freqs: list[int]
+    strengths: list[int]
+    powers: list[int]
 
     @property
     def sum_power(self) -> int:
-        return sum(map(itemgetter(3), self.rows))
+        return sum(self.powers)
 
 
 def power_report(
@@ -123,9 +124,9 @@ def power_report(
     """Score every counted n-gram with frequency >= min_freq.
 
     Keys are tuples of token surfaces, as ngrams.count_tokens writes them,
-    and each key is its row's n-gram. Rows are in `ranked` order: descending
-    frequency, ties broken by the n-gram itself ascending, so equally
-    frequent n-grams list alphabetically.
+    and each key is its entry's n-gram. Entries are in `ranked` order:
+    descending frequency, ties broken by the n-gram itself ascending, so
+    equally frequent n-grams list alphabetically.
     """
     rows = ranked({key: n for key, n in counts.items() if n >= min_freq})
     ngrams = list(map(itemgetter(0), rows))
@@ -142,8 +143,7 @@ def power_report(
     strengths = [0] * len(ngrams)
     for i in compress(count(), map(not_, map(halves.keys().isdisjoint, ngrams))):
         strengths[i] = _strength(map(halves.get, ngrams[i], repeat(NEUTRAL)))
-    columns = zip(ngrams, freqs, strengths, map(mul, freqs, strengths))
-    return PowerReport(rows=tuple(map(ScoredNGram._make, columns)))
+    return PowerReport(ngrams, freqs, strengths, list(map(mul, freqs, strengths)))
 
 
 def power_csv(report: PowerReport) -> str:
@@ -152,11 +152,10 @@ def power_csv(report: PowerReport) -> str:
     Each distinct (freq, strength, power) line ending is formatted once, and
     each n-gram's text is joined to its ending.
     """
-    rows = report.rows
-    texts = list(map(" ".join, map(itemgetter(0), rows)))
-    numbers = list(map(itemgetter(1, 2, 3), rows))
+    texts = list(map(" ".join, report.ngrams))
+    numbers = list(zip(report.freqs, report.strengths, report.powers))
     ends = {key: ",{},{},{}\n".format(*key) for key in set(numbers)}
     body = "".join(chain.from_iterable(zip(texts, map(ends.__getitem__, numbers))))
-    fields = ((text, *number) for text, number in zip(texts, numbers))
+    fields = zip(texts, report.freqs, report.strengths, report.powers)
     header = "ngram,freq,strength,power"
-    return _csv_text(header, body, len(rows), fields, sum_power=report.sum_power)
+    return _csv_text(header, body, len(texts), fields, sum_power=report.sum_power)

@@ -4,7 +4,8 @@ Shapes: 'linear' (constant use over the whole window), 'stepwise' (one or
 few dominant single-day jumps, typical for media accounts), 'burst' (mass
 concentrated around one event), 'other'. A document counts on the UTC day
 of its epoch-second timestamp, floored, so a time before 1970 falls on
-the day it names.
+the day it names. A series is its tag, the window's days and its running
+totals, one a day; the series of one window share one tuple of days.
 """
 
 from __future__ import annotations
@@ -26,22 +27,19 @@ MIN_TOTAL = 10
 
 class CumulativeSeries(NamedTuple):
     """Running total of a tag's daily usage across the corpus window, which
-    holds at least one day."""
+    holds at least one day: totals[i] counts its documents up to days[i]."""
 
     tag: str
-    buckets: tuple[tuple[date, int], ...]
+    days: tuple[date, ...]
+    totals: tuple[int, ...]
 
     @property
     def total(self) -> int:
-        return self.buckets[-1][1]
-
-    @property
-    def days(self) -> tuple[date, ...]:
-        return tuple(day for day, _ in self.buckets)
+        return self.totals[-1]
 
     def increments(self) -> list[int]:
-        values = [cumulative for _, cumulative in self.buckets]
-        return [values[0]] + [b - a for a, b in zip(values, values[1:])]
+        totals = self.totals
+        return [totals[0]] + [b - a for a, b in zip(totals, totals[1:])]
 
 
 class ShapeVerdict(NamedTuple):
@@ -58,16 +56,13 @@ def cumulative_series_bulk(corpus: Corpus, tags: Iterable[str]) -> dict[str, Cum
     document carrying the tag, bucketed on the document's UTC day)."""
     wanted = set(tags)
     first_day, last_day = (ts // _DAY for ts in corpus.window)
-    days = [date.fromordinal(_EPOCH_ORDINAL + day) for day in range(first_day, last_day + 1)]
+    days = tuple(date.fromordinal(_EPOCH_ORDINAL + day) for day in range(first_day, last_day + 1))
     increments: dict[str, list[int]] = {tag: [0] * len(days) for tag in wanted}
     for doc in corpus.documents:
         for tag in wanted.intersection(doc.hashtags):
             increments[tag][doc.timestamp // _DAY - first_day] += 1
 
-    return {
-        tag: CumulativeSeries(tag, tuple(zip(days, accumulate(increments[tag]))))
-        for tag in wanted
-    }
+    return {tag: CumulativeSeries(tag, days, tuple(accumulate(increments[tag]))) for tag in wanted}
 
 
 def _r_squared(values: Sequence[int]) -> float:
@@ -111,7 +106,7 @@ def classify_shape(series: CumulativeSeries) -> ShapeVerdict:
     if total == 0:
         return ShapeVerdict("other", 0.0, 0.0, 0.0, burst_window, "series has no events")
 
-    r2 = _r_squared([cum for _, cum in series.buckets])
+    r2 = _r_squared(series.totals)
     max_step = max(increments) / total
     burst_mass = best_mass / total
 
@@ -140,7 +135,7 @@ def export_timeline(series: Sequence[CumulativeSeries], fmt: str = "csv") -> str
 
 def _export_csv(series: Sequence[CumulativeSeries]) -> str:
     dates = (day.isoformat() for day in series[0].days)
-    columns = ([cumulative for _, cumulative in s.buckets] for s in series)
+    columns = (s.totals for s in series)
     return _writer_text(chain([["date", *(s.tag for s in series)]], zip(dates, *columns)))
 
 
@@ -188,7 +183,7 @@ def _export_svg(series: Sequence[CumulativeSeries]) -> str:
     for idx, s in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         points = " ".join(
-            f"{x_of(i):.2f},{y_of(cum):.2f}" for i, (_, cum) in enumerate(s.buckets)
+            f"{x_of(i):.2f},{y_of(cum):.2f}" for i, cum in enumerate(s.totals)
         )
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'

@@ -10,6 +10,7 @@ import random
 import re
 import string
 from datetime import date, timedelta
+from itertools import accumulate
 from pathlib import Path
 from time import perf_counter
 
@@ -236,28 +237,19 @@ def test_criterion_4_timeline_endpoints_and_shapes(twitter):
         assert item.total == table[tag], tag
 
     # synthetic references for each shape
-    days = [date(2013, 5, 20) + timedelta(days=i) for i in range(60)]
-    uniform = CumulativeSeries(
-        tag="uniform", buckets=tuple((d, 2 * (i + 1)) for i, d in enumerate(days))
-    )
+    days = tuple(date(2013, 5, 20) + timedelta(days=i) for i in range(60))
+    uniform = CumulativeSeries(tag="uniform", days=days, totals=tuple(2 * (i + 1) for i in range(60)))
     assert classify_shape(uniform).shape == "linear"
     assert classify_shape(uniform).linearity_r2 >= 0.95
 
     one_day = [0] * 60
     one_day[30] = 82
-    running, buckets = 0, []
-    for i, d in enumerate(days):
-        running += one_day[i]
-        buckets.append((d, running))
-    assert classify_shape(CumulativeSeries("oneday", tuple(buckets))).shape == "stepwise"
+    stepwise = classify_shape(CumulativeSeries("oneday", days, tuple(accumulate(one_day))))
+    assert stepwise.shape == "stepwise"
 
     four_day = [0] * 60
     four_day[10:14] = [21, 21, 20, 20]
-    running, buckets = 0, []
-    for i, d in enumerate(days):
-        running += four_day[i]
-        buckets.append((d, running))
-    burst = classify_shape(CumulativeSeries("fourday", tuple(buckets)))
+    burst = classify_shape(CumulativeSeries("fourday", days, tuple(accumulate(four_day))))
     assert burst.shape == "burst"
     assert burst.burst_mass_fraction >= 0.6
 
@@ -326,8 +318,8 @@ def test_criterion_7_power_rows_replay(forum, stops):
         [d.text for d in forum.documents], stops, filter_term=KeywordFamily("policj", "prefix")
     )
     report = power_report(grams, lexicon, min_freq=2)
-    assert [row.power for row in report.rows] == [0, 0, -2, 0, 0, -6]
-    assert [row.freq for row in report.rows] == [10, 3, 2, 2, 2, 2]
+    assert report.powers == [0, 0, -2, 0, 0, -6]
+    assert report.freqs == [10, 3, 2, 2, 2, 2]
     # The six rows sum to -8; a grand total of -5 cannot be built from
     # them, so -8 is pinned and -5 is explicitly excluded.
     assert report.sum_power == -8

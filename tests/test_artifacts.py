@@ -92,7 +92,7 @@ def _check_run(run_dir: Path, ctx: Context, fmt: str) -> None:
         assert rows[0] == ["date", *(s.tag for s in series)]
         assert [row[0] for row in rows[1:]] == [day.isoformat() for day in series[0].days]
         for column, item in enumerate(series, start=1):
-            assert [int(row[column]) for row in rows[1:]] == [n for _, n in item.buckets]
+            assert [int(row[column]) for row in rows[1:]] == list(item.totals)
         svg = ET.parse(run_dir / "timeline.svg").getroot()
         ns = "{http://www.w3.org/2000/svg}"
         labels = [el.text for el in svg.iter(f"{ns}text")]
@@ -104,7 +104,8 @@ def _check_run(run_dir: Path, ctx: Context, fmt: str) -> None:
     report = ctx.power
     rows = _csv_rows(run_dir / "power.csv")
     assert rows[1:-1] == [
-        [" ".join(r.ngram), str(r.freq), str(r.strength), str(r.power)] for r in report.rows
+        [" ".join(ngram), str(freq), str(strength), str(power)]
+        for ngram, freq, strength, power in zip(*report)
     ]
     assert rows[-1] == ["# sum_power", str(report.sum_power)]
 

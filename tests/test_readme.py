@@ -1,12 +1,16 @@
-"""The README's command-line section agrees with the parser it documents."""
+"""The README's command-line section agrees with the parser it documents,
+and its list of value classes with the classes the package defines."""
 
 import argparse
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import socmine
 from helpers import FIXTURES
 from socmine.cli import build_parser, main
 
@@ -80,3 +84,18 @@ def test_each_command_example_exits_0_on_the_twitter_fixture(line, capsys):
             for arg in shlex.split(line)[1:]]
     assert main(argv) == 0, capsys.readouterr().err
     assert capsys.readouterr().out
+
+
+def test_the_value_class_list_names_every_namedtuple_class():
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"Value classes are NamedTuples: (.*?)\.\s", text, re.S)
+    # A class NamedTuple builds holds its own _fields; KeywordFamily, which
+    # subclasses one and has its own sentence, inherits them.
+    defined = {
+        name
+        for info in pkgutil.iter_modules(socmine.__path__)
+        for name, value in vars(importlib.import_module(f"socmine.{info.name}")).items()
+        if isinstance(value, type) and value.__module__ == f"socmine.{info.name}"
+        and "_fields" in vars(value)
+    }
+    assert set(re.findall(r"`([^`]+)`", listed[1])) == defined

@@ -817,16 +817,19 @@ def test_a_loading_process_that_dies_mid_stream_fails_the_run(workspace, monkeyp
 
 def test_a_failed_fork_renders_serially_and_leaks_no_descriptor(workspace, monkeypatch):
     serial = run_pipeline(_config(workspace, run={"jobs": 1, "out_dir": "serial"}))
-
-    def no_fork():
-        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    monkeypatch.setattr(os, "fork", no_fork)
     descriptors = len(os.listdir("/dev/fd"))
-    for attempt in range(3):
-        manifest = run_pipeline(_config(workspace, run={"jobs": 2, "out_dir": f"try{attempt}"}))
-        assert _files(manifest) == _files(serial)
-    assert len(os.listdir("/dev/fd")) == descriptors
+    # No process to spare, as under a pid limit, or no descriptor to spare.
+    for call, code in (("fork", errno.EAGAIN), ("pipe", errno.EMFILE)):
+
+        def refused(code=code):
+            raise OSError(code, os.strerror(code))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, call, refused)
+            for attempt in range(3):
+                config = _config(workspace, run={"jobs": 2, "out_dir": f"{call}{attempt}"})
+                assert _files(run_pipeline(config)) == _files(serial)
+        assert len(os.listdir("/dev/fd")) == descriptors
 
 
 def _forked(config):

@@ -1,5 +1,7 @@
 import csv
 import io
+import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -10,7 +12,6 @@ from socmine.errors import DataError
 from socmine.sentiment import (
     LexiconEntry,
     PowerReport,
-    ScoredNGram,
     load_lexicon,
     power_csv,
     power_report,
@@ -156,12 +157,12 @@ def test_power_report_ordering_and_min_freq():
         ("rzadki", "widok"): 1,
     }
     report = power_report(table, LEXICON, min_freq=2)
-    assert [r.ngram for r in report.rows] == [
+    assert report.ngrams == [
         ("cicha", "noc"),
         ("dobra", "noc"),
         ("fatalna", "noc"),
     ]
-    assert [r.power for r in report.rows] == [0, 3, -6]
+    assert report.powers == [0, 3, -6]
     assert report.sum_power == -3
 
 
@@ -170,7 +171,8 @@ def test_power_report_scores_the_ngram_own_surfaces():
     # 2-gram would split off "stanbul", which the prefix stem "stan" matches.
     lexicon = (LexiconEntry("stan", "positive", 2),)
     table = {("i\u0307stanbul", "policja"): 1, ("stanowczo", "policja"): 1}
-    strengths = {row.ngram: row.strength for row in power_report(table, lexicon).rows}
+    report = power_report(table, lexicon)
+    strengths = dict(zip(report.ngrams, report.strengths))
     assert strengths == {("i\u0307stanbul", "policja"): 0, ("stanowczo", "policja"): 2}
 
 
@@ -181,6 +183,24 @@ def test_power_csv_golden():
     )
     table = {("bad", "news"): 3, ("good", "news"): 2, ("plain", "news"): 2}
     assert power_csv(power_report(table, lexicon)) == (GOLDEN / "power_small.csv").read_text(encoding="utf-8")
+
+
+def test_the_power_report_keeps_columns_not_rows():
+    # About 30,000 2-grams in the mix of a real table: most score 0, some
+    # match a stem on one side or both, and frequencies repeat.
+    words = [f"w{i}" for i in range(170)] + ["dobry", "fatalny", "wspaniały", "mordować"]
+    table = {pair: 1 + (i * 7919) % 40 for i, pair in enumerate(product(words, repeat=2))}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = power_report(table, LEXICON)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # Four list slots a row is 32 bytes, and each column shares the table's
+    # keys and small ints; one 4-tuple object a row would cost about 72 more.
+    assert kept / len(table) < 64
+    assert len(report.ngrams) == len(table)
 
 
 def _scan_power_rows(table, lexicon, min_freq):
@@ -216,10 +236,11 @@ POWER_TABLES = st.one_of(
 
 @given(POWER_TABLES, st.sampled_from([1, 3]))
 def test_power_report_equals_per_row_scan(table, min_freq):
-    rows = power_report(table, LEXICON, min_freq=min_freq).rows
-    assert rows == tuple(_scan_power_rows(table, LEXICON, min_freq))
-    assert all(type(row.ngram) is tuple for row in rows)
-    assert all(type(part) is str for row in rows for part in row.ngram)
+    report = power_report(table, LEXICON, min_freq=min_freq)
+    rows = list(zip(*report))
+    assert rows == _scan_power_rows(table, LEXICON, min_freq)
+    assert all(type(ngram) is tuple for ngram in report.ngrams)
+    assert all(type(part) is str for ngram in report.ngrams for part in ngram)
 
 
 # Surfaces with and without what CSV must quote: a comma, a quote, line breaks.
@@ -228,8 +249,7 @@ CSV_SURFACES = st.text(st.sampled_from(["a", ",", '"', "\r", "\n", " ", "é"]), 
 
 @given(
     st.lists(
-        st.builds(
-            ScoredNGram,
+        st.tuples(
             st.lists(CSV_SURFACES, min_size=1, max_size=3).map(tuple),
             COUNTS,
             st.integers(-4, 4),
@@ -239,11 +259,11 @@ CSV_SURFACES = st.text(st.sampled_from(["a", ",", '"', "\r", "\n", " ", "é"]), 
     )
 )
 def test_power_csv_equals_csv_writer(rows):
-    report = PowerReport(rows=tuple(rows))
+    report = PowerReport(*([row[i] for row in rows] for i in range(4)))
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["ngram", "freq", "strength", "power"])
-    for row in rows:
-        writer.writerow([" ".join(row.ngram), row.freq, row.strength, row.power])
+    for ngram, freq, strength, power in rows:
+        writer.writerow([" ".join(ngram), freq, strength, power])
     buffer.write(f"# sum_power,{report.sum_power}\n")
     assert power_csv(report) == buffer.getvalue()

@@ -1,6 +1,7 @@
 import csv
 import io
 from datetime import date
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -20,8 +21,8 @@ D = date(2013, 5, 20)
 
 
 def _series(tag, values):
-    buckets = tuple((date.fromordinal(D.toordinal() + i), v) for i, v in enumerate(values))
-    return CumulativeSeries(tag=tag, buckets=buckets)
+    days = tuple(date.fromordinal(D.toordinal() + i) for i in range(len(values)))
+    return CumulativeSeries(tag=tag, days=days, totals=tuple(values))
 
 
 def test_series_increments():
@@ -37,8 +38,8 @@ def test_cumulative_series_covers_whole_window():
         ("c", 3, ("riots",)),
     )
     series = cumulative_series_bulk(corpus, ["riots"])["riots"]
-    assert len(series.buckets) == 4
-    assert [cum for _, cum in series.buckets] == [2, 2, 2, 3]
+    assert len(series.days) == 4
+    assert series.totals == (2, 2, 2, 3)
     # a tag absent from the corpus still gets a flat zero series
     assert cumulative_series_bulk(corpus, ["ghost"])["ghost"].total == 0
 
@@ -49,26 +50,22 @@ def test_series_window_crosses_1970():
     docs = [make_doc(doc_id, tags=("x",))._replace(timestamp=ts) for doc_id, ts in times.items()]
     window = parse_window("1969-12-30T00:00:05Z..1970-01-02")
     corpus = Corpus.from_documents(docs, window)
-    assert cumulative_series_bulk(corpus, ["x"])["x"].buckets == (
-        (date(1969, 12, 30), 1), (date(1969, 12, 31), 2), (date(1970, 1, 1), 4), (date(1970, 1, 2), 4)
-    )
+    series = cumulative_series_bulk(corpus, ["x"])["x"]
+    assert series.days == (date(1969, 12, 30), date(1969, 12, 31), date(1970, 1, 1), date(1970, 1, 2))
+    assert series.totals == (1, 2, 4, 4)
 
 
 def test_bulk_series_share_one_axis():
     corpus = make_corpus(("a", 0, ("x",)), ("b", 2, ("y",)))
     bulk = cumulative_series_bulk(corpus, ["x", "y"])
-    assert bulk["x"].days == bulk["y"].days
+    assert bulk["x"].days is bulk["y"].days
     assert bulk["x"].total == 1
     assert bulk["y"].total == 1
 
 
 @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=40))
 def test_series_endpoint_equals_event_total(increments):
-    running, buckets = 0, []
-    for i, inc in enumerate(increments):
-        running += inc
-        buckets.append((date.fromordinal(D.toordinal() + i), running))
-    series = CumulativeSeries(tag="t", buckets=tuple(buckets))
+    series = _series("t", list(accumulate(increments)))
     assert series.total == sum(increments)
     assert series.increments() == increments
 
@@ -174,7 +171,7 @@ def _frozen_export_csv(series):
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["date"] + [s.tag for s in series])
     for i, day in enumerate(axis):
-        writer.writerow([day.isoformat()] + [s.buckets[i][1] for s in series])
+        writer.writerow([day.isoformat()] + [s.totals[i] for s in series])
     return buffer.getvalue()
 
 
